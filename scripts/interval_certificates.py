@@ -29,9 +29,8 @@ def main() -> int:
           f"{'certified':>10} {'observed':>10} {'sweeps':>6}")
     for d in range(1, args.max_degree + 1):
         space = polyspace.poly_space(1, d)
-        ns = meshgen.select_nodes(space, model, seed=args.seed)
-        lam = meshgen.grid_norming_constant(ns, model)
-        print(f"{d:>3} {'-':>3} {space.dim:>6} {lam:>10.6f} "
+        ns = meshgen.select_nodes(space, model)
+        print(f"{d:>3} {'-':>3} {space.dim:>6} {ns.grid_constant:>10.6f} "
               f"{'-':>10} {'-':>10} {ns.sweeps:>6}")
         for p in args.powers:
             cert = landau.embed(space, model, p, seed=args.seed)

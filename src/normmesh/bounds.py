@@ -37,6 +37,7 @@ FORMULA_NAMES = (
     "N_dn",
     "N_ds_cor1",
     "dist_bound_A",
+    "N_tilde_dn",
     "dist_bound_cor1",
     "s_eps",
     "s_eps_bound_3_7",

@@ -164,8 +164,7 @@ def _cmd_mesh(args) -> dict:
     _require(args, "n", "d")
     model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
-    node_set = meshgen.select_nodes(space, model, seed=args.seed)
-    constant = meshgen.grid_norming_constant(node_set, model)
+    node_set = meshgen.select_nodes(space, model)
     return {
         "command": "mesh",
         "inputs": {
@@ -173,7 +172,7 @@ def _cmd_mesh(args) -> dict:
             "resolution": args.resolution, "seed": args.seed,
         },
         "node_set": node_set.to_json_dict(),
-        "grid_constant": constant,
+        "grid_constant": node_set.grid_constant,
         "meta": _meta(args, ["norming-nodes"], seed=args.seed,
                       grid_size=node_set.grid_size),
     }

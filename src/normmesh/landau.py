@@ -128,9 +128,9 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
             f"degree {space.d}*{p} needs {target_dim} nodes, beyond the working "
             f"limit of {_MAX_TARGET_DIM}")
     big = polyspace.poly_space(space.n, space.d * int(p))
-    node_set = meshgen.select_nodes(big, set_model, seed=seed,
-                                    max_sweeps=max_sweeps, tol_swap=tol_swap)
-    lam = meshgen.grid_norming_constant(node_set, set_model)
+    node_set = meshgen.select_nodes(big, set_model, max_sweeps=max_sweeps,
+                                    tol_swap=tol_swap)
+    lam = node_set.grid_constant
 
     # The cardinal bound enters the a priori constant; when the exchange
     # did not reach optimality the realized sup replaces 1 + tol_swap.

@@ -17,6 +17,18 @@ by more than a (1 + tol_swap) factor" and "every |f_k| stays below
 grows log|det| by at least log(1 + tol_swap); on a finite grid that
 bounds the number of swaps and forces termination.
 
+The same identity updates the cardinal matrix after a swap without a new
+solve.  When node k moves to grid point z, the new cardinals are
+
+    f_k' = f_k / f_k(z),    f_j' = f_j - f_j(z) * f_k'   (j != k),
+
+a rank-1 (maxvol) step costing O(N m) for N grid points and m nodes,
+where a fresh solve of the m x m node system against the grid costs
+O(m^2 N).  Fresh solves happen only for the greedy seed, to confirm a
+sweep that came back clean on the updated matrix, and once at the end of
+a run that exhausted its sweeps, so every reported certificate is read
+from a fresh solve.
+
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
 component orthogonal to the span of the rows already chosen (ties go to
@@ -48,7 +60,9 @@ class NodeSet:
     ``log_abs_det`` is reported in the orthonormalized (conditioned)
     basis.  ``swap_optimal`` records that a full exchange sweep found no
     improving swap, which by the Cramer identity is the same as
-    ``lagrange_sup <= 1 + tol_swap``.
+    ``lagrange_sup <= 1 + tol_swap``.  ``grid_constant`` is the norming
+    constant L = max over the grid of sum_k |f_k|, read from the same
+    cardinal matrix as ``lagrange_sup``.
     """
 
     space: polyspace.PolySpace
@@ -57,8 +71,8 @@ class NodeSet:
     log_abs_det: float
     swap_optimal: bool
     lagrange_sup: float
+    grid_constant: float
     tol_swap: float
-    seed: int
     grid_size: int
     sweeps: int = 0
 
@@ -114,6 +128,23 @@ def _cardinal_values(q: np.ndarray, indices: Sequence[int]) -> np.ndarray:
         raise ValidationError(f"node matrix is singular to working precision: {exc}") from exc
 
 
+def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
+    """Rank-1 update of C = _cardinal_values(...) in place when node k moves to z."""
+    rows = cardinals.T
+    pivot = rows[k]
+    pivot /= pivot[z]
+    weights = rows[:, z].copy()
+    weights[k] = 0.0
+    for j in np.flatnonzero(weights):
+        rows[j] -= weights[j] * pivot
+
+
+def _certificates(cardinals: np.ndarray) -> tuple[float, float]:
+    """(max_G max_k |f_k|, max_G sum_k |f_k|) of a cardinal matrix."""
+    magnitudes = np.abs(cardinals)
+    return float(magnitudes.max()), float(magnitudes.sum(axis=1).max())
+
+
 def _greedy_rows(q: np.ndarray) -> list[int]:
     """Pivoted orthogonalization over rows; ties break to lowest index."""
     n_rows, m = q.shape
@@ -143,7 +174,7 @@ def _log_abs_det(q: np.ndarray, indices: Sequence[int]) -> float:
 
 
 def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
-                 seed: int = 0, max_sweeps: int = DEFAULT_MAX_SWEEPS,
+                 max_sweeps: int = DEFAULT_MAX_SWEEPS,
                  tol_swap: float = DEFAULT_TOL_SWAP) -> NodeSet:
     """Pick dim(space) grid points by greedy init plus exchange sweeps.
 
@@ -153,9 +184,16 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     passes clean (then ``swap_optimal`` is true) or ``max_sweeps`` is
     exhausted (best nodes so far, ``swap_optimal`` false).
 
-    The run is deterministic given (space, set_model, seed, max_sweeps);
-    the seed is recorded for provenance and reserved for randomized
-    variants, the exchange itself draws no random numbers.
+    Each swap updates the cardinal matrix by the rank-1 Cramer step of
+    the module docstring, O(N m) for N grid points and m nodes.  The
+    matrix is solved afresh, O(m^2 N), after the greedy seed; when a sweep
+    comes back clean on an updated matrix, where the fresh matrix must
+    confirm it or sweeping goes on; and once at the end of a run that
+    exhausted ``max_sweeps``.  ``lagrange_sup``, ``grid_constant`` and
+    ``swap_optimal`` are therefore read from a fresh solve.
+
+    The run is deterministic given (space, set_model, max_sweeps,
+    tol_swap); the exchange draws no random numbers.
     """
     if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
         raise ValidationError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
@@ -167,6 +205,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
 
     m = space.dim
     cardinals = _cardinal_values(q, chosen)
+    updated = False  # cardinals carry rank-1 updates since the last solve
     swap_optimal = False
     sweeps_used = 0
     for _ in range(int(max_sweeps)):
@@ -176,21 +215,31 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
             better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + tol_swap)
             if better.size:
                 chosen[k] = int(better[0])
-                cardinals = _cardinal_values(q, chosen)
-                improved = True
+                _swap_cardinals(cardinals, k, chosen[k])
+                improved = updated = True
         if not improved:
+            # A clean sweep over rank-1 updates may rest on rounding drift
+            # near the threshold; only a fresh matrix certifies it.
+            if updated:
+                cardinals = _cardinal_values(q, chosen)
+                updated = False
+                if (np.abs(cardinals) > 1.0 + tol_swap).any():
+                    continue
             swap_optimal = True
             break
+    if updated:
+        cardinals = _cardinal_values(q, chosen)
 
+    lagrange_sup, grid_constant = _certificates(cardinals)
     return NodeSet(
         space=space,
         nodes=grid_points[chosen].copy(),
         node_indices=tuple(int(i) for i in chosen),
         log_abs_det=_log_abs_det(q, chosen),
         swap_optimal=swap_optimal,
-        lagrange_sup=float(np.abs(cardinals).max()),
+        lagrange_sup=lagrange_sup,
+        grid_constant=grid_constant,
         tol_swap=float(tol_swap),
-        seed=int(seed),
         grid_size=int(grid_points.shape[0]),
         sweeps=sweeps_used,
     )
@@ -215,8 +264,7 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     if any(i < 0 or i >= grid_points.shape[0] for i in indices):
         raise ValidationError("node index out of grid range")
     q = _conditioned_basis(space, grid_points)
-    cardinals = _cardinal_values(q, indices)
-    sup = float(np.abs(cardinals).max())
+    sup, grid_constant = _certificates(_cardinal_values(q, indices))
     return NodeSet(
         space=space,
         nodes=grid_points[indices].copy(),
@@ -224,8 +272,8 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
         log_abs_det=_log_abs_det(q, indices),
         swap_optimal=sup <= 1.0 + tol_swap,
         lagrange_sup=sup,
+        grid_constant=grid_constant,
         tol_swap=float(tol_swap),
-        seed=0,
         grid_size=int(grid_points.shape[0]),
     )
 
@@ -258,7 +306,9 @@ def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) ->
 
     Every space member g satisfies max_G |g| <= L * max_k |g(z_k)|.
     Cardinals are evaluated through the conditioned basis; their values
-    do not depend on the basis choice.
+    do not depend on the basis choice.  This rebuilds the grid, basis and
+    cardinal solve from scratch, so it is an independent check of the
+    ``grid_constant`` that ``select_nodes`` and ``make_node_set`` store.
     """
     grid_points = sets.grid(set_model)
     indices = list(node_set.node_indices)

@@ -136,6 +136,13 @@ class TestDistortionConstants:
             "s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
             "log_net_card", "entropy_chain_final"}
 
+    def test_every_emitted_name_is_registered(self):
+        reports = [poly_bound_report(1, 1), poly_bound_report(3, 5),
+                   schedule_bound_report(2, 1, 1.0, 3),
+                   entropy_chain(1, 1, math.e ** 2, 1, 0.5)]
+        emitted = {name for rep in reports for name, _, _ in rep.values}
+        assert emitted <= set(FORMULA_NAMES), emitted - set(FORMULA_NAMES)
+
     def test_json_rendering_types(self):
         rep = poly_bound_report(1, 2)
         rendered = rep.to_json_values()

@@ -4,6 +4,8 @@ Oracle strategy: on coarse grids the optimal node set is found by exhaustive
 enumeration over all index subsets and compared against the exchange result;
 on fine grids we check the certificates (swap optimality, cardinal sup,
 norming inequality on sampled polynomials) rather than node identity.
+The rank-1 exchange is checked against a reference exchange that solves
+the cardinal matrix afresh after every swap.
 """
 
 import itertools
@@ -27,6 +29,69 @@ def brute_force_max_det(space, grid_points):
         if a > best[0]:
             best = (a, combo)
     return best
+
+
+def reference_exchange(space, model, max_sweeps=meshgen.DEFAULT_MAX_SWEEPS,
+                       tol_swap=meshgen.DEFAULT_TOL_SWAP):
+    """The exchange with a full O(m^2 N) re-solve after every accepted swap."""
+    q = meshgen._conditioned_basis(space, sets.grid(model))
+    chosen = meshgen._greedy_rows(q)
+    cardinals = meshgen._cardinal_values(q, chosen)
+    swap_optimal, sweeps = False, 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        improved = False
+        for k in range(space.dim):
+            better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + tol_swap)
+            if better.size:
+                chosen[k] = int(better[0])
+                cardinals = meshgen._cardinal_values(q, chosen)
+                improved = True
+        if not improved:
+            swap_optimal = True
+            break
+    return {"node_indices": tuple(chosen), "sweeps": sweeps,
+            "swap_optimal": swap_optimal,
+            "lagrange_sup": float(np.abs(cardinals).max()),
+            "log_abs_det": meshgen._log_abs_det(q, chosen)}
+
+
+REFERENCE_CASES = (
+    [pytest.param(1, d, sets.box([(-1.0, 1.0)], 2001), 100, id=f"interval-d{d}")
+     for d in range(2, 9)]
+    + [pytest.param(2, d, sets.box([(-1.0, 1.0), (0.0, 2.0)], 41), 100, id=f"square-d{d}")
+       for d in range(3, 6)]
+    + [pytest.param(2, 3, sets.ball([0.0, 0.0], 1.0, 31), 100, id="disk-d3"),
+       pytest.param(1, 5, sets.box([(-1.0, 1.0)], 2001), 1, id="interval-d5-one-sweep")])
+
+
+class TestRankOneExchange:
+    @pytest.mark.parametrize("n, d, model, max_sweeps", REFERENCE_CASES)
+    def test_matches_full_resolve_reference(self, n, d, model, max_sweeps):
+        space = poly_space(n, d)
+        ns = select_nodes(space, model, max_sweeps=max_sweeps)
+        expected = reference_exchange(space, model, max_sweeps=max_sweeps)
+        got = {key: getattr(ns, key) for key in expected}
+        assert got == expected
+        assert ns.swap_optimal == (max_sweeps > 1)
+        assert ns.grid_constant == grid_norming_constant(ns, model)
+
+    def test_update_tracks_fresh_solve(self):
+        space = poly_space(2, 4)
+        q = meshgen._conditioned_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
+        # a random start leaves cardinals far above 1, so every swap moves
+        chosen = [int(i) for i in np.random.default_rng(3).choice(
+            q.shape[0], space.dim, replace=False)]
+        cardinals = meshgen._cardinal_values(q, chosen)
+        for k in (0, 3, 9, 14):
+            z = int(np.argmax(np.abs(cardinals[:, k])))
+            assert abs(cardinals[z, k]) > 1.5
+            meshgen._swap_cardinals(cardinals, k, z)
+            chosen[k] = z
+            np.testing.assert_allclose(
+                cardinals, meshgen._cardinal_values(q, chosen), rtol=0, atol=1e-10)
+            assert cardinals[z, k] == 1.0
+            assert np.count_nonzero(cardinals[z]) == 1
 
 
 class TestIntervalSelection:
@@ -143,6 +208,7 @@ class TestExplicitNodes:
         ns = make_node_set(space, model, [8, 10, 12])
         assert not ns.swap_optimal
         assert ns.lagrange_sup > 1.0 + ns.tol_swap
+        assert ns.grid_constant == grid_norming_constant(ns, model)
 
     def test_index_validation(self):
         space = poly_space(1, 2)
@@ -223,8 +289,8 @@ class TestDeterminism:
     def test_repeat_runs_identical(self):
         space = poly_space(2, 3)
         model = sets.box([(-1.0, 1.0), (0.0, 2.0)], 17)
-        a = select_nodes(space, model, seed=5)
-        b = select_nodes(space, model, seed=5)
+        a = select_nodes(space, model)
+        b = select_nodes(space, model)
         assert a.node_indices == b.node_indices
         assert a.nodes.tobytes() == b.nodes.tobytes()
         assert a.log_abs_det == b.log_abs_det
