@@ -28,25 +28,17 @@ from .sets import (
     union,
 )
 from .polyspace import (
-    CoefVector,
     PolySpace,
-    coef_power,
     dim_full,
-    evaluate,
     is_determining,
-    multiply,
     poly_space,
-    sup_norm,
     trace_dimension,
     vandermonde,
 )
 from .meshgen import (
-    LagrangeSystem,
     NodeSet,
     grid_norming_constant,
-    lagrange,
     make_node_set,
-    norming_certificate,
     select_nodes,
 )
 from .landau import (
@@ -73,12 +65,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CoefVector",
     "CompactSetModel",
     "EmbeddingCertificate",
     "InputError",
     "InvariantViolation",
-    "LagrangeSystem",
     "NodeSet",
     "NonDeterminingError",
     "NormMeshError",
@@ -87,24 +77,19 @@ __all__ = [
     "affine_image",
     "ball",
     "box",
-    "coef_power",
     "dim_full",
     "embed",
     "entropy_chain",
     "estimate_distortion",
-    "evaluate",
     "from_points",
     "grid",
     "grid_norming_constant",
     "is_determining",
-    "lagrange",
     "load_point_cloud",
     "log_distortion",
     "log_distortion_inverse",
     "make_node_set",
-    "multiply",
     "net_cardinality_log",
-    "norming_certificate",
     "poly_bound_report",
     "poly_distortion_bound",
     "poly_embedding_size",
@@ -116,7 +101,6 @@ __all__ = [
     "scheduled_embedding_size",
     "select_nodes",
     "sphere",
-    "sup_norm",
     "trace_dimension",
     "union",
     "vandermonde",

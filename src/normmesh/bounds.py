@@ -28,7 +28,7 @@ from typing import Callable
 
 import mpmath as mp
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, check_int
 
 _BASE_DPS = 30
 
@@ -104,18 +104,6 @@ def _audited_floor(make_value: Callable[[], mp.mpf], context: str) -> int:
     return int(first)
 
 
-def _check_degree(d: int) -> int:
-    if not isinstance(d, (int,)) or isinstance(d, bool) or d < 1:
-        raise ValidationError(f"degree must be a positive integer, got {d!r}")
-    return d
-
-
-def _check_order(k: int) -> int:
-    if not isinstance(k, (int,)) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"growth order must be a positive integer, got {k!r}")
-    return k
-
-
 def _check_chat(c_hat) -> mp.mpf:
     c = mp.mpf(c_hat)
     if not mp.isfinite(c) or c <= 0:
@@ -125,8 +113,8 @@ def _check_chat(c_hat) -> mp.mpf:
 
 def log_floor(c_hat, d: int, k: int) -> int:
     """Audited floor(ln(c_hat * d^k)); requires c_hat * d^k >= 1."""
-    d = _check_degree(d)
-    k = _check_order(k)
+    d = check_int(d, "degree")
+    k = check_int(k, "growth order")
     c = _check_chat(c_hat)
     with mp.workdps(_BASE_DPS):
         if mp.mpf(c_hat) * mp.mpf(d) ** k < 1:
@@ -138,9 +126,8 @@ def log_floor(c_hat, d: int, k: int) -> int:
 
 def poly_embedding_size(n: int, d: int) -> int:
     """Node-count budget for degree-d polynomials in n variables."""
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"number of variables must be a positive integer, got {n!r}")
-    d = _check_degree(d)
+    n = check_int(n, "number of variables")
+    d = check_int(d, "degree")
     inner = _audited_floor(lambda: n * mp.log(d), "poly_embedding_size inner floor")
     factor = 2 * n + 1 + inner
 
@@ -153,18 +140,16 @@ def poly_embedding_size(n: int, d: int) -> int:
 
 def poly_distortion_bound(n: int, dps: int = _BASE_DPS) -> mp.mpf:
     """Degree-free distortion constant (e (n+2)^2)^(1/(n+2))."""
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"number of variables must be a positive integer, got {n!r}")
+    n = check_int(n, "number of variables")
     with mp.workdps(dps):
         return (mp.e * mp.mpf(n + 2) ** 2) ** (mp.mpf(1) / (n + 2))
 
 
 def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
     """Node-count budget under dimension growth c_hat * degree^k."""
-    d = _check_degree(d)
-    k = _check_order(k)
-    if not isinstance(s, (int,)) or isinstance(s, bool) or s < 3:
-        raise ValidationError(f"schedule parameter s must be an integer >= 3, got {s!r}")
+    d = check_int(d, "degree")
+    k = check_int(k, "growth order")
+    s = check_int(s, "schedule parameter s", minimum=3)
     inner = log_floor(c_hat, d, k)
 
     def value() -> mp.mpf:
@@ -175,9 +160,8 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
 
 def schedule_distortion_bound(s: int, k: int, dps: int = _BASE_DPS) -> mp.mpf:
     """Distortion constant (e s^k)^(1/s) for the scheduled embedding."""
-    if not isinstance(s, (int,)) or isinstance(s, bool) or s < 3:
-        raise ValidationError(f"schedule parameter s must be an integer >= 3, got {s!r}")
-    k = _check_order(k)
+    s = check_int(s, "schedule parameter s", minimum=3)
+    k = check_int(k, "growth order")
     with mp.workdps(dps):
         return (mp.e * mp.mpf(s) ** k) ** (mp.mpf(1) / s)
 
@@ -190,10 +174,8 @@ def net_cardinality_log(num_coords: int, nbar: int, xi: float) -> tuple[float, f
     (R, log_count) with R = (1 + xi nbar) / (1 - xi nbar) and
     log_count = num_coords * nbar * ln(1 + 2/xi).
     """
-    if not isinstance(num_coords, (int,)) or isinstance(num_coords, bool) or num_coords < 1:
-        raise ValidationError(f"coordinate count must be a positive integer, got {num_coords!r}")
-    if not isinstance(nbar, (int,)) or isinstance(nbar, bool) or nbar < 1:
-        raise ValidationError(f"block dimension must be a positive integer, got {nbar!r}")
+    num_coords = check_int(num_coords, "coordinate count")
+    nbar = check_int(nbar, "block dimension")
     xi = float(xi)
     if not (0.0 < xi < 1.0 / nbar):
         raise ValidationError(
@@ -212,7 +194,7 @@ def log_distortion(x: float, k: int = 1) -> float:
 
     Strictly decreasing for x >= e^((k-1)/k).
     """
-    k = _check_order(k)
+    k = check_int(k, "growth order")
     if x <= 0:
         raise ValidationError(f"argument must be positive, got {x}")
     return (1.0 + k * math.log(x)) / x
@@ -245,7 +227,7 @@ def log_distortion_inverse(y: float, k: int = 1, dps: int = 40) -> float:
     Valid for 0 < y <= e^(-(k-1)/k); the root lies below
     (3k/y) ln(3k/y), which seeds the bisection bracket.
     """
-    k = _check_order(k)
+    k = check_int(k, "growth order")
     with mp.workdps(dps):
         yy = mp.mpf(y)
         if yy <= 0 or yy > mp.e ** (-mp.mpf(k - 1) / k):
@@ -268,11 +250,10 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
 
     Requires 0 < eps <= 1/2 and nbar <= c_hat * d^k.
     """
-    d = _check_degree(d)
-    k = _check_order(k)
+    d = check_int(d, "degree")
+    k = check_int(k, "growth order")
     _check_chat(c_hat)
-    if not isinstance(nbar, (int,)) or isinstance(nbar, bool) or nbar < 1:
-        raise ValidationError(f"block dimension must be a positive integer, got {nbar!r}")
+    nbar = check_int(nbar, "block dimension")
     eps = float(eps)
     if not (0.0 < eps <= 0.5):
         raise ValidationError(f"accuracy must satisfy 0 < eps <= 1/2, got {eps}")

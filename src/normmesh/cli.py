@@ -4,8 +4,7 @@ Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments and seed,
 byte for byte.  Exit codes: 0 success, 2 validation or input error,
-3 violated certificate or precision audit.  NORMMESH_THREADS caps worker
-threads for distortion probes.
+3 violated certificate or precision audit.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -49,19 +47,6 @@ def _parse_schedule(text: str) -> tuple[int, int, float]:
     except ValueError as exc:
         raise ValidationError(f"--schedule expects s,k,chat as int,int,real: {exc}") from exc
     return s, k, chat
-
-
-def _threads() -> int:
-    raw = os.environ.get("NORMMESH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"NORMMESH_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"NORMMESH_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _set_from_args(args) -> sets.CompactSetModel:
@@ -207,9 +192,7 @@ def _cmd_embed(args) -> dict:
 
 def _cmd_distort(args) -> dict:
     cert = _build_certificate(args)
-    workers = min(_threads(), args.trials)
-    landau.estimate_distortion(cert, trials=args.trials, seed=args.seed,
-                               workers=workers)
+    landau.estimate_distortion(cert, trials=args.trials, seed=args.seed)
     anchors = ["power-embedding", "distortion-probe"]
     if args.schedule:
         anchors.append("power-schedule")

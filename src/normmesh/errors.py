@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 The command line maps these onto process exit codes: validation problems
 (bad parameters, unreadable inputs, sets that cannot norm the requested
@@ -6,6 +6,8 @@ space) exit with code 2, while violations of certified inequalities or
 precision audits exit with code 3.  The latter indicate a bug rather than
 a user error and should never occur in normal operation.
 """
+
+import numpy as np
 
 
 class NormMeshError(Exception):
@@ -31,3 +33,21 @@ class NonDeterminingError(ValidationError):
 
 class InvariantViolation(NormMeshError):
     """A certified inequality or a precision audit failed."""
+
+
+def check_int(value, what: str, minimum: int = 1) -> int:
+    """``int(value)`` when value is an integer of at least ``minimum``.
+
+    Accepts ``int`` and ``np.integer`` and rejects ``bool``; anything else
+    raises ``ValidationError`` naming ``what``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        if minimum == 1:
+            wanted = "a positive integer"
+        elif minimum == 0:
+            wanted = "a non-negative integer"
+        else:
+            wanted = f"an integer >= {minimum}"
+        raise ValidationError(f"{what} must be {wanted}, got {value!r}")
+    return int(value)

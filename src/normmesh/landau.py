@@ -27,17 +27,12 @@ hill climbing; the probe can approach but never exceed the certificate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds, meshgen, polyspace, sets
-from .errors import InvariantViolation, ValidationError
-
-# Node selection cost grows with the cube of this; anything larger than a
-# few thousand basis members is outside the intended working range.
-_MAX_TARGET_DIM = 20000
+from .errors import InvariantViolation, ValidationError, check_int
 
 _HILL_CLIMB_PASSES = 200
 _MIN_STEP = 1e-10
@@ -51,10 +46,9 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
     at degree d*p is certified with distortion at most e^c = (e s^k)^(1/s).
     Requires c_hat * d^k >= 1 and s >= 3.
     """
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 3:
-        raise ValidationError(f"schedule parameter s must be an integer >= 3, got {s!r}")
+    s = check_int(s, "schedule parameter s", minimum=3)
     level = bounds.log_floor(c_hat, d, k)
-    p = int(s) * (level + 1)
+    p = s * (level + 1)
     c = 1.0 / s + k * math.log(s) / s
     return p, c
 
@@ -120,14 +114,12 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     bound is min(dimension^(1/p) * (1 + tol_swap)^(1/p), L^(1/p)) with L
     the grid norming constant of the selected nodes.
     """
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
-        raise ValidationError(f"power must be a positive integer, got {p!r}")
-    target_dim = polyspace.dim_full(space.n, space.d * int(p))
-    if target_dim > _MAX_TARGET_DIM:
-        raise ValidationError(
-            f"degree {space.d}*{p} needs {target_dim} nodes, beyond the working "
-            f"limit of {_MAX_TARGET_DIM}")
-    big = polyspace.poly_space(space.n, space.d * int(p))
+    p = check_int(p, "power")
+    # Selecting m nodes evaluates at least m grid points, so the grid
+    # Vandermonde is at least m x m; refuse it before enumerating the basis.
+    target_dim = polyspace.dim_full(space.n, space.d * p)
+    polyspace._check_dense(target_dim, target_dim)
+    big = polyspace.poly_space(space.n, space.d * p)
     node_set = meshgen.select_nodes(big, set_model, max_sweeps=max_sweeps,
                                     tol_swap=tol_swap)
     lam = node_set.grid_constant
@@ -139,20 +131,19 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     sharp = lam ** (1.0 / p)
     certified = min(coarse, sharp)
 
-    grid_points = sets.grid(set_model)
     return EmbeddingCertificate(
         space=space,
         set_model=set_model,
-        p=int(p),
+        p=p,
         node_set=node_set,
         certified_bound=float(certified),
         grid_constant=float(lam),
         empirical_distortion=1.0,
         seed=int(seed),
-        grid_size=int(grid_points.shape[0]),
+        grid_size=node_set.grid_size,
         schedule_c=schedule_c,
         restriction=polyspace.vandermonde(space, node_set.nodes),
-        grid_values=polyspace.vandermonde(space, grid_points),
+        grid_values=polyspace.vandermonde(space, node_set.grid_points),
     )
 
 
@@ -192,37 +183,24 @@ def _climb(start: np.ndarray, grid_values: np.ndarray,
 
 
 def estimate_distortion(cert: EmbeddingCertificate, trials: int = 32,
-                        seed: int = 0, workers: int = 1) -> float:
+                        seed: int = 0) -> float:
     """Lower-bound the true distortion by randomized hill-climbed probes.
 
-    Runs ``trials`` independent climbs from seeded random unit coefficient
-    vectors and records the best grid-to-node sup ratio found.  The result
-    updates ``cert.empirical_distortion`` and can never legitimately
+    Runs ``trials`` climbs in turn, each from a random unit coefficient
+    vector drawn from its own stream spawned off ``seed``, and records the
+    best grid-to-node sup ratio found.  The result updates
+    ``cert.empirical_distortion`` and can never legitimately
     exceed ``cert.certified_bound``; if it does, a certified inequality
     has been violated and an error is raised.
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    trials = check_int(trials, "trials")
     if cert.grid_values is None or cert.restriction is None:
         raise ValidationError("certificate is missing its evaluation matrices")
 
-    children = np.random.SeedSequence(seed).spawn(int(trials))
-    dim = cert.space.dim
-
-    def run_trial(index: int) -> float:
-        rng = np.random.default_rng(children[index])
-        start = rng.standard_normal(dim)
-        return _climb(start, cert.grid_values, cert.restriction)
-
-    if workers == 1 or trials == 1:
-        results = [run_trial(t) for t in range(int(trials))]
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(run_trial, range(int(trials))))
-
-    observed = max(results)
+    observed = max(
+        _climb(np.random.default_rng(child).standard_normal(cert.space.dim),
+               cert.grid_values, cert.restriction)
+        for child in np.random.SeedSequence(seed).spawn(trials))
     if observed > cert.certified_bound * (1.0 + 1e-9):
         raise InvariantViolation(
             f"observed distortion {observed!r} exceeds the certified bound "

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyspace, sets
-from .errors import NonDeterminingError, ValidationError
+from .errors import NonDeterminingError, ValidationError, check_int
 
 DEFAULT_TOL_SWAP = 1e-10
 DEFAULT_RANK_TOL = 1e-10
@@ -62,7 +62,8 @@ class NodeSet:
     improving swap, which by the Cramer identity is the same as
     ``lagrange_sup <= 1 + tol_swap``.  ``grid_constant`` is the norming
     constant L = max over the grid of sum_k |f_k|, read from the same
-    cardinal matrix as ``lagrange_sup``.
+    cardinal matrix as ``lagrange_sup``.  ``grid_points`` is the grid the
+    nodes were selected on.
     """
 
     space: polyspace.PolySpace
@@ -73,8 +74,12 @@ class NodeSet:
     lagrange_sup: float
     grid_constant: float
     tol_swap: float
-    grid_size: int
+    grid_points: np.ndarray = field(repr=False)
     sweeps: int = 0
+
+    @property
+    def grid_size(self) -> int:
+        return int(self.grid_points.shape[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,20 +92,6 @@ class NodeSet:
         }
 
 
-@dataclass
-class LagrangeSystem:
-    """Cardinal functions of a node set as monomial coefficient columns.
-
-    Column k of ``coef`` holds the coefficients of f_k over the space's
-    basis, so vandermonde(space, nodes) @ coef is the identity up to
-    ``residual``.
-    """
-
-    node_set: NodeSet
-    coef: np.ndarray = field(repr=False)
-    residual: float = 0.0
-
-
 def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray,
                        rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormalize the grid Vandermonde columns; fail if rank deficient."""
@@ -109,13 +100,13 @@ def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray,
             f"grid has {grid_points.shape[0]} points but the space needs at least "
             f"{space.dim} to determine a node set")
     v = polyspace.vandermonde(space, grid_points)
-    svals = np.linalg.svd(v, compute_uv=False)
-    rank = int(np.count_nonzero(svals > rank_tol * svals[0])) if svals[0] > 0 else 0
+    q, r = np.linalg.qr(v, mode="reduced")
+    # V = QR with orthonormal Q, so R carries the singular values of V.
+    rank = polyspace._numerical_rank(np.linalg.svd(r, compute_uv=False), rank_tol)
     if rank < space.dim:
         raise NonDeterminingError(
             f"grid does not determine the space at degree {space.d}: numerical rank "
             f"{rank} < dimension {space.dim}", rank=rank, dim=space.dim)
-    q, _ = np.linalg.qr(v, mode="reduced")
     return q
 
 
@@ -195,8 +186,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     The run is deterministic given (space, set_model, max_sweeps,
     tol_swap); the exchange draws no random numbers.
     """
-    if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
-        raise ValidationError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
+    max_sweeps = check_int(max_sweeps, "max_sweeps")
     if tol_swap <= 0.0:
         raise ValidationError(f"tol_swap must be positive, got {tol_swap}")
     grid_points = sets.grid(set_model)
@@ -208,7 +198,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     updated = False  # cardinals carry rank-1 updates since the last solve
     swap_optimal = False
     sweeps_used = 0
-    for _ in range(int(max_sweeps)):
+    for _ in range(max_sweeps):
         sweeps_used += 1
         improved = False
         for k in range(m):
@@ -240,7 +230,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
         lagrange_sup=lagrange_sup,
         grid_constant=grid_constant,
         tol_swap=float(tol_swap),
-        grid_size=int(grid_points.shape[0]),
+        grid_points=grid_points,
         sweeps=sweeps_used,
     )
 
@@ -274,31 +264,8 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
         lagrange_sup=sup,
         grid_constant=grid_constant,
         tol_swap=float(tol_swap),
-        grid_size=int(grid_points.shape[0]),
+        grid_points=grid_points,
     )
-
-
-def lagrange(node_set: NodeSet) -> LagrangeSystem:
-    """Solve for monomial coefficients of the cardinal functions.
-
-    One step of iterative refinement follows the direct solve; the
-    defect against the identity must come out below 1e-8.
-    """
-    space = node_set.space
-    v = polyspace.vandermonde(space, node_set.nodes)
-    eye = np.eye(space.dim)
-    try:
-        coef = np.linalg.solve(v, eye)
-        coef += np.linalg.solve(v, eye - v @ coef)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            f"node Vandermonde is singular to working precision: {exc}") from exc
-    residual = float(np.abs(v @ coef - eye).max())
-    if not np.isfinite(residual) or residual > 1e-8:
-        raise ValidationError(
-            f"cardinal solve residual {residual:.3e} exceeds 1e-8; the node "
-            f"Vandermonde is too ill conditioned in the monomial basis")
-    return LagrangeSystem(node_set=node_set, coef=coef, residual=residual)
 
 
 def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) -> float:
@@ -320,8 +287,3 @@ def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) ->
     q = _conditioned_basis(node_set.space, grid_points)
     cardinals = _cardinal_values(q, indices)
     return float(np.abs(cardinals).sum(axis=1).max())
-
-
-def norming_certificate(system: LagrangeSystem, set_model: sets.CompactSetModel) -> float:
-    """Norming constant for the node set behind a cardinal system."""
-    return grid_norming_constant(system.node_set, set_model)

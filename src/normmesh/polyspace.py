@@ -7,25 +7,27 @@ inside each block lexicographically with the first variable dominant:
 
     n = 2, d = 2:  1, x1, x2, x1^2, x1*x2, x2^2
 
-Coefficient vectors, Vandermonde matrices, and pointwise evaluation all
-follow this one ordering, so indices are meaningful across modules.
+Vandermonde columns follow this one ordering, so indices are meaningful
+across modules.
 
 Evaluation uses per-coordinate power tables, one multiplication chain per
-coordinate, rather than repeated exponentiation.  Coefficient convolution
-(`multiply`, `coef_power`) exists for degree bookkeeping and cross checks;
-pointwise powering is the intended path for numerics on grids.
+coordinate, rather than repeated exponentiation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import sets
-from .errors import ValidationError
+from .errors import ValidationError, check_int
+
+# Largest dense N x m float64 array (grid points by basis members) the
+# package allocates; node selection holds about four such arrays at once.
+_MAX_DENSE_BYTES = 2 ** 30
 
 
 def dim_full(n: int, d: int) -> int:
@@ -33,11 +35,9 @@ def dim_full(n: int, d: int) -> int:
 
     Exact integer arithmetic at any size; Python integers do not overflow.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"number of variables must be a positive integer, got {n!r}")
-    if not isinstance(d, (int, np.integer)) or d < 0:
-        raise ValidationError(f"degree must be a non-negative integer, got {d!r}")
-    return math.comb(int(d) + int(n), int(n))
+    n = check_int(n, "number of variables")
+    d = check_int(d, "degree", minimum=0)
+    return math.comb(d + n, n)
 
 
 def _degree_block(n: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -73,21 +73,6 @@ def poly_space(n: int, d: int) -> PolySpace:
     return PolySpace(n=int(n), d=int(d), basis=basis)
 
 
-@dataclass
-class CoefVector:
-    """A polynomial as coefficients over a space's monomial basis."""
-
-    space: PolySpace
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (self.space.dim,):
-            raise ValidationError(
-                f"coefficient vector must have length {self.space.dim}, got shape {coeffs.shape}")
-        self.coefficients = coeffs
-
-
 def _as_points(points, n: int) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and n == 1:
@@ -100,10 +85,20 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
+def _check_dense(rows: int, cols: int) -> None:
+    """Refuse a rows x cols float64 array above the dense-array byte budget."""
+    nbytes = rows * cols * 8
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"a {rows} x {cols} evaluation matrix needs {nbytes} bytes, above the "
+            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
+
+
 def vandermonde(space: PolySpace, points) -> np.ndarray:
     """Evaluation matrix: entry (i, j) is basis monomial j at point i."""
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
+    _check_dense(npts, space.dim)
     powers = np.ones((space.n, npts, space.d + 1))
     for e in range(1, space.d + 1):
         powers[:, :, e] = powers[:, :, e - 1] * pts.T
@@ -114,48 +109,6 @@ def vandermonde(space: PolySpace, points) -> np.ndarray:
             col = col * powers[axis, :, alpha[axis]]
         out[:, j] = col
     return out
-
-
-def evaluate(f: CoefVector, points) -> np.ndarray:
-    """Values of the polynomial at the given points."""
-    return vandermonde(f.space, points) @ f.coefficients
-
-
-def sup_norm(f: CoefVector, points) -> float:
-    """Max absolute value of the polynomial over the given points."""
-    return float(np.abs(evaluate(f, points)).max())
-
-
-def multiply(f: CoefVector, g: CoefVector) -> CoefVector:
-    """Coefficient convolution; the product lives at the summed degree."""
-    if f.space.n != g.space.n:
-        raise ValidationError("factors must share the number of variables")
-    target = poly_space(f.space.n, f.space.d + g.space.d)
-    index = {alpha: i for i, alpha in enumerate(target.basis)}
-    out = np.zeros(target.dim)
-    for i, alpha in enumerate(f.space.basis):
-        ca = f.coefficients[i]
-        if ca == 0.0:
-            continue
-        for j, beta in enumerate(g.space.basis):
-            cb = g.coefficients[j]
-            if cb == 0.0:
-                continue
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            out[index[gamma]] += ca * cb
-    return CoefVector(target, out)
-
-
-def coef_power(f: CoefVector, p: int) -> CoefVector:
-    """p-th power by repeated convolution (degree bookkeeping path)."""
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValidationError(f"power must be a non-negative integer, got {p!r}")
-    if p == 0:
-        return CoefVector(poly_space(f.space.n, 0), np.ones(1))
-    result = f
-    for _ in range(int(p) - 1):
-        result = multiply(result, f)
-    return result
 
 
 def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
@@ -170,7 +123,14 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
         raise ValidationError(f"tolerance must be positive, got {tol}")
     pts = sets.grid(set_model)
     v = vandermonde(space, pts)
-    svals = np.linalg.svd(v, compute_uv=False)
+    return _numerical_rank(np.linalg.svd(v, compute_uv=False), tol)
+
+
+def _numerical_rank(svals: np.ndarray, tol: float) -> int:
+    """Count of singular values (descending) above ``tol`` times the largest.
+
+    An empty or all-zero spectrum has rank 0.
+    """
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol * svals[0]))

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, check_int
 
 # Curved sets admit boundary grid points only up to roundoff; the slack
 # stays an order of magnitude below the 1e-12 membership contract.
@@ -51,11 +51,7 @@ class CompactSetModel:
 
 
 def _check_resolution(resolution: int) -> int:
-    if not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool):
-        raise ValidationError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    return int(resolution)
+    return check_int(resolution, "resolution", minimum=2)
 
 
 def _check_center(center: Sequence[float]) -> np.ndarray:

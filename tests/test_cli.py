@@ -110,6 +110,17 @@ class TestMesh:
              "--d", "2", "--no-timestamp"], capsys)
         assert rc == 2
 
+    def test_dense_array_budget_refused(self, capsys, monkeypatch):
+        # 101^2 grid points by 66 basis members at degree 10: 5,386,128 bytes
+        monkeypatch.setattr(cli.polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        rc, out, err = run_main(
+            ["mesh", "--n", "2", "--d", "10", "--resolution", "101",
+             "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "10201 x 66" in err
+        assert "5386128 bytes" in err
+
 
 class TestEmbed:
     def test_fixed_power(self, capsys):
@@ -149,28 +160,8 @@ class TestDistort:
         assert cert["empirical_distortion"] <= cert["certified_bound"] * (1.0 + 1e-9)
         assert payload["inputs"]["trials"] == 4
 
-    def test_thread_env_does_not_change_result(self, capsys, monkeypatch):
-        argv = ["distort", "--n", "1", "--d", "3", "--p", "2", "--trials", "6",
-                "--no-timestamp"]
-        monkeypatch.delenv("NORMMESH_THREADS", raising=False)
-        rc, serial, _ = run_main(argv, capsys)
-        assert rc == 0
-        monkeypatch.setenv("NORMMESH_THREADS", "4")
-        rc, threaded, _ = run_main(argv, capsys)
-        assert rc == 0
-        assert serial == threaded
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        argv = ["distort", "--n", "1", "--d", "1", "--p", "1", "--trials", "2",
-                "--no-timestamp"]
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("NORMMESH_THREADS", bad)
-            rc, _, err = run_main(argv, capsys)
-            assert rc == 2
-            assert "NORMMESH_THREADS" in err
-
     def test_violated_certificate_exits_three(self, capsys, monkeypatch):
-        def explode(cert, trials, seed, workers):
+        def explode(cert, trials, seed):
             raise InvariantViolation("probe exceeded the certified bound")
 
         monkeypatch.setattr(cli.landau, "estimate_distortion", explode)

@@ -9,7 +9,7 @@ from normmesh import bounds, landau, polyspace, sets
 from normmesh.errors import InvariantViolation, ValidationError
 from normmesh.landau import (EmbeddingCertificate, embed, estimate_distortion,
                              power_schedule)
-from normmesh.polyspace import CoefVector, dim_full, evaluate, poly_space
+from normmesh.polyspace import dim_full, poly_space, vandermonde
 
 
 INTERVAL = sets.box([(-1.0, 1.0)], 2001)
@@ -81,12 +81,13 @@ class TestEmbed:
     def test_certificate_holds_on_sampled_polynomials(self):
         space = poly_space(1, 3)
         cert = embed(space, sets.box([(-1.0, 1.0)], 501), 2)
-        grid_points = sets.grid(sets.box([(-1.0, 1.0)], 501))
+        grid_v = vandermonde(space, sets.grid(sets.box([(-1.0, 1.0)], 501)))
+        node_v = vandermonde(space, cert.node_set.nodes)
         rng = np.random.default_rng(3)
         for _ in range(300):
-            f = CoefVector(space, rng.standard_normal(space.dim))
-            grid_sup = np.abs(evaluate(f, grid_points)).max()
-            node_sup = np.abs(evaluate(f, cert.node_set.nodes)).max()
+            coeffs = rng.standard_normal(space.dim)
+            grid_sup = np.abs(grid_v @ coeffs).max()
+            node_sup = np.abs(node_v @ coeffs).max()
             assert grid_sup <= cert.certified_bound * node_sup * (1.0 + 1e-9)
 
     def test_grid_constant_consistency(self):
@@ -161,13 +162,6 @@ class TestDistortionProbe:
             observed = estimate_distortion(cert, trials=8, seed=d)
             assert 1.0 <= observed <= cert.certified_bound * (1.0 + 1e-9)
 
-    def test_threaded_result_matches_serial(self):
-        cert_a = embed(poly_space(1, 3), sets.box([(-1.0, 1.0)], 301), 2)
-        cert_b = embed(poly_space(1, 3), sets.box([(-1.0, 1.0)], 301), 2)
-        serial = estimate_distortion(cert_a, trials=12, seed=7, workers=1)
-        threaded = estimate_distortion(cert_b, trials=12, seed=7, workers=4)
-        assert serial == threaded
-
     def test_repeat_runs_identical(self):
         cert = embed(poly_space(1, 3), sets.box([(-1.0, 1.0)], 301), 2)
         first = estimate_distortion(cert, trials=6, seed=9)
@@ -184,8 +178,6 @@ class TestDistortionProbe:
         cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 51), 1)
         with pytest.raises(ValidationError):
             estimate_distortion(cert, trials=0)
-        with pytest.raises(ValidationError):
-            estimate_distortion(cert, trials=4, workers=0)
 
     def test_missing_matrices_rejected(self):
         cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 51), 1)

@@ -15,9 +15,8 @@ import pytest
 
 from normmesh import meshgen, polyspace, sets
 from normmesh.errors import NonDeterminingError, ValidationError
-from normmesh.meshgen import (grid_norming_constant, lagrange, make_node_set,
-                              norming_certificate, select_nodes)
-from normmesh.polyspace import CoefVector, evaluate, poly_space, vandermonde
+from normmesh.meshgen import grid_norming_constant, make_node_set, select_nodes
+from normmesh.polyspace import poly_space, trace_dimension, vandermonde
 
 
 def brute_force_max_det(space, grid_points):
@@ -177,12 +176,13 @@ class TestPlaneSelection:
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 31)
         ns = select_nodes(space, model)
         lam = grid_norming_constant(ns, model)
-        grid_points = sets.grid(model)
+        grid_v = vandermonde(space, sets.grid(model))
+        node_v = vandermonde(space, ns.nodes)
         rng = np.random.default_rng(11)
         for _ in range(200):
-            f = CoefVector(space, rng.standard_normal(space.dim))
-            grid_sup = np.abs(evaluate(f, grid_points)).max()
-            node_sup = np.abs(evaluate(f, ns.nodes)).max()
+            coeffs = rng.standard_normal(space.dim)
+            grid_sup = np.abs(grid_v @ coeffs).max()
+            node_sup = np.abs(node_v @ coeffs).max()
             assert grid_sup <= lam * node_sup * (1.0 + 1e-12)
 
     def test_ball_grid_selection(self):
@@ -225,20 +225,21 @@ class TestCardinalSystem:
     def test_center_cardinal_is_one_minus_x_squared(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 2001)
-        system = lagrange(select_nodes(space, model))
-        nodes = system.node_set.nodes.ravel()
-        center_col = int(np.argmin(np.abs(nodes)))
-        np.testing.assert_allclose(
-            system.coef[:, center_col], [1.0, 0.0, -1.0], atol=1e-12)
-        assert system.residual <= 1e-8
+        ns = select_nodes(space, model)
+        x = sets.grid(model).ravel()
+        q = meshgen._conditioned_basis(space, sets.grid(model))
+        cardinals = meshgen._cardinal_values(q, ns.node_indices)
+        center_col = int(np.argmin(np.abs(ns.nodes.ravel())))
+        np.testing.assert_allclose(cardinals[:, center_col], 1.0 - x ** 2, atol=1e-12)
 
     def test_cardinal_delta_property(self):
         space = poly_space(2, 2)
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 15)
         ns = select_nodes(space, model)
-        system = lagrange(ns)
-        values = vandermonde(space, ns.nodes) @ system.coef
-        np.testing.assert_allclose(values, np.eye(space.dim), atol=1e-9)
+        q = meshgen._conditioned_basis(space, sets.grid(model))
+        cardinals = meshgen._cardinal_values(q, ns.node_indices)
+        np.testing.assert_allclose(
+            cardinals[list(ns.node_indices)], np.eye(space.dim), atol=1e-12)
 
     def test_monomial_route_agrees_with_conditioned_route(self):
         # the norming constant must not depend on the working basis
@@ -246,12 +247,10 @@ class TestCardinalSystem:
         model = sets.box([(-1.0, 1.0)], 201)
         ns = select_nodes(space, model)
         lam = grid_norming_constant(ns, model)
-        system = lagrange(ns)
-        grid_points = sets.grid(model)
-        card = vandermonde(space, grid_points) @ system.coef
+        coef = np.linalg.solve(vandermonde(space, ns.nodes), np.eye(space.dim))
+        card = vandermonde(space, sets.grid(model)) @ coef
         lam_monomial = np.abs(card).sum(axis=1).max()
         assert lam == pytest.approx(lam_monomial, rel=1e-9)
-        assert norming_certificate(system, model) == lam
 
     def test_certificate_requires_matching_grid(self):
         space = poly_space(1, 2)
@@ -268,13 +267,18 @@ class TestRankGuards:
             select_nodes(space, model)
 
     def test_nondetermining_grid_names_rank(self):
-        # plane quadratics restricted to the x-axis span only 1, x1, x1^2
-        space = poly_space(2, 2)
-        model = sets.from_points([[x, 0.0] for x in np.linspace(-1.0, 1.0, 10)])
-        with pytest.raises(NonDeterminingError) as info:
-            select_nodes(space, model)
-        assert info.value.rank == 3
-        assert info.value.dim == 6
+        # plane quadratics restricted to the x-axis span only 1, x1, x1^2;
+        # on the circle degree-d members span 1, cos(j t), sin(j t), j <= d
+        axis = sets.from_points([[x, 0.0] for x in np.linspace(-1.0, 1.0, 10)])
+        circle = sets.sphere([0.0, 0.0], 1.0, 256)
+        cases = [(2, axis, 3)] + [(d, circle, 2 * d + 1) for d in range(2, 6)]
+        for d, model, rank in cases:
+            space = poly_space(2, d)
+            with pytest.raises(NonDeterminingError) as info:
+                select_nodes(space, model)
+            assert info.value.rank == rank
+            assert info.value.rank == trace_dimension(space, model)
+            assert info.value.dim == space.dim
 
     def test_parameter_validation(self):
         space = poly_space(1, 2)

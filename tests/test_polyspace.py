@@ -1,17 +1,16 @@
-"""Polynomial spaces: basis order, evaluation, convolution, trace rank."""
+"""Polynomial spaces: basis order, evaluation, trace rank."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from normmesh import polyspace, sets
 from normmesh.errors import ValidationError
-from normmesh.polyspace import (CoefVector, coef_power, dim_full, evaluate,
-                                is_determining, multiply, poly_space,
-                                sup_norm, trace_dimension, vandermonde)
+from normmesh.polyspace import (dim_full, is_determining, poly_space,
+                                trace_dimension, vandermonde)
 
 
 class TestDimension:
@@ -99,79 +98,16 @@ class TestVandermonde:
 class TestEvaluation:
     def test_affine_polynomial(self):
         space = poly_space(2, 1)
-        f = CoefVector(space, np.array([1.0, 2.0, -3.0]))
-        vals = evaluate(f, [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]])
+        coeffs = np.array([1.0, 2.0, -3.0])
+        vals = vandermonde(space, [[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]]) @ coeffs
         np.testing.assert_allclose(vals, [1.0, 0.0, 8.0], atol=1e-14)
 
     def test_sup_norm_on_grid(self):
         space = poly_space(1, 2)
         # 1 - x^2 peaks at the center of [-1, 1]
-        f = CoefVector(space, np.array([1.0, 0.0, -1.0]))
+        coeffs = np.array([1.0, 0.0, -1.0])
         pts = sets.grid(sets.box([(-1.0, 1.0)], 101))
-        assert sup_norm(f, pts) == 1.0
-
-    def test_coefficient_length_checked(self):
-        space = poly_space(2, 2)
-        with pytest.raises(ValidationError):
-            CoefVector(space, np.zeros(5))
-
-
-class TestConvolution:
-    def test_square_of_binomial(self):
-        space = poly_space(1, 1)
-        f = CoefVector(space, np.array([1.0, 1.0]))
-        sq = multiply(f, f)
-        assert sq.space.d == 2
-        np.testing.assert_allclose(sq.coefficients, [1.0, 2.0, 1.0], atol=0.0)
-
-    def test_bivariate_cross_terms(self):
-        space = poly_space(2, 1)
-        f = CoefVector(space, np.array([0.0, 1.0, 0.0]))   # x1
-        g = CoefVector(space, np.array([0.0, 0.0, 1.0]))   # x2
-        prod = multiply(f, g)
-        idx = prod.space.basis.index((1, 1))
-        expected = np.zeros(prod.space.dim)
-        expected[idx] = 1.0
-        np.testing.assert_array_equal(prod.coefficients, expected)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.data(),
-        n=st.integers(1, 2), df=st.integers(0, 3), dg=st.integers(0, 3))
-    def test_pointwise_consistency(self, data, n, df, dg):
-        sf = poly_space(n, df)
-        sg = poly_space(n, dg)
-        cf = np.array(data.draw(st.lists(
-            st.floats(-2.0, 2.0), min_size=sf.dim, max_size=sf.dim)))
-        cg = np.array(data.draw(st.lists(
-            st.floats(-2.0, 2.0), min_size=sg.dim, max_size=sg.dim)))
-        f, g = CoefVector(sf, cf), CoefVector(sg, cg)
-        pts = np.linspace(-1.0, 1.0, 7).reshape(-1, 1) * np.ones((1, n))
-        left = evaluate(multiply(f, g), pts)
-        right = evaluate(f, pts) * evaluate(g, pts)
-        np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-10)
-
-    def test_power_degree_bookkeeping(self):
-        space = poly_space(2, 2)
-        f = CoefVector(space, np.arange(1.0, 7.0))
-        cubed = coef_power(f, 3)
-        assert cubed.space.d == 6
-        pts = np.array([[0.3, -0.7], [1.1, 0.4]])
-        np.testing.assert_allclose(
-            evaluate(cubed, pts), evaluate(f, pts) ** 3, rtol=1e-12)
-
-    def test_power_zero_is_constant_one(self):
-        space = poly_space(1, 3)
-        f = CoefVector(space, np.array([4.0, 3.0, 2.0, 1.0]))
-        one = coef_power(f, 0)
-        assert one.space.d == 0
-        np.testing.assert_array_equal(one.coefficients, [1.0])
-
-    def test_power_rejects_negative(self):
-        space = poly_space(1, 1)
-        f = CoefVector(space, np.array([1.0, 1.0]))
-        with pytest.raises(ValidationError):
-            coef_power(f, -1)
+        assert np.abs(vandermonde(space, pts) @ coeffs).max() == 1.0
 
 
 class TestTraceDimension:

@@ -1,0 +1,37 @@
+"""The sweep scripts and the README library example run against the package."""
+
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _env() -> dict:
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+@pytest.mark.parametrize("script, args", [
+    ("interval_certificates.py",
+     ["--max-degree", "4", "--powers", "1", "2", "--resolution", "401", "--trials", "2"]),
+    ("entropy_sweep.py", ["--orders", "1", "2", "--eps", "0.1", "0.01"]),
+])
+def test_script_runs(script, args):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) > 1
+
+
+def test_readme_library_example():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
