@@ -33,7 +33,7 @@ def main() -> int:
         print(f"{d:>3} {'-':>3} {space.dim:>6} {ns.grid_constant:>10.6f} "
               f"{'-':>10} {'-':>10} {ns.sweeps:>6}")
         for p in args.powers:
-            cert = landau.embed(space, model, p, seed=args.seed)
+            cert = landau.embed(space, model, p)
             observed = landau.estimate_distortion(
                 cert, trials=args.trials, seed=args.seed)
             print(f"{d:>3} {p:>3} {cert.node_set.nodes.shape[0]:>6} "

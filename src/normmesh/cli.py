@@ -3,8 +3,9 @@
 Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments and seed,
-byte for byte.  Exit codes: 0 success, 2 validation or input error,
-3 violated certificate or precision audit.
+byte for byte.  Each subcommand accepts only the flags it reads, spelled
+out in full.  Exit codes: 0 success, 2 validation, input or argument
+error, 3 violated certificate or precision audit.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .errors import InvariantViolation, ValidationError
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"ERROR[2]: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValidationError(message)
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
@@ -51,8 +51,6 @@ def _parse_schedule(text: str) -> tuple[int, int, float]:
 
 def _set_from_args(args) -> sets.CompactSetModel:
     kind = args.set
-    if args.n is None:
-        raise ValidationError("--n is required to build a set")
     n = args.n
     params = _parse_reals(args.params, "--params") if args.params else None
     if kind == "box":
@@ -97,14 +95,7 @@ def _meta(args, anchors: list[str], seed: int | None = None,
     return meta
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValidationError(f"--{name} is required for this command")
-
-
 def _cmd_dims(args) -> dict:
-    _require(args, "n", "d")
     space = polyspace.poly_space(args.n, args.d)
     report = {
         "command": "dims",
@@ -126,7 +117,6 @@ def _cmd_dims(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
-    _require(args, "n", "d")
     report = bounds.poly_bound_report(args.n, args.d)
     values = report.to_json_values()
     anchors = [row[2] for row in values]
@@ -146,7 +136,6 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_mesh(args) -> dict:
-    _require(args, "n", "d")
     model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
     node_set = meshgen.select_nodes(space, model)
@@ -164,16 +153,13 @@ def _cmd_mesh(args) -> dict:
 
 
 def _build_certificate(args) -> landau.EmbeddingCertificate:
-    _require(args, "n", "d")
     model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
-    if (args.p is None) == (args.schedule is None):
-        raise ValidationError("provide exactly one of --p or --schedule s,k,chat")
-    if args.schedule:
+    if args.schedule is not None:
         s, k, chat = _parse_schedule(args.schedule)
         p, c = landau.power_schedule(args.d, k, chat, s)
-        return landau.embed(space, model, p, seed=args.seed, schedule_c=c)
-    return landau.embed(space, model, args.p, seed=args.seed)
+        return landau.embed(space, model, p, schedule_c=c)
+    return landau.embed(space, model, args.p)
 
 
 def _cmd_embed(args) -> dict:
@@ -185,7 +171,8 @@ def _cmd_embed(args) -> dict:
             "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
             "resolution": args.resolution, "seed": args.seed,
         },
-        "certificate": cert.to_json_dict(),
+        "certificate": {**cert.to_json_dict(), "seed": args.seed,
+                        "grid_size": cert.grid_size},
         "meta": _meta(args, anchors, seed=args.seed, grid_size=cert.grid_size),
     }
 
@@ -202,13 +189,13 @@ def _cmd_distort(args) -> dict:
             "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
             "resolution": args.resolution, "seed": args.seed, "trials": args.trials,
         },
-        "certificate": cert.to_json_dict(),
+        "certificate": {**cert.to_json_dict(), "seed": args.seed,
+                        "grid_size": cert.grid_size},
         "meta": _meta(args, anchors, seed=args.seed, grid_size=cert.grid_size),
     }
 
 
 def _cmd_entropy(args) -> dict:
-    _require(args, "d", "eps")
     if args.schedule:
         _, k, chat = _parse_schedule(args.schedule)
     elif args.n is not None:
@@ -280,31 +267,43 @@ def _emit(report: dict, args) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="normmesh",
+    """One subparser per command, holding only the flags that command reads."""
+    parser = _Parser(prog="normmesh", allow_abbrev=False,
                      description="Certified norming meshes and embedding bounds "
                                  "for polynomial spaces on compact sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("dims", "space dimension and grid trace rank"),
-            ("bounds", "closed-form mesh sizes and distortion constants"),
-            ("mesh", "select and certify a norming node set"),
-            ("embed", "build a sup-norm embedding certificate"),
-            ("distort", "embed plus randomized distortion probes"),
-            ("entropy", "metric entropy budget for an embedded family")):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--set", choices=["box", "ball", "sphere", "cloud"],
-                         default="box" if name in ("mesh", "embed", "distort") else None)
-        cmd.add_argument("--params", help="comma-separated reals for the set")
-        cmd.add_argument("--cloud", help="path to a point cloud text file")
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--d", type=int)
-        cmd.add_argument("--p", type=int)
-        cmd.add_argument("--schedule", help="s,k,chat")
-        cmd.add_argument("--resolution", type=int, default=101)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--trials", type=int, default=32)
-        cmd.add_argument("--eps", type=float)
-        cmd.add_argument("--nbar", type=int)
+    cmds = {name: sub.add_parser(name, help=help_text, allow_abbrev=False)
+            for name, help_text in (
+                ("dims", "space dimension and grid trace rank"),
+                ("bounds", "closed-form mesh sizes and distortion constants"),
+                ("mesh", "select and certify a norming node set"),
+                ("embed", "build a sup-norm embedding certificate"),
+                ("distort", "embed plus randomized distortion probes"),
+                ("entropy", "metric entropy budget for an embedded family"))}
+    for name in ("dims", "bounds", "mesh", "embed", "distort"):
+        cmds[name].add_argument("--n", type=int, required=True)
+        cmds[name].add_argument("--d", type=int, required=True)
+    for name in ("dims", "mesh", "embed", "distort"):
+        cmds[name].add_argument("--set", choices=["box", "ball", "sphere", "cloud"],
+                                default=None if name == "dims" else "box")
+        cmds[name].add_argument("--params", help="comma-separated reals for the set")
+        cmds[name].add_argument("--cloud", help="path to a point cloud text file")
+        cmds[name].add_argument("--resolution", type=int, default=101)
+    for name in ("mesh", "embed", "distort"):
+        cmds[name].add_argument("--seed", type=int, default=0)
+    for name in ("embed", "distort"):
+        power = cmds[name].add_mutually_exclusive_group(required=True)
+        power.add_argument("--p", type=int)
+        power.add_argument("--schedule", help="s,k,chat")
+    cmds["distort"].add_argument("--trials", type=int, default=32)
+    cmds["bounds"].add_argument("--schedule", help="s,k,chat")
+    entropy = cmds["entropy"]
+    entropy.add_argument("--d", type=int, required=True)
+    entropy.add_argument("--eps", type=float, required=True)
+    entropy.add_argument("--n", type=int)
+    entropy.add_argument("--schedule", help="s,k,chat")
+    entropy.add_argument("--nbar", type=int)
+    for cmd in cmds.values():
         cmd.add_argument("--out")
         cmd.add_argument("--format", choices=["json", "csv"], default="json")
         cmd.add_argument("--no-timestamp", action="store_true")
@@ -312,9 +311,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = _COMMANDS[args.command](args)
         _emit(report, args)
     except InvariantViolation as exc:

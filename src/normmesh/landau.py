@@ -27,12 +27,12 @@ hill climbing; the probe can approach but never exceed the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds, meshgen, polyspace, sets
-from .errors import InvariantViolation, ValidationError, check_int
+from .errors import InvariantViolation, check_int
 
 _HILL_CLIMB_PASSES = 200
 _MIN_STEP = 1e-10
@@ -57,11 +57,11 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
 class EmbeddingCertificate:
     """A concrete embedding of a polynomial space into l_inf(nodes).
 
-    ``restriction`` holds the evaluation of the space's basis at the
-    nodes (one row per node), which is the embedding itself in matrix
-    form.  ``certified_bound`` dominates max_G |f| / max_nodes |f| for
-    every member f; ``empirical_distortion`` is the largest ratio any
-    probe has actually exhibited.
+    ``certified_bound`` dominates max_G |f| / max_nodes |f| for every
+    member f; ``empirical_distortion`` is the largest ratio any probe has
+    actually exhibited.  The grid, its norming constant and its size are
+    read from ``node_set``, and the evaluation matrices are built from
+    it when read.
     """
 
     space: polyspace.PolySpace
@@ -69,21 +69,26 @@ class EmbeddingCertificate:
     p: int
     node_set: meshgen.NodeSet
     certified_bound: float
-    grid_constant: float
     empirical_distortion: float
-    seed: int
-    grid_size: int
     schedule_c: float | None = None
-    restriction: np.ndarray | None = field(default=None, repr=False)
-    grid_values: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def n(self) -> int:
-        return self.space.n
+    def grid_constant(self) -> float:
+        return self.node_set.grid_constant
 
     @property
-    def d(self) -> int:
-        return self.space.d
+    def grid_size(self) -> int:
+        return self.node_set.grid_size
+
+    @property
+    def restriction(self) -> np.ndarray:
+        """The space's basis at the nodes: the embedding in matrix form."""
+        return polyspace.vandermonde(self.space, self.node_set.nodes)
+
+    @property
+    def grid_values(self) -> np.ndarray:
+        """The space's basis at every grid point, one row per point."""
+        return polyspace.vandermonde(self.space, self.node_set.grid_points)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -98,37 +103,29 @@ class EmbeddingCertificate:
             "certified_bound": float(self.certified_bound),
             "grid_constant": float(self.grid_constant),
             "empirical_distortion": float(self.empirical_distortion),
-            "seed": self.seed,
-            "grid_size": self.grid_size,
         })
         return out
 
 
 def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
-          seed: int = 0, max_sweeps: int = meshgen.DEFAULT_MAX_SWEEPS,
-          tol_swap: float = meshgen.DEFAULT_TOL_SWAP,
           schedule_c: float | None = None) -> EmbeddingCertificate:
     """Select nodes at degree d*p and certify the degree-d restriction.
 
     The node count equals the dimension at degree d*p, and the certified
     bound is min(dimension^(1/p) * (1 + tol_swap)^(1/p), L^(1/p)) with L
-    the grid norming constant of the selected nodes.
+    the grid norming constant of the selected nodes.  Grids too small or
+    too large for the degree-d*p space are refused by ``select_nodes``
+    before the basis is enumerated.
     """
     p = check_int(p, "power")
-    # Selecting m nodes evaluates at least m grid points, so the grid
-    # Vandermonde is at least m x m; refuse it before enumerating the basis.
-    target_dim = polyspace.dim_full(space.n, space.d * p)
-    polyspace._check_dense(target_dim, target_dim)
     big = polyspace.poly_space(space.n, space.d * p)
-    node_set = meshgen.select_nodes(big, set_model, max_sweeps=max_sweeps,
-                                    tol_swap=tol_swap)
-    lam = node_set.grid_constant
+    node_set = meshgen.select_nodes(big, set_model)
 
     # The cardinal bound enters the a priori constant; when the exchange
     # did not reach optimality the realized sup replaces 1 + tol_swap.
-    card_sup = max(1.0 + tol_swap, node_set.lagrange_sup)
+    card_sup = max(1.0 + node_set.tol_swap, node_set.lagrange_sup)
     coarse = (big.dim * card_sup) ** (1.0 / p)
-    sharp = lam ** (1.0 / p)
+    sharp = node_set.grid_constant ** (1.0 / p)
     certified = min(coarse, sharp)
 
     return EmbeddingCertificate(
@@ -137,13 +134,8 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
         p=p,
         node_set=node_set,
         certified_bound=float(certified),
-        grid_constant=float(lam),
         empirical_distortion=1.0,
-        seed=int(seed),
-        grid_size=node_set.grid_size,
         schedule_c=schedule_c,
-        restriction=polyspace.vandermonde(space, node_set.nodes),
-        grid_values=polyspace.vandermonde(space, node_set.grid_points),
     )
 
 
@@ -194,12 +186,10 @@ def estimate_distortion(cert: EmbeddingCertificate, trials: int = 32,
     has been violated and an error is raised.
     """
     trials = check_int(trials, "trials")
-    if cert.grid_values is None or cert.restriction is None:
-        raise ValidationError("certificate is missing its evaluation matrices")
-
+    restriction, grid_values = cert.restriction, cert.grid_values
     observed = max(
         _climb(np.random.default_rng(child).standard_normal(cert.space.dim),
-               cert.grid_values, cert.restriction)
+               grid_values, restriction)
         for child in np.random.SeedSequence(seed).spawn(trials))
     if observed > cert.certified_bound * (1.0 + 1e-9):
         raise InvariantViolation(

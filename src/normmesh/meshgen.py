@@ -49,7 +49,6 @@ from . import polyspace, sets
 from .errors import NonDeterminingError, ValidationError, check_int
 
 DEFAULT_TOL_SWAP = 1e-10
-DEFAULT_RANK_TOL = 1e-10
 DEFAULT_MAX_SWEEPS = 100
 
 
@@ -92,8 +91,7 @@ class NodeSet:
         }
 
 
-def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray,
-                       rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray) -> np.ndarray:
     """Orthonormalize the grid Vandermonde columns; fail if rank deficient."""
     if grid_points.shape[0] < space.dim:
         raise ValidationError(
@@ -102,7 +100,7 @@ def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray,
     v = polyspace.vandermonde(space, grid_points)
     q, r = np.linalg.qr(v, mode="reduced")
     # V = QR with orthonormal Q, so R carries the singular values of V.
-    rank = polyspace._numerical_rank(np.linalg.svd(r, compute_uv=False), rank_tol)
+    rank = polyspace._numerical_rank(np.linalg.svd(r, compute_uv=False))
     if rank < space.dim:
         raise NonDeterminingError(
             f"grid does not determine the space at degree {space.d}: numerical rank "
@@ -244,14 +242,14 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     exchange-stationary exactly when no cardinal exceeds 1 + tol_swap on
     the grid.
     """
-    indices = [int(i) for i in node_indices]
+    indices = [check_int(i, "node index", minimum=0) for i in node_indices]
     if len(indices) != space.dim:
         raise ValidationError(
             f"need exactly {space.dim} node indices for this space, got {len(indices)}")
     if len(set(indices)) != len(indices):
         raise ValidationError("node indices must be distinct")
     grid_points = sets.grid(set_model)
-    if any(i < 0 or i >= grid_points.shape[0] for i in indices):
+    if any(i >= grid_points.shape[0] for i in indices):
         raise ValidationError("node index out of grid range")
     q = _conditioned_basis(space, grid_points)
     sup, grid_constant = _certificates(_cardinal_values(q, indices))

@@ -1,9 +1,11 @@
 """Multivariate polynomial spaces in a graded monomial basis.
 
 The space of real polynomials of total degree at most d in n variables is
-carried around as an explicit ordered basis of monomials.  Exponent tuples
-are listed degree block by degree block, starting with the zero tuple, and
-inside each block lexicographically with the first variable dominant:
+identified by (n, d); its dimension is the binomial count, and its ordered
+basis of monomials is enumerated only when first evaluated, so size checks
+run before any exponent tuple exists.  Exponent tuples are listed degree
+block by degree block, starting with the zero tuple, and inside each block
+lexicographically with the first variable dominant:
 
     n = 2, d = 2:  1, x1, x2, x1^2, x1*x2, x2^2
 
@@ -16,8 +18,9 @@ coordinate, rather than repeated exponentiation.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +31,10 @@ from .errors import ValidationError, check_int
 # Largest dense N x m float64 array (grid points by basis members) the
 # package allocates; node selection holds about four such arrays at once.
 _MAX_DENSE_BYTES = 2 ** 30
+
+# Singular values at or below this fraction of the largest count as zero,
+# both for the grid trace rank and for node selection's rank guard.
+RANK_TOL = 1e-10
 
 
 def dim_full(n: int, d: int) -> int:
@@ -56,21 +63,25 @@ class PolySpace:
 
     n: int
     d: int
-    basis: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return math.comb(self.d + self.n, self.n)
+
+    @functools.cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """Exponent tuples in graded order, enumerated on first use."""
+        basis = tuple(
+            alpha for total in range(self.d + 1) for alpha in _degree_block(self.n, total))
+        if len(basis) != self.dim:
+            raise AssertionError("basis enumeration disagrees with the binomial count")
+        return basis
 
 
 def poly_space(n: int, d: int) -> PolySpace:
-    """Build the space with its graded monomial basis."""
-    expected = dim_full(n, d)
-    basis = tuple(
-        alpha for total in range(int(d) + 1) for alpha in _degree_block(int(n), total))
-    if len(basis) != expected:
-        raise AssertionError("basis enumeration disagrees with the binomial count")
-    return PolySpace(n=int(n), d=int(d), basis=basis)
+    """The space of degree-<=d polynomials in n variables, validated."""
+    dim_full(n, d)
+    return PolySpace(n=int(n), d=int(d))
 
 
 def _as_points(points, n: int) -> np.ndarray:
@@ -85,20 +96,19 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
-def _check_dense(rows: int, cols: int) -> None:
-    """Refuse a rows x cols float64 array above the dense-array byte budget."""
-    nbytes = rows * cols * 8
-    if nbytes > _MAX_DENSE_BYTES:
-        raise ValidationError(
-            f"a {rows} x {cols} evaluation matrix needs {nbytes} bytes, above the "
-            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
-
-
 def vandermonde(space: PolySpace, points) -> np.ndarray:
-    """Evaluation matrix: entry (i, j) is basis monomial j at point i."""
+    """Evaluation matrix: entry (i, j) is basis monomial j at point i.
+
+    A matrix above the dense-array byte budget is refused before anything
+    is allocated or the basis is enumerated.
+    """
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
-    _check_dense(npts, space.dim)
+    nbytes = npts * space.dim * 8
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"a {npts} x {space.dim} evaluation matrix needs {nbytes} bytes, above the "
+            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
     powers = np.ones((space.n, npts, space.d + 1))
     for e in range(1, space.d + 1):
         powers[:, :, e] = powers[:, :, e - 1] * pts.T
@@ -112,7 +122,7 @@ def vandermonde(space: PolySpace, points) -> np.ndarray:
 
 
 def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
-                    tol: float = 1e-10) -> int:
+                    tol: float = RANK_TOL) -> int:
     """Numerical dimension of the space restricted to the set's grid.
 
     Counts singular values of the grid Vandermonde above ``tol`` times the
@@ -126,7 +136,7 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
     return _numerical_rank(np.linalg.svd(v, compute_uv=False), tol)
 
 
-def _numerical_rank(svals: np.ndarray, tol: float) -> int:
+def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:
     """Count of singular values (descending) above ``tol`` times the largest.
 
     An empty or all-zero spectrum has rank 0.
@@ -137,6 +147,6 @@ def _numerical_rank(svals: np.ndarray, tol: float) -> int:
 
 
 def is_determining(space: PolySpace, set_model: sets.CompactSetModel,
-                   tol: float = 1e-10) -> bool:
+                   tol: float = RANK_TOL) -> bool:
     """Whether sup norms over the grid separate the whole space."""
     return trace_dimension(space, set_model, tol) == space.dim

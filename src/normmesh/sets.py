@@ -197,8 +197,7 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
     finite reals; parse failures report the offending line number.
     Duplicate points are dropped, first occurrence kept.
     """
-    if n < 1:
-        raise ValidationError(f"ambient dimension must be at least 1, got {n}")
+    n = check_int(n, "ambient dimension")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()

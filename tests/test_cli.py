@@ -110,6 +110,23 @@ class TestMesh:
              "--d", "2", "--no-timestamp"], capsys)
         assert rc == 2
 
+    def test_sizes_checked_before_basis_enumeration(self, capsys, monkeypatch):
+        # 585,276 exponent tuples at n=3, d=150: the dimension comes from the
+        # binomial count and the 8-point grid is refused before any tuple
+        def no_enumeration(n, total):
+            raise AssertionError("basis enumerated")
+
+        monkeypatch.setattr(cli.polyspace, "_degree_block", no_enumeration)
+        payload = run_json(["dims", "--n", "3", "--d", "150", "--no-timestamp"], capsys)
+        assert payload["dim_full"] == 585276
+        for argv in (["mesh", "--n", "3", "--d", "150"],
+                     ["embed", "--n", "3", "--d", "50", "--p", "3"]):
+            rc, out, err = run_main(argv + ["--resolution", "2", "--no-timestamp"],
+                                    capsys)
+            assert rc == 2
+            assert out == ""
+            assert "grid has 8 points" in err
+
     def test_dense_array_budget_refused(self, capsys, monkeypatch):
         # 101^2 grid points by 66 basis members at degree 10: 5,386,128 bytes
         monkeypatch.setattr(cli.polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
@@ -148,6 +165,21 @@ class TestEmbed:
         rc, _, err = run_main(
             ["embed", "--n", "1", "--d", "2", "--no-timestamp"], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, schedule_c", [
+        (["embed", "--p", "2"], False),
+        (["embed", "--schedule", "3,1,8.0"], True),
+        (["distort", "--p", "1", "--trials", "2"], False),
+    ], ids=["embed-p", "embed-schedule", "distort-p"])
+    def test_certificate_key_order(self, capsys, argv, schedule_c):
+        payload = run_json(
+            argv + ["--n", "1", "--d", "1", "--seed", "4", "--no-timestamp"], capsys)
+        cert = payload["certificate"]
+        assert list(cert) == ["n", "d", "p"] + (["schedule_c"] if schedule_c else []) + [
+            "nodes", "certified_bound", "grid_constant", "empirical_distortion",
+            "seed", "grid_size"]
+        assert cert["seed"] == 4
+        assert cert["grid_size"] == 101
 
 
 class TestDistort:
@@ -251,6 +283,24 @@ class TestOutputModes:
         rc2, second, _ = run_main(argv, capsys)
         assert rc == rc2 == 0
         assert first == second
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--n", "1", "--d", "2", "--resolution", "21", "--p", "4"],
+        ["bounds", "--n", "1", "--d", "1", "--trials", "3"],
+        ["dims", "--n", "2", "--d", "3", "--seed", "1"],
+        ["entropy", "--n", "1", "--d", "1", "--eps", "0.5", "--resolution", "5"],
+        ["mesh", "--n", "1", "--d", "2", "--res", "21"],
+    ], ids=["mesh-p", "bounds-trials", "dims-seed", "entropy-resolution",
+            "mesh-abbreviation"])
+    def test_unread_flag_exits_two(self, capsys, argv):
+        # each subcommand takes only the flags it reads, spelled out in full
+        rc, out, err = run_main(argv + ["--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("ERROR[2]: unrecognized arguments: ")
+        assert argv[-2] in err
 
 
 class TestSubprocess:

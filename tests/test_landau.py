@@ -110,7 +110,7 @@ class TestEmbed:
         assert cert.grid_values.shape == (2001, space.dim)
 
     def test_target_dimension_guard(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="grid has 121 points"):
             embed(poly_space(2, 10), sets.box([(-1.0, 1.0)] * 2, 11), 50)
 
     def test_power_validation(self):
@@ -123,9 +123,8 @@ class TestEmbed:
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
         payload = cert.to_json_dict()
         assert list(payload) == ["n", "d", "p", "nodes", "certified_bound",
-                                 "grid_constant", "empirical_distortion",
-                                 "seed", "grid_size"]
-        assert payload["grid_size"] == 101
+                                 "grid_constant", "empirical_distortion"]
+        assert cert.grid_size == 101
 
         p, c = power_schedule(2, 1, math.e ** 2, s=3)
         scheduled = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), p,
@@ -178,9 +177,3 @@ class TestDistortionProbe:
         cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 51), 1)
         with pytest.raises(ValidationError):
             estimate_distortion(cert, trials=0)
-
-    def test_missing_matrices_rejected(self):
-        cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 51), 1)
-        cert.restriction = None
-        with pytest.raises(ValidationError):
-            estimate_distortion(cert, trials=2)

@@ -1,5 +1,8 @@
 """Package surface: exported names and the shared integer rule."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,14 @@ def test_every_exported_name_resolves():
 INTERVAL = sets.box([(-1.0, 1.0)], 21)
 
 
+def _load_interval_cloud(n):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cloud.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("-1.0\n0.0\n1.0\n")
+        return sets.load_point_cloud(path, n)
+
+
 @pytest.mark.parametrize("call, expected", [
     (lambda: polyspace.dim_full(True, 2), None),
     (lambda: polyspace.dim_full(2, 2.0), None),
@@ -29,9 +40,16 @@ INTERVAL = sets.box([(-1.0, 1.0)], 21)
     (lambda: bounds.poly_embedding_size(2, True), None),
     (lambda: sets.box([(0.0, 1.0)], np.int64(5)).resolution, 5),
     (lambda: sets.box([(0.0, 1.0)], True), None),
+    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), INTERVAL,
+                                   [0, 10.9, 20]), None),
+    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), INTERVAL,
+                                   np.array([0, 10, 20])).node_indices, (0, 10, 20)),
+    (lambda: _load_interval_cloud(True), None),
+    (lambda: sets.grid(_load_interval_cloud(np.int64(1))).shape, (3, 1)),
 ], ids=["dim_full-bool", "dim_full-float", "dim_full-np-int", "max_sweeps-bool",
         "max_sweeps-np-int", "embedding_size-np-int", "embedding_size-bool",
-        "resolution-np-int", "resolution-bool"])
+        "resolution-np-int", "resolution-bool", "node_index-float", "node_index-np-int",
+        "cloud_dimension-bool", "cloud_dimension-np-int"])
 def test_integer_rule(call, expected):
     # one rule everywhere: int and np.integer pass, bool and floats do not
     if expected is None:
