@@ -105,12 +105,13 @@ def _cmd_dims(args) -> dict:
     anchors = ["space-dim"]
     if args.set is not None:
         model = _set_from_args(args)
-        rank = polyspace.trace_dimension(space, model)
+        pts = sets.grid(model)
+        rank = polyspace._grid_rank(space, pts)
         report["inputs"]["set"] = model.describe()
         report["trace_dimension"] = rank
         report["determining"] = rank == space.dim
         anchors.append("trace-dim")
-        report["meta"] = _meta(args, anchors, grid_size=int(sets.grid(model).shape[0]))
+        report["meta"] = _meta(args, anchors, grid_size=int(pts.shape[0]))
     else:
         report["meta"] = _meta(args, anchors)
     return report

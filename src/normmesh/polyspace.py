@@ -32,6 +32,13 @@ from .errors import ValidationError, check_int
 # package allocates; node selection holds about four such arrays at once.
 _MAX_DENSE_BYTES = 2 ** 30
 
+# The trace rank evaluates the grid Vandermonde and folds it into a running
+# R factor this many rows at a time, and at least this many rows per basis
+# member, so carrying the m x m factor adds at most a quarter to the flops
+# of each fold.
+_RANK_BLOCK_ROWS = 2048
+_RANK_BLOCK_ROWS_PER_COLUMN = 4
+
 # Singular values at or below this fraction of the largest count as zero,
 # both for the grid trace rank and for node selection's rank guard.
 RANK_TOL = 1e-10
@@ -96,6 +103,14 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
+def _check_dense(npts: int, m: int) -> None:
+    nbytes = npts * m * 8
+    if nbytes > _MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"a {npts} x {m} evaluation matrix needs {nbytes} bytes, above the "
+            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
+
+
 def vandermonde(space: PolySpace, points) -> np.ndarray:
     """Evaluation matrix: entry (i, j) is basis monomial j at point i.
 
@@ -104,11 +119,7 @@ def vandermonde(space: PolySpace, points) -> np.ndarray:
     """
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
-    nbytes = npts * space.dim * 8
-    if nbytes > _MAX_DENSE_BYTES:
-        raise ValidationError(
-            f"a {npts} x {space.dim} evaluation matrix needs {nbytes} bytes, above the "
-            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
+    _check_dense(npts, space.dim)
     powers = np.ones((space.n, npts, space.d + 1))
     for e in range(1, space.d + 1):
         powers[:, :, e] = powers[:, :, e - 1] * pts.T
@@ -129,11 +140,29 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
     largest one.  The set is determining for the space exactly when this
     equals ``space.dim``.
     """
+    return _grid_rank(space, sets.grid(set_model), tol)
+
+
+def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
+    """Numerical rank of the Vandermonde of ``points``, streamed in blocks.
+
+    The rows are evaluated a block at a time and folded into the R factor
+    of a QR of the rows seen so far (tall-skinny QR); the singular values
+    of the final R are those of the whole matrix.  At most (block + m) x m
+    floats are held at once, but a matrix above the dense-array byte
+    budget is refused as if it were built whole.
+    """
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    pts = sets.grid(set_model)
-    v = vandermonde(space, pts)
-    return _numerical_rank(np.linalg.svd(v, compute_uv=False), tol)
+    pts = _as_points(points, space.n)
+    m = space.dim
+    _check_dense(pts.shape[0], m)
+    rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
+    r = np.empty((0, m))
+    for start in range(0, pts.shape[0], rows):
+        block = vandermonde(space, pts[start:start + rows])
+        r = np.linalg.qr(np.vstack((r, block)), mode="r")
+    return _numerical_rank(np.linalg.svd(r, compute_uv=False), tol)
 
 
 def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:

@@ -17,6 +17,7 @@ and resolution yield a bit-identical point list, ordering included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -217,7 +218,7 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
             row = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: cannot parse coordinate: {exc}") from exc
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise InputError(f"{path}:{lineno}: coordinates must be finite")
         rows.append(row)
     if not rows:

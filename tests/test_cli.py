@@ -39,6 +39,17 @@ class TestDims:
         assert payload["determining"] is False
         assert payload["meta"]["grid_size"] == 256
 
+    def test_streamed_rank_keeps_dense_budget(self, capsys, monkeypatch):
+        # dims never holds the whole matrix, yet the same jobs are refused
+        monkeypatch.setattr(cli.polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        rc, out, err = run_main(
+            ["dims", "--set", "box", "--n", "2", "--d", "10", "--resolution", "101",
+             "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "10201 x 66" in err
+        assert "5386128 bytes" in err
+
     def test_missing_degree(self, capsys):
         rc, _, err = run_main(["dims", "--n", "2", "--no-timestamp"], capsys)
         assert rc == 2

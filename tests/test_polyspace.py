@@ -160,3 +160,74 @@ class TestTraceDimension:
         model = sets.box([(-1.0, 1.0)], 5)
         with pytest.raises(ValidationError):
             trace_dimension(space, model, tol=0.0)
+
+
+def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
+    """Rank from one SVD of the whole grid Vandermonde."""
+    svals = np.linalg.svd(vandermonde(space, pts), compute_uv=False)
+    return int(np.count_nonzero(svals > tol * svals[0]))
+
+
+class TestStreamedTraceRank:
+    @pytest.fixture(params=[1, 7, 64])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(polyspace, "_RANK_BLOCK_ROWS", request.param)
+        monkeypatch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
+        return request.param
+
+    @pytest.mark.parametrize("n, bounds, resolution, degrees", [
+        (1, [(-1.0, 1.0)], 2001, range(26, 31)),
+        (1, [(0.0, 5.0)], 2001, range(9, 13)),
+        # 21^2 grid at degree 6: 28 columns, so the first blocks are shorter than m
+        (2, [(-1.0, 1.0)] * 2, 21, range(5, 7)),
+    ])
+    def test_box_rank_equals_full_svd_rank(self, block_rows, n, bounds, resolution,
+                                           degrees):
+        # rank-deficient rows near the 1e-10 cut included ([-1,1] from 28, [0,5] from 11)
+        model = sets.box(bounds, resolution)
+        pts = sets.grid(model)
+        for d in degrees:
+            space = poly_space(n, d)
+            assert trace_dimension(space, model) == full_svd_rank(space, pts)
+
+    def test_circle_rank_equals_full_svd_rank(self, block_rows):
+        circle = sets.sphere([0.0, 0.0], 1.0, 256)
+        pts = sets.grid(circle)
+        for d in range(1, 9):
+            space = poly_space(2, d)
+            rank = trace_dimension(space, circle)
+            assert rank == full_svd_rank(space, pts) == 2 * d + 1
+
+    def test_fewer_points_than_basis_members(self, block_rows):
+        rng = np.random.default_rng(3)
+        model = sets.from_points(rng.uniform(-1.0, 1.0, size=(5, 2)))
+        space = poly_space(2, 3)
+        assert trace_dimension(space, model) == full_svd_rank(space, sets.grid(model)) == 5
+
+    def test_default_blocks_stay_within_one_block(self, monkeypatch):
+        space = poly_space(3, 8)
+        model = sets.ball([0.0, 0.0, 0.0], 1.0, 25)
+        npts = sets.grid(model).shape[0]
+        rows = max(polyspace._RANK_BLOCK_ROWS,
+                   polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
+        assert npts > 2 * rows
+        shapes = {"vandermonde": [], "qr": [], "svd": []}
+
+        def recording(name, fn, shape_of):
+            def wrapper(*args, **kwargs):
+                shapes[name].append(shape_of(args))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(polyspace, "vandermonde", recording(
+            "vandermonde", polyspace.vandermonde, lambda a: np.shape(a[1])))
+        monkeypatch.setattr(np.linalg, "qr", recording(
+            "qr", np.linalg.qr, lambda a: a[0].shape))
+        monkeypatch.setattr(np.linalg, "svd", recording(
+            "svd", np.linalg.svd, lambda a: a[0].shape))
+        rank = trace_dimension(space, model)
+        assert rank == space.dim
+        assert sum(shape[0] for shape in shapes["vandermonde"]) == npts
+        assert max(shape[0] for shape in shapes["vandermonde"]) <= rows
+        assert max(shape[0] for shape in shapes["qr"]) <= rows + space.dim
+        assert shapes["svd"] == [(space.dim, space.dim)]

@@ -161,6 +161,14 @@ class TestPointCloud:
         with pytest.raises(InputError, match=r":2:"):
             sets.load_point_cloud(str(path), 2)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_reports_first_bad_line(self, tmp_path, token):
+        # line 3 is malformed too; the first bad line is the one reported
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.0 2.0\n{token} 2.0\n3.0\n")
+        with pytest.raises(InputError, match=r":2: coordinates must be finite"):
+            sets.load_point_cloud(str(path), 2)
+
     def test_missing_file(self):
         with pytest.raises(InputError):
             sets.load_point_cloud("/nonexistent/cloud.txt", 2)
