@@ -31,8 +31,10 @@ from a fresh solve.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
-component orthogonal to the span of the rows already chosen (ties go to
-the lowest grid index).  All determinant arithmetic runs in log-absolute
+component orthogonal to the span of the rows already chosen.  An exact
+tie goes to the lowest grid index, but rows whose norms differ only by
+rounding (as on symmetric grids) are decided by that rounding, so the
+pick can depend on the basis.  All determinant arithmetic runs in log-absolute
 form on that orthonormalized basis; cardinal values and determinant
 ratios are invariant under the basis change, while the conditioning keeps
 moderate degrees far from overflow.
@@ -135,7 +137,11 @@ def _certificates(cardinals: np.ndarray) -> tuple[float, float]:
 
 
 def _greedy_rows(q: np.ndarray) -> list[int]:
-    """Pivoted orthogonalization over rows; ties break to lowest index."""
+    """Pivoted orthogonalization over rows, largest residual norm first.
+
+    An exact tie in the computed norms goes to the lowest index; near-ties
+    between rows of equal exact norm are decided by rounding.
+    """
     n_rows, m = q.shape
     residual = q.copy()
     chosen: list[int] = []

@@ -215,6 +215,23 @@ class TestDistort:
         assert err.startswith("ERROR[3]:")
 
 
+    def test_negative_seed_exits_two(self, capsys):
+        rc, out, err = run_main(
+            ["distort", "--n", "1", "--d", "1", "--p", "1", "--resolution", "21",
+             "--seed", "-1", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.strip() == "ERROR[2]: seed must be a non-negative integer, got -1"
+
+    def test_one_point_cloud(self, capsys, tmp_path):
+        cloud = tmp_path / "cloud.txt"
+        cloud.write_text("0.5\n")
+        payload = run_json(
+            ["distort", "--set", "cloud", "--cloud", str(cloud), "--n", "1",
+             "--d", "0", "--p", "1", "--no-timestamp"], capsys)
+        assert payload["certificate"]["empirical_distortion"] == 1.0
+
+
 class TestEntropy:
     def test_defaults_from_dimension(self, capsys):
         payload = run_json(

@@ -15,6 +15,53 @@ from normmesh.polyspace import dim_full, poly_space, vandermonde
 INTERVAL = sets.box([(-1.0, 1.0)], 2001)
 
 
+def _reference_ratio(coeffs, grid_values, node_values):
+    over_grid = float(np.abs(grid_values @ coeffs).max())
+    over_nodes = float(np.abs(node_values @ coeffs).max())
+    if over_nodes == 0.0:
+        raise InvariantViolation("probe polynomial vanishes on the nodes")
+    return over_grid / over_nodes
+
+
+def reference_climb(start, grid_values, node_values):
+    """The climb evaluating every candidate vector on the whole grid."""
+    current = start / np.linalg.norm(start)
+    best = _reference_ratio(current, grid_values, node_values)
+    step = 0.25
+    dim = current.size
+    for _ in range(landau._HILL_CLIMB_PASSES):
+        improved = False
+        for i in range(dim):
+            for sign in (1.0, -1.0):
+                candidate = current.copy()
+                candidate[i] += sign * step
+                candidate /= np.linalg.norm(candidate)
+                ratio = _reference_ratio(candidate, grid_values, node_values)
+                if ratio > best * (1.0 + 1e-14):
+                    current, best = candidate, ratio
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < landau._MIN_STEP:
+                break
+    return best
+
+
+def _starts(dim, seed, trials):
+    """Each trial's start, drawn as estimate_distortion draws it."""
+    return [np.random.default_rng(child).standard_normal(dim)
+            for child in np.random.SeedSequence(seed).spawn(trials)]
+
+
+REFERENCE_TRIALS = 4
+REFERENCE_SEEDS = range(4)
+# (n, d, p or None for the schedule 3,1,7.389, resolution); the last rows
+# are the scheduled case and a grid smaller than the peak set
+REFERENCE_CASES = (
+    [(1, d, p, res) for res in (301, 2001) for d in range(2, 9) for p in (1, 2)]
+    + [(2, 2, 2, 41), (2, 2, 2, 101), (1, 2, None, 2001), (1, 3, 1, 41)])
+
+
 class TestPowerSchedule:
     def test_simple_example(self):
         # c_hat = 8, d = 1, k = 1: floor(ln 8) = 2, so p = 3 * 3
@@ -177,3 +224,59 @@ class TestDistortionProbe:
         cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 51), 1)
         with pytest.raises(ValidationError):
             estimate_distortion(cert, trials=0)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed must be a non-negative"):
+                estimate_distortion(cert, trials=2, seed=seed)
+        assert estimate_distortion(cert, trials=2, seed=np.int64(0)) == 1.0
+
+    @pytest.mark.parametrize("points, d", [
+        ([[0.5]], 0), ([[0.5], [-0.25]], 0), ([[0.5], [-0.25]], 1)],
+        ids=["one-point", "two-point-d0", "two-point-d1"])
+    def test_tiny_clouds(self, points, d):
+        cert = embed(poly_space(1, d), sets.from_points(points), 1)
+        assert estimate_distortion(cert, trials=4, seed=0) == 1.0
+
+
+class TestScreenedClimb:
+    @pytest.mark.parametrize("n, d, p, res", REFERENCE_CASES)
+    def test_matches_whole_grid_reference(self, n, d, p, res, monkeypatch):
+        schedule_c = None
+        if p is None:
+            p, schedule_c = power_schedule(d, 1, 7.389, s=3)
+        cert = embed(poly_space(n, d), sets.box([(-1.0, 1.0)] * n, res), p,
+                     schedule_c=schedule_c)
+        grid_values, node_values = cert.grid_values, cert.restriction
+        starts = [start for seed in REFERENCE_SEEDS
+                  for start in _starts(cert.space.dim, seed, REFERENCE_TRIALS)]
+        expected = [reference_climb(start, grid_values, node_values)
+                    for start in starts]
+        assert estimate_distortion(cert, trials=REFERENCE_TRIALS, seed=0) == \
+            max(expected[:REFERENCE_TRIALS])
+        # a one-point peak set sends nearly every candidate to the whole
+        # grid; one as large as the grid makes every screen exact
+        for peak_points in (landau._PEAK_POINTS, 1, grid_values.shape[0]):
+            monkeypatch.setattr(landau, "_PEAK_POINTS", peak_points)
+            got = [landau._climb(start, grid_values, node_values) for start in starts]
+            assert got == expected, peak_points
+
+    @pytest.mark.parametrize("peak_points", [64, 1])
+    def test_vanishing_candidate_raises(self, peak_points, monkeypatch):
+        # the fourth candidate, coordinate 1 moved by -1/4, is 0 at the one
+        # node; every earlier candidate has ratio 1 and is not taken
+        monkeypatch.setattr(landau, "_PEAK_POINTS", peak_points)
+        node_values = np.array([[1.0, 4.0]])
+        grid_values = np.tile(node_values, (200, 1))
+        start = np.array([1.0, 0.0])
+        for climb in (reference_climb, landau._climb):
+            with pytest.raises(InvariantViolation, match="vanishes on the nodes"):
+                climb(start, grid_values, node_values)
+
+    def test_vanishing_after_a_move_is_not_raised(self):
+        # from the start, coordinate 2 moved by -1/4 would be 0 at the node,
+        # but coordinate 1 moved by +1/4 is taken first and the rest are
+        # scored from there, where nothing vanishes
+        node_values = np.array([[1.0, 0.0, 4.0]])
+        grid_values = np.tile([[1.0, 4.0, 0.0], [1.0, 0.0, 4.0]], (100, 1))
+        start = np.array([1.0, 0.0, 0.0])
+        expected = reference_climb(start, grid_values, node_values)
+        assert landau._climb(start, grid_values, node_values) == expected
