@@ -8,44 +8,14 @@ trick, and evaluates the companion closed-form constants (mesh sizes,
 distortion bounds, covering and entropy budgets) in high precision.
 """
 
+import importlib
+
 from .errors import (
     InputError,
     InvariantViolation,
     NonDeterminingError,
     NormMeshError,
     ValidationError,
-)
-from .sets import (
-    CompactSetModel,
-    affine_image,
-    ball,
-    box,
-    from_points,
-    grid,
-    load_point_cloud,
-    product,
-    sphere,
-    union,
-)
-from .polyspace import (
-    PolySpace,
-    dim_full,
-    is_determining,
-    poly_space,
-    trace_dimension,
-    vandermonde,
-)
-from .meshgen import (
-    NodeSet,
-    grid_norming_constant,
-    make_node_set,
-    select_nodes,
-)
-from .landau import (
-    EmbeddingCertificate,
-    embed,
-    estimate_distortion,
-    power_schedule,
 )
 from .bounds import (
     BoundReport,
@@ -60,6 +30,19 @@ from .bounds import (
     schedule_distortion_bound,
     scheduled_embedding_size,
 )
+
+# The numpy-backed modules load on first access to one of their names
+# (PEP 562), so ``import normmesh`` and the closed forms in ``bounds`` run
+# without importing numpy.
+_LAZY = {
+    "sets": ("CompactSetModel", "affine_image", "ball", "box", "from_points",
+             "grid", "load_point_cloud", "product", "sphere", "union"),
+    "polyspace": ("PolySpace", "dim_full", "is_determining", "poly_space",
+                  "trace_dimension", "vandermonde"),
+    "meshgen": ("NodeSet", "grid_norming_constant", "make_node_set", "select_nodes"),
+    "landau": ("EmbeddingCertificate", "embed", "estimate_distortion", "power_schedule"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -106,3 +89,18 @@ __all__ = [
     "vandermonde",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_OWNER))

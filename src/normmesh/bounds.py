@@ -185,8 +185,10 @@ def net_cardinality_log(num_coords: int, nbar: int, xi: float) -> tuple[float, f
     return ratio, log_count
 
 
-def _phi_mp(x: mp.mpf, k: int) -> mp.mpf:
-    return (1 + k * mp.log(x)) / x
+def _phi_gap_mp(x: mp.mpf, y: mp.mpf, k: int) -> tuple[mp.mpf, mp.mpf]:
+    """phi(x) - y and phi'(x) = (k - 1 - k ln x) / x^2, from one logarithm."""
+    log_x = mp.log(x)
+    return (1 + k * log_x) / x - y, (k - 1 - k * log_x) / (x * x)
 
 
 def log_distortion(x: float, k: int = 1) -> float:
@@ -201,31 +203,44 @@ def log_distortion(x: float, k: int = 1) -> float:
 
 
 def _phi_inverse_mp(y: mp.mpf, k: int) -> mp.mpf:
-    """Bisection inverse of phi on its decreasing branch, full precision."""
+    """Inverse of phi on its decreasing branch, full precision.
+
+    Newton on phi(x) - y from the upper end of the bracket.  Each residual's
+    sign shrinks the bracket, and a Newton step that would leave it is
+    replaced by a bisection step; this covers the branch edge
+    e^((k-1)/k), where phi' = 0.
+    """
     lower = mp.e ** (mp.mpf(k - 1) / k)
     upper = (3 * k / y) * mp.log(3 * k / y)
-    if _phi_mp(upper, k) > y:
+    gap, slope = _phi_gap_mp(upper, y, k)
+    if gap > 0:
         raise InvariantViolation(
             f"bracketing bound (3k/y) ln(3k/y) fails at y={mp.nstr(y, 12)}, k={k}; "
             f"the inverse is not bracketed")
-    lo, hi = lower, upper
+    lo, hi, x = lower, upper, upper
     stop = mp.mpf(10) ** (-(mp.mp.dps - 5))
     for _ in range(mp.mp.prec + 40):
-        mid = (lo + hi) / 2
-        if _phi_mp(mid, k) >= y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= lo * stop:
+        nxt = (lo + hi) / 2
+        if slope:
+            newton = x - gap / slope
+            if lo <= newton <= hi:
+                nxt = newton
+        step, x = nxt - x, nxt
+        if abs(step) <= x * stop:
             break
-    return (lo + hi) / 2
+        gap, slope = _phi_gap_mp(x, y, k)
+        if gap >= 0:
+            lo = x
+        else:
+            hi = x
+    return x
 
 
 def log_distortion_inverse(y: float, k: int = 1, dps: int = 40) -> float:
     """Solve phi(x) = y on the decreasing branch x >= e^((k-1)/k).
 
     Valid for 0 < y <= e^(-(k-1)/k); the root lies below
-    (3k/y) ln(3k/y), which seeds the bisection bracket.
+    (3k/y) ln(3k/y), which seeds the Newton bracket.
     """
     k = check_int(k, "growth order")
     with mp.workdps(dps):

@@ -5,7 +5,9 @@ JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments and seed,
 byte for byte.  Each subcommand accepts only the flags it reads, spelled
 out in full.  Exit codes: 0 success, 2 validation, input or argument
-error, 3 violated certificate or precision audit.
+error, 3 violated certificate or precision audit.  The numpy-backed
+modules are imported by the handlers that use them, so ``bounds`` and
+``entropy`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import mpmath as mp
+from . import __version__, bounds
+from .errors import InvariantViolation, ValidationError, check_int
 
-from . import __version__, bounds, landau, meshgen, polyspace, sets
-from .errors import InvariantViolation, ValidationError
+if TYPE_CHECKING:
+    from . import landau, sets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +54,8 @@ def _parse_schedule(text: str) -> tuple[int, int, float]:
 
 
 def _set_from_args(args) -> sets.CompactSetModel:
+    from . import sets
+
     kind = args.set
     n = args.n
     params = _parse_reals(args.params, "--params") if args.params else None
@@ -96,6 +102,8 @@ def _meta(args, anchors: list[str], seed: int | None = None,
 
 
 def _cmd_dims(args) -> dict:
+    from . import polyspace, sets
+
     space = polyspace.poly_space(args.n, args.d)
     report = {
         "command": "dims",
@@ -137,6 +145,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_mesh(args) -> dict:
+    from . import meshgen, polyspace
+
     model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
     node_set = meshgen.select_nodes(space, model)
@@ -154,6 +164,8 @@ def _cmd_mesh(args) -> dict:
 
 
 def _build_certificate(args) -> landau.EmbeddingCertificate:
+    from . import landau, polyspace
+
     model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
     if args.schedule is not None:
@@ -179,6 +191,11 @@ def _cmd_embed(args) -> dict:
 
 
 def _cmd_distort(args) -> dict:
+    from . import landau
+
+    # refuse a bad probe setting before node selection at degree d*p
+    check_int(args.trials, "trials")
+    check_int(args.seed, "seed", minimum=0)
     cert = _build_certificate(args)
     landau.estimate_distortion(cert, trials=args.trials, seed=args.seed)
     anchors = ["power-embedding", "distortion-probe"]
@@ -206,7 +223,10 @@ def _cmd_entropy(args) -> dict:
     if args.nbar is not None:
         nbar = args.nbar
     elif args.n is not None:
-        nbar = polyspace.dim_full(args.n, args.d)
+        # polyspace.dim_full, without importing numpy
+        n = check_int(args.n, "number of variables")
+        d = check_int(args.d, "degree", minimum=0)
+        nbar = math.comb(d + n, n)
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
     report = bounds.entropy_chain(args.d, k, chat, nbar, args.eps)

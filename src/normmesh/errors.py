@@ -7,7 +7,7 @@ precision audits exit with code 3.  The latter indicate a bug rather than
 a user error and should never occur in normal operation.
 """
 
-import numpy as np
+import numbers
 
 
 class NormMeshError(Exception):
@@ -38,10 +38,11 @@ class InvariantViolation(NormMeshError):
 def check_int(value, what: str, minimum: int = 1) -> int:
     """``int(value)`` when value is an integer of at least ``minimum``.
 
-    Accepts ``int`` and ``np.integer`` and rejects ``bool``; anything else
-    raises ``ValidationError`` naming ``what``.
+    Accepts any ``numbers.Integral`` (``int`` and ``np.integer``, which
+    numpy registers there) and rejects ``bool``; anything else raises
+    ``ValidationError`` naming ``what``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < minimum:
         if minimum == 1:
             wanted = "a positive integer"

@@ -6,6 +6,7 @@ reproduce them, not merely be self-consistent.
 """
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -24,6 +25,32 @@ from normmesh.polyspace import dim_full
 def mpf_close(value, decimal_string, tol="1e-17"):
     with mp.workdps(60):
         return abs(mp.mpf(value) - mp.mpf(decimal_string)) <= mp.mpf(tol)
+
+
+def reference_phi_inverse(y, k):
+    """The bisection the safeguarded Newton inverse replaced."""
+    def phi(x):
+        return (1 + k * mp.log(x)) / x
+
+    lo = mp.e ** (mp.mpf(k - 1) / k)
+    hi = (3 * k / y) * mp.log(3 * k / y)
+    stop = mp.mpf(10) ** (-(mp.mp.dps - 5))
+    for _ in range(mp.mp.prec + 40):
+        mid = (lo + hi) / 2
+        if phi(mid) >= y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= lo * stop:
+            break
+    return (lo + hi) / 2
+
+
+def sweep_eps(seed):
+    """The accuracies of the benchmark's entropy sweep: 40 log-uniform in [1e-4, 0.5]."""
+    rng = random.Random(seed)
+    top = math.log10(0.5)
+    return [float(f"{10 ** rng.uniform(-4.0, top):.6g}") for _ in range(40)]
 
 
 class TestEmbeddingSizes:
@@ -277,3 +304,50 @@ class TestEntropyChain:
         for k in (1, 2, 5):
             rep = entropy_chain(1, k, math.e ** 2, 1, 0.5)
             assert rep.value("s_eps") > 3
+
+
+class TestPhiInverse:
+    @pytest.mark.parametrize("dps", [40, 80])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_bisection_reference(self, k, dps):
+        with mp.workdps(dps):
+            edge = mp.e ** (-mp.mpf(k - 1) / k)
+            tol = mp.mpf(10) ** -(dps - 6)
+            for i in range(49):
+                y = edge * mp.mpf(10) ** (-mp.mpf(i) / 4)
+                x, ref = bounds._phi_inverse_mp(y, k), reference_phi_inverse(y, k)
+                if k == 1 and i == 0:
+                    # phi(1) = 1 is phi's maximum: phi - y vanishes to second
+                    # order at the root, which dps digits fix only to about
+                    # dps/2 digits, whatever the method
+                    half = mp.mpf(10) ** -(dps // 2 - 2)
+                    assert abs(x - 1) <= half and abs(ref - 1) <= half
+                    assert float(x) == float(ref)
+                else:
+                    assert abs(x - ref) <= x * tol, (i, y)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_entropy_chain_unchanged_from_bisection(self, seed, monkeypatch):
+        inputs = [(1, k, math.e ** 2, 1, eps) for eps in sweep_eps(seed) for k in (1, 2, 3)]
+        got = [entropy_chain(*args).to_json_values() for args in inputs]
+        monkeypatch.setattr(bounds, "_phi_inverse_mp", reference_phi_inverse)
+        assert got == [entropy_chain(*args).to_json_values() for args in inputs]
+
+    def test_log_evaluations_per_inverse(self, monkeypatch):
+        calls = []
+        log = mp.log
+
+        def counted(*args):
+            calls.append(1)
+            return log(*args)
+
+        monkeypatch.setattr(mp, "log", counted)
+        accuracies = [eps for seed in (1, 2, 3) for eps in sweep_eps(seed)] + [0.5, 1e-6]
+        for dps in (40, 80):
+            with mp.workdps(dps):
+                for k in (1, 2, 3):
+                    for eps in accuracies:
+                        y = log(1 + mp.mpf(eps)) / 4
+                        calls.clear()
+                        bounds._phi_inverse_mp(y, k)
+                        assert len(calls) <= 24, (dps, k, eps, len(calls))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from normmesh import cli
+from normmesh import cli, landau, polyspace
 from normmesh.errors import InvariantViolation
 
 
@@ -41,7 +41,7 @@ class TestDims:
 
     def test_streamed_rank_keeps_dense_budget(self, capsys, monkeypatch):
         # dims never holds the whole matrix, yet the same jobs are refused
-        monkeypatch.setattr(cli.polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        monkeypatch.setattr(polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
         rc, out, err = run_main(
             ["dims", "--set", "box", "--n", "2", "--d", "10", "--resolution", "101",
              "--no-timestamp"], capsys)
@@ -127,7 +127,7 @@ class TestMesh:
         def no_enumeration(n, total):
             raise AssertionError("basis enumerated")
 
-        monkeypatch.setattr(cli.polyspace, "_degree_block", no_enumeration)
+        monkeypatch.setattr(polyspace, "_degree_block", no_enumeration)
         payload = run_json(["dims", "--n", "3", "--d", "150", "--no-timestamp"], capsys)
         assert payload["dim_full"] == 585276
         for argv in (["mesh", "--n", "3", "--d", "150"],
@@ -140,7 +140,7 @@ class TestMesh:
 
     def test_dense_array_budget_refused(self, capsys, monkeypatch):
         # 101^2 grid points by 66 basis members at degree 10: 5,386,128 bytes
-        monkeypatch.setattr(cli.polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        monkeypatch.setattr(polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
         rc, out, err = run_main(
             ["mesh", "--n", "2", "--d", "10", "--resolution", "101",
              "--no-timestamp"], capsys)
@@ -207,7 +207,7 @@ class TestDistort:
         def explode(cert, trials, seed):
             raise InvariantViolation("probe exceeded the certified bound")
 
-        monkeypatch.setattr(cli.landau, "estimate_distortion", explode)
+        monkeypatch.setattr(landau, "estimate_distortion", explode)
         rc, _, err = run_main(
             ["distort", "--n", "1", "--d", "1", "--p", "1", "--trials", "2",
              "--no-timestamp"], capsys)
@@ -222,6 +222,23 @@ class TestDistort:
         assert rc == 2
         assert out == ""
         assert err.strip() == "ERROR[2]: seed must be a non-negative integer, got -1"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("--trials", "0", "trials must be a positive integer, got 0"),
+    ])
+    def test_probe_settings_checked_before_selection(self, capsys, monkeypatch,
+                                                     flag, value, message):
+        def no_selection(*args, **kwargs):
+            raise AssertionError("nodes selected")
+
+        monkeypatch.setattr(landau, "embed", no_selection)
+        rc, out, err = run_main(
+            ["distort", "--n", "2", "--d", "4", "--p", "2", "--resolution", "101",
+             flag, value, "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.strip() == f"ERROR[2]: {message}"
 
     def test_one_point_cloud(self, capsys, tmp_path):
         cloud = tmp_path / "cloud.txt"

@@ -1,6 +1,8 @@
 """Package surface: exported names and the shared integer rule."""
 
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -68,3 +70,48 @@ def test_check_int_messages_name_the_bound():
         check_int(-1, "degree", minimum=0)
     with pytest.raises(ValidationError, match=r"resolution must be an integer >= 2, got 1"):
         check_int(1, "resolution", minimum=2)
+
+
+# Closed forms run with numpy made unimportable (a None entry in sys.modules
+# makes ``import numpy`` fail) and print what an ordinary run prints.
+_NO_NUMPY_CHILD = """
+import runpy, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+case = sys.argv[2:]
+if case[0] == "cli":
+    from normmesh import cli
+    sys.exit(cli.main(case[1:]))
+if case[0] == "script":
+    sys.argv = case[1:]
+    runpy.run_path(case[1], run_name="__main__")
+import normmesh
+assert set(normmesh.__all__) <= set(dir(normmesh))
+print(normmesh.bounds.entropy_chain(2, 2, 7.389, 3, 0.1).to_json_values())
+"""
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("case", [
+    ["cli", "bounds", "--n", "2", "--d", "5", "--no-timestamp"],
+    ["cli", "bounds", "--n", "1", "--d", "5", "--schedule", "3,1,7.389", "--no-timestamp"],
+    ["cli", "entropy", "--n", "1", "--d", "5", "--eps", "0.1", "--no-timestamp"],
+    ["cli", "entropy", "--schedule", "3,2,20.5", "--d", "3", "--eps", "0.2",
+     "--nbar", "5", "--format", "csv", "--no-timestamp"],
+    ["script", os.path.join(_ROOT, "scripts", "entropy_sweep.py"),
+     "--orders", "1", "3", "--eps", "0.1", "0.001"],
+    ["library"],
+], ids=["bounds", "bounds-schedule", "entropy-n", "entropy-schedule-nbar",
+        "entropy-sweep", "library"])
+def test_closed_forms_run_without_numpy(case):
+    src = os.path.join(_ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    runs = [subprocess.run([sys.executable, "-c", _NO_NUMPY_CHILD, mode, *case],
+                           capture_output=True, text=True, env=env, timeout=120)
+            for mode in ("plain", "blocked")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.strip()
