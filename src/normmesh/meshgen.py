@@ -102,11 +102,16 @@ def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray) -> n
     v = polyspace.vandermonde(space, grid_points)
     q, r = np.linalg.qr(v, mode="reduced")
     # V = QR with orthonormal Q, so R carries the singular values of V.
-    rank = polyspace._numerical_rank(np.linalg.svd(r, compute_uv=False))
+    svals = np.linalg.svd(r, compute_uv=False)
+    rank = polyspace._numerical_rank(svals)
     if rank < space.dim:
+        # The ratio tells a conditioning limit of the monomial basis (just
+        # under the tolerance) from a true rank deficiency (near machine
+        # epsilon).  s_max > 0: the constant column is all ones.
         raise NonDeterminingError(
             f"grid does not determine the space at degree {space.d}: numerical rank "
-            f"{rank} < dimension {space.dim}", rank=rank, dim=space.dim)
+            f"{rank} < dimension {space.dim} (s_min/s_max = {svals[-1] / svals[0]:.3g}, "
+            f"rank tolerance {polyspace.RANK_TOL:g})", rank=rank, dim=space.dim)
     return q
 
 

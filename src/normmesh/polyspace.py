@@ -14,6 +14,14 @@ across modules.
 
 Evaluation uses per-coordinate power tables, one multiplication chain per
 coordinate, rather than repeated exponentiation.
+
+The grid trace rank first tries to prove full rank from one strided block
+of grid points: deleting rows of a matrix never raises a singular value,
+and the largest singular value of the whole grid Vandermonde is bounded by
+its Frobenius norm, which the largest |coordinate| bounds without
+evaluating the grid.  A grid the block cannot certify (rank deficient, or
+too badly conditioned for the bound) has every row evaluated and folded,
+exactly as without the screen.
 """
 
 from __future__ import annotations
@@ -138,7 +146,9 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
 
     Counts singular values of the grid Vandermonde above ``tol`` times the
     largest one.  The set is determining for the space exactly when this
-    equals ``space.dim``.
+    equals ``space.dim``.  When one strided block of the grid already
+    proves the full rank, the rest of the grid is never evaluated; see
+    ``_grid_rank``.
     """
     return _grid_rank(space, sets.grid(set_model), tol)
 
@@ -151,6 +161,11 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     of the final R are those of the whole matrix.  At most (block + m) x m
     floats are held at once, but a matrix above the dense-array byte
     budget is refused as if it were built whole.
+
+    A grid of more than one block is screened first (``_certifies_full_rank``):
+    when one strided block of at most ``rows`` points proves that the
+    rank is m, that is the result and no other row is evaluated.
+    Otherwise every row is folded as described, the block included.
     """
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -158,11 +173,47 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     m = space.dim
     _check_dense(pts.shape[0], m)
     rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
+    if pts.shape[0] > rows and _certifies_full_rank(space, pts, rows, tol):
+        return m
     r = np.empty((0, m))
     for start in range(0, pts.shape[0], rows):
         block = vandermonde(space, pts[start:start + rows])
         r = np.linalg.qr(np.vstack((r, block)), mode="r")
     return _numerical_rank(np.linalg.svd(r, compute_uv=False), tol)
+
+
+def _certifies_full_rank(space: PolySpace, pts: np.ndarray, rows: int,
+                         tol: float) -> bool:
+    """Whether the points ``pts[::ceil(N / rows)]`` prove numerical rank m.
+
+    With V the N x m Vandermonde of ``pts`` and V_sub its rows at the
+    strided points:
+
+    - deleting rows never raises a singular value (interlacing), so
+      sigma_m(V) >= sigma_m(V_sub);
+    - every monomial obeys |x^alpha| <= R^|alpha|, R the largest
+      |coordinate|, and C(k+n-1, n-1) monomials have degree k, so
+      sigma_1(V) <= ||V||_F <= sqrt(N * sum_k C(k+n-1, n-1) R^(2k)).
+
+    So sigma_m(V_sub) > 2 tol * bound gives sigma_m(V) > 2 tol sigma_1(V),
+    and the rule of ``_numerical_rank`` counts all m values; the factor 2
+    covers rounding in the computed singular values, which is of order
+    machine epsilon times m times ||V||.  A bound that overflows to inf
+    certifies nothing.
+    """
+    npts = pts.shape[0]
+    sub = pts[::-(-npts // rows)]
+    svals = np.linalg.svd(np.linalg.qr(vandermonde(space, sub), mode="r"),
+                          compute_uv=False)
+    if svals.size < space.dim:
+        return False
+    radius = float(np.abs(pts).max())
+    # products, not **: a float power that overflows raises instead of giving inf
+    total, power = 0.0, 1.0
+    for k in range(space.d + 1):
+        total += math.comb(k + space.n - 1, space.n - 1) * power
+        power *= radius * radius
+    return bool(svals[-1] > 2.0 * tol * math.sqrt(npts * total))
 
 
 def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:

@@ -1,6 +1,7 @@
 """Command line: report shapes, formats, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,21 @@ class TestBounds:
 
 
 class TestMesh:
+    def test_conditioning_limit_reports_singular_value_ratio(self, capsys):
+        # monomials on [-1,1] @2001 reach the rank cut at degree 28 through
+        # conditioning, not through a rank deficiency: the ratio sits just
+        # under the tolerance, far above machine epsilon
+        rc, out, err = run_main(
+            ["mesh", "--n", "1", "--d", "28", "--resolution", "2001",
+             "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        match = re.fullmatch(
+            r"ERROR\[2\]: grid does not determine the space at degree 28: numerical "
+            r"rank 28 < dimension 29 \(s_min/s_max = (\S+), rank tolerance 1e-10\)\n", err)
+        assert match is not None, err
+        assert 1e-12 < float(match.group(1)) <= polyspace.RANK_TOL
+
     def test_interval_quadratics(self, capsys):
         payload = run_json(
             ["mesh", "--n", "1", "--d", "2", "--resolution", "21",

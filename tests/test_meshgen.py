@@ -279,6 +279,9 @@ class TestRankGuards:
             assert info.value.rank == rank
             assert info.value.rank == trace_dimension(space, model)
             assert info.value.dim == space.dim
+            # a true rank deficiency: s_min/s_max at rounding level
+            ratio = float(str(info.value).split("s_min/s_max = ")[1].split(",")[0])
+            assert ratio < 1e-14
 
     def test_parameter_validation(self):
         space = poly_space(1, 2)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normmesh import polyspace, sets
@@ -168,6 +168,31 @@ def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
     return int(np.count_nonzero(svals > tol * svals[0]))
 
 
+def default_block_rows(space):
+    return max(polyspace._RANK_BLOCK_ROWS,
+               polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Shapes passed to vandermonde, QR and SVD during the test."""
+    shapes = {"vandermonde": [], "qr": [], "svd": []}
+
+    def recording(name, fn, shape_of):
+        def wrapper(*args, **kwargs):
+            shapes[name].append(shape_of(args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polyspace, "vandermonde", recording(
+        "vandermonde", polyspace.vandermonde, lambda a: np.shape(a[1])))
+    monkeypatch.setattr(np.linalg, "qr", recording(
+        "qr", np.linalg.qr, lambda a: a[0].shape))
+    monkeypatch.setattr(np.linalg, "svd", recording(
+        "svd", np.linalg.svd, lambda a: a[0].shape))
+    return shapes
+
+
 class TestStreamedTraceRank:
     @pytest.fixture(params=[1, 7, 64])
     def block_rows(self, request, monkeypatch):
@@ -204,30 +229,130 @@ class TestStreamedTraceRank:
         space = poly_space(2, 3)
         assert trace_dimension(space, model) == full_svd_rank(space, sets.grid(model)) == 5
 
-    def test_default_blocks_stay_within_one_block(self, monkeypatch):
+    def test_certified_grid_evaluates_one_block(self, calls):
+        # full rank on the ball: one strided block proves it, no fold runs
         space = poly_space(3, 8)
         model = sets.ball([0.0, 0.0, 0.0], 1.0, 25)
         npts = sets.grid(model).shape[0]
-        rows = max(polyspace._RANK_BLOCK_ROWS,
-                   polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
+        rows = default_block_rows(space)
         assert npts > 2 * rows
-        shapes = {"vandermonde": [], "qr": [], "svd": []}
+        assert trace_dimension(space, model) == space.dim
+        assert len(calls["vandermonde"]) == 1
+        assert calls["vandermonde"][0][0] <= rows
+        assert calls["qr"] == [(calls["vandermonde"][0][0], space.dim)]
+        assert calls["svd"] == [(space.dim, space.dim)]
 
-        def recording(name, fn, shape_of):
-            def wrapper(*args, **kwargs):
-                shapes[name].append(shape_of(args))
-                return fn(*args, **kwargs)
-            return wrapper
+    def test_default_blocks_stay_within_one_block(self, calls):
+        # S2 at degree 4 has trace rank 25 < 35: the screen cannot certify,
+        # so its block is followed by the whole fold, one block at a time
+        space = poly_space(3, 4)
+        model = sets.sphere([0.0, 0.0, 0.0], 1.0, 80)
+        npts = sets.grid(model).shape[0]
+        rows = default_block_rows(space)
+        assert npts > 2 * rows
+        assert trace_dimension(space, model) == 25
+        screen, *fold = calls["vandermonde"]
+        assert screen[0] <= rows
+        assert sum(shape[0] for shape in fold) == npts
+        assert max(shape[0] for shape in calls["vandermonde"]) <= rows
+        assert max(shape[0] for shape in calls["qr"]) <= rows + space.dim
+        assert calls["svd"] == [(space.dim, space.dim)] * 2
 
-        monkeypatch.setattr(polyspace, "vandermonde", recording(
-            "vandermonde", polyspace.vandermonde, lambda a: np.shape(a[1])))
-        monkeypatch.setattr(np.linalg, "qr", recording(
-            "qr", np.linalg.qr, lambda a: a[0].shape))
-        monkeypatch.setattr(np.linalg, "svd", recording(
-            "svd", np.linalg.svd, lambda a: a[0].shape))
-        rank = trace_dimension(space, model)
-        assert rank == space.dim
-        assert sum(shape[0] for shape in shapes["vandermonde"]) == npts
-        assert max(shape[0] for shape in shapes["vandermonde"]) <= rows
-        assert max(shape[0] for shape in shapes["qr"]) <= rows + space.dim
-        assert shapes["svd"] == [(space.dim, space.dim)]
+
+class TestRankScreen:
+    """The one-block screen of ``_grid_rank`` at the default block sizes."""
+
+    @pytest.mark.parametrize("model, degrees, oracle", [
+        (sets.sphere([0.0, 0.0], 1.0, 5000), range(1, 9), lambda d: 2 * d + 1),
+        (sets.sphere([0.0, 0.0, 0.0], 1.0, 60), range(1, 6), lambda d: (d + 1) ** 2),
+        (sets.from_points(np.outer(np.linspace(-1.0, 1.0, 5000), [0.6, -0.8])
+                          + [0.25, 0.5]), range(1, 7), lambda d: d + 1),
+        # degrees on both sides of the 1e-10 cut ([0,5] from 11, [-1,1] from 28)
+        (sets.box([(0.0, 5.0)], 20001), range(8, 14), None),
+        (sets.box([(-1.0, 1.0)], 20001), range(25, 31), None),
+    ], ids=["circle", "S2", "line", "interval-0-5", "interval-1-1"])
+    def test_rank_deficient_grids_keep_full_svd_rank(self, model, degrees, oracle):
+        pts = sets.grid(model)
+        for d in degrees:
+            space = poly_space(model.ambient_dim, d)
+            assert pts.shape[0] > default_block_rows(space)
+            rank = trace_dimension(space, model)
+            assert rank == full_svd_rank(space, pts)
+            if oracle is not None:
+                assert rank == oracle(d)
+
+    @pytest.mark.parametrize("model, d", [
+        (sets.box([(-1.0, 1.0)] * 3, 31), 6),
+        (sets.box([(0.0, 2.0), (-1.0, 1.0)], 101), 10),
+        (sets.ball([0.0, 0.0, 0.0], 1.0, 25), 5),
+        (sets.from_points(np.random.default_rng(7).uniform(-1.0, 1.0, size=(9000, 2))), 8),
+    ], ids=["box-3d", "box-2d", "ball", "cloud"])
+    def test_full_rank_grids_keep_full_svd_rank(self, model, d):
+        space = poly_space(model.ambient_dim, d)
+        pts = sets.grid(model)
+        assert pts.shape[0] > default_block_rows(space)
+        assert trace_dimension(space, model) == full_svd_rank(space, pts) == space.dim
+
+    def test_overflowing_bound_folds_every_row(self, calls):
+        # R^2 overflows to inf, so the screen certifies nothing and the
+        # whole grid is evaluated after its block
+        rng = np.random.default_rng(11)
+        pts = 1e200 * rng.uniform(0.5, 1.0, size=(5000, 2))
+        space = poly_space(2, 1)
+        rank = polyspace._grid_rank(space, pts)
+        assert sum(shape[0] for shape in calls["vandermonde"][1:]) == pts.shape[0]
+        assert rank == full_svd_rank(space, pts)
+
+    def test_block_better_conditioned_than_grid(self):
+        # 1-D, d=1: x=1 everywhere but at 21 points, all inside the strided
+        # block.  s_min/s_max is about 0.1 on the block and 0.014 on the
+        # grid, so at tol 0.03 a bound on sigma_1 taken from the block, or
+        # one without the sqrt(N) factor, would certify rank 2 against
+        # the rule's rank 1.
+        npts, rows = 100000, polyspace._RANK_BLOCK_ROWS
+        stride = -(-npts // rows)
+        pts = np.ones((npts, 1))
+        pts[::stride * 100] = -1.0
+        space = poly_space(1, 1)
+        for tol in (1e-10, 1e-3, 0.03):
+            assert polyspace._grid_rank(space, pts, tol) == full_svd_rank(space, pts, tol)
+
+
+CLOUD_SHAPES = ("cloud", "line", "circle", "quadric")
+
+
+def _shaped_cloud(rng, shape, n, npts):
+    """Random points in [-1,1]^n, or on a line, a circle or a quadric."""
+    t = rng.uniform(-1.0, 1.0, size=(npts, n))
+    if shape == "line":
+        return rng.uniform(-1.0, 1.0, size=(1, n)) + np.outer(t[:, 0], rng.normal(size=n))
+    if shape == "circle":
+        angle = np.pi * t[:, 0]
+        pts = np.zeros((npts, n))
+        pts[:, 0], pts[:, 1] = np.cos(angle), np.sin(angle)
+        return pts
+    if shape == "quadric":
+        # the paraboloid x_n = x_1^2 + ... + x_{n-1}^2
+        t[:, -1] = np.sum(t[:, :-1] ** 2, axis=1)
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(CLOUD_SHAPES),
+       n=st.integers(2, 3), d=st.integers(0, 4), npts=st.integers(1, 200),
+       pad=st.integers(0, 30), block=st.one_of(st.none(), st.integers(1, 40)),
+       tol=st.sampled_from([polyspace.RANK_TOL, 1e-6, 1e-2, 0.1]))
+def test_screened_rank_equals_full_svd_rank(seed, shape, n, d, npts, pad, block, tol):
+    # Each point is followed by ``pad`` copies of the first one.  With the
+    # block size None (one row per point) the strided block skips every
+    # copy, so it is better conditioned than the grid it screens.
+    rng = np.random.default_rng(seed)
+    cloud = _shaped_cloud(rng, shape, n, npts)
+    pts = np.repeat(cloud[:1], npts * (pad + 1), axis=0)
+    pts[::pad + 1] = cloud
+    space = poly_space(n, d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyspace, "_RANK_BLOCK_ROWS", npts if block is None else block)
+        patch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
+        rank = polyspace._grid_rank(space, pts, tol)
+    assert rank == full_svd_rank(space, pts, tol)
