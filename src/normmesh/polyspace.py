@@ -15,13 +15,14 @@ across modules.
 Evaluation uses per-coordinate power tables, one multiplication chain per
 coordinate, rather than repeated exponentiation.
 
-The grid trace rank first tries to prove full rank from one strided block
-of grid points: deleting rows of a matrix never raises a singular value,
-and the largest singular value of the whole grid Vandermonde is bounded by
-its Frobenius norm, which the largest |coordinate| bounds without
-evaluating the grid.  A grid the block cannot certify (rank deficient, or
-too badly conditioned for the bound) has every row evaluated and folded,
-exactly as without the screen.
+The grid trace rank folds the grid in strided blocks and tries to prove
+full rank from the first one: deleting rows of a matrix never raises a
+singular value, and the largest singular value of the whole grid
+Vandermonde is bounded by its Frobenius norm, which the largest
+|coordinate| bounds without evaluating the grid.  A grid the first block
+cannot certify (rank deficient, or too badly conditioned for the bound)
+has the rest of its rows folded onto that block, so no row is evaluated
+twice.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ from .errors import ValidationError, check_int
 _MAX_DENSE_BYTES = 2 ** 30
 
 # The trace rank evaluates the grid Vandermonde and folds it into a running
-# R factor this many rows at a time, and at least this many rows per basis
-# member, so carrying the m x m factor adds at most a quarter to the flops
-# of each fold.
+# R factor in strided blocks, whose sizes differ by at most one, of at most
+# this many rows, or this many rows per basis member when that is more.  A
+# grid of more than one block gives each block at least half that many
+# rows, so carrying the m x m factor adds at most half to the flops of
+# each fold.
 _RANK_BLOCK_ROWS = 2048
 _RANK_BLOCK_ROWS_PER_COLUMN = 4
 
@@ -146,7 +149,7 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
 
     Counts singular values of the grid Vandermonde above ``tol`` times the
     largest one.  The set is determining for the space exactly when this
-    equals ``space.dim``.  When one strided block of the grid already
+    equals ``space.dim``.  When the first strided block of the grid already
     proves the full rank, the rest of the grid is never evaluated; see
     ``_grid_rank``.
     """
@@ -156,16 +159,19 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
 def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     """Numerical rank of the Vandermonde of ``points``, streamed in blocks.
 
-    The rows are evaluated a block at a time and folded into the R factor
-    of a QR of the rows seen so far (tall-skinny QR); the singular values
-    of the final R are those of the whole matrix.  At most (block + m) x m
-    floats are held at once, but a matrix above the dense-array byte
-    budget is refused as if it were built whole.
+    The N rows are split into the strided blocks ``points[i::stride]``,
+    i < stride = ceil(N / rows), each of at most ``rows`` points.  They are
+    evaluated one at a time and folded into the R factor of a QR of the
+    rows seen so far (tall-skinny QR); the singular values of the final R
+    are those of the whole matrix.  At most (rows + m) x m floats are held
+    at once, but a matrix above the dense-array byte budget is refused as
+    if it were built whole.
 
-    A grid of more than one block is screened first (``_certifies_full_rank``):
-    when one strided block of at most ``rows`` points proves that the
-    rank is m, that is the result and no other row is evaluated.
-    Otherwise every row is folded as described, the block included.
+    When there is more than one block, the R of the first block is
+    screened (``_certifies_full_rank``): if it proves that the rank is m,
+    that is the result and no other row is evaluated.  Otherwise the
+    remaining blocks are folded onto it, so a grid the screen cannot
+    certify costs one m x m SVD more than the fold alone.
     """
     if tol <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -173,21 +179,22 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     m = space.dim
     _check_dense(pts.shape[0], m)
     rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
-    if pts.shape[0] > rows and _certifies_full_rank(space, pts, rows, tol):
-        return m
+    stride = -(-pts.shape[0] // rows)
     r = np.empty((0, m))
-    for start in range(0, pts.shape[0], rows):
-        block = vandermonde(space, pts[start:start + rows])
+    for start in range(stride):
+        block = vandermonde(space, pts[start::stride])
         r = np.linalg.qr(np.vstack((r, block)), mode="r")
+        if start == 0 and stride > 1 and _certifies_full_rank(space, pts, r, tol):
+            return m
     return _numerical_rank(np.linalg.svd(r, compute_uv=False), tol)
 
 
-def _certifies_full_rank(space: PolySpace, pts: np.ndarray, rows: int,
+def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray,
                          tol: float) -> bool:
-    """Whether the points ``pts[::ceil(N / rows)]`` prove numerical rank m.
+    """Whether ``r``, the R factor of some rows of V, proves numerical rank m.
 
-    With V the N x m Vandermonde of ``pts`` and V_sub its rows at the
-    strided points:
+    With V the N x m Vandermonde of ``pts`` and V_sub the rows that ``r``
+    factors (its singular values are those of V_sub):
 
     - deleting rows never raises a singular value (interlacing), so
       sigma_m(V) >= sigma_m(V_sub);
@@ -201,10 +208,7 @@ def _certifies_full_rank(space: PolySpace, pts: np.ndarray, rows: int,
     machine epsilon times m times ||V||.  A bound that overflows to inf
     certifies nothing.
     """
-    npts = pts.shape[0]
-    sub = pts[::-(-npts // rows)]
-    svals = np.linalg.svd(np.linalg.qr(vandermonde(space, sub), mode="r"),
-                          compute_uv=False)
+    svals = np.linalg.svd(r, compute_uv=False)
     if svals.size < space.dim:
         return False
     radius = float(np.abs(pts).max())
@@ -213,7 +217,7 @@ def _certifies_full_rank(space: PolySpace, pts: np.ndarray, rows: int,
     for k in range(space.d + 1):
         total += math.comb(k + space.n - 1, space.n - 1) * power
         power *= radius * radius
-    return bool(svals[-1] > 2.0 * tol * math.sqrt(npts * total))
+    return bool(svals[-1] > 2.0 * tol * math.sqrt(pts.shape[0] * total))
 
 
 def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:

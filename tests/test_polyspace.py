@@ -168,6 +168,14 @@ def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
     return int(np.count_nonzero(svals > tol * svals[0]))
 
 
+def assert_same_rows(got, expected):
+    """The two arrays hold the same rows, each as often, in any order."""
+    def key(a):
+        return a[np.lexsort(a.T[::-1])]
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(key(got), key(expected))
+
+
 def default_block_rows(space):
     return max(polyspace._RANK_BLOCK_ROWS,
                polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
@@ -175,12 +183,17 @@ def default_block_rows(space):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Shapes passed to vandermonde, QR and SVD during the test."""
-    shapes = {"vandermonde": [], "qr": [], "svd": []}
+    """Shapes passed to vandermonde, QR and SVD during the test.
+
+    ``calls["points"]`` keeps the point arrays vandermonde was given.
+    """
+    shapes = {"vandermonde": [], "qr": [], "svd": [], "points": []}
 
     def recording(name, fn, shape_of):
         def wrapper(*args, **kwargs):
             shapes[name].append(shape_of(args))
+            if name == "vandermonde":
+                shapes["points"].append(np.array(args[1]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -230,7 +243,8 @@ class TestStreamedTraceRank:
         assert trace_dimension(space, model) == full_svd_rank(space, sets.grid(model)) == 5
 
     def test_certified_grid_evaluates_one_block(self, calls):
-        # full rank on the ball: one strided block proves it, no fold runs
+        # full rank on the ball: the first strided block proves it, and no
+        # other block is evaluated
         space = poly_space(3, 8)
         model = sets.ball([0.0, 0.0, 0.0], 1.0, 25)
         npts = sets.grid(model).shape[0]
@@ -243,17 +257,17 @@ class TestStreamedTraceRank:
         assert calls["svd"] == [(space.dim, space.dim)]
 
     def test_default_blocks_stay_within_one_block(self, calls):
-        # S2 at degree 4 has trace rank 25 < 35: the screen cannot certify,
-        # so its block is followed by the whole fold, one block at a time
+        # S2 at degree 4 has trace rank 25 < 35: the screen of the first
+        # block cannot certify, so the other blocks are folded onto it
         space = poly_space(3, 4)
         model = sets.sphere([0.0, 0.0, 0.0], 1.0, 80)
-        npts = sets.grid(model).shape[0]
+        pts = sets.grid(model)
+        npts = pts.shape[0]
         rows = default_block_rows(space)
         assert npts > 2 * rows
         assert trace_dimension(space, model) == 25
-        screen, *fold = calls["vandermonde"]
-        assert screen[0] <= rows
-        assert sum(shape[0] for shape in fold) == npts
+        assert len(calls["vandermonde"]) == -(-npts // rows)
+        assert_same_rows(np.vstack(calls["points"]), pts)
         assert max(shape[0] for shape in calls["vandermonde"]) <= rows
         assert max(shape[0] for shape in calls["qr"]) <= rows + space.dim
         assert calls["svd"] == [(space.dim, space.dim)] * 2
@@ -294,13 +308,13 @@ class TestRankScreen:
         assert trace_dimension(space, model) == full_svd_rank(space, pts) == space.dim
 
     def test_overflowing_bound_folds_every_row(self, calls):
-        # R^2 overflows to inf, so the screen certifies nothing and the
-        # whole grid is evaluated after its block
+        # R^2 overflows to inf, so the screen certifies nothing and every
+        # grid point is evaluated, once
         rng = np.random.default_rng(11)
         pts = 1e200 * rng.uniform(0.5, 1.0, size=(5000, 2))
         space = poly_space(2, 1)
         rank = polyspace._grid_rank(space, pts)
-        assert sum(shape[0] for shape in calls["vandermonde"][1:]) == pts.shape[0]
+        assert_same_rows(np.vstack(calls["points"]), pts)
         assert rank == full_svd_rank(space, pts)
 
     def test_block_better_conditioned_than_grid(self):
