@@ -17,24 +17,17 @@ from .errors import (
     NormMeshError,
     ValidationError,
 )
-from .bounds import (
-    BoundReport,
-    entropy_chain,
-    log_distortion,
-    log_distortion_inverse,
-    net_cardinality_log,
-    poly_bound_report,
-    poly_distortion_bound,
-    poly_embedding_size,
-    schedule_bound_report,
-    schedule_distortion_bound,
-    scheduled_embedding_size,
-)
 
-# The numpy-backed modules load on first access to one of their names
-# (PEP 562), so ``import normmesh`` and the closed forms in ``bounds`` run
-# without importing numpy.
+# Every module but ``errors`` loads on first access to one of its names
+# (PEP 562), so ``import normmesh`` loads neither numpy nor mpmath.  The
+# closed forms in ``bounds`` run without numpy; mpmath loads only with
+# ``bounds``, which the ``bounds`` and ``entropy`` commands and a
+# ``--schedule`` read.
 _LAZY = {
+    "bounds": ("BoundReport", "entropy_chain", "log_distortion",
+               "log_distortion_inverse", "net_cardinality_log", "poly_bound_report",
+               "poly_distortion_bound", "poly_embedding_size", "schedule_bound_report",
+               "schedule_distortion_bound", "scheduled_embedding_size"),
     "sets": ("CompactSetModel", "affine_image", "ball", "box", "from_points",
              "grid", "load_point_cloud", "product", "sphere", "union"),
     "polyspace": ("PolySpace", "dim_full", "is_determining", "poly_space",

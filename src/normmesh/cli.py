@@ -5,9 +5,10 @@ JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments and seed,
 byte for byte.  Each subcommand accepts only the flags it reads, spelled
 out in full.  Exit codes: 0 success, 2 validation, input or argument
-error, 3 violated certificate or precision audit.  The numpy-backed
-modules are imported by the handlers that use them, so ``bounds`` and
-``entropy`` run without loading numpy.
+error, 3 violated certificate or precision audit.  Each handler imports
+the modules it uses: ``bounds`` and ``entropy`` run without loading numpy,
+and only they and a ``--schedule`` load mpmath, so ``dims``, ``mesh`` and
+``embed``/``distort --p`` run without it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
-from . import __version__, bounds
+from . import __version__
 from .errors import InvariantViolation, ValidationError, check_int
 
 if TYPE_CHECKING:
@@ -126,6 +127,8 @@ def _cmd_dims(args) -> dict:
 
 
 def _cmd_bounds(args) -> dict:
+    from . import bounds
+
     report = bounds.poly_bound_report(args.n, args.d)
     values = report.to_json_values()
     anchors = [row[2] for row in values]
@@ -214,6 +217,8 @@ def _cmd_distort(args) -> dict:
 
 
 def _cmd_entropy(args) -> dict:
+    from . import bounds
+
     if args.schedule:
         _, k, chat = _parse_schedule(args.schedule)
     elif args.n is not None:

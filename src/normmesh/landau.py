@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, meshgen, polyspace, sets
+from . import meshgen, polyspace, sets
 from .errors import InvariantViolation, check_int
 
 _HILL_CLIMB_PASSES = 200
@@ -55,6 +55,8 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
     at degree d*p is certified with distortion at most e^c = (e s^k)^(1/s).
     Requires c_hat * d^k >= 1 and s >= 3.
     """
+    from . import bounds  # mpmath, loaded only for a schedule
+
     s = check_int(s, "schedule parameter s", minimum=3)
     level = bounds.log_floor(c_hat, d, k)
     p = s * (level + 1)

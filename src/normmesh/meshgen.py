@@ -31,13 +31,16 @@ from a fresh solve.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
-component orthogonal to the span of the rows already chosen.  An exact
-tie goes to the lowest grid index, but rows whose norms differ only by
-rounding (as on symmetric grids) are decided by that rounding, so the
-pick can depend on the basis.  All determinant arithmetic runs in log-absolute
-form on that orthonormalized basis; cardinal values and determinant
-ratios are invariant under the basis change, while the conditioning keeps
-moderate degrees far from overflow.
+component orthogonal to the span of the rows already chosen (the
+approximate Fekete points of Bos, De Marchi, Sommariva and Vianello).
+Norms within a relative 1e-9 of the largest count as tied, and a tie goes
+to the lowest grid index, so rows of equal exact norm (as on symmetric
+grids) are not decided by rounding, which differs from basis to basis.
+The pass is left-looking: it keeps one vector of residual norms and the
+chosen directions, and never rewrites the N x m matrix.  All determinant
+arithmetic runs in log-absolute form on that orthonormalized basis;
+cardinal values and determinant ratios are invariant under the basis
+change, while the conditioning keeps moderate degrees far from overflow.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ from .errors import NonDeterminingError, ValidationError, check_int
 
 DEFAULT_TOL_SWAP = 1e-10
 DEFAULT_MAX_SWEEPS = 100
+# In the greedy seed, residual norms^2 within this relative distance of the
+# largest are tied; the lowest grid index among them is picked.
+_TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -144,24 +150,28 @@ def _certificates(cardinals: np.ndarray) -> tuple[float, float]:
 def _greedy_rows(q: np.ndarray) -> list[int]:
     """Pivoted orthogonalization over rows, largest residual norm first.
 
-    An exact tie in the computed norms goes to the lowest index; near-ties
-    between rows of equal exact norm are decided by rounding.
+    The pick is the lowest index whose residual norm^2 is at least
+    (1 - _TIE_RTOL) times the largest, so rows of equal exact norm (as on
+    symmetric grids) go to the lowest index whatever rounding does.  The
+    pass is left-looking: it keeps the residual norms^2 and the chosen
+    directions, and builds each pick's residual from those directions, so
+    it never rewrites the N x m matrix.
     """
-    n_rows, m = q.shape
-    residual = q.copy()
+    m = q.shape[1]
+    norms = np.einsum("ij,ij->i", q, q)
+    directions = np.empty((m, m))
     chosen: list[int] = []
-    taken = np.zeros(n_rows, dtype=bool)
-    for _ in range(m):
-        norms = np.einsum("ij,ij->i", residual, residual)
-        norms[taken] = -1.0
-        pick = int(np.argmax(norms))
-        if norms[pick] <= 0.0:
+    for k in range(m):
+        top = norms.max()
+        if top <= 0.0:
             raise NonDeterminingError(
                 "grid rows span fewer directions than the space dimension",
-                rank=len(chosen), dim=m)
-        direction = residual[pick] / np.sqrt(norms[pick])
-        residual -= np.outer(residual @ direction, direction)
-        taken[pick] = True
+                rank=k, dim=m)
+        pick = int(np.argmax(norms >= (1.0 - _TIE_RTOL) * top))
+        residual = q[pick] - (directions[:k] @ q[pick]) @ directions[:k]
+        directions[k] = residual / np.linalg.norm(residual)
+        norms -= np.square(q @ directions[k])
+        norms[pick] = -1.0
         chosen.append(pick)
     return chosen
 

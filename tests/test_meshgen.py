@@ -5,13 +5,15 @@ enumeration over all index subsets and compared against the exchange result;
 on fine grids we check the certificates (swap optimality, cardinal sup,
 norming inequality on sampled polynomials) rather than node identity.
 The rank-1 exchange is checked against a reference exchange that solves
-the cardinal matrix afresh after every swap.
+the cardinal matrix afresh after every swap, and the left-looking greedy
+seed against a right-looking one that rewrites the whole residual per pick.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 
 from normmesh import meshgen, polyspace, sets
 from normmesh.errors import NonDeterminingError, ValidationError
@@ -62,6 +64,68 @@ REFERENCE_CASES = (
        for d in range(3, 6)]
     + [pytest.param(2, 3, sets.ball([0.0, 0.0], 1.0, 31), 100, id="disk-d3"),
        pytest.param(1, 5, sets.box([(-1.0, 1.0)], 2001), 1, id="interval-d5-one-sweep")])
+
+
+def reference_greedy(q):
+    """The greedy seed right-looking: the N x m residual is rewritten per pick."""
+    residual = q.copy()
+    taken = np.zeros(q.shape[0], dtype=bool)
+    chosen = []
+    for _ in range(q.shape[1]):
+        norms = np.einsum("ij,ij->i", residual, residual)
+        norms[taken] = -1.0
+        pick = int(np.argmax(norms >= (1.0 - meshgen._TIE_RTOL) * norms.max()))
+        direction = residual[pick] / np.sqrt(norms[pick])
+        residual -= np.outer(residual @ direction, direction)
+        taken[pick] = True
+        chosen.append(pick)
+    return chosen
+
+
+def chebyshev_basis(space, grid_points):
+    """Orthonormalized Vandermonde of tensor Chebyshev polynomials on the bounding box."""
+    lo, hi = grid_points.min(axis=0), grid_points.max(axis=0)
+    t = (2.0 * grid_points - (lo + hi)) / (hi - lo)
+    columns = [np.prod([chebyshev.chebval(t[:, i], [0] * a + [1])
+                        for i, a in enumerate(alpha)], axis=0)
+               for alpha in space.basis]
+    q, _ = np.linalg.qr(np.column_stack(columns))
+    return q
+
+
+GREEDY_CASES = (
+    [pytest.param(1, d, sets.box([(-1.0, 1.0)], 2001), id=f"interval-d{d}")
+     for d in range(2, 12)]
+    + [pytest.param(1, d, sets.box([(0.0, 5.0)], 2001), id=f"shifted-d{d}") for d in (6, 10)]
+    + [pytest.param(2, d, sets.box([(-1.0, 1.0)] * 2, 41), id=f"square-d{d}")
+       for d in range(2, 7)]
+    + [pytest.param(2, d, sets.ball([0.0, 0.0], 1.0, 41), id=f"disk-d{d}") for d in range(2, 6)]
+    + [pytest.param(3, d, sets.box([(-1.0, 1.0)] * 3, 15), id=f"cube-d{d}") for d in range(2, 5)])
+
+
+class TestGreedySeed:
+    @pytest.mark.parametrize("n, d, model", GREEDY_CASES)
+    def test_matches_right_looking_reference_in_two_bases(self, n, d, model):
+        space = poly_space(n, d)
+        grid_points = sets.grid(model)
+        monomial = meshgen._conditioned_basis(space, grid_points)
+        picks = meshgen._greedy_rows(monomial)
+        assert picks == reference_greedy(monomial)
+        cheb = chebyshev_basis(space, grid_points)
+        cheb_picks = meshgen._greedy_rows(cheb)
+        assert cheb_picks == reference_greedy(cheb)
+        # ties go to the lowest index, so rounding in either basis decides none
+        assert cheb_picks == picks
+
+    def test_ties_go_to_lowest_index(self):
+        # every pick is a tie between corners of the square or ends of the
+        # interval; rounding alone put corner 4 and end 2000 first
+        square = meshgen._conditioned_basis(
+            poly_space(2, 1), sets.grid(sets.box([(-1.0, 1.0)] * 2, 5)))
+        assert meshgen._greedy_rows(square) == [0, 4, 20]
+        interval = meshgen._conditioned_basis(
+            poly_space(1, 3), sets.grid(sets.box([(-1.0, 1.0)], 2001)))
+        assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
 
 
 class TestRankOneExchange:

@@ -72,12 +72,13 @@ def test_check_int_messages_name_the_bound():
         check_int(1, "resolution", minimum=2)
 
 
-# Closed forms run with numpy made unimportable (a None entry in sys.modules
-# makes ``import numpy`` fail) and print what an ordinary run prints.
-_NO_NUMPY_CHILD = """
+# A child run with one dependency made unimportable (a None entry in
+# sys.modules makes ``import numpy`` fail) prints what an ordinary run prints:
+# the closed forms need no numpy, and node selection needs no mpmath.
+_BLOCKED_CHILD = """
 import runpy, sys
-if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
+if sys.argv[1] != "plain":
+    sys.modules[sys.argv[1]] = None
 case = sys.argv[2:]
 if case[0] == "cli":
     from normmesh import cli
@@ -93,6 +94,22 @@ print(normmesh.bounds.entropy_chain(2, 2, 7.389, 3, 0.1).to_json_values())
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _child_env():
+    src = os.path.join(_ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def _assert_same_without(module, case):
+    runs = [subprocess.run([sys.executable, "-c", _BLOCKED_CHILD, mode, *case],
+                           capture_output=True, text=True, env=_child_env(), timeout=120)
+            for mode in ("plain", module)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.strip()
+
+
 @pytest.mark.parametrize("case", [
     ["cli", "bounds", "--n", "2", "--d", "5", "--no-timestamp"],
     ["cli", "bounds", "--n", "1", "--d", "5", "--schedule", "3,1,7.389", "--no-timestamp"],
@@ -105,13 +122,26 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ], ids=["bounds", "bounds-schedule", "entropy-n", "entropy-schedule-nbar",
         "entropy-sweep", "library"])
 def test_closed_forms_run_without_numpy(case):
-    src = os.path.join(_ROOT, "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    runs = [subprocess.run([sys.executable, "-c", _NO_NUMPY_CHILD, mode, *case],
-                           capture_output=True, text=True, env=env, timeout=120)
-            for mode in ("plain", "blocked")]
-    for proc in runs:
-        assert proc.returncode == 0, proc.stderr
-    assert runs[1].stdout == runs[0].stdout
-    assert runs[0].stdout.strip()
+    _assert_same_without("numpy", case)
+
+
+@pytest.mark.parametrize("case", [
+    ["cli", "mesh", "--n", "2", "--d", "3", "--resolution", "21", "--no-timestamp"],
+    ["cli", "dims", "--n", "3", "--d", "2", "--set", "box", "--resolution", "9",
+     "--no-timestamp"],
+    ["cli", "distort", "--n", "1", "--d", "2", "--p", "2", "--resolution", "201",
+     "--trials", "4", "--format", "csv", "--no-timestamp"],
+], ids=["mesh", "dims-box", "distort-p"])
+def test_node_selection_runs_without_mpmath(case):
+    _assert_same_without("mpmath", case)
+
+
+def test_import_loads_no_mpmath_until_a_closed_form_is_read():
+    code = ("import sys, normmesh\n"
+            "assert 'mpmath' not in sys.modules and 'numpy' not in sys.modules\n"
+            "print(normmesh.poly_bound_report(1, 2).inputs)\n"
+            "assert 'mpmath' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'n': 1, 'd': 2}\n"
