@@ -11,6 +11,11 @@ Supported kinds: axis-aligned boxes, Euclidean balls, spheres (circle in
 the plane, latitude-longitude sampled S2 in space), Cartesian products,
 affine images, unions, and point clouds read from text files.
 
+A point cloud file is parsed by numpy's C text reader in one pass.  The
+per-line Python parser runs only for files the C parser refuses, or whose
+array holds a non-finite value or a row of the wrong length; it names the
+first offending line and accepts every numeral ``float`` does.
+
 Grid construction is a pure function of the model: identical parameters
 and resolution yield a bit-identical point list, ordering included.
 """
@@ -193,24 +198,54 @@ def from_points(points: Sequence[Sequence[float]]) -> CompactSetModel:
 def load_point_cloud(path: str, n: int) -> CompactSetModel:
     """Read a point cloud from a text file, one point per line.
 
-    Coordinates are whitespace separated; blank lines and lines starting
-    with ``#`` are ignored.  Every data line must parse as exactly ``n``
-    finite reals; parse failures report the offending line number.
-    Duplicate points are dropped, first occurrence kept.
+    The file is UTF-8 text; a file that does not decode raises
+    ``InputError`` (the command line exits 2).  Coordinates are separated
+    by whitespace (anything ``str.split`` splits on).  A line is a comment
+    when its first token starts with ``#``; comment and blank lines are
+    skipped.  Every other line must hold exactly ``n`` finite reals, each
+    a token that ``float`` accepts; a ``#`` after the data is not a
+    comment.  Errors report the first offending line.  Duplicate points
+    are dropped, first occurrence kept.
     """
     n = check_int(n, "ambient dimension")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read point cloud file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"point cloud file {path!r} is not UTF-8 text: {exc}") from exc
 
+    lines = text.split("\n")
+    if "#" in text:
+        # Blanked, not dropped, so that the per-line path keeps line numbers.
+        lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+    if not any(map(str.strip, lines)):
+        raise InputError(f"{path}: no data rows found")
+    try:
+        pts = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        pts = None
+    if pts is None or pts.shape[1] != n or not np.all(np.isfinite(pts)):
+        pts = _parse_lines(lines, path, n)
+    model = from_points(pts)
+    model.params["source"] = str(path)
+    return model
+
+
+def _parse_lines(lines: list[str], path: str, n: int) -> np.ndarray:
+    """Parse one line at a time with ``float``, reporting the first bad line.
+
+    Runs only when ``np.loadtxt`` refuses the lines, or its array has a
+    non-finite value or other than ``n`` columns: it alone names the
+    offending line, and it alone accepts the numerals that ``float`` takes
+    and the C parser does not (``1_0``, non-ASCII digits).
+    """
     rows: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != n:
             raise InputError(
                 f"{path}:{lineno}: expected {n} coordinates, found {len(tokens)}")
@@ -221,22 +256,16 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
         if not all(map(math.isfinite, row)):
             raise InputError(f"{path}:{lineno}: coordinates must be finite")
         rows.append(row)
-    if not rows:
-        raise InputError(f"{path}: no data rows found")
-    model = from_points(np.asarray(rows, dtype=float))
-    model.params["source"] = str(path)
-    return model
+    return np.asarray(rows, dtype=float)
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    for i in range(pts.shape[0]):
-        key = pts[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return pts[keep]
+    """Distinct rows by their bytes (so -0.0 and 0.0 differ), first kept, in order."""
+    pts = np.ascontiguousarray(pts)
+    keys = pts.view(np.dtype((np.void, pts.dtype.itemsize * pts.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return pts[first]
 
 
 def _box_grid(model: CompactSetModel) -> np.ndarray:

@@ -137,6 +137,17 @@ class TestMesh:
              "--d", "2", "--no-timestamp"], capsys)
         assert rc == 2
 
+    def test_cloud_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0.5 \xe9\n")
+        rc, out, err = run_main(
+            ["dims", "--set", "cloud", "--cloud", str(path), "--n", "2", "--d", "1",
+             "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"ERROR[2]: point cloud file {str(path)!r} is not UTF-8 text: ")
+        assert "Traceback" not in err
+
     def test_sizes_checked_before_basis_enumeration(self, capsys, monkeypatch):
         # 585,276 exponent tuples at n=3, d=150: the dimension comes from the
         # binomial count and the 8-point grid is refused before any tuple

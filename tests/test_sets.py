@@ -1,5 +1,9 @@
 """Grid construction: frozen examples, membership, determinism."""
 
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,43 @@ from hypothesis import strategies as st
 
 from normmesh import sets
 from normmesh.errors import InputError, ValidationError
+
+
+def reference_dedup(pts):
+    """Distinct rows by their bytes through a Python set, first kept, in order."""
+    seen = set()
+    keep = []
+    for i in range(pts.shape[0]):
+        key = pts[i].tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return pts[keep]
+
+
+def reference_load(path, n):
+    """The per-line loader: ``float`` on every token of every line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.readlines()
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != n:
+            raise InputError(
+                f"{path}:{lineno}: expected {n} coordinates, found {len(tokens)}")
+        try:
+            row = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: cannot parse coordinate: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"{path}:{lineno}: coordinates must be finite")
+        rows.append(row)
+    if not rows:
+        raise InputError(f"{path}: no data rows found")
+    return reference_dedup(np.asarray(rows, dtype=float))
 
 
 class TestBox:
@@ -129,6 +170,14 @@ class TestCombinators:
         b = sets.box([(0.5, 1.5)], 3)
         g = sets.grid(sets.union([a, b]))
         np.testing.assert_array_equal(g.ravel(), [0.0, 0.5, 1.0, 1.5])
+        # a member repeated whole adds nothing; -0.0 is a point of its own
+        g = sets.grid(sets.union([b, a, b]))
+        np.testing.assert_array_equal(g.ravel(), [0.5, 1.0, 1.5, 0.0])
+        cloud = sets.from_points([[1.0, 1.0], [-0.0, 1.0]])
+        square = sets.box([(0.0, 1.0), (0.0, 1.0)], 2)
+        g = sets.grid(sets.union([cloud, square, cloud]))
+        assert g.tobytes() == np.array(
+            [[1.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]).tobytes()
 
     def test_union_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -182,6 +231,145 @@ class TestPointCloud:
     def test_from_points_dedup(self):
         model = sets.from_points([[1.0], [1.0], [2.0]])
         np.testing.assert_array_equal(sets.grid(model).ravel(), [1.0, 2.0])
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0.5 \xe9\n")
+        with pytest.raises(InputError, match=r"latin1\.txt.* is not UTF-8 text"):
+            sets.load_point_cloud(str(path), 2)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_first_bad_line_wins_across_kinds(self, tmp_path, order):
+        bad = ["1.0 x", "1.0 2.0 3.0", "1.0 1e400"]
+        lines = ["0.5 0.5"] + [bad[k] for k in order] + ["4.0"]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = ["cannot parse coordinate", "expected 2 coordinates, found 3",
+                    "coordinates must be finite"][order[0]]
+        with pytest.raises(InputError, match=f":2: {expected}") as caught:
+            sets.load_point_cloud(str(path), 2)
+        with pytest.raises(InputError) as reference:
+            reference_load(str(path), 2)
+        assert str(caught.value) == str(reference.value)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "# only\n  # indented\r\n\t\n", "#\x0b1 2\n \xa0#3 4"])
+    def test_no_data_rows_without_numpy_warning(self, tmp_path, text):
+        path = tmp_path / "comments.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r": no data rows found$"):
+                sets.load_point_cloud(str(path), 2)
+
+
+# Numerals float() accepts; the C parser refuses the underscored and the
+# non-ASCII ones, so those files take the per-line path.
+FINITE_TOKENS = ["0.0", "-0.0", "0", "1.5", "-2.25", "+.5", "3.", "1e-300", "-1E+5",
+                 "1_0", "0.2_5", "\u0661\u0662\u0663", "\uff11", "4.9e-324",
+                 "0.1000000000000000055511151231257827"]
+NON_FINITE_TOKENS = ["inf", "-inf", "nan", "1e400", "-Infinity"]
+BAD_TOKENS = ["x", "1.2.3", "--1", "0x10", "1e", "1,5", "_1", "#"]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\xa0", " \t\x0b"]
+INDENTS = ["", " ", "\t", "\xa0", " \x0b"]
+ENDINGS = ["\n", "\r\n", "\r"]
+LINE_KINDS = ["data"] * 16 + ["blank", "space", "comment", "inline", "count", "bad",
+                             "nonfinite"]
+
+
+@st.composite
+def cloud_files(draw):
+    """(n, text) of a small cloud file; rows repeat, and some lines are bad."""
+    n = draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from(FINITE_TOKENS),
+                      st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    pool = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=4))
+
+    def joined(tokens):
+        seps = draw(st.lists(st.sampled_from(SEPARATORS),
+                             min_size=len(tokens), max_size=len(tokens)))
+        body = "".join(tok + sep for tok, sep in zip(tokens, seps))
+        return draw(st.sampled_from(INDENTS)) + body[:-len(seps[-1])] + \
+            draw(st.sampled_from(["", " ", "\t"]))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(LINE_KINDS))
+        row = list(draw(st.sampled_from(pool)))
+        if kind == "data":
+            line = joined(row)
+        elif kind == "blank":
+            line = ""
+        elif kind == "space":
+            line = draw(st.sampled_from(INDENTS[1:] + ["\x0c \t"]))
+        elif kind == "comment":
+            line = draw(st.sampled_from(INDENTS)) + "#" + draw(
+                st.sampled_from(["", " note", "1 2 3", "#", "\xe9"]))
+        elif kind == "inline":
+            line = joined(row) + draw(st.sampled_from([" # note", "\t#", " #1"]))
+        elif kind == "count":
+            line = joined(row + ["1.0"] if draw(st.booleans()) or n == 1 else row[1:])
+        else:
+            tokens = NON_FINITE_TOKENS if kind == "nonfinite" else BAD_TOKENS
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(tokens))
+            line = joined(row)
+        lines.append(line + draw(st.sampled_from(ENDINGS)))
+    return n, "".join(lines)
+
+
+def _outcome(load, path, n):
+    try:
+        return "rows", load(path, n)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+class TestLoaderEquivalence:
+    """The one-pass loader against the per-line reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cloud_path(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("clouds") / "cloud.txt")
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=cloud_files())
+    def test_same_array_or_same_message(self, cloud_path, case):
+        n, text = case
+        with open(cloud_path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        kind, expected = _outcome(reference_load, cloud_path, n)
+        got_kind, got = _outcome(
+            lambda p, k: sets.grid(sets.load_point_cloud(p, k)), cloud_path, n)
+        assert got_kind == kind, (got, expected)
+        if kind == "error":
+            assert got == expected
+        else:
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestDedupRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_set_of_bytes(self, n, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so rows repeat; -0.0 and 0.0 both occur
+        values = np.array([0.0, -0.0, 1.0, -1.5, 2.0 ** -1074])
+        pts = values[rng.integers(0, values.size, size=(int(rng.integers(1, 200)), n))]
+        got = sets._dedup_rows(pts)
+        expected = reference_dedup(pts)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        # the same rows stored column-major or as a strided view
+        assert sets._dedup_rows(np.asfortranarray(pts)).tobytes() == expected.tobytes()
+        wide = np.repeat(pts, 2, axis=1)[:, ::2]
+        assert sets._dedup_rows(wide).tobytes() == expected.tobytes()
+
+    def test_distinct_rows_copied_in_order(self):
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(500, 3))
+        got = sets._dedup_rows(pts)
+        assert got.tobytes() == pts.tobytes()
+        assert not np.shares_memory(got, pts)
 
 
 class TestDeterminism:
