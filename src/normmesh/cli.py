@@ -196,11 +196,12 @@ def _cmd_embed(args) -> dict:
 def _cmd_distort(args) -> dict:
     from . import landau
 
-    # refuse a bad probe setting before node selection at degree d*p
+    # --trials and --seed change no result; they stay so that existing
+    # command lines run, and are checked before node selection at degree d*p
     check_int(args.trials, "trials")
     check_int(args.seed, "seed", minimum=0)
     cert = _build_certificate(args)
-    landau.estimate_distortion(cert, trials=args.trials, seed=args.seed)
+    landau.estimate_distortion(cert)
     anchors = ["power-embedding", "distortion-probe"]
     if args.schedule:
         anchors.append("power-schedule")
@@ -298,13 +299,15 @@ def _build_parser() -> _Parser:
                      description="Certified norming meshes and embedding bounds "
                                  "for polynomial spaces on compact sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    cmds = {name: sub.add_parser(name, help=help_text, allow_abbrev=False)
+    cmds = {name: sub.add_parser(name, help=help_text, description=help_text,
+                                 allow_abbrev=False)
             for name, help_text in (
                 ("dims", "space dimension and grid trace rank"),
                 ("bounds", "closed-form mesh sizes and distortion constants"),
                 ("mesh", "select and certify a norming node set"),
                 ("embed", "build a sup-norm embedding certificate"),
-                ("distort", "embed plus randomized distortion probes"),
+                ("distort", "embed plus the exact grid distortion: the largest "
+                            "grid-to-node sup ratio of any member"),
                 ("entropy", "metric entropy budget for an embedded family"))}
     for name in ("dims", "bounds", "mesh", "embed", "distort"):
         cmds[name].add_argument("--n", type=int, required=True)
@@ -316,12 +319,14 @@ def _build_parser() -> _Parser:
         cmds[name].add_argument("--cloud", help="path to a point cloud text file")
         cmds[name].add_argument("--resolution", type=int, default=101)
     for name in ("mesh", "embed", "distort"):
-        cmds[name].add_argument("--seed", type=int, default=0)
+        cmds[name].add_argument("--seed", type=int, default=0,
+                                help="echoed in the report; changes no result")
     for name in ("embed", "distort"):
         power = cmds[name].add_mutually_exclusive_group(required=True)
         power.add_argument("--p", type=int)
         power.add_argument("--schedule", help="s,k,chat")
-    cmds["distort"].add_argument("--trials", type=int, default=32)
+    cmds["distort"].add_argument("--trials", type=int, default=32,
+                                 help="checked and echoed; changes no result")
     cmds["bounds"].add_argument("--schedule", help="s,k,chat")
     entropy = cmds["entropy"]
     entropy.add_argument("--d", type=int, required=True)

@@ -19,15 +19,14 @@ When the dimension at degree q grows no faster than c_hat * q^k, choosing
 makes ln(m_{d*p}) / p at most c = 1/s + k ln(s)/s, a constant independent
 of the degree; e^c = (e s^k)^(1/s) is then a degree-free distortion bound.
 
-``estimate_distortion`` probes the sharpness of a certificate from below
-with random coefficient starts refined by deterministic coordinate-ascent
-hill climbing; the probe can approach but never exceed the certificate.
-Each climb scores a pass of candidate moves at once on a small peak set
-of grid points, the points where the current probe is largest.  A bound
-on every value off that set proves when the peak-set maximum is the grid
-maximum, bit for bit; only the candidates it cannot decide are evaluated
-on the whole grid, so the result is the same as evaluating every
-candidate there.
+``estimate_distortion`` computes the distortion the certificate bounds,
+max over the grid of |g| / max over the nodes of |g| for g of degree at
+most d: at each grid point it is a linear program over the coefficients,
+and the basis of any one program's optimum bounds every other program
+through its cardinal functions, so only the points whose bounds stay
+above the best exhibited ratio are ever solved.  The reported value is
+the ratio of an explicit polynomial, so it can reach but never exceed
+the certificate.
 """
 
 from __future__ import annotations
@@ -40,12 +39,17 @@ import numpy as np
 from . import meshgen, polyspace, sets
 from .errors import InvariantViolation, check_int
 
-_HILL_CLIMB_PASSES = 200
-_MIN_STEP = 1e-10
-# Grid points whose values are scored for every candidate of a pass.
-_PEAK_POINTS = 64
-_VANISHED = "probe polynomial vanishes on the nodes; the restriction lost rank"
-
+# A grid point is closed once its bound is at most the best exhibited
+# ratio times 1 + _GAP_RTOL.
+_GAP_RTOL = 1e-12
+# In the simplex: a node row may exceed 1 in magnitude by this much at an
+# optimal vertex; a dual below this fraction of the largest counts as zero
+# and keeps its sign; a rate below this fraction of the largest does not
+# block; and a program may pivot this many times per node row.
+_FEASIBLE_ATOL = 1e-12
+_ZERO_RTOL = 1e-12
+_PIVOT_RTOL = 1e-9
+_PIVOTS_PER_ROW = 50
 
 def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
     """Exponent p = s * (floor(ln(c_hat d^k)) + 1) and its constant c.
@@ -69,8 +73,9 @@ class EmbeddingCertificate:
     """A concrete embedding of a polynomial space into l_inf(nodes).
 
     ``certified_bound`` dominates max_G |f| / max_nodes |f| for every
-    member f; ``empirical_distortion`` is the largest ratio any probe has
-    actually exhibited.  The grid, its norming constant and its size are
+    member f; ``empirical_distortion`` is the largest such ratio on the
+    grid, exhibited by a polynomial, once ``estimate_distortion`` has run
+    (1.0 until then).  The grid, its norming constant and its size are
     read from ``node_set``, and the evaluation matrices are built from
     it when read.
     """
@@ -150,165 +155,107 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     )
 
 
-def _distortion_ratio(coeffs: np.ndarray, grid_values: np.ndarray,
-                      node_values: np.ndarray) -> float:
-    over_grid = float(np.abs(grid_values @ coeffs).max())
-    over_nodes = float(np.abs(node_values @ coeffs).max())
-    if over_nodes == 0.0:
-        raise InvariantViolation(_VANISHED)
-    return over_grid / over_nodes
+def _optimal_basis(restriction: np.ndarray, target: np.ndarray, basis: np.ndarray,
+                   signs: np.ndarray, enough: float) -> np.ndarray:
+    """Solve max target.a subject to |restriction @ a| <= 1 from a warm basis.
 
-
-def _signed(columns: np.ndarray) -> np.ndarray:
-    """Each column followed by its negative: the candidates' order of moves."""
-    out = np.repeat(columns, 2, axis=1)
-    out[:, 1::2] *= -1.0
-    return out
-
-
-def _peak_set(values: np.ndarray,
-              grid_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_PEAK_POINTS`` grid points of largest |value|, and their signed rows.
-
-    A grid of at most ``_PEAK_POINTS + 1`` points is its own peak set.
+    Simplex on the dual, min ||mu||_1 subject to restriction^T mu = target,
+    whose basic solutions live on k node rows B with R_B invertible.
+    ``signs`` are the signs of mu on B, so every basis is dual feasible and
+    ||R_B^{-T} target||_1 bounds the program; the vertex a = R_B^{-1} signs
+    is optimal once no node row exceeds 1 in magnitude.  Otherwise the most
+    violated row enters with its sign.  As its |mu| grows, ||mu||_1 falls
+    until enough basic |mu_i| have passed zero and turned to rising; those
+    change sign and the last one leaves.  A mu_i already at zero, as many
+    are on symmetric grids, is passed the same way, by a sign change, so
+    only a pivot whose slope turns at zero leaves ||mu||_1 unchanged; a
+    program still pivoting after 50 pivots per node row raises
+    ``InvariantViolation`` rather than cycle.  The program also stops
+    once its bound is at most ``enough``.  ``basis`` and ``signs`` are
+    updated in place; returns the inverse of R_B.
     """
-    size = values.size
-    if size <= _PEAK_POINTS + 1:
-        peak = np.arange(size)
-    else:
-        peak = np.argpartition(np.abs(values), size - _PEAK_POINTS)[size - _PEAK_POINTS:]
-    return peak, _signed(grid_values[peak])
+    rows = restriction.shape[0]
+    for _ in range(_PIVOTS_PER_ROW * rows):
+        inverse = np.linalg.inv(restriction[basis])
+        duals = inverse.T @ target
+        settled = np.abs(duals) > _ZERO_RTOL * np.abs(duals).max()
+        signs[settled] = np.sign(duals[settled])
+        at_nodes = restriction @ (inverse @ signs)
+        excess = np.abs(at_nodes) - 1.0
+        excess[basis] = 0.0
+        violated = np.flatnonzero(excess > _FEASIBLE_ATOL)
+        if violated.size == 0 or np.abs(duals).sum() <= enough:
+            return inverse
+        enter = violated[np.argmax(excess[violated])]
+        side = 1.0 if at_nodes[enter] > 0.0 else -1.0
+        # d|mu_i| / dt as the entering row's |mu| grows by t; they sum to
+        # |R_enter a| > 1, so the largest is positive
+        rates = side * signs * (inverse.T @ restriction[enter])
+        weights = np.where(settled, signs * duals, 0.0)
+        blocking = np.flatnonzero(rates > _PIVOT_RTOL * rates.max())
+        steps = weights[blocking] / rates[blocking]
+        order = blocking[np.argsort(steps, kind="stable")]
+        # the slope of ||mu||_1 starts at -excess and rises by twice the
+        # rate of each |mu_i| that passes zero
+        slopes = 2.0 * np.cumsum(rates[order]) - excess[enter]
+        crossing = int(np.argmax(slopes >= 0.0))
+        signs[order[:crossing]] *= -1.0
+        leave = order[crossing]
+        basis[leave], signs[leave] = enter, side
+    raise InvariantViolation(
+        f"distortion LP reached no optimal basis in {_PIVOTS_PER_ROW * rows} pivots")
 
 
-def _outside(values: np.ndarray, peak: np.ndarray) -> float:
-    """The largest |value| off the peak set; -inf when it is the whole grid."""
-    if peak.size == values.size:
-        return -math.inf
-    magnitude = np.abs(values)
-    magnitude[peak] = 0.0
-    return float(magnitude.max())
+def estimate_distortion(cert: EmbeddingCertificate) -> float:
+    """The grid distortion max_G |g| / max_nodes |g| over the space.
 
-
-def _first_gain(values: np.ndarray, screen: tuple[np.ndarray, np.ndarray, float],
-                at_nodes: np.ndarray, node_columns: np.ndarray,
-                grid_values: np.ndarray, column_peak: np.ndarray, step: float,
-                first: int, best: float) -> tuple[int, float] | None:
-    """The first candidate from ``first`` on whose ratio beats ``best``.
-
-    Candidate 2i adds ``step`` to coordinate i of the current unit vector
-    and candidate 2i+1 subtracts it; ``values`` and ``at_nodes`` are that
-    vector's values on the grid and at the nodes.  Normalising cancels in
-    the ratio, so a candidate's values are ``values ± step * column``.
-    Every remaining candidate is scored at once on the peak set of
-    ``screen``.  Where that maximum exceeds the ceiling on every value off
-    the peak set, it is the grid maximum bit for bit; where even the
-    ceiling cannot beat ``best`` the candidate is rejected; otherwise it
-    is scored on the whole grid.  Candidates are decided in order, so the
-    result, and the vanishing-node check, are those of trying them one at
-    a time.  Returns (candidate, ratio), or None when no candidate gains.
+    For each grid point z the largest g(z) with |g| <= 1 at the nodes is
+    a linear program, solved by ``_optimal_basis``.  Any basis B of k
+    node rows bounds every such program at once: g(z) <= sum_i |l_i(z)|
+    with l_i the cardinal functions of B, the row sums of |G R_B^{-1}|.
+    Starting from the greedy basis of the node rows, each round takes the
+    open grid point of largest bound, solves its program warm-started
+    from the basis that gave that bound, keeps the ratio of the final
+    vertex polynomial and lowers every open bound to the final basis's.
+    A point closes when its program is solved, or when its bound is at
+    most the best ratio times 1 + 1e-12, which also ends its program
+    early; rounds stop when no point is open.  The result is the ratio
+    of an exhibited polynomial, draws no random numbers, and updates
+    ``cert.empirical_distortion``.  It can never legitimately exceed
+    ``cert.certified_bound``; if it does, a certified inequality has been
+    violated and an error is raised.
     """
-    peak, peak_columns, outside = screen
-    over_peak = np.abs(values[peak, None] + step * peak_columns[:, first:]).max(axis=0)
-    over_nodes = np.abs(at_nodes[:, None] + step * node_columns[:, first:]).max(axis=0)
-    # no value outside the peak set exceeds this, rounding included
-    ceiling = (outside + step * column_peak[first:]) * (1.0 + 1e-12)
-    exact = over_peak > ceiling
-    threshold = best * (1.0 + 1e-14)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.maximum(over_peak, ceiling) / over_nodes
-    for k in np.flatnonzero((over_nodes == 0.0) | (ratios > threshold)):
-        if over_nodes[k] == 0.0:
-            raise InvariantViolation(_VANISHED)
-        ratio = float(ratios[k])
-        if not exact[k]:
-            i, minus = divmod(first + int(k), 2)
-            shift = step * grid_values[:, i]
-            over_grid = np.abs(values - shift if minus else values + shift).max()
-            ratio = float(over_grid) / float(over_nodes[k])
-        if ratio > threshold:
-            return first + int(k), ratio
-    return None
-
-
-def _climb(start: np.ndarray, grid_values: np.ndarray,
-           node_values: np.ndarray) -> float:
-    """Coordinate ascent on the unit coefficient sphere with step halving.
-
-    Each pass tries coordinate i ascending, ``+step`` before ``-step``,
-    and moves to every candidate whose ratio beats the best so far by a
-    relative 1e-14; a pass without a move halves the step.  A pass that
-    follows moves recomputes the current vector's values from the grid
-    matrix and picks its peak set from them; a move updates the values in
-    place.  The starting and returned ratios are computed from the vector
-    itself.  The updated values differ from recomputed ones only by
-    rounding, far inside the 1e-14 margin, so the moves are those of
-    evaluating each candidate vector on the whole grid unless a ratio sits
-    within that rounding of the acceptance threshold; the tests check the
-    results bit for bit against that reference.
-    """
-    current = start / np.linalg.norm(start)
-    best = _distortion_ratio(current, grid_values, node_values)
-    column_peak = np.repeat(
-        np.maximum(grid_values.max(axis=0), -grid_values.min(axis=0)), 2)
-    node_columns = _signed(node_values)
-    step = 0.25
-    dim = current.size
-    improved = True
-    for _ in range(_HILL_CLIMB_PASSES):
-        if improved:
-            values, at_nodes = grid_values @ current, node_values @ current
-            peak, peak_columns = _peak_set(values, grid_values)
-            screen = (peak, peak_columns, _outside(values, peak))
-        improved = False
-        candidate = 0
-        while candidate < 2 * dim:
-            gain = _first_gain(values, screen, at_nodes, node_columns, grid_values,
-                               column_peak, step, candidate, best)
-            if gain is None:
-                break
-            candidate, best = gain
-            i, minus = divmod(candidate, 2)
-            delta = -step if minus else step
-            moved = current.copy()
-            moved[i] += delta
-            norm = np.linalg.norm(moved)
-            current = moved / norm
-            values = (values + delta * grid_values[:, i]) / norm
-            at_nodes = (at_nodes + delta * node_values[:, i]) / norm
-            screen = (peak, peak_columns, _outside(values, peak))
-            improved = True
-            candidate += 1
-        if not improved:
-            step *= 0.5
-            if step < _MIN_STEP:
-                break
-    return _distortion_ratio(current, grid_values, node_values)
-
-
-def estimate_distortion(cert: EmbeddingCertificate, trials: int = 32,
-                        seed: int = 0) -> float:
-    """Lower-bound the true distortion by randomized hill-climbed probes.
-
-    Runs ``trials`` climbs in turn, each from a random unit coefficient
-    vector drawn from its own stream spawned off ``seed`` (a non-negative
-    integer), and records the best grid-to-node sup ratio found.  Each
-    climb screens its candidate moves on the grid points where the probe
-    peaks and evaluates the whole grid only where the screen cannot
-    decide; the result is unchanged by the screen.  The result updates
-    ``cert.empirical_distortion`` and can never legitimately
-    exceed ``cert.certified_bound``; if it does, a certified inequality
-    has been violated and an error is raised.
-    """
-    trials = check_int(trials, "trials")
-    seed = check_int(seed, "seed", minimum=0)
     restriction, grid_values = cert.restriction, cert.grid_values
-    observed = max(
-        _climb(np.random.default_rng(child).standard_normal(cert.space.dim),
-               grid_values, restriction)
-        for child in np.random.SeedSequence(seed).spawn(trials))
+    basis = np.array(meshgen._greedy_rows(restriction))
+    # every basis met so far with its signs; owner names, for each open
+    # grid point, the one that gave its bound
+    bases = [(basis, np.ones(basis.size))]
+    points = np.arange(grid_values.shape[0])
+    owner = np.zeros(points.size, dtype=int)
+    bound = np.abs(grid_values @ np.linalg.inv(restriction[basis])).sum(axis=1)
+    observed = 0.0
+    while True:
+        enough = observed * (1.0 + _GAP_RTOL)
+        still = bound > enough
+        points, owner, bound = points[still], owner[still], bound[still]
+        if not points.size:
+            break
+        top = int(np.argmax(bound))
+        basis, signs = (part.copy() for part in bases[owner[top]])
+        inverse = _optimal_basis(restriction, grid_values[points[top]], basis, signs,
+                                 enough)
+        vertex = inverse @ signs
+        ratio = np.abs(grid_values @ vertex).max() / np.abs(restriction @ vertex).max()
+        observed = max(observed, float(ratio))
+        lowered = np.abs(grid_values[points] @ inverse).sum(axis=1)
+        better = lowered < bound
+        bound[better] = lowered[better]
+        owner[better] = len(bases)
+        bases.append((basis, signs))
+        bound[top] = -np.inf  # solved, or its bound met the best ratio
     if observed > cert.certified_bound * (1.0 + 1e-9):
         raise InvariantViolation(
             f"observed distortion {observed!r} exceeds the certified bound "
             f"{cert.certified_bound!r}")
-    cert.empirical_distortion = float(observed)
-    return cert.empirical_distortion
+    cert.empirical_distortion = observed
+    return observed

@@ -11,10 +11,11 @@ Supported kinds: axis-aligned boxes, Euclidean balls, spheres (circle in
 the plane, latitude-longitude sampled S2 in space), Cartesian products,
 affine images, unions, and point clouds read from text files.
 
-A point cloud file is parsed by numpy's C text reader in one pass.  The
-per-line Python parser runs only for files the C parser refuses, or whose
-array holds a non-finite value or a row of the wrong length; it names the
-first offending line and accepts every numeral ``float`` does.
+A point cloud file is parsed by numpy's C text reader, one block of
+4096 lines per call.  The per-line Python parser runs only on a block the
+C parser refuses, or whose array holds a non-finite value or a row of the
+wrong length; it names the first offending line and accepts every numeral
+``float`` does.
 
 Grid construction is a pure function of the model: identical parameters
 and resolution yield a bit-identical point list, ordering included.
@@ -33,6 +34,9 @@ from .errors import InputError, ValidationError, check_int
 # Curved sets admit boundary grid points only up to roundoff; the slack
 # stays an order of magnitude below the 1e-12 membership contract.
 _MEMBERSHIP_SLACK = 1e-13
+# A point cloud is read this many lines at a time, so a line the C parser
+# refuses sends only its own block through the per-line parser.
+_CLOUD_BLOCK_LINES = 4096
 
 # Kinds whose grids are driven by the resolution parameter.
 SAMPLED_KINDS = ("box", "ball", "sphere")
@@ -220,29 +224,46 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
     if "#" in text:
         # Blanked, not dropped, so that the per-line path keeps line numbers.
         lines = ["" if line.lstrip().startswith("#") else line for line in lines]
-    if not any(map(str.strip, lines)):
+    del text  # the lines hold the file; keeping both raises the peak memory
+    blocks = []
+    for start in range(0, len(lines), _CLOUD_BLOCK_LINES):
+        block = lines[start:start + _CLOUD_BLOCK_LINES]
+        if any(map(str.strip, block)):
+            blocks.append(_parse_block(block, start, path, n))
+    if not blocks:
         raise InputError(f"{path}: no data rows found")
+    model = from_points(np.concatenate(blocks))
+    model.params["source"] = str(path)
+    return model
+
+
+def _parse_block(lines: list[str], offset: int, path: str, n: int) -> np.ndarray:
+    """The rows of a block of lines, the first of them line ``offset + 1``.
+
+    ``np.loadtxt`` reads the block in one C-level pass; when it refuses a
+    line, or its array has a non-finite value or other than ``n``
+    columns, ``_parse_lines`` reads the block again.  Earlier blocks all
+    passed, so the first bad line of this block is the file's first.
+    """
     try:
         pts = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
     except ValueError:
         pts = None
     if pts is None or pts.shape[1] != n or not np.all(np.isfinite(pts)):
-        pts = _parse_lines(lines, path, n)
-    model = from_points(pts)
-    model.params["source"] = str(path)
-    return model
+        pts = _parse_lines(lines, offset, path, n)
+    return pts
 
 
-def _parse_lines(lines: list[str], path: str, n: int) -> np.ndarray:
+def _parse_lines(lines: list[str], offset: int, path: str, n: int) -> np.ndarray:
     """Parse one line at a time with ``float``, reporting the first bad line.
 
-    Runs only when ``np.loadtxt`` refuses the lines, or its array has a
-    non-finite value or other than ``n`` columns: it alone names the
-    offending line, and it alone accepts the numerals that ``float`` takes
-    and the C parser does not (``1_0``, non-ASCII digits).
+    Runs only on a block that ``np.loadtxt`` could not read into ``n``
+    finite columns: it alone names the offending line, and it alone
+    accepts the numerals that ``float`` takes and the C parser does not
+    (``1_0``, non-ASCII digits).
     """
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=offset + 1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -231,7 +231,7 @@ class TestDistort:
         assert payload["inputs"]["trials"] == 4
 
     def test_violated_certificate_exits_three(self, capsys, monkeypatch):
-        def explode(cert, trials, seed):
+        def explode(cert):
             raise InvariantViolation("probe exceeded the certified bound")
 
         monkeypatch.setattr(landau, "estimate_distortion", explode)
@@ -253,6 +253,7 @@ class TestDistort:
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be a non-negative integer, got -1"),
         ("--trials", "0", "trials must be a positive integer, got 0"),
+        ("--trials", "-3", "trials must be a positive integer, got -3"),
     ])
     def test_probe_settings_checked_before_selection(self, capsys, monkeypatch,
                                                      flag, value, message):
@@ -266,6 +267,17 @@ class TestDistort:
         assert rc == 2
         assert out == ""
         assert err.strip() == f"ERROR[2]: {message}"
+
+    def test_seed_and_trials_change_no_value(self, capsys):
+        # the distortion is exact; the flags are only checked and echoed
+        common = ["distort", "--n", "1", "--d", "3", "--p", "2", "--resolution", "201",
+                  "--no-timestamp"]
+        runs = [run_json(common + flags, capsys) for flags in (
+            [], ["--seed", "7"], ["--trials", "1"], ["--seed", "123", "--trials", "64"])]
+        values = {payload["certificate"]["empirical_distortion"] for payload in runs}
+        assert len(values) == 1
+        assert [payload["inputs"]["trials"] for payload in runs] == [32, 32, 1, 64]
+        assert [payload["inputs"]["seed"] for payload in runs] == [0, 7, 0, 123]
 
     def test_one_point_cloud(self, capsys, tmp_path):
         cloud = tmp_path / "cloud.txt"

@@ -136,6 +136,12 @@ def test_node_selection_runs_without_mpmath(case):
     _assert_same_without("mpmath", case)
 
 
+def test_distortion_runs_without_scipy():
+    # the exact distortion solves its linear programs with numpy alone
+    _assert_same_without("scipy", ["cli", "distort", "--n", "2", "--d", "2", "--p", "2",
+                                   "--resolution", "41", "--no-timestamp"])
+
+
 def test_import_loads_no_mpmath_until_a_closed_form_is_read():
     code = ("import sys, normmesh\n"
             "assert 'mpmath' not in sys.modules and 'numpy' not in sys.modules\n"

@@ -18,7 +18,7 @@ def _env() -> dict:
 
 @pytest.mark.parametrize("script, args", [
     ("interval_certificates.py",
-     ["--max-degree", "4", "--powers", "1", "2", "--resolution", "401", "--trials", "2"]),
+     ["--max-degree", "4", "--powers", "1", "2", "--resolution", "401"]),
     ("entropy_sweep.py", ["--orders", "1", "2", "--eps", "0.1", "0.01"]),
 ])
 def test_script_runs(script, args):

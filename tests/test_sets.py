@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -346,6 +347,48 @@ class TestLoaderEquivalence:
         else:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cloud_files(), block=st.integers(1, 5))
+    def test_blocks_change_nothing(self, cloud_path, case, block):
+        # a file read a few lines at a time gives the one-block result
+        n, text = case
+        with open(cloud_path, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        kind, expected = _outcome(reference_load, cloud_path, n)
+        with unittest.mock.patch.object(sets, "_CLOUD_BLOCK_LINES", block):
+            got_kind, got = _outcome(
+                lambda p, k: sets.grid(sets.load_point_cloud(p, k)), cloud_path, n)
+        assert got_kind == kind, (got, expected)
+        if kind == "error":
+            assert got == expected
+        else:
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tail, message", [
+        ([], None),
+        (["1 2 3"], ":{}: expected 2 coordinates, found 3"),
+        (["x 1", "1 2 3"], ":{}: cannot parse coordinate"),
+    ], ids=["rows", "count", "first-of-two"])
+    def test_refused_line_in_a_late_block(self, tmp_path, tail, message):
+        # a numeral only float reads, after several blocks the C parser
+        # reads, then possibly bad lines in the next block
+        good = [f"{i * 0.5!r} {-i * 0.25!r}" for i in range(3 * sets._CLOUD_BLOCK_LINES)]
+        lines = good + ["1_0 2"] + [good[0]] * sets._CLOUD_BLOCK_LINES + tail
+        path = tmp_path / "cloud.txt"
+        path.write_text("\n".join(lines) + "\n")
+        if message is None:
+            got = sets.grid(sets.load_point_cloud(str(path), 2))
+            assert got.tobytes() == reference_load(str(path), 2).tobytes()
+            assert got.shape == (len(good) + 1, 2)
+        else:
+            expected = message.format(len(good) + sets._CLOUD_BLOCK_LINES + 2)
+            with pytest.raises(InputError, match=expected) as caught:
+                sets.load_point_cloud(str(path), 2)
+            with pytest.raises(InputError) as reference:
+                reference_load(str(path), 2)
+            assert str(caught.value) == str(reference.value)
 
 
 class TestDedupRows:
