@@ -10,9 +10,8 @@ how far the closed form sits above the assembled chain.
 import argparse
 import math
 
-import mpmath as mp
-
 from normmesh import bounds
+from normmesh.errors import NormMeshError, report_error
 
 
 def main() -> int:
@@ -31,14 +30,17 @@ def main() -> int:
         for eps in args.eps:
             rep = bounds.entropy_chain(args.d, k, args.chat, args.nbar, eps)
             print(f"{k:>3} {eps:>6.3f} "
-                  f"{mp.nstr(rep.value('s_eps'), 8):>12} "
-                  f"{mp.nstr(rep.value('R_eps'), 7):>10} "
-                  f"{mp.nstr(rep.value('inv_xi_3_8'), 8):>12} "
+                  f"{bounds.format_real(rep.value('s_eps'), 8):>12} "
+                  f"{bounds.format_real(rep.value('R_eps'), 7):>10} "
+                  f"{bounds.format_real(rep.value('inv_xi_3_8'), 8):>12} "
                   f"{rep.value('N_ds_cor1'):>10} "
-                  f"{mp.nstr(rep.value('log_net_card'), 8):>14} "
-                  f"{mp.nstr(rep.value('entropy_chain_final'), 8):>14}")
+                  f"{bounds.format_real(rep.value('log_net_card'), 8):>14} "
+                  f"{bounds.format_real(rep.value('entropy_chain_final'), 8):>14}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except NormMeshError as exc:
+        raise SystemExit(report_error(exc))

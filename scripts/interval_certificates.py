@@ -11,6 +11,7 @@ import argparse
 import json
 
 from normmesh import landau, meshgen, polyspace, sets
+from normmesh.errors import NormMeshError, report_error
 
 
 def main() -> int:
@@ -51,4 +52,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        raise SystemExit(main())
+    except NormMeshError as exc:
+        raise SystemExit(report_error(exc))

@@ -5,7 +5,8 @@ determinant-maximizing node sets whose cardinal functions certify a
 norming inequality over the grid, converts those into low-distortion
 embeddings of polynomial spaces into l_inf over the nodes via the power
 trick, and evaluates the companion closed-form constants (mesh sizes,
-distortion bounds, covering and entropy budgets) in high precision.
+distortion bounds, covering and entropy budgets) in high precision with
+the standard library's ``decimal``.
 """
 
 import importlib
@@ -19,10 +20,8 @@ from .errors import (
 )
 
 # Every module but ``errors`` loads on first access to one of its names
-# (PEP 562), so ``import normmesh`` loads neither numpy nor mpmath.  The
-# closed forms in ``bounds`` run without numpy; mpmath loads only with
-# ``bounds``, which the ``bounds`` and ``entropy`` commands and a
-# ``--schedule`` read.
+# (PEP 562), so ``import normmesh`` loads no numpy.  The closed forms in
+# ``bounds`` run without numpy, in ``decimal``.
 _LAZY = {
     "bounds": ("BoundReport", "entropy_chain", "log_distortion",
                "log_distortion_inverse", "net_cardinality_log", "poly_bound_report",

@@ -13,24 +13,29 @@ used elsewhere in the package:
   resulting metric entropy chain, including the decreasing function
   phi(x) = (1 + k ln x) / x whose inverse sets the exponent schedule.
 
-All real arithmetic runs in software high precision (at least 30
-significant digits).  Every floor is audited: the expression is evaluated
-again at twice the working precision, with the working precision itself
-scaled to the magnitude of the value, and the two floors must agree.
-Integer results are exact Python integers.
+All real arithmetic runs in the standard library's ``decimal`` with guard
+digits beyond the 30 significant digits reported; float inputs convert
+exactly.  Reported reals are ``decimal.Decimal`` values, rounded once,
+when ``format_real`` renders them.  Every floor is audited: the expression
+is evaluated again at twice the working precision, with the working
+precision itself scaled to the magnitude of the value, and the two floors
+must agree.  Integer results are exact Python integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, getcontext,
+                     localcontext)
 from typing import Callable
-
-import mpmath as mp
 
 from .errors import InvariantViolation, ValidationError, check_int
 
 _BASE_DPS = 30
+# Digits carried beyond those a real is correct to, and the working
+# precision of the entropy chain.
+_GUARD = 10
+_CHAIN_DPS = 40
 
 # Stable wire names for reported formulas, used verbatim in JSON reports.
 FORMULA_NAMES = (
@@ -48,17 +53,79 @@ FORMULA_NAMES = (
 )
 
 
-@dataclass
+def _digits(prec: int):
+    """A decimal context of ``prec`` significant digits whose exponent range
+    no value here leaves."""
+    return localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def _e() -> Decimal:
+    """e to the context's precision, summing 1/j! in integer fixed point.
+
+    ``Decimal(1).exp()`` slows steeply with the digits: ~80 ms at the 1676
+    digits that ``poly_embedding_size(50, 10**9)`` audits at, against
+    under 1 ms for the series.  Each term is truncated by less than one
+    unit of the 10 extra digits, so the sum is short by fewer units than
+    it has terms.
+    """
+    digits = getcontext().prec + 10
+    total, term, j = 0, 10 ** digits, 0
+    while term:
+        total += term
+        j += 1
+        term //= j
+    return +Decimal(total).scaleb(-digits)
+
+
+def format_real(x, digits: int) -> str:
+    """``x`` rounded once to ``digits`` significant digits, laid out as
+    mpmath's ``nstr(x, digits)``.
+
+    Ties round away from zero.  The notation is fixed when the decimal
+    exponent e of the leading digit has min(-(digits // 3), -5) < e <
+    digits, and d.ddd followed by e+31 or e-7 otherwise; trailing zeros
+    are stripped, keeping ".0".  Ints and floats convert exactly.
+    """
+    value = Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX,
+                    Emin=MIN_EMIN).plus(Decimal(x))
+    if not value:
+        return "0.0"
+    sign, mantissa, _ = value.as_tuple()
+    text = "".join(map(str, mantissa)).rstrip("0")
+    exponent = value.adjusted()
+    sign_text = "-" if sign else ""
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            return f"{sign_text}0.{'0' * (-exponent - 1)}{text}"
+        text = text.ljust(exponent + 1, "0")
+        return f"{sign_text}{text[:exponent + 1]}.{text[exponent + 1:] or '0'}"
+    return f"{sign_text}{text[0]}.{text[1:] or '0'}e{'+' if exponent >= 0 else ''}{exponent}"
+
+
 class BoundReport:
     """Named evaluated formulas with the inputs that produced them.
 
     ``values`` is an ordered list of (name, value, anchor) triples; values
-    are exact ints or high-precision mpmath reals.  Anchors are opaque
+    are exact ints or ``decimal.Decimal`` reals that carry guard digits
+    beyond the 30 that ``to_json_values`` renders.  Anchors are opaque
     labels that tie a number to the identity it instantiates.
+
+    A plain class, not a dataclass: ``dataclasses`` imports ``inspect``,
+    ~7 ms of every closed-form process.
     """
 
-    inputs: dict = field(default_factory=dict)
-    values: list[tuple[str, object, str]] = field(default_factory=list)
+    def __init__(self, inputs: dict | None = None,
+                 values: list[tuple[str, object, str]] | None = None):
+        self.inputs = {} if inputs is None else inputs
+        self.values = [] if values is None else values
+
+    def __repr__(self) -> str:
+        return f"BoundReport(inputs={self.inputs!r}, values={self.values!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inputs, self.values) == (other.inputs, other.values)
 
     def value(self, name: str):
         for key, val, _ in self.values:
@@ -67,46 +134,39 @@ class BoundReport:
         raise KeyError(name)
 
     def to_json_values(self) -> list[list]:
-        out = []
-        for name, val, anchor in self.values:
-            if isinstance(val, int) and not isinstance(val, bool):
-                rendered: object = val
-            elif isinstance(val, mp.mpf):
-                # nstr respects the value's own precision; wrapping through
-                # mp.mpf here would re-round at the ambient working precision.
-                rendered = mp.nstr(val, _BASE_DPS)
-            else:
-                with mp.workdps(_BASE_DPS):
-                    rendered = mp.nstr(mp.mpf(val), _BASE_DPS)
-            out.append([name, rendered, anchor])
-        return out
+        return [[name, val if isinstance(val, int) and not isinstance(val, bool)
+                 else format_real(val, _BASE_DPS), anchor]
+                for name, val, anchor in self.values]
 
 
-def _audited_floor(make_value: Callable[[], mp.mpf], context: str) -> int:
+def _audited_floor(make_value: Callable[[], Decimal], context: str) -> int:
     """Floor with a dual-precision agreement audit.
 
     The expression is evaluated at a precision scaled to its magnitude and
     once more at double that precision; the floors must match.
     """
-    with mp.workdps(_BASE_DPS):
+    with _digits(_BASE_DPS):
         probe = make_value()
-        if not mp.isfinite(probe):
-            raise ValidationError(f"{context}: expression is not finite")
-        magnitude = int(mp.floor(mp.log10(abs(probe)))) if probe != 0 else 0
+    if not probe.is_finite():
+        raise ValidationError(f"{context}: expression is not finite")
+    magnitude = probe.adjusted() if probe else 0
     dps = max(_BASE_DPS, magnitude + 20)
-    with mp.workdps(dps):
-        first = mp.floor(make_value())
-    with mp.workdps(2 * dps):
-        second = mp.floor(make_value())
+    with _digits(dps):
+        first = math.floor(make_value())
+    with _digits(2 * dps):
+        second = math.floor(make_value())
     if first != second:
         raise InvariantViolation(
             f"{context}: floor audit disagrees between {dps} and {2 * dps} digits")
-    return int(first)
+    return first
 
 
-def _check_chat(c_hat) -> mp.mpf:
-    c = mp.mpf(c_hat)
-    if not mp.isfinite(c) or c <= 0:
+def _check_chat(c_hat) -> Decimal:
+    try:
+        c = Decimal(c_hat) if isinstance(c_hat, (int, Decimal)) else Decimal(float(c_hat))
+    except (TypeError, ValueError):
+        c = Decimal("NaN")
+    if not c.is_finite() or c <= 0:
         raise ValidationError(f"growth constant must be positive and finite, got {c_hat!r}")
     return c
 
@@ -116,33 +176,29 @@ def log_floor(c_hat, d: int, k: int) -> int:
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
     c = _check_chat(c_hat)
-    with mp.workdps(_BASE_DPS):
-        if mp.mpf(c_hat) * mp.mpf(d) ** k < 1:
+    with _digits(_BASE_DPS):
+        if c * d ** k < 1:
             raise ValidationError(
                 f"need c_hat * d^k >= 1 for the schedule, got {c_hat!r} * {d}^{k}")
-    return _audited_floor(
-        lambda: mp.log(mp.mpf(c_hat) * mp.mpf(d) ** k), "log_floor")
+    return _audited_floor(lambda: (c * d ** k).ln(), "log_floor")
 
 
 def poly_embedding_size(n: int, d: int) -> int:
     """Node-count budget for degree-d polynomials in n variables."""
     n = check_int(n, "number of variables")
     d = check_int(d, "degree")
-    inner = _audited_floor(lambda: n * mp.log(d), "poly_embedding_size inner floor")
+    inner = _audited_floor(lambda: n * Decimal(d).ln(), "poly_embedding_size inner floor")
     factor = 2 * n + 1 + inner
-
-    def value() -> mp.mpf:
-        return mp.e ** (2 * n) * mp.mpf(n + 2) ** (2 * n) * mp.mpf(d) ** n \
-            * mp.mpf(factor) ** n
-
-    return _audited_floor(value, "poly_embedding_size")
+    # the exact integer part of e^(2n) (n+2)^(2n) d^n factor^n
+    count = (n + 2) ** (2 * n) * d ** n * factor ** n
+    return _audited_floor(lambda: _e() ** (2 * n) * count, "poly_embedding_size")
 
 
-def poly_distortion_bound(n: int, dps: int = _BASE_DPS) -> mp.mpf:
-    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2))."""
+def poly_distortion_bound(n: int, dps: int = _BASE_DPS) -> Decimal:
+    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2)), correct to dps digits."""
     n = check_int(n, "number of variables")
-    with mp.workdps(dps):
-        return (mp.e * mp.mpf(n + 2) ** 2) ** (mp.mpf(1) / (n + 2))
+    with _digits(dps + _GUARD):
+        return (_e() * (n + 2) ** 2) ** (1 / Decimal(n + 2))
 
 
 def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
@@ -151,19 +207,17 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
     k = check_int(k, "growth order")
     s = check_int(s, "schedule parameter s", minimum=3)
     inner = log_floor(c_hat, d, k)
-
-    def value() -> mp.mpf:
-        return mp.mpf(c_hat) * mp.mpf(d) ** k * mp.mpf(s) ** k * mp.mpf(inner + 1) ** k
-
-    return _audited_floor(value, "scheduled_embedding_size")
+    c = _check_chat(c_hat)
+    count = d ** k * s ** k * (inner + 1) ** k
+    return _audited_floor(lambda: c * count, "scheduled_embedding_size")
 
 
-def schedule_distortion_bound(s: int, k: int, dps: int = _BASE_DPS) -> mp.mpf:
-    """Distortion constant (e s^k)^(1/s) for the scheduled embedding."""
+def schedule_distortion_bound(s: int, k: int, dps: int = _BASE_DPS) -> Decimal:
+    """Distortion constant (e s^k)^(1/s) for the scheduled embedding, correct to dps digits."""
     s = check_int(s, "schedule parameter s", minimum=3)
     k = check_int(k, "growth order")
-    with mp.workdps(dps):
-        return (mp.e * mp.mpf(s) ** k) ** (mp.mpf(1) / s)
+    with _digits(dps + _GUARD):
+        return (_e() * s ** k) ** (1 / Decimal(s))
 
 
 def net_cardinality_log(num_coords: int, nbar: int, xi: float) -> tuple[float, float]:
@@ -185,9 +239,9 @@ def net_cardinality_log(num_coords: int, nbar: int, xi: float) -> tuple[float, f
     return ratio, log_count
 
 
-def _phi_gap_mp(x: mp.mpf, y: mp.mpf, k: int) -> tuple[mp.mpf, mp.mpf]:
+def _phi_gap(x, y, k: int, log):
     """phi(x) - y and phi'(x) = (k - 1 - k ln x) / x^2, from one logarithm."""
-    log_x = mp.log(x)
+    log_x = log(x)
     return (1 + k * log_x) / x - y, (k - 1 - k * log_x) / (x * x)
 
 
@@ -202,24 +256,25 @@ def log_distortion(x: float, k: int = 1) -> float:
     return (1.0 + k * math.log(x)) / x
 
 
-def _phi_inverse_mp(y: mp.mpf, k: int) -> mp.mpf:
-    """Inverse of phi on its decreasing branch, full precision.
+def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
+    """Root of phi(x) = y in [lo, hi] by Newton's method from x, in floats
+    or Decimals alike.
 
-    Newton on phi(x) - y from the upper end of the bracket.  Each residual's
-    sign shrinks the bracket, and a Newton step that would leave it is
-    replaced by a bisection step; this covers the branch edge
-    e^((k-1)/k), where phi' = 0.
+    Each residual's sign shrinks the bracket, and a Newton step that would
+    leave it is replaced by a bisection step; this covers the branch edge
+    e^((k-1)/k), where phi' = 0.  Stops once a step is at most ``stop``
+    relative to x.
     """
-    lower = mp.e ** (mp.mpf(k - 1) / k)
-    upper = (3 * k / y) * mp.log(3 * k / y)
-    gap, slope = _phi_gap_mp(upper, y, k)
-    if gap > 0:
+    gap, slope = _phi_gap(x, y, k, log)
+    if x == hi and gap > 0:
         raise InvariantViolation(
-            f"bracketing bound (3k/y) ln(3k/y) fails at y={mp.nstr(y, 12)}, k={k}; "
+            f"bracketing bound (3k/y) ln(3k/y) fails at y={format_real(y, 12)}, k={k}; "
             f"the inverse is not bracketed")
-    lo, hi, x = lower, upper, upper
-    stop = mp.mpf(10) ** (-(mp.mp.dps - 5))
-    for _ in range(mp.mp.prec + 40):
+    for _ in range(steps):
+        if gap >= 0:
+            lo = x
+        else:
+            hi = x
         nxt = (lo + hi) / 2
         if slope:
             newton = x - gap / slope
@@ -228,27 +283,84 @@ def _phi_inverse_mp(y: mp.mpf, k: int) -> mp.mpf:
         step, x = nxt - x, nxt
         if abs(step) <= x * stop:
             break
-        gap, slope = _phi_gap_mp(x, y, k)
-        if gap >= 0:
-            lo = x
-        else:
-            hi = x
+        gap, slope = _phi_gap(x, y, k, log)
     return x
+
+
+def _float_root(y: Decimal, k: int) -> float | None:
+    """phi's inverse at y in double precision, the seed of the decimal Newton.
+
+    None when y or the bracket's upper end (3k/y) ln(3k/y) leaves the
+    double range, or when the double residual there is too close to zero
+    to show that it brackets the root.
+    """
+    yf = float(y)
+    top = 3 * k / yf if yf > 0 else math.inf
+    upper = top * math.log(top)
+    if not math.isfinite(upper) or (1 + k * math.log(upper)) / upper >= yf * (1 - 1e-9):
+        return None
+    return _phi_root(yf, k, math.exp((k - 1) / k), upper, upper, math.log, 1e-11, 2000)
+
+
+def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
+    """Inverse of phi on its decreasing branch, to the context's precision.
+
+    Safeguarded Newton (``_phi_root``) in the bracket
+    [e^((k-1)/k), (3k/y) ln(3k/y)], from ``seed`` when it lies inside,
+    else from the double-precision root, else from the bracket's upper end.
+    The bracket only guards the steps, so its ends take 30 digits.
+    """
+    prec = getcontext().prec
+    with _digits(_BASE_DPS):
+        lower = (Decimal(k - 1) / k).exp()
+        top = 3 * k / y
+        upper = top * top.ln()
+    if seed is None:
+        seed = _float_root(y, k)
+    x = Decimal(seed) if seed is not None and lower < seed < upper else upper
+    return _phi_root(y, k, lower, upper, x, Decimal.ln, Decimal(1).scaleb(5 - prec),
+                     4 * (prec + max(upper.adjusted(), 0)) + 40)
 
 
 def log_distortion_inverse(y: float, k: int = 1, dps: int = 40) -> float:
     """Solve phi(x) = y on the decreasing branch x >= e^((k-1)/k).
 
     Valid for 0 < y <= e^(-(k-1)/k); the root lies below
-    (3k/y) ln(3k/y), which seeds the Newton bracket.
+    (3k/y) ln(3k/y), which bounds the Newton bracket.
     """
     k = check_int(k, "growth order")
-    with mp.workdps(dps):
-        yy = mp.mpf(y)
-        if yy <= 0 or yy > mp.e ** (-mp.mpf(k - 1) / k):
+    with _digits(dps):
+        yy = Decimal(float(y))
+        if yy <= 0 or yy > (-Decimal(k - 1) / k).exp():
             raise ValidationError(
                 f"y must lie in (0, e^(-(k-1)/k)] for k={k}, got {y}")
-        return float(_phi_inverse_mp(yy, k))
+        return float(_phi_inverse(yy, k))
+
+
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x) for x > 0 to the context's precision.
+
+    1 + x is formed with as many more digits as x has leading zeros, so a
+    small x keeps its own digits instead of cancelling against the 1.
+    """
+    with localcontext() as ctx:
+        ctx.prec += max(0, -x.adjusted())
+        value = (1 + x).ln()
+    return +value
+
+
+def _expm1(x: Decimal) -> Decimal:
+    """e^x - 1 for x > 0 to the context's precision, with _log1p's extra digits."""
+    with localcontext() as ctx:
+        ctx.prec += max(0, -x.adjusted())
+        value = x.exp() - 1
+    return +value
+
+
+def _scale_root(eps: Decimal, k: int, dps: int, seed: Decimal) -> Decimal:
+    """s_eps, the root of phi(s) = ln(1+eps)/4, at dps digits."""
+    with _digits(dps):
+        return _phi_inverse(_log1p(eps) / 4, k, seed)
 
 
 def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
@@ -263,71 +375,78 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         nbar * c_hat d^k * (ln(c_hat d^k) + 1)^k * ln(21 nbar / eps)
              * ((12k / ln(1+eps)) * ln(12k / ln(1+eps)))^k.
 
-    Requires 0 < eps <= 1/2 and nbar <= c_hat * d^k.
+    Requires 0 < eps <= 1/2 and nbar <= c_hat * d^k.  ln(1+eps) and
+    R_eps - 1 are evaluated without cancellation, and s_eps to a precision
+    scaled to its magnitude, so a tiny eps loses no digits.
     """
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
-    _check_chat(c_hat)
+    chat = _check_chat(c_hat)
     nbar = check_int(nbar, "block dimension")
     eps = float(eps)
     if not (0.0 < eps <= 0.5):
         raise ValidationError(f"accuracy must satisfy 0 < eps <= 1/2, got {eps}")
+    e = Decimal(eps)
 
-    with mp.workdps(40):
-        chat = mp.mpf(c_hat)
-        growth = chat * mp.mpf(d) ** k
+    with _digits(_CHAIN_DPS):
+        growth = chat * d ** k
         if nbar > growth:
             raise ValidationError(
                 f"block dimension {nbar} exceeds the growth budget c_hat*d^k = "
-                f"{mp.nstr(growth, 12)}")
-        log1p = mp.log(1 + mp.mpf(eps))
+                f"{format_real(growth, 12)}")
+        log1p = _log1p(e)
         y = log1p / 4
-        branch_edge = mp.e ** (-mp.mpf(k - 1) / k)
+        branch_edge = (-Decimal(k - 1) / k).exp()
         if not y < branch_edge:
             raise InvariantViolation(
-                f"ln(1+eps)/4 = {mp.nstr(y, 12)} is not below the decreasing-branch "
-                f"edge e^(-(k-1)/k) = {mp.nstr(branch_edge, 12)}")
-        s_eps = _phi_inverse_mp(y, k)
-        with mp.workdps(80):
-            s_eps_check = _phi_inverse_mp(mp.log(1 + mp.mpf(eps)) / 4, k)
-        if mp.floor(s_eps) != mp.floor(s_eps_check):
-            raise InvariantViolation("floor(s_eps) audit disagrees between precisions")
+                f"ln(1+eps)/4 = {format_real(y, 12)} is not below the decreasing-branch "
+                f"edge e^(-(k-1)/k) = {format_real(branch_edge, 12)}")
+        s_eps = _phi_inverse(y, k)
+    # floor(s_eps) needs as many digits as s_eps has before the point
+    dps = max(_CHAIN_DPS, s_eps.adjusted() + 20)
+    if dps > _CHAIN_DPS:
+        s_eps = _scale_root(e, k, dps, s_eps)
+    if math.floor(s_eps) != math.floor(_scale_root(e, k, 2 * dps, s_eps)):
+        raise InvariantViolation("floor(s_eps) audit disagrees between precisions")
 
+    with _digits(_CHAIN_DPS):
         majorant_arg = 12 * k / log1p
-        s_bound = majorant_arg * mp.log(majorant_arg)
-        if s_eps > s_bound * (1 + mp.mpf(10) ** -20):
+        s_bound = majorant_arg * majorant_arg.ln()
+        if s_eps > s_bound * (1 + Decimal("1e-20")):
             raise InvariantViolation(
-                f"s_eps = {mp.nstr(s_eps, 12)} exceeds its majorant {mp.nstr(s_bound, 12)}")
+                f"s_eps = {format_real(s_eps, 12)} exceeds its majorant "
+                f"{format_real(s_bound, 12)}")
 
-        r_eps = (1 + mp.mpf(eps)) ** mp.mpf("0.25")
-        inv_xi = nbar * (1 + r_eps) / (r_eps - 1)
-        inv_xi_expanded = nbar * (r_eps + 1) ** 2 * (mp.sqrt(1 + mp.mpf(eps)) + 1) / mp.mpf(eps)
-        if abs(inv_xi - inv_xi_expanded) > abs(inv_xi) * mp.mpf(10) ** -20:
+        # R_eps - 1 = e^(ln(1+eps)/4) - 1; the expanded form uses square roots
+        radius_gap = _expm1(y)
+        r_eps = 1 + radius_gap
+        inv_xi = nbar * (2 + radius_gap) / radius_gap
+        sqrt_1p = (1 + e).sqrt()
+        inv_xi_expanded = nbar * (sqrt_1p.sqrt() + 1) ** 2 * (sqrt_1p + 1) / e
+        if abs(inv_xi - inv_xi_expanded) > abs(inv_xi) * Decimal("1e-20"):
             raise InvariantViolation("the two closed forms of 1/xi disagree")
 
-        s_int = int(mp.floor(s_eps))
+        s_int = math.floor(s_eps)
         if s_int < 3:
             raise InvariantViolation(f"schedule scale floor(s_eps) = {s_int} fell below 3")
         num_nodes = scheduled_embedding_size(d, k, c_hat, s_int)
 
-        log_card = num_nodes * nbar * mp.log(1 + 2 * inv_xi)
+        log_card = num_nodes * nbar * (1 + 2 * inv_xi).ln()
 
-        final = nbar * growth * (mp.log(growth) + 1) ** k \
-            * mp.log(21 * mp.mpf(nbar) / eps) \
-            * (majorant_arg * mp.log(majorant_arg)) ** k
+        final = nbar * growth * (growth.ln() + 1) ** k * (21 * nbar / e).ln() * s_bound ** k
 
-        report = BoundReport(
-            inputs={"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps})
-        report.values = [
-            ("s_eps", +s_eps, "phi-inverse"),
-            ("s_eps_bound_3_7", +s_bound, "phi-majorant"),
-            ("R_eps", +r_eps, "net-radius"),
-            ("inv_xi_3_8", +inv_xi, "mesh-width"),
-            ("N_ds_cor1", num_nodes, "scheduled-size"),
-            ("log_net_card", +log_card, "covering-count"),
-            ("entropy_chain_final", +final, "entropy-final"),
-        ]
-        return report
+    report = BoundReport(
+        inputs={"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps})
+    report.values = [
+        ("s_eps", s_eps, "phi-inverse"),
+        ("s_eps_bound_3_7", s_bound, "phi-majorant"),
+        ("R_eps", r_eps, "net-radius"),
+        ("inv_xi_3_8", inv_xi, "mesh-width"),
+        ("N_ds_cor1", num_nodes, "scheduled-size"),
+        ("log_net_card", log_card, "covering-count"),
+        ("entropy_chain_final", final, "entropy-final"),
+    ]
+    return report
 
 
 def poly_bound_report(n: int, d: int) -> BoundReport:

@@ -7,8 +7,8 @@ byte for byte.  Each subcommand accepts only the flags it reads, spelled
 out in full.  Exit codes: 0 success, 2 validation, input or argument
 error, 3 violated certificate or precision audit.  Each handler imports
 the modules it uses: ``bounds`` and ``entropy`` run without loading numpy,
-and only they and a ``--schedule`` load mpmath, so ``dims``, ``mesh`` and
-``embed``/``distort --p`` run without it.
+and their closed forms, like a ``--schedule``, compute in the standard
+library's ``decimal``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import InvariantViolation, ValidationError, check_int
+from .errors import NormMeshError, ValidationError, check_int, report_error
 
 if TYPE_CHECKING:
     from . import landau, sets
@@ -135,9 +135,9 @@ def _cmd_bounds(args) -> dict:
     inputs = dict(report.inputs)
     if args.schedule:
         s, k, chat = _parse_schedule(args.schedule)
-        extra = bounds.schedule_bound_report(args.d, k, chat, s)
-        values += extra.to_json_values()
-        anchors += [row[2] for row in extra.to_json_values()]
+        extra = bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
+        values += extra
+        anchors += [row[2] for row in extra]
         inputs.update({"s": s, "k": k, "c_hat": chat})
     return {
         "command": "bounds",
@@ -346,15 +346,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         report = _COMMANDS[args.command](args)
         _emit(report, args)
-    except InvariantViolation as exc:
-        print(f"ERROR[3]: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"ERROR[2]: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"ERROR[2]: {exc}", file=sys.stderr)
-        return 2
+    except (NormMeshError, OSError) as exc:
+        return report_error(exc)
     return 0
 
 

@@ -8,6 +8,7 @@ a user error and should never occur in normal operation.
 """
 
 import numbers
+import sys
 
 
 class NormMeshError(Exception):
@@ -52,3 +53,11 @@ def check_int(value, what: str, minimum: int = 1) -> int:
             wanted = f"an integer >= {minimum}"
         raise ValidationError(f"{what} must be {wanted}, got {value!r}")
     return int(value)
+
+
+def report_error(exc: Exception) -> int:
+    """Print ``exc`` on stderr as ``ERROR[code]: ...`` and return the exit
+    code: 3 for a violated certificate or precision audit, 2 otherwise."""
+    code = 3 if isinstance(exc, InvariantViolation) else 2
+    print(f"ERROR[{code}]: {exc}", file=sys.stderr)
+    return code

@@ -59,7 +59,7 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
     at degree d*p is certified with distortion at most e^c = (e s^k)^(1/s).
     Requires c_hat * d^k >= 1 and s >= 3.
     """
-    from . import bounds  # mpmath, loaded only for a schedule
+    from . import bounds  # decimal arithmetic, loaded only for a schedule
 
     s = check_int(s, "schedule parameter s", minimum=3)
     level = bounds.log_floor(c_hat, d, k)

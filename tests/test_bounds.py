@@ -2,17 +2,19 @@
 
 Expected values were frozen from independent high-precision evaluations
 (direct mpmath formulas, bisection run separately); the package must
-reproduce them, not merely be self-consistent.
+reproduce them, not merely be self-consistent.  The package computes in
+``decimal``; mpmath stays the independent reference.
 """
 
 import math
 import random
+from decimal import Decimal, getcontext, localcontext
 
 import mpmath as mp
 import pytest
 
 from normmesh import bounds
-from normmesh.bounds import (FORMULA_NAMES, entropy_chain, log_distortion,
+from normmesh.bounds import (FORMULA_NAMES, entropy_chain, format_real, log_distortion,
                              log_distortion_inverse, log_floor,
                              net_cardinality_log, poly_bound_report,
                              poly_distortion_bound, poly_embedding_size,
@@ -22,9 +24,14 @@ from normmesh.errors import InvariantViolation, ValidationError
 from normmesh.polyspace import dim_full
 
 
+def to_mpf(value):
+    """A reported Decimal (or float) as an mpf, at the ambient mpmath precision."""
+    return mp.mpf(str(value))
+
+
 def mpf_close(value, decimal_string, tol="1e-17"):
     with mp.workdps(60):
-        return abs(mp.mpf(value) - mp.mpf(decimal_string)) <= mp.mpf(tol)
+        return abs(to_mpf(value) - mp.mpf(decimal_string)) <= mp.mpf(tol)
 
 
 def reference_phi_inverse(y, k):
@@ -44,6 +51,34 @@ def reference_phi_inverse(y, k):
         if hi - lo <= lo * stop:
             break
     return (lo + hi) / 2
+
+
+def reference_chain(d, k, c_hat, nbar, eps):
+    """The entropy chain's rendered reals and node budget, straight from
+    the formulas at the ambient mpmath precision."""
+    e, chat = mp.mpf(eps), mp.mpf(c_hat)
+    log1p = mp.log(1 + e)
+    s_eps = reference_phi_inverse(log1p / 4, k)
+    arg = 12 * k / log1p
+    s_bound = arg * mp.log(arg)
+    r_eps = (1 + e) ** mp.mpf("0.25")
+    inv_xi = nbar * (1 + r_eps) / (r_eps - 1)
+    growth = chat * mp.mpf(d) ** k
+    s_int = int(mp.floor(s_eps))
+    nodes = int(mp.floor(growth * mp.mpf(s_int) ** k
+                         * mp.mpf(int(mp.floor(mp.log(growth))) + 1) ** k))
+    log_card = nodes * nbar * mp.log(1 + 2 * inv_xi)
+    final = nbar * growth * (mp.log(growth) + 1) ** k * mp.log(21 * mp.mpf(nbar) / e) \
+        * s_bound ** k
+    reals = [mp.nstr(v, 30) for v in (s_eps, s_bound, r_eps, inv_xi, log_card, final)]
+    return reals, nodes
+
+
+def rendered_chain(values):
+    by_name = {name: value for name, value, _ in values}
+    reals = [by_name[name] for name in ("s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
+                                        "log_net_card", "entropy_chain_final")]
+    return reals, by_name["N_ds_cor1"]
 
 
 def sweep_eps(seed):
@@ -133,7 +168,7 @@ class TestDistortionConstants:
         values = [poly_distortion_bound(n) for n in range(1, 51)]
         assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
         assert max(values) == values[0]
-        assert values[0] < mp.mpf("2.90300")
+        assert values[0] < Decimal("2.90300")
 
     def test_schedule_constants_frozen(self):
         assert mpf_close(schedule_distortion_bound(3, 1), "2.0128214203960927936")
@@ -182,6 +217,60 @@ class TestDistortionConstants:
         rep = poly_bound_report(1, 1)
         with pytest.raises(KeyError):
             rep.value("nonesuch")
+
+
+class TestRendering:
+    @pytest.mark.parametrize("digits", [7, 8, 30])
+    def test_format_real_matches_mpmath_nstr(self, digits):
+        rng = random.Random(digits)
+        values = [0.0, 1.0, -1.0, 2.5, 1234567.5, -1234567.5, 0.125, 9.99999999e5,
+                  9.9999999999, 99999999.5, 1e-300, 1.7976931348623157e308, 5e-324]
+        # exact ties at 7, 8 and 30 digits, where rounding half to even would differ
+        values += [sign * 2.0 ** -j for j in (11, 12, 44) for sign in (1, -1)]
+        # every exponent on either side of the fixed-notation window
+        values += [1.2345678912345678 * 10.0 ** e for e in range(-12, 40)]
+        values += [rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-40, 40)
+                   for _ in range(300)]
+        for x in values:
+            # a float is exact both as mpf and as Decimal
+            assert format_real(x, digits) == mp.nstr(mp.mpf(x), digits), x
+            assert format_real(Decimal(x), digits) == mp.nstr(mp.mpf(x), digits), x
+        with mp.workdps(80):
+            for x in (mp.pi * 10 ** 20, mp.e / 10 ** 8, mp.sqrt(2) * 10 ** 35):
+                exact = Decimal(mp.nstr(x, 80))
+                assert format_real(exact, digits) == mp.nstr(x, digits)
+
+    def test_closed_forms_round_correctly_to_30_digits(self):
+        # every rendered real is the 30-digit rounding of the formula at 80 digits
+        with mp.workdps(80):
+            for n in range(1, 6):
+                for d in (1, 2, 3, 5, 8, 13, 20, 50, 100):
+                    by_name = {name: v for name, v, _ in poly_bound_report(n, d).to_json_values()}
+                    assert by_name["dist_bound_A"] == mp.nstr(
+                        (mp.e * mp.mpf(n + 2) ** 2) ** (mp.mpf(1) / (n + 2)), 30), (n, d)
+                    inner = int(mp.floor(n * mp.log(d)))
+                    assert by_name["N_dn"] == int(mp.floor(
+                        mp.e ** (2 * n) * mp.mpf(n + 2) ** (2 * n) * mp.mpf(d) ** n
+                        * mp.mpf(2 * n + 1 + inner) ** n)), (n, d)
+            for s in range(3, 30):
+                for k in (1, 2, 3):
+                    by_name = {name: v for name, v, _
+                               in schedule_bound_report(5, k, 7.389, s).to_json_values()}
+                    assert by_name["dist_bound_cor1"] == mp.nstr(
+                        (mp.e * mp.mpf(s) ** k) ** (mp.mpf(1) / s), 30), (s, k)
+            for k in (1, 2, 3):
+                for eps in sweep_eps(1):
+                    got = rendered_chain(entropy_chain(1, k, math.e ** 2, 1, eps).to_json_values())
+                    assert got == reference_chain(1, k, math.e ** 2, 1, eps), (k, eps)
+
+    @pytest.mark.parametrize("eps", [1e-15, 1e-20, 1e-25, 1e-30, 1e-41, 5e-324])
+    def test_small_accuracies_keep_every_digit(self, eps):
+        # ln(1+eps) and R_eps - 1 cancel at a fixed working precision; the
+        # chain must still match the formulas at 200 digits, plus enough
+        # for floor(s_eps) and the node budget, which grow like 1/eps
+        with mp.workdps(200 + max(0, -math.floor(math.log10(eps)))):
+            want = reference_chain(5, 1, math.e ** 2, 6, eps)
+        assert rendered_chain(entropy_chain(5, 1, math.e ** 2, 6, eps).to_json_values()) == want
 
 
 class TestNets:
@@ -250,7 +339,7 @@ class TestEntropyChain:
         assert rep.value("N_ds_cor1") == nodes_oracle
         got_log = rep.value("log_net_card")
         with mp.workdps(60):
-            expected_log = nodes_oracle * mp.log(1 + 2 * mp.mpf(rep.value("inv_xi_3_8")))
+            expected_log = nodes_oracle * mp.log(1 + 2 * to_mpf(rep.value("inv_xi_3_8")))
         assert abs(float(got_log) - float(expected_log)) <= 1e-10 * float(expected_log)
 
     def test_final_bound_oracle(self):
@@ -263,7 +352,7 @@ class TestEntropyChain:
             oracle = nbar * growth * (mp.log(growth) + 1) ** k \
                 * mp.log(21 * mp.mpf(nbar) / mp.mpf(eps)) \
                 * (arg * mp.log(arg)) ** k
-            got = mp.mpf(rep.value("entropy_chain_final"))
+            got = to_mpf(rep.value("entropy_chain_final"))
             assert abs(got - oracle) <= abs(oracle) * mp.mpf("1e-25")
 
     def test_reported_order(self):
@@ -315,7 +404,10 @@ class TestPhiInverse:
             tol = mp.mpf(10) ** -(dps - 6)
             for i in range(49):
                 y = edge * mp.mpf(10) ** (-mp.mpf(i) / 4)
-                x, ref = bounds._phi_inverse_mp(y, k), reference_phi_inverse(y, k)
+                with localcontext() as ctx:
+                    ctx.prec = dps
+                    x = to_mpf(bounds._phi_inverse(Decimal(mp.nstr(y, dps + 20)), k))
+                ref = reference_phi_inverse(y, k)
                 if k == 1 and i == 0:
                     # phi(1) = 1 is phi's maximum: phi - y vanishes to second
                     # order at the root, which dps digits fix only to about
@@ -328,26 +420,38 @@ class TestPhiInverse:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_entropy_chain_unchanged_from_bisection(self, seed, monkeypatch):
+        def bisection(y, k, seed=None):
+            # the same root by mpmath bisection at the caller's precision
+            prec = getcontext().prec
+            with mp.workdps(prec):
+                return Decimal(mp.nstr(reference_phi_inverse(to_mpf(y), k), prec))
+
         inputs = [(1, k, math.e ** 2, 1, eps) for eps in sweep_eps(seed) for k in (1, 2, 3)]
         got = [entropy_chain(*args).to_json_values() for args in inputs]
-        monkeypatch.setattr(bounds, "_phi_inverse_mp", reference_phi_inverse)
+        monkeypatch.setattr(bounds, "_phi_inverse", bisection)
         assert got == [entropy_chain(*args).to_json_values() for args in inputs]
 
     def test_log_evaluations_per_inverse(self, monkeypatch):
+        # one logarithm per residual: at most 5 from the double-precision
+        # seed, and at most 24 from the bracket's upper end (seed 0 lies
+        # outside the bracket)
         calls = []
-        log = mp.log
+        gap = bounds._phi_gap
 
-        def counted(*args):
-            calls.append(1)
-            return log(*args)
+        def counted(x, *args):
+            if isinstance(x, Decimal):
+                calls.append(1)
+            return gap(x, *args)
 
-        monkeypatch.setattr(mp, "log", counted)
+        monkeypatch.setattr(bounds, "_phi_gap", counted)
         accuracies = [eps for seed in (1, 2, 3) for eps in sweep_eps(seed)] + [0.5, 1e-6]
         for dps in (40, 80):
-            with mp.workdps(dps):
+            with localcontext() as ctx:
+                ctx.prec = dps
                 for k in (1, 2, 3):
                     for eps in accuracies:
-                        y = log(1 + mp.mpf(eps)) / 4
-                        calls.clear()
-                        bounds._phi_inverse_mp(y, k)
-                        assert len(calls) <= 24, (dps, k, eps, len(calls))
+                        y = bounds._log1p(Decimal(eps)) / 4
+                        for start, most in ((None, 5), (0, 24)):
+                            calls.clear()
+                            bounds._phi_inverse(y, k, start)
+                            assert len(calls) <= most, (dps, k, eps, start, len(calls))

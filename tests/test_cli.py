@@ -307,6 +307,20 @@ class TestEntropy:
         assert payload["inputs"]["c_hat"] == 10.0
         assert payload["inputs"]["nbar"] == 2
 
+    @pytest.mark.parametrize("eps, inv_xi", [
+        ("1e-15", "48000000000000020.2701408059203"),
+        ("1e-25", "479999999999999981522462544.388"),
+        ("1e-41", "4.79999999999999997234580255566e+42"),
+        ("5e-324", "9.71530815875090968091977664251e+324"),
+    ])
+    def test_tiny_accuracies_run(self, eps, inv_xi, capsys):
+        # once a ZeroDivisionError traceback at 1e-41 and an audit failure
+        # (exit 3) at 1e-25; values checked against mpmath in test_bounds
+        payload = run_json(["entropy", "--n", "1", "--d", "5", "--eps", eps,
+                            "--no-timestamp"], capsys)
+        by_name = {name: value for name, value, _ in payload["values"]}
+        assert by_name["inv_xi_3_8"] == inv_xi
+
     def test_requires_eps(self, capsys):
         rc, _, err = run_main(["entropy", "--n", "1", "--d", "1", "--no-timestamp"],
                               capsys)

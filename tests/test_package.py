@@ -74,7 +74,7 @@ def test_check_int_messages_name_the_bound():
 
 # A child run with one dependency made unimportable (a None entry in
 # sys.modules makes ``import numpy`` fail) prints what an ordinary run prints:
-# the closed forms need no numpy, and node selection needs no mpmath.
+# the closed forms need no numpy, and no command needs mpmath.
 _BLOCKED_CHILD = """
 import runpy, sys
 if sys.argv[1] != "plain":
@@ -131,7 +131,16 @@ def test_closed_forms_run_without_numpy(case):
      "--no-timestamp"],
     ["cli", "distort", "--n", "1", "--d", "2", "--p", "2", "--resolution", "201",
      "--trials", "4", "--format", "csv", "--no-timestamp"],
-], ids=["mesh", "dims-box", "distort-p"])
+    ["cli", "bounds", "--n", "2", "--d", "5", "--no-timestamp"],
+    ["cli", "bounds", "--n", "1", "--d", "5", "--schedule", "3,1,7.389", "--no-timestamp"],
+    ["cli", "entropy", "--n", "1", "--d", "5", "--eps", "0.1", "--no-timestamp"],
+    ["cli", "embed", "--n", "1", "--d", "1", "--schedule", "3,1,7.389", "--resolution", "101",
+     "--no-timestamp"],
+    ["script", os.path.join(_ROOT, "scripts", "entropy_sweep.py"),
+     "--orders", "1", "3", "--eps", "0.1", "0.001"],
+    ["library"],
+], ids=["mesh", "dims-box", "distort-p", "bounds", "bounds-schedule", "entropy-n",
+        "embed-schedule", "entropy-sweep", "library"])
 def test_node_selection_runs_without_mpmath(case):
     _assert_same_without("mpmath", case)
 
@@ -143,10 +152,11 @@ def test_distortion_runs_without_scipy():
 
 
 def test_import_loads_no_mpmath_until_a_closed_form_is_read():
+    # nor after: the closed forms compute in the standard library's decimal
     code = ("import sys, normmesh\n"
             "assert 'mpmath' not in sys.modules and 'numpy' not in sys.modules\n"
             "print(normmesh.poly_bound_report(1, 2).inputs)\n"
-            "assert 'mpmath' in sys.modules\n")
+            "assert 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

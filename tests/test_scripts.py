@@ -29,6 +29,19 @@ def test_script_runs(script, args):
     assert len(proc.stdout.splitlines()) > 1
 
 
+@pytest.mark.parametrize("script, args, message", [
+    ("entropy_sweep.py", ["--eps", "0.7"],
+     "ERROR[2]: accuracy must satisfy 0 < eps <= 1/2, got 0.7\n"),
+    ("interval_certificates.py", ["--resolution", "1"],
+     "ERROR[2]: resolution must be an integer >= 2, got 1\n"),
+])
+def test_script_failure_exits_like_the_cli(script, args, message):
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message), proc.stderr
+
+
 def test_readme_library_example():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
