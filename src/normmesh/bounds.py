@@ -263,7 +263,7 @@ def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
     Each residual's sign shrinks the bracket, and a Newton step that would
     leave it is replaced by a bisection step; this covers the branch edge
     e^((k-1)/k), where phi' = 0.  Stops once a step is at most ``stop``
-    relative to x.
+    relative to x, or after ``steps`` steps.
     """
     gap, slope = _phi_gap(x, y, k, log)
     if x == hi and gap > 0:

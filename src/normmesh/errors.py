@@ -1,10 +1,11 @@
 """Exception types shared across the package, and its one integer check.
 
-The command line maps these onto process exit codes: validation problems
-(bad parameters, unreadable inputs, sets that cannot norm the requested
-space) exit with code 2, while violations of certified inequalities or
-precision audits exit with code 3.  The latter indicate a bug rather than
-a user error and should never occur in normal operation.
+``report_error`` maps these onto process exit codes for the command line
+and the scripts: validation problems (bad parameters, unreadable inputs,
+sets that cannot norm the requested space) exit with code 2, while
+violations of certified inequalities or precision audits exit with code 3.
+The latter indicate a bug rather than a user error and should never occur
+in normal operation.
 """
 
 import numbers

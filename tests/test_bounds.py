@@ -119,6 +119,14 @@ class TestEmbeddingSizes:
         assert isinstance(value, int)
         assert value > 10 ** 20
 
+    def test_series_e_is_correctly_rounded(self):
+        # the integer series for e against decimal's own correctly rounded exp,
+        # up to the 1676 digits that poly_embedding_size(50, 10**9) audits at
+        for prec in (30, 40, 60, 838, 1676):
+            with localcontext() as ctx:
+                ctx.prec = prec
+                assert bounds._e() == Decimal(1).exp(), prec
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             poly_embedding_size(0, 3)
