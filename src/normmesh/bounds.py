@@ -220,25 +220,6 @@ def schedule_distortion_bound(s: int, k: int, dps: int = _BASE_DPS) -> Decimal:
         return (_e() * s ** k) ** (1 / Decimal(s))
 
 
-def net_cardinality_log(num_coords: int, nbar: int, xi: float) -> tuple[float, float]:
-    """Multiplicative net radius and log covering count.
-
-    For a product of ``num_coords`` coordinate blocks of dimension
-    ``nbar`` and a relative mesh width ``xi`` in (0, 1/nbar), returns
-    (R, log_count) with R = (1 + xi nbar) / (1 - xi nbar) and
-    log_count = num_coords * nbar * ln(1 + 2/xi).
-    """
-    num_coords = check_int(num_coords, "coordinate count")
-    nbar = check_int(nbar, "block dimension")
-    xi = float(xi)
-    if not (0.0 < xi < 1.0 / nbar):
-        raise ValidationError(
-            f"mesh width must satisfy 0 < xi < 1/{nbar}, got {xi}")
-    ratio = (1.0 + xi * nbar) / (1.0 - xi * nbar)
-    log_count = num_coords * nbar * math.log(1.0 + 2.0 / xi)
-    return ratio, log_count
-
-
 def _phi_gap(x, y, k: int, log):
     """phi(x) - y and phi'(x) = (k - 1 - k ln x) / x^2, from one logarithm."""
     log_x = log(x)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, its integer check, and its
+dense-array byte budget.
 
 ``report_error`` maps these onto process exit codes for the command line
 and the scripts: validation problems (bad parameters, unreadable inputs,
@@ -10,6 +11,12 @@ in normal operation.
 
 import numbers
 import sys
+
+
+# Largest dense float64 array the package allocates: a sampled grid, or an
+# evaluation matrix of grid points by basis members, of which node
+# selection holds about four at once.
+MAX_DENSE_BYTES = 2 ** 30
 
 
 class NormMeshError(Exception):
@@ -54,6 +61,15 @@ def check_int(value, what: str, minimum: int = 1) -> int:
             wanted = f"an integer >= {minimum}"
         raise ValidationError(f"{what} must be {wanted}, got {value!r}")
     return int(value)
+
+
+def check_dense(rows: int, cols: int, what: str) -> None:
+    """Refuse a rows x cols float64 array above ``MAX_DENSE_BYTES``, naming ``what``."""
+    nbytes = rows * cols * 8
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"a {rows} x {cols} {what} needs {nbytes} bytes, above the "
+            f"{MAX_DENSE_BYTES}-byte limit for one dense array")
 
 
 def report_error(exc: Exception) -> int:

@@ -35,11 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from . import sets
-from .errors import ValidationError, check_int
-
-# Largest dense N x m float64 array (grid points by basis members) the
-# package allocates; node selection holds about four such arrays at once.
-_MAX_DENSE_BYTES = 2 ** 30
+from .errors import ValidationError, check_dense, check_int
 
 # The trace rank evaluates the grid Vandermonde and folds it into a running
 # R factor in strided blocks, whose sizes differ by at most one, of at most
@@ -114,14 +110,6 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
-def _check_dense(npts: int, m: int) -> None:
-    nbytes = npts * m * 8
-    if nbytes > _MAX_DENSE_BYTES:
-        raise ValidationError(
-            f"a {npts} x {m} evaluation matrix needs {nbytes} bytes, above the "
-            f"{_MAX_DENSE_BYTES}-byte limit for one dense array")
-
-
 def vandermonde(space: PolySpace, points) -> np.ndarray:
     """Evaluation matrix: entry (i, j) is basis monomial j at point i.
 
@@ -130,7 +118,7 @@ def vandermonde(space: PolySpace, points) -> np.ndarray:
     """
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
-    _check_dense(npts, space.dim)
+    check_dense(npts, space.dim, "evaluation matrix")
     powers = np.ones((space.n, npts, space.d + 1))
     for e in range(1, space.d + 1):
         powers[:, :, e] = powers[:, :, e - 1] * pts.T
@@ -177,7 +165,7 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     pts = _as_points(points, space.n)
     m = space.dim
-    _check_dense(pts.shape[0], m)
+    check_dense(pts.shape[0], m, "evaluation matrix")
     rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
     stride = -(-pts.shape[0] // rows)
     r = np.empty((0, m))
@@ -228,9 +216,3 @@ def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol * svals[0]))
-
-
-def is_determining(space: PolySpace, set_model: sets.CompactSetModel,
-                   tol: float = RANK_TOL) -> bool:
-    """Whether sup norms over the grid separate the whole space."""
-    return trace_dimension(space, set_model, tol) == space.dim

@@ -8,8 +8,10 @@ when the sampling is refined.  Reports carry grid size and resolution so
 the surrogate can be judged and tightened.
 
 Supported kinds: axis-aligned boxes, Euclidean balls, spheres (circle in
-the plane, latitude-longitude sampled S2 in space), Cartesian products,
-affine images, unions, and point clouds read from text files.
+the plane, latitude-longitude sampled S2 in space), and point clouds given
+as coordinates or read from text files.  A box, ball or sphere grid is
+sized by its resolution, and one whose array would exceed the package's
+dense-array byte budget is refused before it is built.
 
 A point cloud file is parsed by numpy's C text reader, one block of
 4096 lines per call.  The per-line Python parser runs only on a block the
@@ -29,7 +31,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError, check_int
+from .errors import InputError, ValidationError, check_dense, check_int
 
 # Curved sets admit boundary grid points only up to roundoff; the slack
 # stays an order of magnitude below the 1e-12 membership contract.
@@ -47,8 +49,8 @@ class CompactSetModel:
     """A compact subset of R^n together with its sampling recipe.
 
     Instances are built through the module-level constructors (``box``,
-    ``ball``, ``sphere``, ``product``, ``affine_image``, ``union``,
-    ``from_points``, ``load_point_cloud``), which validate parameters.
+    ``ball``, ``sphere``, ``from_points``, ``load_point_cloud``), which
+    validate parameters.
     """
 
     ambient_dim: int
@@ -118,62 +120,6 @@ def sphere(center: Sequence[float], radius: float, resolution: int) -> CompactSe
         kind="sphere",
         params={"center": c, "radius": r},
         resolution=_check_resolution(resolution),
-    )
-
-
-def product(children: Sequence[CompactSetModel]) -> CompactSetModel:
-    """Cartesian product of the child sets, last factor varying fastest."""
-    kids = list(children)
-    if not kids:
-        raise ValidationError("product needs at least one factor")
-    for kid in kids:
-        if not isinstance(kid, CompactSetModel):
-            raise ValidationError("product factors must be CompactSetModel instances")
-    return CompactSetModel(
-        ambient_dim=sum(k.ambient_dim for k in kids),
-        kind="product",
-        params={"children": kids},
-        resolution=max(k.resolution for k in kids),
-    )
-
-
-def affine_image(matrix: Sequence[Sequence[float]], offset: Sequence[float],
-                 child: CompactSetModel) -> CompactSetModel:
-    """Image of a child set under x -> A x + b."""
-    if not isinstance(child, CompactSetModel):
-        raise ValidationError("affine_image child must be a CompactSetModel")
-    a = np.asarray(matrix, dtype=float)
-    b = np.asarray(offset, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValidationError("affine matrix must be 2-d with at least one row")
-    if a.shape[1] != child.ambient_dim:
-        raise ValidationError(
-            f"affine matrix has {a.shape[1]} columns but the child set lives in R^{child.ambient_dim}")
-    if b.ndim != 1 or b.size != a.shape[0]:
-        raise ValidationError("affine offset length must match the matrix row count")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("affine map entries must be finite")
-    return CompactSetModel(
-        ambient_dim=a.shape[0],
-        kind="affine_image",
-        params={"matrix": a, "offset": b, "child": child},
-        resolution=child.resolution,
-    )
-
-
-def union(children: Sequence[CompactSetModel]) -> CompactSetModel:
-    """Union of child sets in a common ambient space, deduplicated exactly."""
-    kids = list(children)
-    if not kids:
-        raise ValidationError("union needs at least one member")
-    dims = {k.ambient_dim for k in kids}
-    if len(dims) != 1:
-        raise ValidationError(f"union members must share one ambient dimension, got {sorted(dims)}")
-    return CompactSetModel(
-        ambient_dim=kids[0].ambient_dim,
-        kind="union",
-        params={"children": kids},
-        resolution=max(k.resolution for k in kids),
     )
 
 
@@ -289,20 +235,21 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     return pts[first]
 
 
-def _box_grid(model: CompactSetModel) -> np.ndarray:
-    res = model.resolution
-    axes = [np.linspace(lo, hi, res) for lo, hi in model.params["bounds"]]
+def _lattice(bounds, res: int) -> np.ndarray:
+    """The res^n points of a box, last coordinate varying fastest."""
+    axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+
+
+def _box_grid(model: CompactSetModel) -> np.ndarray:
+    return _lattice(model.params["bounds"], model.resolution)
 
 
 def _ball_grid(model: CompactSetModel) -> np.ndarray:
     center = model.params["center"]
     radius = model.params["radius"]
-    res = model.resolution
-    axes = [np.linspace(c - radius, c + radius, res) for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+    pts = _lattice([(c - radius, c + radius) for c in center], model.resolution)
     dist = np.sqrt(((pts - center) ** 2).sum(axis=1))
     pts = pts[dist <= radius + _MEMBERSHIP_SLACK]
     # Coarse even resolutions can miss the ball entirely; the center is
@@ -333,26 +280,6 @@ def _sphere_grid(model: CompactSetModel) -> np.ndarray:
     return np.concatenate([np.atleast_2d(r) for r in rows], axis=0)
 
 
-def _product_grid(model: CompactSetModel) -> np.ndarray:
-    grids = [grid(child) for child in model.params["children"]]
-    out = grids[0]
-    for g in grids[1:]:
-        left = np.repeat(out, g.shape[0], axis=0)
-        right = np.tile(g, (out.shape[0], 1))
-        out = np.concatenate([left, right], axis=1)
-    return out
-
-
-def _affine_grid(model: CompactSetModel) -> np.ndarray:
-    child_pts = grid(model.params["child"])
-    return child_pts @ model.params["matrix"].T + model.params["offset"]
-
-
-def _union_grid(model: CompactSetModel) -> np.ndarray:
-    parts = [grid(child) for child in model.params["children"]]
-    return _dedup_rows(np.concatenate(parts, axis=0))
-
-
 def _cloud_grid(model: CompactSetModel) -> np.ndarray:
     return model.params["points"].copy()
 
@@ -361,21 +288,32 @@ _GRID_BUILDERS = {
     "box": _box_grid,
     "ball": _ball_grid,
     "sphere": _sphere_grid,
-    "product": _product_grid,
-    "affine_image": _affine_grid,
-    "union": _union_grid,
     "point_cloud": _cloud_grid,
 }
+
+
+def _sampled_points(model: CompactSetModel) -> int:
+    """Point count of a sampled grid, worked out before it is built.
+
+    A ball counts the whole cube its grid is cut from.
+    """
+    res = model.resolution
+    if model.kind == "sphere":
+        return res if model.ambient_dim == 2 else res * (res - 2) + 2
+    return res ** model.ambient_dim
 
 
 def grid(model: CompactSetModel) -> np.ndarray:
     """Deterministic ordered sample of the set, shape (num_points, n).
 
     Every returned point lies in the modeled set, with at most 1e-12
-    deviation for curved boundaries.  The result is never empty.
+    deviation for curved boundaries.  The result is never empty.  A
+    sampled grid above the dense-array byte budget is refused before
+    anything is allocated.
     """
     if model.kind in SAMPLED_KINDS:
         _check_resolution(model.resolution)
+        check_dense(_sampled_points(model), model.ambient_dim, f"grid of {model.describe()}")
     try:
         builder = _GRID_BUILDERS[model.kind]
     except KeyError:

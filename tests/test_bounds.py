@@ -15,8 +15,7 @@ import pytest
 
 from normmesh import bounds
 from normmesh.bounds import (FORMULA_NAMES, entropy_chain, format_real, log_distortion,
-                             log_distortion_inverse, log_floor,
-                             net_cardinality_log, poly_bound_report,
+                             log_distortion_inverse, log_floor, poly_bound_report,
                              poly_distortion_bound, poly_embedding_size,
                              schedule_bound_report, schedule_distortion_bound,
                              scheduled_embedding_size)
@@ -279,23 +278,6 @@ class TestRendering:
         with mp.workdps(200 + max(0, -math.floor(math.log10(eps)))):
             want = reference_chain(5, 1, math.e ** 2, 6, eps)
         assert rendered_chain(entropy_chain(5, 1, math.e ** 2, 6, eps).to_json_values()) == want
-
-
-class TestNets:
-    def test_simple_ratio(self):
-        ratio, log_count = net_cardinality_log(10, 2, 0.1)
-        assert ratio == pytest.approx(1.5, rel=1e-15)
-        assert log_count == pytest.approx(20.0 * math.log(21.0), rel=1e-14)
-
-    def test_width_window_enforced(self):
-        with pytest.raises(ValidationError):
-            net_cardinality_log(10, 2, 0.5)
-        with pytest.raises(ValidationError):
-            net_cardinality_log(10, 2, 0.0)
-
-    def test_count_grows_with_coords(self):
-        logs = [net_cardinality_log(m, 3, 0.05)[1] for m in (1, 2, 4, 8)]
-        assert logs == sorted(logs)
 
 
 class TestLogDistortion:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from normmesh import cli, landau, polyspace
+from normmesh import cli, errors, landau, polyspace
 from normmesh.errors import InvariantViolation
 
 
@@ -42,7 +42,7 @@ class TestDims:
 
     def test_streamed_rank_keeps_dense_budget(self, capsys, monkeypatch):
         # dims never holds the whole matrix, yet the same jobs are refused
-        monkeypatch.setattr(polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 4 * 2 ** 20)
         rc, out, err = run_main(
             ["dims", "--set", "box", "--n", "2", "--d", "10", "--resolution", "101",
              "--no-timestamp"], capsys)
@@ -50,6 +50,20 @@ class TestDims:
         assert out == ""
         assert "10201 x 66" in err
         assert "5386128 bytes" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dims", "--set", "box", "--n", "3", "--d", "2", "--resolution", "1000000"],
+         "a 1000000000000000000 x 3 grid of box(n=3, resolution=1000000) needs "
+         "24000000000000000000 bytes"),
+        (["mesh", "--n", "1", "--d", "2", "--resolution", "1000000000"],
+         "a 1000000000 x 1 grid of box(n=1, resolution=1000000000) needs "
+         "8000000000 bytes"),
+    ], ids=["dims", "mesh"])
+    def test_oversized_grid_refused(self, capsys, argv, message):
+        rc, out, err = run_main(argv + ["--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"ERROR[2]: {message}, above the 1073741824-byte limit")
 
     def test_missing_degree(self, capsys):
         rc, _, err = run_main(["dims", "--n", "2", "--no-timestamp"], capsys)
@@ -167,7 +181,7 @@ class TestMesh:
 
     def test_dense_array_budget_refused(self, capsys, monkeypatch):
         # 101^2 grid points by 66 basis members at degree 10: 5,386,128 bytes
-        monkeypatch.setattr(polyspace, "_MAX_DENSE_BYTES", 4 * 2 ** 20)
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 4 * 2 ** 20)
         rc, out, err = run_main(
             ["mesh", "--n", "2", "--d", "10", "--resolution", "101",
              "--no-timestamp"], capsys)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from normmesh import polyspace, sets
 from normmesh.errors import ValidationError
-from normmesh.polyspace import (dim_full, is_determining, poly_space,
-                                trace_dimension, vandermonde)
+from normmesh.polyspace import dim_full, poly_space, trace_dimension, vandermonde
 
 
 class TestDimension:
@@ -115,13 +114,11 @@ class TestTraceDimension:
         space = poly_space(1, 6)
         model = sets.box([(-1.0, 1.0)], 101)
         assert trace_dimension(space, model) == 7
-        assert is_determining(space, model)
 
     def test_too_few_points_drop_rank(self):
         space = poly_space(1, 5)
         model = sets.from_points([[-1.0], [-0.3], [0.3], [1.0]])
         assert trace_dimension(space, model) == 4
-        assert not is_determining(space, model)
 
     def test_circle_trace_rank_is_odd_ladder(self):
         # restricted to the unit circle the monomials span
@@ -130,7 +127,6 @@ class TestTraceDimension:
         for d in range(1, 6):
             space = poly_space(2, d)
             assert trace_dimension(space, circle) == 2 * d + 1
-        assert not is_determining(poly_space(2, 2), circle)
 
     def test_circle_rank_matches_trig_span_oracle(self):
         # independent oracle: rank of the pointwise trig frame itself

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normmesh import sets
+from normmesh import errors, sets
 from normmesh.errors import InputError, ValidationError
 
 
@@ -142,48 +142,6 @@ class TestSphere:
     def test_unsupported_dimension(self):
         with pytest.raises(ValidationError):
             sets.sphere([0.0, 0.0, 0.0, 0.0], 1.0, 5)
-
-
-class TestCombinators:
-    def test_product_matches_box(self):
-        left = sets.box([(-1.0, 1.0)], 3)
-        right = sets.box([(0.0, 2.0)], 3)
-        combined = sets.grid(sets.product([left, right]))
-        direct = sets.grid(sets.box([(-1.0, 1.0), (0.0, 2.0)], 3))
-        np.testing.assert_array_equal(combined, direct)
-
-    def test_affine_image_of_circle(self):
-        circle = sets.sphere([0.0, 0.0], 1.0, 16)
-        stretched = sets.affine_image([[2.0, 0.0], [0.0, 0.5]], [1.0, 0.0], circle)
-        g = sets.grid(stretched)
-        assert stretched.ambient_dim == 2
-        # pulled back through the map, points land on the unit circle
-        back = (g - np.array([1.0, 0.0])) / np.array([2.0, 0.5])
-        assert np.abs(np.sqrt((back ** 2).sum(axis=1)) - 1.0).max() <= 1e-12
-
-    def test_affine_shape_mismatch(self):
-        circle = sets.sphere([0.0, 0.0], 1.0, 8)
-        with pytest.raises(ValidationError):
-            sets.affine_image([[1.0, 0.0, 0.0]], [0.0], circle)
-
-    def test_union_dedups_first_occurrence(self):
-        a = sets.box([(0.0, 1.0)], 3)
-        b = sets.box([(0.5, 1.5)], 3)
-        g = sets.grid(sets.union([a, b]))
-        np.testing.assert_array_equal(g.ravel(), [0.0, 0.5, 1.0, 1.5])
-        # a member repeated whole adds nothing; -0.0 is a point of its own
-        g = sets.grid(sets.union([b, a, b]))
-        np.testing.assert_array_equal(g.ravel(), [0.5, 1.0, 1.5, 0.0])
-        cloud = sets.from_points([[1.0, 1.0], [-0.0, 1.0]])
-        square = sets.box([(0.0, 1.0), (0.0, 1.0)], 2)
-        g = sets.grid(sets.union([cloud, square, cloud]))
-        assert g.tobytes() == np.array(
-            [[1.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]).tobytes()
-
-    def test_union_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            sets.union([sets.box([(0.0, 1.0)], 3),
-                        sets.box([(0.0, 1.0), (0.0, 1.0)], 3)])
 
 
 class TestPointCloud:
@@ -431,3 +389,45 @@ class TestDeterminism:
                 sets.ball([0.0, 0.0, 0.0], 0.3, 2),
                 sets.sphere([0.0, 0.0, 0.0], 1.0, 2)):
             assert sets.grid(model).shape[0] >= 1
+
+
+class TestGridBudget:
+    # A refused grid must not reach numpy: these would need gigabytes.
+    @pytest.mark.parametrize("model, points", [
+        (sets.box([(-1.0, 1.0)] * 3, 10 ** 6), 10 ** 18),
+        (sets.sphere([0.0, 0.0, 0.0], 1.0, 10 ** 5), 10 ** 5 * (10 ** 5 - 2) + 2),
+        (sets.box([(-1.0, 1.0)], 10 ** 9), 10 ** 9),
+        (sets.sphere([0.0, 0.0], 1.0, 10 ** 9), 10 ** 9),
+        (sets.ball([0.0, 0.0], 1.0, 10 ** 5), 10 ** 10),
+    ], ids=["box-3d", "s2", "interval", "circle", "ball-2d"])
+    def test_oversized_grid_refused_before_allocation(self, model, points):
+        n = model.ambient_dim
+        refuse = unittest.mock.Mock(side_effect=AssertionError("grid allocated"))
+        with unittest.mock.patch.object(np, "linspace", refuse), \
+                unittest.mock.patch.object(np, "arange", refuse), \
+                pytest.raises(ValidationError) as caught:
+            sets.grid(model)
+        assert str(caught.value) == (
+            f"a {points} x {n} grid of {model.describe()} needs {points * n * 8} bytes, "
+            "above the 1073741824-byte limit for one dense array")
+
+    # The budget bounds the array a grid is built as: a ball counts the
+    # whole cube it is cut from, S2 its two poles and res - 2 rings.
+    @pytest.mark.parametrize("model, nbytes", [
+        (sets.box([(0.0, 1.0), (0.0, 2.0)], 10), 100 * 2 * 8),
+        (sets.ball([0.0, 0.0, 0.0], 1.0, 5), 125 * 3 * 8),
+        (sets.sphere([0.0, 0.0], 1.0, 7), 7 * 2 * 8),
+        (sets.sphere([0.0, 0.0, 0.0], 1.0, 6), 26 * 3 * 8),
+    ], ids=["box", "ball", "circle", "s2"])
+    def test_budget_edge(self, model, nbytes, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", nbytes)
+        assert sets.grid(model).shape[1] == model.ambient_dim
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", nbytes - 1)
+        with pytest.raises(ValidationError, match=f"needs {nbytes} bytes, above the "
+                                                  f"{nbytes - 1}-byte limit"):
+            sets.grid(model)
+
+    def test_unknown_kind_refused(self):
+        model = sets.CompactSetModel(ambient_dim=1, kind="union", params={}, resolution=3)
+        with pytest.raises(ValidationError, match="unknown set kind 'union'"):
+            sets.grid(model)
