@@ -20,6 +20,16 @@ when ``format_real`` renders them.  Every floor is audited: the expression
 is evaluated again at twice the working precision, with the working
 precision itself scaled to the magnitude of the value, and the two floors
 must agree.  Integer results are exact Python integers.
+
+Values that depend only on the inputs are evaluated once per process and
+kept in bounded caches: the audited floor(ln(c_hat d^k)) of ``log_floor``,
+ln(c_hat d^k) at the entropy chain's working precision, e^((k-1)/k), and
+the upper end of phi's Newton bracket, keyed by the 30-digit 3k/y it is
+computed from, so that the chain's solve for s_eps and the solve of its
+floor audit share one logarithm.  The arguments are checked before every
+lookup; a miss runs both precisions of a floor audit, and only a floor
+that passed is kept; the floor(s_eps), 1/xi and majorant checks run on
+every chain.  No audit is skipped or weakened.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import math
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, getcontext,
                      localcontext)
+from functools import lru_cache
 from typing import Callable
 
 from .errors import InvariantViolation, ValidationError, check_int
@@ -36,6 +47,9 @@ _BASE_DPS = 30
 # precision of the entropy chain.
 _GUARD = 10
 _CHAIN_DPS = 40
+# Entries per cache of input-only values: one per (c_hat, d, k), or per
+# chain for the bracket, whose 120 in a benchmark sweep all fit.
+_CACHE_ENTRIES = 256
 
 # Stable wire names for reported formulas, used verbatim in JSON reports.
 FORMULA_NAMES = (
@@ -180,7 +194,20 @@ def log_floor(c_hat, d: int, k: int) -> int:
         if c * d ** k < 1:
             raise ValidationError(
                 f"need c_hat * d^k >= 1 for the schedule, got {c_hat!r} * {d}^{k}")
+    return _log_floor(c, d, k)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _log_floor(c: Decimal, d: int, k: int) -> int:
+    """``log_floor`` of checked arguments, audited once per process."""
     return _audited_floor(lambda: (c * d ** k).ln(), "log_floor")
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _log_growth(c: Decimal, d: int, k: int) -> Decimal:
+    """ln(c d^k) at the entropy chain's working precision, once per process."""
+    with _digits(_CHAIN_DPS):
+        return (c * d ** k).ln()
 
 
 def poly_embedding_size(n: int, d: int) -> int:
@@ -283,6 +310,26 @@ def _float_root(y: Decimal, k: int) -> float | None:
     return _phi_root(yf, k, math.exp((k - 1) / k), upper, upper, math.log, 1e-11, 2000)
 
 
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _branch_start(k: int) -> Decimal:
+    """e^((k-1)/k), where phi's decreasing branch starts, to 30 digits."""
+    with _digits(_BASE_DPS):
+        return (Decimal(k - 1) / k).exp()
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _bracket_upper(top: Decimal) -> Decimal:
+    """top ln(top) to 30 digits, for a 30-digit top = 3k/y.
+
+    The entropy chain solves for s_eps at 40 digits and again, from a y
+    with more digits, for its floor audit; both give the same 30-digit top
+    unless 3k/y lies within a rounding of a tie, so the second solve reads
+    the logarithm the first one took.
+    """
+    with _digits(_BASE_DPS):
+        return top * top.ln()
+
+
 def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     """Inverse of phi on its decreasing branch, to the context's precision.
 
@@ -292,10 +339,9 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     The bracket only guards the steps, so its ends take 30 digits.
     """
     prec = getcontext().prec
+    lower = _branch_start(k)
     with _digits(_BASE_DPS):
-        lower = (Decimal(k - 1) / k).exp()
-        top = 3 * k / y
-        upper = top * top.ln()
+        upper = _bracket_upper(3 * k / y)
     if seed is None:
         seed = _float_root(y, k)
     x = Decimal(seed) if seed is not None and lower < seed < upper else upper
@@ -414,7 +460,8 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
 
         log_card = num_nodes * nbar * (1 + 2 * inv_xi).ln()
 
-        final = nbar * growth * (growth.ln() + 1) ** k * (21 * nbar / e).ln() * s_bound ** k
+        final = (nbar * growth * (_log_growth(chat, d, k) + 1) ** k * (21 * nbar / e).ln()
+                 * s_bound ** k)
 
     report = BoundReport(
         inputs={"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps})

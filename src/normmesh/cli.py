@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -98,6 +97,8 @@ def _meta(args, anchors: list[str], seed: int | None = None,
         "paper_anchor": anchors,
     }
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
 
@@ -114,7 +115,7 @@ def _cmd_dims(args) -> dict:
     anchors = ["space-dim"]
     if args.set is not None:
         model = _set_from_args(args)
-        pts = sets.grid(model)
+        pts = sets.grid(model, space.dim)
         rank = polyspace._grid_rank(space, pts)
         report["inputs"]["set"] = model.describe()
         report["trace_dimension"] = rank

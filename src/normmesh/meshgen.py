@@ -208,7 +208,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     max_sweeps = check_int(max_sweeps, "max_sweeps")
     if tol_swap <= 0.0:
         raise ValidationError(f"tol_swap must be positive, got {tol_swap}")
-    grid_points = sets.grid(set_model)
+    grid_points = sets.grid(set_model, space.dim)
     q = _conditioned_basis(space, grid_points)
     chosen = _greedy_rows(q)
 

@@ -11,7 +11,8 @@ Supported kinds: axis-aligned boxes, Euclidean balls, spheres (circle in
 the plane, latitude-longitude sampled S2 in space), and point clouds given
 as coordinates or read from text files.  A box, ball or sphere grid is
 sized by its resolution, and one whose array would exceed the package's
-dense-array byte budget is refused before it is built.
+dense-array byte budget is refused before it is built; so is a box, sphere
+or cloud grid whose evaluation matrix would.
 
 A point cloud file is parsed by numpy's C text reader, one block of
 4096 lines per call.  The per-line Python parser runs only on a block the
@@ -293,23 +294,34 @@ _GRID_BUILDERS = {
 
 
 def _sampled_points(model: CompactSetModel) -> int:
-    """Point count of a sampled grid, worked out before it is built.
+    """Point count of a grid, worked out before it is built.
 
-    A ball counts the whole cube its grid is cut from.
+    A ball counts the whole cube its grid is cut from; a cloud, its points.
     """
+    if model.kind == "point_cloud":
+        return model.params["points"].shape[0]
     res = model.resolution
     if model.kind == "sphere":
         return res if model.ambient_dim == 2 else res * (res - 2) + 2
     return res ** model.ambient_dim
 
 
-def grid(model: CompactSetModel) -> np.ndarray:
+def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     """Deterministic ordered sample of the set, shape (num_points, n).
 
     Every returned point lies in the modeled set, with at most 1e-12
     deviation for curved boundaries.  The result is never empty.  A
     sampled grid above the dense-array byte budget is refused before
     anything is allocated.
+
+    ``columns`` is the column count of the evaluation matrix the caller
+    builds on the grid next.  A box, sphere or cloud grid, whose point
+    count is exact before it is built, is refused when that matrix would
+    exceed the budget, with the message the matrix check gives.  A ball's
+    grid is cut from its cube, whose count would refuse balls that fit, so
+    its matrix is checked once the grid is built.  So is the matrix of a
+    grid with fewer points than columns, which node selection refuses
+    first as too small for the space.
     """
     if model.kind in SAMPLED_KINDS:
         _check_resolution(model.resolution)
@@ -318,6 +330,10 @@ def grid(model: CompactSetModel) -> np.ndarray:
         builder = _GRID_BUILDERS[model.kind]
     except KeyError:
         raise ValidationError(f"unknown set kind {model.kind!r}") from None
+    if columns is not None and model.kind != "ball":
+        count = _sampled_points(model)
+        if count >= columns:
+            check_dense(count, columns, "evaluation matrix")
     pts = builder(model)
     if pts.shape[0] < 1:
         raise ValidationError(f"grid for {model.describe()} came out empty")

@@ -445,3 +445,82 @@ class TestPhiInverse:
                             calls.clear()
                             bounds._phi_inverse(y, k, start)
                             assert len(calls) <= most, (dps, k, eps, start, len(calls))
+
+
+# The per-process caches of input-only values in ``bounds``.
+CACHES = ("_log_floor", "_log_growth", "_branch_start", "_bracket_upper")
+
+
+@pytest.fixture
+def cold_caches():
+    for name in CACHES:
+        getattr(bounds, name).cache_clear()
+
+
+@pytest.mark.usefixtures("cold_caches")
+class TestCaches:
+    def test_argument_checks_run_after_cached_calls(self):
+        c = math.e ** 2
+        assert log_floor(c, 1, 1) == 1
+        assert bounds._log_floor.cache_info().currsize == 1
+        with pytest.raises(ValidationError):
+            log_floor(c, True, 1)
+        with pytest.raises(ValidationError):
+            log_floor(c, 1, True)
+        assert log_floor(0.5, 4, 1) == 0
+        with pytest.raises(ValidationError):
+            log_floor(0.5, 1, 1)
+        entropy_chain(1, 1, c, 1, 0.5)
+        with pytest.raises(ValidationError):
+            entropy_chain(True, 1, c, 1, 0.5)
+        with pytest.raises(ValidationError):
+            entropy_chain(1, 1, c, 8, 0.5)
+
+    def test_shuffled_inputs_give_the_same_values(self):
+        inputs = [(d, k, c_hat, nbar, eps) for d, c_hat, nbar in ((1, math.e ** 2, 1),
+                                                                (3, 20.0, 2))
+                  for k in (1, 2, 3) for eps in sweep_eps(1)]
+        first = [entropy_chain(*args).to_json_values() for args in inputs]
+        for name in CACHES:
+            getattr(bounds, name).cache_clear()
+        order = list(range(len(inputs)))
+        random.Random(7).shuffle(order)
+        again = {i: entropy_chain(*inputs[i]).to_json_values() for i in order}
+        assert [again[i] for i in range(len(inputs))] == first
+
+    def test_floor_audit_still_raises_on_a_miss(self):
+        # e^2 cut after 48 decimals: its logarithm sits 1.4e-49 below 2,
+        # so the floor is 2 at 30 digits and 1 at 60
+        c = Decimal("7.389056098930650227230427460575007813180315570551")
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="log_floor: floor audit disagrees"):
+                log_floor(c, 1, 1)
+        assert bounds._log_floor.cache_info().currsize == 0
+
+    def test_evaluation_ceiling(self, monkeypatch):
+        # 120 chains of the benchmark's sweep: one floor for each node
+        # budget, and one audited log floor per growth order, not per chain;
+        # the Newton residuals are as many as without the caches
+        floors, residuals = [], []
+        audited_floor, gap = bounds._audited_floor, bounds._phi_gap
+
+        def counted_floor(*args):
+            floors.append(1)
+            return audited_floor(*args)
+
+        def counted_gap(x, *args):
+            if isinstance(x, Decimal):
+                residuals.append(1)
+            return gap(x, *args)
+
+        monkeypatch.setattr(bounds, "_audited_floor", counted_floor)
+        monkeypatch.setattr(bounds, "_phi_gap", counted_gap)
+        for k in (1, 2, 3):
+            for eps in sweep_eps(1):
+                entropy_chain(1, k, math.e ** 2, 1, eps)
+        assert len(floors) <= 123
+        assert len(residuals) <= 596
+        assert bounds._log_floor.cache_info().misses == 3
+        assert bounds._log_growth.cache_info().misses == 3
+        # one 30-digit bracket per chain, shared by its two solves
+        assert bounds._bracket_upper.cache_info().misses <= 120

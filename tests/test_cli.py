@@ -4,7 +4,9 @@ import json
 import re
 import subprocess
 import sys
+from unittest.mock import Mock
 
+import numpy as np
 import pytest
 
 from normmesh import cli, errors, landau, polyspace
@@ -58,12 +60,28 @@ class TestDims:
         (["mesh", "--n", "1", "--d", "2", "--resolution", "1000000000"],
          "a 1000000000 x 1 grid of box(n=1, resolution=1000000000) needs "
          "8000000000 bytes"),
-    ], ids=["dims", "mesh"])
-    def test_oversized_grid_refused(self, capsys, argv, message):
+        (["dims", "--set", "box", "--n", "3", "--d", "30", "--resolution", "150"],
+         "a 3375000 x 5456 evaluation matrix needs 147312000000 bytes"),
+        (["mesh", "--n", "3", "--d", "30", "--resolution", "150"],
+         "a 3375000 x 5456 evaluation matrix needs 147312000000 bytes"),
+    ], ids=["dims", "mesh", "dims-matrix", "mesh-matrix"])
+    def test_oversized_grid_refused(self, capsys, monkeypatch, argv, message):
+        # refused before the grid is built: the grid or its matrix would not fit
+        monkeypatch.setattr(np, "linspace", Mock(side_effect=AssertionError("grid built")))
         rc, out, err = run_main(argv + ["--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
         assert err.startswith(f"ERROR[2]: {message}, above the 1073741824-byte limit")
+
+    def test_too_small_grid_named_before_matrix(self, capsys):
+        # 10^4 points cannot determine the 20301-dimensional space; that is
+        # the message, though their matrix would also exceed the budget
+        rc, out, err = run_main(["mesh", "--n", "2", "--d", "200", "--resolution", "100",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == ("ERROR[2]: grid has 10000 points but the space needs at least 20301 "
+                       "to determine a node set\n")
 
     def test_missing_degree(self, capsys):
         rc, _, err = run_main(["dims", "--n", "2", "--no-timestamp"], capsys)

@@ -1,5 +1,6 @@
 """Package surface: exported names and the shared integer rule."""
 
+import json
 import os
 import subprocess
 import sys
@@ -161,3 +162,20 @@ def test_import_loads_no_mpmath_until_a_closed_form_is_read():
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "{'n': 1, 'd': 2}\n"
+
+
+@pytest.mark.parametrize("case", [
+    ["cli", "bounds", "--n", "2", "--d", "5", "--no-timestamp"],
+    ["cli", "entropy", "--n", "1", "--d", "5", "--eps", "0.1", "--no-timestamp"],
+], ids=["bounds", "entropy"])
+def test_untimestamped_closed_forms_run_without_datetime(case):
+    # datetime is imported only to write a timestamp
+    _assert_same_without("datetime", case)
+
+
+def test_timestamp_still_written():
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_CHILD, "plain", "cli", "bounds",
+                           "--n", "2", "--d", "5"],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["meta"]["timestamp"].endswith("+00:00")

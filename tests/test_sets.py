@@ -427,6 +427,46 @@ class TestGridBudget:
                                                   f"{nbytes - 1}-byte limit"):
             sets.grid(model)
 
+    # An evaluation matrix the budget refuses is refused before its grid
+    # is built, wherever the grid's point count is exact.
+    @pytest.mark.parametrize("model, points, columns", [
+        (sets.box([(-1.0, 1.0)] * 3, 150), 150 ** 3, 5456),
+        (sets.sphere([0.0, 0.0, 0.0], 1.0, 1000), 1000 * 998 + 2, 5456),
+        (sets.sphere([0.0, 0.0], 1.0, 10 ** 6), 10 ** 6, 201),
+    ], ids=["box-3d", "s2", "circle"])
+    def test_oversized_matrix_refused_before_allocation(self, model, points, columns):
+        refuse = unittest.mock.Mock(side_effect=AssertionError("grid allocated"))
+        with unittest.mock.patch.object(np, "linspace", refuse), \
+                unittest.mock.patch.object(np, "arange", refuse), \
+                pytest.raises(ValidationError) as caught:
+            sets.grid(model, columns)
+        assert str(caught.value) == (
+            f"a {points} x {columns} evaluation matrix needs {points * columns * 8} bytes, "
+            "above the 1073741824-byte limit for one dense array")
+
+    def test_oversized_cloud_matrix_refused_before_copy(self, monkeypatch):
+        model = sets.from_points([[0.1 * i, 1.0] for i in range(50)])
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", 50 * 10 * 8 - 1)
+        assert sets.grid(model, 9).shape == (50, 2)
+        refuse = unittest.mock.Mock(side_effect=AssertionError("grid copied"))
+        monkeypatch.setitem(sets._GRID_BUILDERS, "point_cloud", refuse)
+        with pytest.raises(ValidationError, match="a 50 x 10 evaluation matrix needs 4000 "
+                                                  "bytes, above the 3999-byte limit"):
+            sets.grid(model, 10)
+
+    # A ball is cut from its cube, whose count would refuse a ball whose
+    # matrix fits: 33 of the cube's 125 points, 33 x 20 x 8 = 5280 bytes.
+    # A grid with fewer points than columns is left to the caller's own
+    # checks.  Both are built.
+    @pytest.mark.parametrize("model, columns, budget, rows", [
+        (sets.ball([0.0, 0.0, 0.0], 1.0, 5), 20, 5280, 33),
+        (sets.box([(0.0, 1.0)], 10), 11, 100, 10),
+    ], ids=["ball", "fewer-points"])
+    def test_matrix_left_to_later_check(self, model, columns, budget, rows, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_DENSE_BYTES", budget)
+        assert sets._sampled_points(model) * columns * 8 > budget
+        assert sets.grid(model, columns).shape[0] == rows
+
     def test_unknown_kind_refused(self):
         model = sets.CompactSetModel(ambient_dim=1, kind="union", params={}, resolution=3)
         with pytest.raises(ValidationError, match="unknown set kind 'union'"):
