@@ -176,10 +176,13 @@ def _audited_floor(make_value: Callable[[], Decimal], context: str) -> int:
 
 
 def _check_chat(c_hat) -> Decimal:
-    try:
-        c = Decimal(c_hat) if isinstance(c_hat, (int, Decimal)) else Decimal(float(c_hat))
-    except (TypeError, ValueError):
-        c = Decimal("NaN")
+    c = Decimal("NaN")
+    # Decimal(True) is 1: bool is refused, as check_int refuses it
+    if not isinstance(c_hat, bool):
+        try:
+            c = Decimal(c_hat) if isinstance(c_hat, (int, Decimal)) else Decimal(float(c_hat))
+        except (TypeError, ValueError):
+            pass
     if not c.is_finite() or c <= 0:
         raise ValidationError(f"growth constant must be positive and finite, got {c_hat!r}")
     return c

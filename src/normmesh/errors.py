@@ -15,7 +15,8 @@ import sys
 
 # Largest dense float64 array the package allocates: a sampled grid, or an
 # evaluation matrix of grid points by basis members, of which node
-# selection holds about four at once.
+# selection holds two at once (the orthonormal basis and the cardinal
+# matrix) plus one block of rows of the blocked QR.
 MAX_DENSE_BYTES = 2 ** 30
 
 

@@ -17,17 +17,23 @@ by more than a (1 + tol_swap) factor" and "every |f_k| stays below
 grows log|det| by at least log(1 + tol_swap); on a finite grid that
 bounds the number of swaps and forces termination.
 
-The same identity updates the cardinal matrix after a swap without a new
-solve.  When node k moves to grid point z, the new cardinals are
+The same identity updates the cardinal matrix after a swap without a
+fresh evaluation.  When node k moves to grid point z, the new cardinals are
 
     f_k' = f_k / f_k(z),    f_j' = f_j - f_j(z) * f_k'   (j != k),
 
 a rank-1 (maxvol) step costing O(N m) for N grid points and m nodes,
-where a fresh solve of the m x m node system against the grid costs
-O(m^2 N).  Fresh solves happen only for the greedy seed, to confirm a
-sweep that came back clean on the updated matrix, and once at the end of
-a run that exhausted its sweeps, so every reported certificate is read
-from a fresh solve.
+where a fresh product C = Q inv(Q_nodes) from the orthonormal basis Q
+costs O(m^2 N).  Fresh products happen only for the greedy seed, to
+confirm a sweep that came back clean on the updated matrix, and once at
+the end of a run that exhausted its sweeps, so every reported
+certificate is read from a fresh product; each refills the one N x m
+cardinal buffer.
+
+The orthonormal basis comes from a tall-skinny QR (TSQR) of the grid
+Vandermonde, factored one block of rows at a time, so node selection
+holds two N x m arrays (the basis and the cardinal matrix) plus one
+block of rows.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
@@ -51,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyspace, sets
-from .errors import NonDeterminingError, ValidationError, check_int
+from .errors import NonDeterminingError, ValidationError, check_dense, check_int
 
 DEFAULT_TOL_SWAP = 1e-10
 DEFAULT_MAX_SWEEPS = 100
@@ -100,13 +106,40 @@ class NodeSet:
 
 
 def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray) -> np.ndarray:
-    """Orthonormalize the grid Vandermonde columns; fail if rank deficient."""
-    if grid_points.shape[0] < space.dim:
+    """Orthonormalize the grid Vandermonde columns; fail if rank deficient.
+
+    A tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34, 2012): the N grid points are split into contiguous blocks
+    of equal size, the first N mod c of them one row longer (as
+    ``np.array_split`` splits), c being the fewest blocks of at most the
+    trace rank's block rows (``polyspace._RANK_BLOCK_ROWS``, or
+    ``_RANK_BLOCK_ROWS_PER_COLUMN`` per basis member), so a grid of more
+    than one block gives each at least 2m rows.  Each block's Vandermonde
+    V_b = Q_b R_b is factored into its rows of the N x m result; the
+    stacked R_b are factored once, [R_1; ...; R_c] = W R, and each block's
+    rows are rotated by its m x m piece W_b of W.  Then V = Q R with
+    Q = diag(Q_b) W orthonormal, and only Q, one block of rows and the c
+    m x m factors are held at once.
+    """
+    npts, m = grid_points.shape[0], space.dim
+    if npts < m:
         raise ValidationError(
             f"grid has {grid_points.shape[0]} points but the space needs at least "
             f"{space.dim} to determine a node set")
-    v = polyspace.vandermonde(space, grid_points)
-    q, r = np.linalg.qr(v, mode="reduced")
+    check_dense(npts, m, "evaluation matrix")
+    rows = max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * m)
+    count = -(-npts // rows)
+    size, extra = divmod(npts, count)
+    edges = [b * size + min(b, extra) for b in range(count + 1)]
+    blocks = [slice(edges[b], edges[b + 1]) for b in range(count)]
+    q = np.empty((npts, m))
+    stacked = np.empty((count * m, m))
+    for b, block in enumerate(blocks):
+        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(
+            polyspace.vandermonde(space, grid_points[block]))
+    w, r = np.linalg.qr(stacked)
+    for b, block in enumerate(blocks):
+        q[block] = q[block] @ w[b * m:(b + 1) * m]
     # V = QR with orthonormal Q, so R carries the singular values of V.
     svals = np.linalg.svd(r, compute_uv=False)
     rank = polyspace._numerical_rank(svals)
@@ -121,13 +154,21 @@ def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray) -> n
     return q
 
 
-def _cardinal_values(q: np.ndarray, indices: Sequence[int]) -> np.ndarray:
-    """Matrix C with C[z, k] = f_k(grid point z) for nodes q[indices]."""
-    sub = q[list(indices)]
+def _cardinal_values(q: np.ndarray, indices: Sequence[int],
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix C with C[z, k] = f_k(grid point z) for nodes q[indices].
+
+    C = Q inv(Q[indices]): one m x m inverse and one product, written into
+    ``out`` (an N x m column-major buffer, which may hold an earlier C)
+    when given, else into a new column-major array.
+    """
     try:
-        return np.linalg.solve(sub.T, q.T).T
+        inverse = np.linalg.inv(q[list(indices)])
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"node matrix is singular to working precision: {exc}") from exc
+    if out is None:
+        out = np.empty(q.shape, order="F")
+    return np.matmul(q, inverse, out=out)
 
 
 def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
@@ -142,8 +183,11 @@ def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
 
 
 def _certificates(cardinals: np.ndarray) -> tuple[float, float]:
-    """(max_G max_k |f_k|, max_G sum_k |f_k|) of a cardinal matrix."""
-    magnitudes = np.abs(cardinals)
+    """(max_G max_k |f_k|, max_G sum_k |f_k|) of a cardinal matrix.
+
+    The matrix is overwritten by its absolute values.
+    """
+    magnitudes = np.abs(cardinals, out=cardinals)
     return float(magnitudes.max()), float(magnitudes.sum(axis=1).max())
 
 
@@ -196,11 +240,13 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
 
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
-    matrix is solved afresh, O(m^2 N), after the greedy seed; when a sweep
-    comes back clean on an updated matrix, where the fresh matrix must
-    confirm it or sweeping goes on; and once at the end of a run that
-    exhausted ``max_sweeps``.  ``lagrange_sup``, ``grid_constant`` and
-    ``swap_optimal`` are therefore read from a fresh solve.
+    matrix is computed afresh from the orthonormal basis of the tall-skinny
+    QR, O(m^2 N), after the greedy seed; when a sweep comes back clean on
+    an updated matrix, where the fresh matrix must confirm it or sweeping
+    goes on; and once at the end of a run that exhausted ``max_sweeps``.
+    A fresh product never reads the updated matrix; it overwrites it in
+    place.  ``lagrange_sup``, ``grid_constant`` and ``swap_optimal`` are
+    therefore read from a fresh product.
 
     The run is deterministic given (space, set_model, max_sweeps,
     tol_swap); the exchange draws no random numbers.
@@ -214,7 +260,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
 
     m = space.dim
     cardinals = _cardinal_values(q, chosen)
-    updated = False  # cardinals carry rank-1 updates since the last solve
+    updated = False  # cardinals carry rank-1 updates since the last fresh product
     swap_optimal = False
     sweeps_used = 0
     for _ in range(max_sweeps):
@@ -230,14 +276,14 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
             # A clean sweep over rank-1 updates may rest on rounding drift
             # near the threshold; only a fresh matrix certifies it.
             if updated:
-                cardinals = _cardinal_values(q, chosen)
+                _cardinal_values(q, chosen, out=cardinals)
                 updated = False
-                if (np.abs(cardinals) > 1.0 + tol_swap).any():
+                if max(cardinals.max(), -cardinals.min()) > 1.0 + tol_swap:
                     continue
             swap_optimal = True
             break
     if updated:
-        cardinals = _cardinal_values(q, chosen)
+        _cardinal_values(q, chosen, out=cardinals)
 
     lagrange_sup, grid_constant = _certificates(cardinals)
     return NodeSet(
@@ -269,8 +315,13 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
             f"need exactly {space.dim} node indices for this space, got {len(indices)}")
     if len(set(indices)) != len(indices):
         raise ValidationError("node indices must be distinct")
-    grid_points = sets.grid(set_model)
-    if any(i >= grid_points.shape[0] for i in indices):
+    # Checked before the evaluation matrix is refused: a box, sphere or
+    # cloud grid is counted before it is built, a ball's grid after.
+    count = sets.point_count(set_model)
+    if count is not None and max(indices) >= count:
+        raise ValidationError("node index out of grid range")
+    grid_points = sets.grid(set_model, space.dim)
+    if max(indices) >= grid_points.shape[0]:
         raise ValidationError("node index out of grid range")
     q = _conditioned_basis(space, grid_points)
     sup, grid_constant = _certificates(_cardinal_values(q, indices))
@@ -293,10 +344,10 @@ def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) ->
     Every space member g satisfies max_G |g| <= L * max_k |g(z_k)|.
     Cardinals are evaluated through the conditioned basis; their values
     do not depend on the basis choice.  This rebuilds the grid, basis and
-    cardinal solve from scratch, so it is an independent check of the
+    cardinal product from scratch, so it is an independent check of the
     ``grid_constant`` that ``select_nodes`` and ``make_node_set`` store.
     """
-    grid_points = sets.grid(set_model)
+    grid_points = sets.grid(set_model, node_set.space.dim)
     indices = list(node_set.node_indices)
     if max(indices) >= grid_points.shape[0] or not np.array_equal(
             grid_points[indices], node_set.nodes):
@@ -304,5 +355,4 @@ def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) ->
             "node set does not match this set's grid; certify against the grid "
             "the nodes were selected from")
     q = _conditioned_basis(node_set.space, grid_points)
-    cardinals = _cardinal_values(q, indices)
-    return float(np.abs(cardinals).sum(axis=1).max())
+    return _certificates(_cardinal_values(q, indices))[1]

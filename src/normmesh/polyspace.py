@@ -139,9 +139,14 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
     largest one.  The set is determining for the space exactly when this
     equals ``space.dim``.  When the first strided block of the grid already
     proves the full rank, the rest of the grid is never evaluated; see
-    ``_grid_rank``.
+    ``_grid_rank``.  An evaluation matrix above the dense-array byte
+    budget is refused before the grid is built, after the grid's own
+    checks and the tolerance check.
     """
-    return _grid_rank(space, sets.grid(set_model), tol)
+    sets.point_count(set_model)  # the grid's own checks come first
+    if tol <= 0.0:
+        raise ValidationError(f"tolerance must be positive, got {tol}")
+    return _grid_rank(space, sets.grid(set_model, space.dim), tol)
 
 
 def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
@@ -161,8 +166,6 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     remaining blocks are folded onto it, so a grid the screen cannot
     certify costs one m x m SVD more than the fold alone.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
     pts = _as_points(points, space.n)
     m = space.dim
     check_dense(pts.shape[0], m, "evaluation matrix")

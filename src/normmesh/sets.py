@@ -306,6 +306,22 @@ def _sampled_points(model: CompactSetModel) -> int:
     return res ** model.ambient_dim
 
 
+def point_count(model: CompactSetModel) -> int | None:
+    """Point count of the model's grid, checked before anything is built.
+
+    Runs the grid's own checks (resolution, kind, and the dense-array byte
+    budget of the sampled array) and returns the exact count of a box,
+    sphere or cloud grid.  A ball's grid is cut from its cube after it is
+    sampled, so its count is known only once it is built: None.
+    """
+    if model.kind in SAMPLED_KINDS:
+        _check_resolution(model.resolution)
+        check_dense(_sampled_points(model), model.ambient_dim, f"grid of {model.describe()}")
+    if model.kind not in _GRID_BUILDERS:
+        raise ValidationError(f"unknown set kind {model.kind!r}")
+    return None if model.kind == "ball" else _sampled_points(model)
+
+
 def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     """Deterministic ordered sample of the set, shape (num_points, n).
 
@@ -323,18 +339,10 @@ def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     grid with fewer points than columns, which node selection refuses
     first as too small for the space.
     """
-    if model.kind in SAMPLED_KINDS:
-        _check_resolution(model.resolution)
-        check_dense(_sampled_points(model), model.ambient_dim, f"grid of {model.describe()}")
-    try:
-        builder = _GRID_BUILDERS[model.kind]
-    except KeyError:
-        raise ValidationError(f"unknown set kind {model.kind!r}") from None
-    if columns is not None and model.kind != "ball":
-        count = _sampled_points(model)
-        if count >= columns:
-            check_dense(count, columns, "evaluation matrix")
-    pts = builder(model)
+    count = point_count(model)
+    if columns is not None and count is not None and count >= columns:
+        check_dense(count, columns, "evaluation matrix")
+    pts = _GRID_BUILDERS[model.kind](model)
     if pts.shape[0] < 1:
         raise ValidationError(f"grid for {model.describe()} came out empty")
     return pts

@@ -161,6 +161,14 @@ class TestScheduledSizes:
         with pytest.raises(ValidationError):
             log_floor(0.5, 1, 1)
 
+    def test_growth_constant_refuses_bool(self):
+        # Decimal(True) is 1: the floor read 1 and the chain N_ds_cor1 96
+        with pytest.raises(ValidationError, match="growth constant .* got True"):
+            log_floor(True, 3, 1)
+        with pytest.raises(ValidationError, match="growth constant .* got True"):
+            entropy_chain(2, 1, True, 1, 0.5)
+        assert log_floor(1, 3, 1) == 1
+
     def test_schedule_scale_validation(self):
         with pytest.raises(ValidationError):
             scheduled_embedding_size(1, 1, 1.0, 2)

@@ -7,9 +7,14 @@ norming inequality on sampled polynomials) rather than node identity.
 The rank-1 exchange is checked against a reference exchange that solves
 the cardinal matrix afresh after every swap, and the left-looking greedy
 seed against a right-looking one that rewrites the whole residual per pick.
+The blocked (tall-skinny) QR basis is checked against numpy's QR of the
+whole grid Vandermonde.
 """
 
+import dataclasses
 import itertools
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -126,6 +131,131 @@ class TestGreedySeed:
         interval = meshgen._conditioned_basis(
             poly_space(1, 3), sets.grid(sets.box([(-1.0, 1.0)], 2001)))
         assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
+
+
+# Grids of several row blocks: 8, 5 and 5 blocks.
+MULTI_BLOCK_CASES = [
+    pytest.param(3, 3, sets.box([(-1.0, 1.0)] * 3, 25), id="cube-r25-d3"),
+    pytest.param(1, 4, sets.box([(-1.0, 1.0)], 10001), id="interval-r10001-d4"),
+    pytest.param(2, 16, sets.box([(-1.0, 1.0)] * 2, 101), id="square-r101-d16"),
+]
+
+
+def block_count(space, grid_points):
+    rows = max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
+    return -(-grid_points.shape[0] // rows)
+
+
+class TestBlockedBasis:
+    @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
+    def test_orthonormal_basis_of_the_vandermonde(self, n, d, model):
+        space = poly_space(n, d)
+        grid_points = sets.grid(model)
+        assert block_count(space, grid_points) > 1
+        q = meshgen._conditioned_basis(space, grid_points)
+        assert q.shape == (grid_points.shape[0], space.dim)
+        assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
+        # Q spans the columns of V: the projection leaves only roundoff
+        v = vandermonde(space, grid_points)
+        assert np.linalg.norm(v - q @ (q.T @ v)) <= 1e-12 * np.linalg.norm(v)
+        # the greedy seed reads only the span, so numpy's QR of the whole
+        # matrix picks the same rows
+        whole = np.linalg.qr(v)[0]
+        assert meshgen._greedy_rows(q) == meshgen._greedy_rows(whole)
+
+    def test_refreshed_cardinals_equal_a_fresh_product(self):
+        space = poly_space(2, 4)
+        q = meshgen._conditioned_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
+        chosen = meshgen._greedy_rows(q)
+        fresh = meshgen._cardinal_values(q, chosen)
+        assert fresh.flags.f_contiguous
+        buf = meshgen._cardinal_values(q, chosen[::-1])
+        meshgen._swap_cardinals(buf, 0, chosen[3])
+        assert meshgen._cardinal_values(q, chosen, out=buf) is buf
+        np.testing.assert_array_equal(buf, fresh)
+        np.testing.assert_allclose(buf[chosen], np.eye(space.dim), rtol=0, atol=1e-12)
+
+    def test_one_block_grid_matches_whole_qr(self):
+        space = poly_space(1, 5)
+        grid_points = sets.grid(sets.box([(-1.0, 1.0)], 2001))
+        assert block_count(space, grid_points) == 1
+        q = meshgen._conditioned_basis(space, grid_points)
+        whole = np.linalg.qr(vandermonde(space, grid_points))[0]
+        np.testing.assert_allclose(q, whole, rtol=0, atol=1e-14)
+
+    def test_grid_of_exactly_dim_points(self):
+        space = poly_space(1, 4)
+        model = sets.from_points([[x] for x in (-1.0, -0.4, 0.1, 0.5, 1.0)])
+        ns = select_nodes(space, model)
+        assert sorted(ns.node_indices) == [0, 1, 2, 3, 4]
+        assert ns.swap_optimal
+        assert ns.lagrange_sup == pytest.approx(1.0, abs=1e-12)
+        assert ns.grid_constant == pytest.approx(1.0, abs=1e-12)
+
+    def test_circle_still_non_determining(self):
+        # degree-3 members on the circle span 1, cos jt, sin jt (j <= 3)
+        with pytest.raises(NonDeterminingError, match=r"numerical rank 7 < dimension 10") \
+                as info:
+            select_nodes(poly_space(2, 3), sets.sphere([0.0, 0.0], 1.0, 64))
+        assert (info.value.rank, info.value.dim) == (7, 10)
+
+    def test_selection_holds_two_matrices(self):
+        # the basis and the cardinal matrix, plus one block of rows; LAPACK's
+        # own buffers are not traced, so this guards numpy's arrays only
+        space = poly_space(3, 3)
+        model = sets.box([(-1.0, 1.0)] * 3, 25)
+        select_nodes(poly_space(1, 2), sets.box([(-1.0, 1.0)], 11))
+        tracemalloc.start()
+        try:
+            select_nodes(space, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 25 ** 3 * space.dim * 8
+
+
+class TestOversizedMatrixBeforeGrid:
+    # 150^3 points by the 5456 members of degree <= 30 in three variables
+    SPACE = poly_space(3, 30)
+    MODEL = sets.box([(-1.0, 1.0)] * 3, 150)
+    MESSAGE = (f"a {150 ** 3} x 5456 evaluation matrix needs {150 ** 3 * 5456 * 8} bytes, "
+               "above the 1073741824-byte limit for one dense array")
+
+    @pytest.fixture(autouse=True)
+    def no_box_grid(self, monkeypatch):
+        refuse = unittest.mock.Mock(side_effect=AssertionError("grid built"))
+        monkeypatch.setitem(sets._GRID_BUILDERS, "box", refuse)
+
+    def test_trace_dimension(self):
+        with pytest.raises(ValidationError) as caught:
+            trace_dimension(self.SPACE, self.MODEL)
+        assert str(caught.value) == self.MESSAGE
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            trace_dimension(self.SPACE, self.MODEL, tol=0.0)
+
+    def test_make_node_set(self):
+        indices = list(range(self.SPACE.dim))
+        with pytest.raises(ValidationError) as caught:
+            make_node_set(self.SPACE, self.MODEL, indices)
+        assert str(caught.value) == self.MESSAGE
+        with pytest.raises(ValidationError, match="node index out of grid range"):
+            make_node_set(self.SPACE, self.MODEL, indices[:-1] + [150 ** 3])
+
+    def test_grid_norming_constant(self):
+        small = make_node_set(poly_space(1, 2), sets.from_points([[-1.0], [0.0], [1.0]]),
+                              [0, 1, 2])
+        with pytest.raises(ValidationError) as caught:
+            grid_norming_constant(dataclasses.replace(small, space=self.SPACE), self.MODEL)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_grid_checks_still_come_first(self):
+        # a grid above the budget by itself is named before the tolerance
+        # or an index is looked at
+        huge = sets.box([(-1.0, 1.0)] * 3, 10 ** 6)
+        with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
+            trace_dimension(self.SPACE, huge, tol=0.0)
+        with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
+            make_node_set(self.SPACE, huge, list(range(self.SPACE.dim - 1)) + [10 ** 18])
 
 
 class TestRankOneExchange:
