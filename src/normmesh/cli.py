@@ -2,8 +2,8 @@
 
 Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
---no-timestamp the output is a pure function of the arguments and seed,
-byte for byte.  Each subcommand accepts only the flags it reads, spelled
+--no-timestamp the output is a pure function of the arguments, byte for
+byte; ``--seed`` is only echoed and changes no result.  Each subcommand accepts only the flags it reads, spelled
 out in full.  Exit codes: 0 success, 2 validation, input or argument
 error, 3 violated certificate or precision audit.  Each handler imports
 the modules it uses: ``bounds`` and ``entropy`` run without loading numpy,

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its integer check, and its
-dense-array byte budget.
+"""Exception types shared across the package, its integer and tolerance
+checks, and its dense-array byte budget.
 
 ``report_error`` maps these onto process exit codes for the command line
 and the scripts: validation problems (bad parameters, unreadable inputs,
@@ -9,6 +9,7 @@ The latter indicate a bug rather than a user error and should never occur
 in normal operation.
 """
 
+import math
 import numbers
 import sys
 
@@ -62,6 +63,20 @@ def check_int(value, what: str, minimum: int = 1) -> int:
             wanted = f"an integer >= {minimum}"
         raise ValidationError(f"{what} must be {wanted}, got {value!r}")
     return int(value)
+
+
+def check_tol(value, what: str) -> float:
+    """``float(value)`` when value is a finite real number above zero.
+
+    Rejects ``bool``, nan, infinities, zero and negatives alike, raising
+    ``ValidationError`` naming ``what``: every comparison with nan is
+    false, so a nan swap tolerance would certify any node set as
+    swap-optimal and a nan rank tolerance would give rank 0.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value <= 0:
+        raise ValidationError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def check_dense(rows: int, cols: int, what: str) -> None:

@@ -99,6 +99,8 @@ class EmbeddingCertificate:
     @property
     def restriction(self) -> np.ndarray:
         """The space's basis at the nodes: the embedding in matrix form."""
+        # Monomials at degree d, not the selection basis: constants evaluate
+        # to exactly 1, so a constant or affine space's distortion is exactly 1.
         return polyspace.vandermonde(self.space, self.node_set.nodes)
 
     @property

@@ -30,10 +30,11 @@ the end of a run that exhausted its sweeps, so every reported
 certificate is read from a fresh product; each refills the one N x m
 cardinal buffer.
 
-The orthonormal basis comes from a tall-skinny QR (TSQR) of the grid
-Vandermonde, factored one block of rows at a time, so node selection
-holds two N x m arrays (the basis and the cardinal matrix) plus one
-block of rows.
+The orthonormal basis Q is ``polyspace.orthonormal_basis``: a tall-skinny
+QR of the grid Vandermonde over the same strided blocks of grid rows as
+the trace rank, which also refuses a grid whose numerical rank falls
+short of m.  Node selection holds two N x m arrays (the basis and the
+cardinal matrix) plus one block of rows.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
@@ -57,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from . import polyspace, sets
-from .errors import NonDeterminingError, ValidationError, check_dense, check_int
+from .errors import NonDeterminingError, ValidationError, check_int, check_tol
 
 DEFAULT_TOL_SWAP = 1e-10
 DEFAULT_MAX_SWEEPS = 100
@@ -103,55 +104,6 @@ class NodeSet:
             "swap_optimal": bool(self.swap_optimal),
             "lagrange_sup": float(self.lagrange_sup),
         }
-
-
-def _conditioned_basis(space: polyspace.PolySpace, grid_points: np.ndarray) -> np.ndarray:
-    """Orthonormalize the grid Vandermonde columns; fail if rank deficient.
-
-    A tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
-    Comput. 34, 2012): the N grid points are split into contiguous blocks
-    of equal size, the first N mod c of them one row longer (as
-    ``np.array_split`` splits), c being the fewest blocks of at most the
-    trace rank's block rows (``polyspace._RANK_BLOCK_ROWS``, or
-    ``_RANK_BLOCK_ROWS_PER_COLUMN`` per basis member), so a grid of more
-    than one block gives each at least 2m rows.  Each block's Vandermonde
-    V_b = Q_b R_b is factored into its rows of the N x m result; the
-    stacked R_b are factored once, [R_1; ...; R_c] = W R, and each block's
-    rows are rotated by its m x m piece W_b of W.  Then V = Q R with
-    Q = diag(Q_b) W orthonormal, and only Q, one block of rows and the c
-    m x m factors are held at once.
-    """
-    npts, m = grid_points.shape[0], space.dim
-    if npts < m:
-        raise ValidationError(
-            f"grid has {grid_points.shape[0]} points but the space needs at least "
-            f"{space.dim} to determine a node set")
-    check_dense(npts, m, "evaluation matrix")
-    rows = max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * m)
-    count = -(-npts // rows)
-    size, extra = divmod(npts, count)
-    edges = [b * size + min(b, extra) for b in range(count + 1)]
-    blocks = [slice(edges[b], edges[b + 1]) for b in range(count)]
-    q = np.empty((npts, m))
-    stacked = np.empty((count * m, m))
-    for b, block in enumerate(blocks):
-        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(
-            polyspace.vandermonde(space, grid_points[block]))
-    w, r = np.linalg.qr(stacked)
-    for b, block in enumerate(blocks):
-        q[block] = q[block] @ w[b * m:(b + 1) * m]
-    # V = QR with orthonormal Q, so R carries the singular values of V.
-    svals = np.linalg.svd(r, compute_uv=False)
-    rank = polyspace._numerical_rank(svals)
-    if rank < space.dim:
-        # The ratio tells a conditioning limit of the monomial basis (just
-        # under the tolerance) from a true rank deficiency (near machine
-        # epsilon).  s_max > 0: the constant column is all ones.
-        raise NonDeterminingError(
-            f"grid does not determine the space at degree {space.d}: numerical rank "
-            f"{rank} < dimension {space.dim} (s_min/s_max = {svals[-1] / svals[0]:.3g}, "
-            f"rank tolerance {polyspace.RANK_TOL:g})", rank=rank, dim=space.dim)
-    return q
 
 
 def _cardinal_values(q: np.ndarray, indices: Sequence[int],
@@ -252,10 +204,9 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     tol_swap); the exchange draws no random numbers.
     """
     max_sweeps = check_int(max_sweeps, "max_sweeps")
-    if tol_swap <= 0.0:
-        raise ValidationError(f"tol_swap must be positive, got {tol_swap}")
+    tol_swap = check_tol(tol_swap, "tol_swap")
     grid_points = sets.grid(set_model, space.dim)
-    q = _conditioned_basis(space, grid_points)
+    q = polyspace.orthonormal_basis(space, grid_points)
     chosen = _greedy_rows(q)
 
     m = space.dim
@@ -294,7 +245,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
         swap_optimal=swap_optimal,
         lagrange_sup=lagrange_sup,
         grid_constant=grid_constant,
-        tol_swap=float(tol_swap),
+        tol_swap=tol_swap,
         grid_points=grid_points,
         sweeps=sweeps_used,
     )
@@ -318,12 +269,13 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     # Checked before the evaluation matrix is refused: a box, sphere or
     # cloud grid is counted before it is built, a ball's grid after.
     count = sets.point_count(set_model)
+    tol_swap = check_tol(tol_swap, "tol_swap")
     if count is not None and max(indices) >= count:
         raise ValidationError("node index out of grid range")
     grid_points = sets.grid(set_model, space.dim)
     if max(indices) >= grid_points.shape[0]:
         raise ValidationError("node index out of grid range")
-    q = _conditioned_basis(space, grid_points)
+    q = polyspace.orthonormal_basis(space, grid_points)
     sup, grid_constant = _certificates(_cardinal_values(q, indices))
     return NodeSet(
         space=space,
@@ -333,7 +285,7 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
         swap_optimal=sup <= 1.0 + tol_swap,
         lagrange_sup=sup,
         grid_constant=grid_constant,
-        tol_swap=float(tol_swap),
+        tol_swap=tol_swap,
         grid_points=grid_points,
     )
 
@@ -354,5 +306,5 @@ def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) ->
         raise ValidationError(
             "node set does not match this set's grid; certify against the grid "
             "the nodes were selected from")
-    q = _conditioned_basis(node_set.space, grid_points)
+    q = polyspace.orthonormal_basis(node_set.space, grid_points)
     return _certificates(_cardinal_values(q, indices))[1]

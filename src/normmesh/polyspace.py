@@ -15,9 +15,11 @@ across modules.
 Evaluation uses per-coordinate power tables, one multiplication chain per
 coordinate, rather than repeated exponentiation.
 
-The grid trace rank folds the grid in strided blocks and tries to prove
-full rank from the first one: deleting rows of a matrix never raises a
-singular value, and the largest singular value of the whole grid
+The grid Vandermonde is never built whole: the trace rank and node
+selection's orthonormal basis are tall-skinny QRs over the same strided
+row blocks (``_row_blocks``).  The trace rank keeps only R and tries to
+prove full rank from the first block: deleting rows of a matrix never
+raises a singular value, and the largest singular value of the whole grid
 Vandermonde is bounded by its Frobenius norm, which the largest
 |coordinate| bounds without evaluating the grid.  A grid the first block
 cannot certify (rank deficient, or too badly conditioned for the bound)
@@ -35,20 +37,25 @@ from typing import Iterator
 import numpy as np
 
 from . import sets
-from .errors import ValidationError, check_dense, check_int
+from .errors import NonDeterminingError, ValidationError, check_dense, check_int, check_tol
 
-# The trace rank evaluates the grid Vandermonde and folds it into a running
-# R factor in strided blocks, whose sizes differ by at most one, of at most
-# this many rows, or this many rows per basis member when that is more.  A
-# grid of more than one block gives each block at least half that many
-# rows, so carrying the m x m factor adds at most half to the flops of
-# each fold.
+# Both factorizations of the grid Vandermonde evaluate it in strided
+# blocks, whose sizes differ by at most one, of at most this many rows, or
+# this many rows per basis member when that is more.  A grid of more than
+# one block gives each block at least half that many rows, so carrying the
+# m x m factor adds at most half to the flops of each fold.
 _RANK_BLOCK_ROWS = 2048
 _RANK_BLOCK_ROWS_PER_COLUMN = 4
 
 # Singular values at or below this fraction of the largest count as zero,
 # both for the grid trace rank and for node selection's rank guard.
 RANK_TOL = 1e-10
+# The rank guard calls a shortfall a conditioning limit of the monomial
+# basis, not a rank deficiency of the grid, when the largest dropped
+# singular value is above this fraction of the largest.  Measured, true
+# deficiencies (circles, spheres, a line) drop values of 1e-17 to 1e-15;
+# conditioning limits on boxes drop values of 1e-11 to 1e-10.
+_ROUNDOFF_DROP = 1e-3 * RANK_TOL
 
 
 def dim_full(n: int, d: int) -> int:
@@ -131,6 +138,17 @@ def vandermonde(space: PolySpace, points) -> np.ndarray:
     return out
 
 
+def _row_blocks(npts: int, m: int) -> list[slice]:
+    """Strided blocks ``points[b::count]`` of an N-point grid, largest first.
+
+    count = ceil(N / rows) for rows = max(``_RANK_BLOCK_ROWS``,
+    ``_RANK_BLOCK_ROWS_PER_COLUMN`` * m), so block sizes differ by at most one.
+    """
+    rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
+    count = -(-npts // rows)
+    return [slice(b, None, count) for b in range(count)]
+
+
 def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
                     tol: float = RANK_TOL) -> int:
     """Numerical dimension of the space restricted to the set's grid.
@@ -144,21 +162,18 @@ def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
     checks and the tolerance check.
     """
     sets.point_count(set_model)  # the grid's own checks come first
-    if tol <= 0.0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    tol = check_tol(tol, "tolerance")
     return _grid_rank(space, sets.grid(set_model, space.dim), tol)
 
 
 def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     """Numerical rank of the Vandermonde of ``points``, streamed in blocks.
 
-    The N rows are split into the strided blocks ``points[i::stride]``,
-    i < stride = ceil(N / rows), each of at most ``rows`` points.  They are
-    evaluated one at a time and folded into the R factor of a QR of the
-    rows seen so far (tall-skinny QR); the singular values of the final R
-    are those of the whole matrix.  At most (rows + m) x m floats are held
-    at once, but a matrix above the dense-array byte budget is refused as
-    if it were built whole.
+    The blocks of ``_row_blocks`` are evaluated one at a time and folded
+    into the R factor of a QR of the rows seen so far (tall-skinny QR);
+    the singular values of the final R are those of the whole matrix.  At
+    most (rows + m) x m floats are held at once, but a matrix above the
+    dense-array byte budget is refused as if it were built whole.
 
     When there is more than one block, the R of the first block is
     screened (``_certifies_full_rank``): if it proves that the rank is m,
@@ -169,13 +184,11 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     pts = _as_points(points, space.n)
     m = space.dim
     check_dense(pts.shape[0], m, "evaluation matrix")
-    rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
-    stride = -(-pts.shape[0] // rows)
+    blocks = _row_blocks(pts.shape[0], m)
     r = np.empty((0, m))
-    for start in range(stride):
-        block = vandermonde(space, pts[start::stride])
-        r = np.linalg.qr(np.vstack((r, block)), mode="r")
-        if start == 0 and stride > 1 and _certifies_full_rank(space, pts, r, tol):
+    for b, block in enumerate(blocks):
+        r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block]))), mode="r")
+        if b == 0 and len(blocks) > 1 and _certifies_full_rank(space, pts, r, tol):
             return m
     return _numerical_rank(np.linalg.svd(r, compute_uv=False), tol)
 
@@ -219,3 +232,59 @@ def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol * svals[0]))
+
+
+def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
+    """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
+
+    A tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
+    Comput. 34, 2012) over the blocks of ``_row_blocks``: each block's
+    V_b = Q_b R_b is factored into its rows of Q, the stacked R_b are
+    factored once, [R_1; ...; R_c] = W R, and each block's rows are
+    rotated by its m x m piece W_b of W.  A grid of fewer than m points or
+    of numerical rank below m raises (``_rank_shortfall``).
+    """
+    pts = _as_points(points, space.n)
+    npts, m = pts.shape[0], space.dim
+    if npts < m:
+        raise ValidationError(
+            f"grid has {npts} points but the space needs at least {m} to determine "
+            "a node set")
+    check_dense(npts, m, "evaluation matrix")
+    blocks = _row_blocks(npts, m)
+    q = np.empty((npts, m))
+    stacked = np.empty((len(blocks) * m, m))
+    for b, block in enumerate(blocks):
+        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(vandermonde(space, pts[block]))
+    w, r = np.linalg.qr(stacked)
+    for b, block in enumerate(blocks):
+        q[block] = q[block] @ w[b * m:(b + 1) * m]
+    # V = QR with orthonormal Q, so R carries the singular values of V.
+    svals = np.linalg.svd(r, compute_uv=False)
+    rank = _numerical_rank(svals)
+    if rank < m:
+        raise _rank_shortfall(space, svals / svals[0], rank)
+    return q
+
+
+def _rank_shortfall(space: PolySpace, ratios: np.ndarray, rank: int) -> NonDeterminingError:
+    """The rank guard's error, from the singular values over the largest.
+
+    ratios[0] = 1: the constant column is all ones, so rank >= 1.  The
+    largest dropped value ratios[rank] near roundoff is a true rank
+    deficiency; far above it (``_ROUNDOFF_DROP``), the monomial basis is
+    too badly conditioned for ``RANK_TOL`` on a grid that may well
+    determine the space.
+    """
+    shortfall = (
+        f"numerical rank {rank} < dimension {space.dim} (s_r/s_1 = {ratios[rank - 1]:.3g}, "
+        f"s_(r+1)/s_1 = {ratios[rank]:.3g}, s_min/s_max = {ratios[-1]:.3g}, "
+        f"rank tolerance {RANK_TOL:g})")
+    if ratios[rank] > _ROUNDOFF_DROP:
+        message = (
+            f"grid is conditioning-limited at degree {space.d} in the monomial basis: "
+            f"{shortfall}; the dropped singular values are far above roundoff, so the "
+            "grid may still determine the space")
+    else:
+        message = f"grid does not determine the space at degree {space.d}: {shortfall}"
+    return NonDeterminingError(message, rank=rank, dim=space.dim)

@@ -124,17 +124,21 @@ class TestMesh:
     def test_conditioning_limit_reports_singular_value_ratio(self, capsys):
         # monomials on [-1,1] @2001 reach the rank cut at degree 28 through
         # conditioning, not through a rank deficiency: the ratio sits just
-        # under the tolerance, far above machine epsilon
+        # under the tolerance, far above machine epsilon, and the message
+        # says so
         rc, out, err = run_main(
             ["mesh", "--n", "1", "--d", "28", "--resolution", "2001",
              "--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
         match = re.fullmatch(
-            r"ERROR\[2\]: grid does not determine the space at degree 28: numerical "
-            r"rank 28 < dimension 29 \(s_min/s_max = (\S+), rank tolerance 1e-10\)\n", err)
+            r"ERROR\[2\]: grid is conditioning-limited at degree 28 in the monomial basis: "
+            r"numerical rank 28 < dimension 29 \(s_r/s_1 = (\S+), s_\(r\+1\)/s_1 = (\S+), "
+            r"s_min/s_max = (\S+), rank tolerance 1e-10\); the dropped singular values are "
+            r"far above roundoff, so the grid may still determine the space\n", err)
         assert match is not None, err
-        assert 1e-12 < float(match.group(1)) <= polyspace.RANK_TOL
+        kept, dropped, smallest = (float(match.group(i)) for i in (1, 2, 3))
+        assert 1e-12 < smallest == dropped <= polyspace.RANK_TOL < kept
 
     def test_interval_quadratics(self, capsys):
         payload = run_json(

@@ -8,7 +8,7 @@ The rank-1 exchange is checked against a reference exchange that solves
 the cardinal matrix afresh after every swap, and the left-looking greedy
 seed against a right-looking one that rewrites the whole residual per pick.
 The blocked (tall-skinny) QR basis is checked against numpy's QR of the
-whole grid Vandermonde.
+whole grid Vandermonde, and so is the whole selection run on it.
 """
 
 import dataclasses
@@ -38,9 +38,14 @@ def brute_force_max_det(space, grid_points):
 
 
 def reference_exchange(space, model, max_sweeps=meshgen.DEFAULT_MAX_SWEEPS,
-                       tol_swap=meshgen.DEFAULT_TOL_SWAP):
-    """The exchange with a full O(m^2 N) re-solve after every accepted swap."""
-    q = meshgen._conditioned_basis(space, sets.grid(model))
+                       tol_swap=meshgen.DEFAULT_TOL_SWAP, q=None):
+    """The exchange with a full O(m^2 N) re-solve after every accepted swap.
+
+    It runs on the orthonormal basis ``q`` of the grid Vandermonde, by
+    default the blocked one that node selection uses.
+    """
+    if q is None:
+        q = polyspace.orthonormal_basis(space, sets.grid(model))
     chosen = meshgen._greedy_rows(q)
     cardinals = meshgen._cardinal_values(q, chosen)
     swap_optimal, sweeps = False, 0
@@ -113,7 +118,7 @@ class TestGreedySeed:
     def test_matches_right_looking_reference_in_two_bases(self, n, d, model):
         space = poly_space(n, d)
         grid_points = sets.grid(model)
-        monomial = meshgen._conditioned_basis(space, grid_points)
+        monomial = polyspace.orthonormal_basis(space, grid_points)
         picks = meshgen._greedy_rows(monomial)
         assert picks == reference_greedy(monomial)
         cheb = chebyshev_basis(space, grid_points)
@@ -125,10 +130,10 @@ class TestGreedySeed:
     def test_ties_go_to_lowest_index(self):
         # every pick is a tie between corners of the square or ends of the
         # interval; rounding alone put corner 4 and end 2000 first
-        square = meshgen._conditioned_basis(
+        square = polyspace.orthonormal_basis(
             poly_space(2, 1), sets.grid(sets.box([(-1.0, 1.0)] * 2, 5)))
         assert meshgen._greedy_rows(square) == [0, 4, 20]
-        interval = meshgen._conditioned_basis(
+        interval = polyspace.orthonormal_basis(
             poly_space(1, 3), sets.grid(sets.box([(-1.0, 1.0)], 2001)))
         assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
 
@@ -141,9 +146,12 @@ MULTI_BLOCK_CASES = [
 ]
 
 
+def block_rows(space):
+    return max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
+
+
 def block_count(space, grid_points):
-    rows = max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
-    return -(-grid_points.shape[0] // rows)
+    return -(-grid_points.shape[0] // block_rows(space))
 
 
 class TestBlockedBasis:
@@ -152,7 +160,7 @@ class TestBlockedBasis:
         space = poly_space(n, d)
         grid_points = sets.grid(model)
         assert block_count(space, grid_points) > 1
-        q = meshgen._conditioned_basis(space, grid_points)
+        q = polyspace.orthonormal_basis(space, grid_points)
         assert q.shape == (grid_points.shape[0], space.dim)
         assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
         # Q spans the columns of V: the projection leaves only roundoff
@@ -165,7 +173,7 @@ class TestBlockedBasis:
 
     def test_refreshed_cardinals_equal_a_fresh_product(self):
         space = poly_space(2, 4)
-        q = meshgen._conditioned_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
+        q = polyspace.orthonormal_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
         chosen = meshgen._greedy_rows(q)
         fresh = meshgen._cardinal_values(q, chosen)
         assert fresh.flags.f_contiguous
@@ -179,7 +187,7 @@ class TestBlockedBasis:
         space = poly_space(1, 5)
         grid_points = sets.grid(sets.box([(-1.0, 1.0)], 2001))
         assert block_count(space, grid_points) == 1
-        q = meshgen._conditioned_basis(space, grid_points)
+        q = polyspace.orthonormal_basis(space, grid_points)
         whole = np.linalg.qr(vandermonde(space, grid_points))[0]
         np.testing.assert_allclose(q, whole, rtol=0, atol=1e-14)
 
@@ -191,6 +199,37 @@ class TestBlockedBasis:
         assert ns.swap_optimal
         assert ns.lagrange_sup == pytest.approx(1.0, abs=1e-12)
         assert ns.grid_constant == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
+    def test_selection_matches_reference_on_whole_qr(self, n, d, model):
+        # the same exchange, re-solved after every swap, on numpy's QR of
+        # the whole grid Vandermonde: the strided blocks change no choice
+        space = poly_space(n, d)
+        whole = np.linalg.qr(vandermonde(space, sets.grid(model)))[0]
+        expected = reference_exchange(space, model, q=whole)
+        ns = select_nodes(space, model)
+        assert (ns.node_indices, ns.sweeps, ns.swap_optimal) == (
+            expected["node_indices"], expected["sweeps"], expected["swap_optimal"])
+        assert ns.lagrange_sup == pytest.approx(expected["lagrange_sup"], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
+    def test_selection_evaluates_each_row_once(self, n, d, model, monkeypatch):
+        space = poly_space(n, d)
+        grid_points = sets.grid(model)
+        evaluated = []
+
+        def recording(space, points):
+            evaluated.append(np.array(points))
+            return vandermonde(space, points)
+
+        monkeypatch.setattr(polyspace, "vandermonde", recording)
+        select_nodes(space, model)
+        assert len(evaluated) == block_count(space, grid_points)
+        assert max(block.shape[0] for block in evaluated) <= block_rows(space)
+        stacked = np.vstack(evaluated)
+        order = np.lexsort(stacked.T[::-1])
+        expected = np.lexsort(grid_points.T[::-1])
+        np.testing.assert_array_equal(stacked[order], grid_points[expected])
 
     def test_circle_still_non_determining(self):
         # degree-3 members on the circle span 1, cos jt, sin jt (j <= 3)
@@ -271,7 +310,7 @@ class TestRankOneExchange:
 
     def test_update_tracks_fresh_solve(self):
         space = poly_space(2, 4)
-        q = meshgen._conditioned_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
+        q = polyspace.orthonormal_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
         # a random start leaves cardinals far above 1, so every swap moves
         chosen = [int(i) for i in np.random.default_rng(3).choice(
             q.shape[0], space.dim, replace=False)]
@@ -404,6 +443,16 @@ class TestExplicitNodes:
         assert ns.lagrange_sup > 1.0 + ns.tol_swap
         assert ns.grid_constant == grid_norming_constant(ns, model)
 
+    @pytest.mark.parametrize("tol_swap", [float("nan"), float("inf"), -1.0, 0.0, True])
+    def test_invalid_tol_swap_refused(self, tol_swap):
+        space = poly_space(1, 2)
+        with pytest.raises(ValidationError, match="tol_swap must be positive and finite"):
+            make_node_set(space, sets.box([(-1.0, 1.0)], 21), [0, 10, 20], tol_swap=tol_swap)
+        # the grid's own checks still come first
+        with pytest.raises(ValidationError, match=r"grid of box\(n=1"):
+            make_node_set(space, sets.box([(-1.0, 1.0)], 10 ** 10), [0, 10, 20],
+                          tol_swap=tol_swap)
+
     def test_index_validation(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 21)
@@ -421,7 +470,7 @@ class TestCardinalSystem:
         model = sets.box([(-1.0, 1.0)], 2001)
         ns = select_nodes(space, model)
         x = sets.grid(model).ravel()
-        q = meshgen._conditioned_basis(space, sets.grid(model))
+        q = polyspace.orthonormal_basis(space, sets.grid(model))
         cardinals = meshgen._cardinal_values(q, ns.node_indices)
         center_col = int(np.argmin(np.abs(ns.nodes.ravel())))
         np.testing.assert_allclose(cardinals[:, center_col], 1.0 - x ** 2, atol=1e-12)
@@ -430,7 +479,7 @@ class TestCardinalSystem:
         space = poly_space(2, 2)
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 15)
         ns = select_nodes(space, model)
-        q = meshgen._conditioned_basis(space, sets.grid(model))
+        q = polyspace.orthonormal_basis(space, sets.grid(model))
         cardinals = meshgen._cardinal_values(q, ns.node_indices)
         np.testing.assert_allclose(
             cardinals[list(ns.node_indices)], np.eye(space.dim), atol=1e-12)
@@ -484,6 +533,33 @@ class TestRankGuards:
             select_nodes(space, model, max_sweeps=0)
         with pytest.raises(ValidationError):
             select_nodes(space, model, tol_swap=0.0)
+
+    @pytest.mark.parametrize("tol_swap", [float("nan"), float("inf"), -1.0, 0.0, True, "1e-10"])
+    def test_invalid_tol_swap_refused(self, tol_swap):
+        # a nan tolerance used to certify the greedy seed as swap-optimal
+        with pytest.raises(ValidationError, match="tol_swap must be positive and finite"):
+            select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201), tol_swap=tol_swap)
+
+    @pytest.mark.parametrize("model, d, rank, cause", [
+        (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, "grid does not determine the space"),
+        (sets.box([(0.0, 5.0)], 2001), 11, 11, "grid is conditioning-limited"),
+    ], ids=["circle", "interval-0-5"])
+    def test_shortfall_names_its_cause(self, model, d, rank, cause):
+        # the largest dropped singular value tells the two apart: ~1e-16 of
+        # the largest on the circle, ~1e-11 for the monomials on [0,5]
+        space = poly_space(model.ambient_dim, d)
+        with pytest.raises(NonDeterminingError) as info:
+            select_nodes(space, model)
+        message = str(info.value)
+        assert message.startswith(f"{cause} at degree {d}")
+        assert f"numerical rank {rank} < dimension {space.dim}" in message
+        assert (info.value.rank, info.value.dim) == (rank, space.dim)
+        dropped = float(message.split("s_(r+1)/s_1 = ")[1].split(",")[0])
+        if "conditioning" in cause:
+            assert 1e-12 < dropped <= polyspace.RANK_TOL
+        else:
+            assert dropped < 1e-14
+            assert "conditioning" not in message
 
 
 class TestDeterminism:

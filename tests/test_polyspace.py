@@ -157,6 +157,12 @@ class TestTraceDimension:
         with pytest.raises(ValidationError):
             trace_dimension(space, model, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True])
+    def test_invalid_tolerance_refused(self, tol):
+        # a nan tolerance used to give rank 0
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            trace_dimension(poly_space(1, 2), sets.box([(-1.0, 1.0)], 5), tol=tol)
+
 
 def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
     """Rank from one SVD of the whole grid Vandermonde."""
