@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its integer and tolerance
-checks, and its dense-array byte budget.
+"""Exception types shared across the package, its integer check, and its
+dense-array byte budget.
 
 ``report_error`` maps these onto process exit codes for the command line
 and the scripts: validation problems (bad parameters, unreadable inputs,
@@ -9,7 +9,6 @@ The latter indicate a bug rather than a user error and should never occur
 in normal operation.
 """
 
-import math
 import numbers
 import sys
 
@@ -34,12 +33,22 @@ class InputError(ValidationError):
 
 
 class NonDeterminingError(ValidationError):
-    """The sampled grid cannot norm the requested polynomial space."""
+    """The sampled grid's numerical rank falls short of the space dimension.
 
-    def __init__(self, message: str, rank: int | None = None, dim: int | None = None):
+    ``rank`` and ``dim`` are the numerical rank and the dimension.  With
+    ``conditioning_limited`` false the grid cannot norm the requested
+    polynomial space.  With it true the shortfall is a conditioning limit
+    of the working basis, not a grid that fails to norm the space: the
+    dropped singular values are far above roundoff, and the grid may
+    still determine the space.
+    """
+
+    def __init__(self, message: str, rank: int | None = None, dim: int | None = None,
+                 conditioning_limited: bool = False):
         super().__init__(message)
         self.rank = rank
         self.dim = dim
+        self.conditioning_limited = conditioning_limited
 
 
 class InvariantViolation(NormMeshError):
@@ -63,20 +72,6 @@ def check_int(value, what: str, minimum: int = 1) -> int:
             wanted = f"an integer >= {minimum}"
         raise ValidationError(f"{what} must be {wanted}, got {value!r}")
     return int(value)
-
-
-def check_tol(value, what: str) -> float:
-    """``float(value)`` when value is a finite real number above zero.
-
-    Rejects ``bool``, nan, infinities, zero and negatives alike, raising
-    ``ValidationError`` naming ``what``: every comparison with nan is
-    false, so a nan swap tolerance would certify any node set as
-    swap-optimal and a nan rank tolerance would give rank 0.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) or value <= 0:
-        raise ValidationError(f"{what} must be positive and finite, got {value!r}")
-    return float(value)
 
 
 def check_dense(rows: int, cols: int, what: str) -> None:

@@ -9,8 +9,9 @@ constant,
 
 so restricting the degree-d space to A embeds it into l_inf(A) with
 distortion at most L^(1/p).  A coarser but a priori bound comes from
-L <= m * (1 + tol_swap), where m is the dimension at degree d*p, giving
-the p-th root of the dimension as the certified constant.
+L <= m * (1 + TOL_SWAP), where m is the dimension at degree d*p and
+TOL_SWAP the swap tolerance of ``meshgen``, giving the p-th root of the
+dimension as the certified constant.
 
 When the dimension at degree q grows no faster than c_hat * q^k, choosing
 
@@ -130,7 +131,7 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     """Select nodes at degree d*p and certify the degree-d restriction.
 
     The node count equals the dimension at degree d*p, and the certified
-    bound is min(dimension^(1/p) * (1 + tol_swap)^(1/p), L^(1/p)) with L
+    bound is min(dimension^(1/p) * (1 + TOL_SWAP)^(1/p), L^(1/p)) with L
     the grid norming constant of the selected nodes.  Grids too small or
     too large for the degree-d*p space are refused by ``select_nodes``
     before the basis is enumerated.
@@ -140,8 +141,8 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     node_set = meshgen.select_nodes(big, set_model)
 
     # The cardinal bound enters the a priori constant; when the exchange
-    # did not reach optimality the realized sup replaces 1 + tol_swap.
-    card_sup = max(1.0 + node_set.tol_swap, node_set.lagrange_sup)
+    # did not reach optimality the realized sup replaces 1 + TOL_SWAP.
+    card_sup = max(1.0 + meshgen.TOL_SWAP, node_set.lagrange_sup)
     coarse = (big.dim * card_sup) ** (1.0 / p)
     sharp = node_set.grid_constant ** (1.0 / p)
     certified = min(coarse, sharp)

@@ -12,9 +12,9 @@ and L itself is at most m * max_k max_G |f_k|.
 The selection loop is a row-exchange determinant ascent.  By Cramer's
 rule, replacing node k with a grid point z multiplies the determinant of
 the node evaluation matrix by exactly f_k(z), so "no swap can grow |det|
-by more than a (1 + tol_swap) factor" and "every |f_k| stays below
-1 + tol_swap on the grid" are the same statement.  Each accepted swap
-grows log|det| by at least log(1 + tol_swap); on a finite grid that
+by more than a (1 + TOL_SWAP) factor" and "every |f_k| stays below
+1 + TOL_SWAP on the grid" are the same statement.  Each accepted swap
+grows log|det| by at least log(1 + TOL_SWAP); on a finite grid that
 bounds the number of swaps and forces termination.
 
 The same identity updates the cardinal matrix after a swap without a
@@ -58,9 +58,11 @@ from typing import Sequence
 import numpy as np
 
 from . import polyspace, sets
-from .errors import NonDeterminingError, ValidationError, check_int, check_tol
+from .errors import NonDeterminingError, ValidationError, check_int
 
-DEFAULT_TOL_SWAP = 1e-10
+# A swap must grow |det| by more than a 1 + TOL_SWAP factor; a node set
+# whose cardinals stay within 1 + TOL_SWAP on the grid is swap-optimal.
+TOL_SWAP = 1e-10
 DEFAULT_MAX_SWEEPS = 100
 # In the greedy seed, residual norms^2 within this relative distance of the
 # largest are tied; the lowest grid index among them is picked.
@@ -69,15 +71,15 @@ _TIE_RTOL = 1e-9
 
 @dataclass
 class NodeSet:
-    """Selected nodes plus the certificates the selection run produced.
+    """Selected nodes plus the certificates of their fresh cardinal matrix.
 
     ``log_abs_det`` is reported in the orthonormalized (conditioned)
-    basis.  ``swap_optimal`` records that a full exchange sweep found no
-    improving swap, which by the Cramer identity is the same as
-    ``lagrange_sup <= 1 + tol_swap``.  ``grid_constant`` is the norming
-    constant L = max over the grid of sum_k |f_k|, read from the same
-    cardinal matrix as ``lagrange_sup``.  ``grid_points`` is the grid the
-    nodes were selected on.
+    basis.  ``lagrange_sup`` is max over the grid of max_k |f_k|, and
+    ``swap_optimal`` is ``lagrange_sup <= 1 + TOL_SWAP``: by the Cramer
+    identity, no swap grows |det| by more than a 1 + TOL_SWAP factor.
+    ``grid_constant`` is the norming constant L = max over the grid of
+    sum_k |f_k|, read from the same cardinal matrix.  ``grid_points`` is
+    the grid the nodes were selected on.
     """
 
     space: polyspace.PolySpace
@@ -87,7 +89,6 @@ class NodeSet:
     swap_optimal: bool
     lagrange_sup: float
     grid_constant: float
-    tol_swap: float
     grid_points: np.ndarray = field(repr=False)
     sweeps: int = 0
 
@@ -180,15 +181,13 @@ def _log_abs_det(q: np.ndarray, indices: Sequence[int]) -> float:
 
 
 def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
-                 max_sweeps: int = DEFAULT_MAX_SWEEPS,
-                 tol_swap: float = DEFAULT_TOL_SWAP) -> NodeSet:
+                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> NodeSet:
     """Pick dim(space) grid points by greedy init plus exchange sweeps.
 
     One sweep walks the nodes in index order; for each node the grid is
     scanned in grid order and the first swap improving |det| by a factor
-    above 1 + tol_swap is applied immediately.  Sweeps repeat until one
-    passes clean (then ``swap_optimal`` is true) or ``max_sweeps`` is
-    exhausted (best nodes so far, ``swap_optimal`` false).
+    above 1 + TOL_SWAP is applied immediately.  Sweeps repeat until one
+    passes clean or ``max_sweeps`` is exhausted (best nodes so far).
 
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
@@ -198,13 +197,13 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     goes on; and once at the end of a run that exhausted ``max_sweeps``.
     A fresh product never reads the updated matrix; it overwrites it in
     place.  ``lagrange_sup``, ``grid_constant`` and ``swap_optimal`` are
-    therefore read from a fresh product.
+    therefore read from a fresh product (``_node_set``), so a run whose
+    last sweep made the last needed swap is swap-optimal too.
 
-    The run is deterministic given (space, set_model, max_sweeps,
-    tol_swap); the exchange draws no random numbers.
+    The run is deterministic given (space, set_model, max_sweeps); the
+    exchange draws no random numbers.
     """
     max_sweeps = check_int(max_sweeps, "max_sweeps")
-    tol_swap = check_tol(tol_swap, "tol_swap")
     grid_points = sets.grid(set_model, space.dim)
     q = polyspace.orthonormal_basis(space, grid_points)
     chosen = _greedy_rows(q)
@@ -212,13 +211,10 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     m = space.dim
     cardinals = _cardinal_values(q, chosen)
     updated = False  # cardinals carry rank-1 updates since the last fresh product
-    swap_optimal = False
-    sweeps_used = 0
-    for _ in range(max_sweeps):
-        sweeps_used += 1
+    for sweeps in range(1, max_sweeps + 1):
         improved = False
         for k in range(m):
-            better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + tol_swap)
+            better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + TOL_SWAP)
             if better.size:
                 chosen[k] = int(better[0])
                 _swap_cardinals(cardinals, k, chosen[k])
@@ -229,36 +225,20 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
             if updated:
                 _cardinal_values(q, chosen, out=cardinals)
                 updated = False
-                if max(cardinals.max(), -cardinals.min()) > 1.0 + tol_swap:
+                if max(cardinals.max(), -cardinals.min()) > 1.0 + TOL_SWAP:
                     continue
-            swap_optimal = True
             break
     if updated:
         _cardinal_values(q, chosen, out=cardinals)
-
-    lagrange_sup, grid_constant = _certificates(cardinals)
-    return NodeSet(
-        space=space,
-        nodes=grid_points[chosen].copy(),
-        node_indices=tuple(int(i) for i in chosen),
-        log_abs_det=_log_abs_det(q, chosen),
-        swap_optimal=swap_optimal,
-        lagrange_sup=lagrange_sup,
-        grid_constant=grid_constant,
-        tol_swap=tol_swap,
-        grid_points=grid_points,
-        sweeps=sweeps_used,
-    )
+    return _node_set(space, grid_points, q, chosen, cardinals, sweeps)
 
 
 def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
-                  node_indices: Sequence[int],
-                  tol_swap: float = DEFAULT_TOL_SWAP) -> NodeSet:
+                  node_indices: Sequence[int]) -> NodeSet:
     """Certify an explicitly chosen set of grid indices as nodes.
 
-    ``swap_optimal`` is computed from the Cramer identity: the node set is
-    exchange-stationary exactly when no cardinal exceeds 1 + tol_swap on
-    the grid.
+    The certificates are those of ``select_nodes``, read the same way
+    (``_node_set``); ``sweeps`` is 0.
     """
     indices = [check_int(i, "node index", minimum=0) for i in node_indices]
     if len(indices) != space.dim:
@@ -269,24 +249,34 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     # Checked before the evaluation matrix is refused: a box, sphere or
     # cloud grid is counted before it is built, a ball's grid after.
     count = sets.point_count(set_model)
-    tol_swap = check_tol(tol_swap, "tol_swap")
     if count is not None and max(indices) >= count:
         raise ValidationError("node index out of grid range")
     grid_points = sets.grid(set_model, space.dim)
     if max(indices) >= grid_points.shape[0]:
         raise ValidationError("node index out of grid range")
     q = polyspace.orthonormal_basis(space, grid_points)
-    sup, grid_constant = _certificates(_cardinal_values(q, indices))
+    return _node_set(space, grid_points, q, indices, _cardinal_values(q, indices), 0)
+
+
+def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray,
+              indices: Sequence[int], cardinals: np.ndarray, sweeps: int) -> NodeSet:
+    """The NodeSet of grid nodes ``indices`` and its certificates.
+
+    ``cardinals`` is the fresh product ``_cardinal_values(q, indices)``,
+    which this overwrites; ``lagrange_sup``, ``grid_constant`` and
+    ``swap_optimal`` are read from it, the last by the Cramer identity.
+    """
+    lagrange_sup, grid_constant = _certificates(cardinals)
     return NodeSet(
         space=space,
         nodes=grid_points[indices].copy(),
         node_indices=tuple(indices),
         log_abs_det=_log_abs_det(q, indices),
-        swap_optimal=sup <= 1.0 + tol_swap,
-        lagrange_sup=sup,
+        swap_optimal=lagrange_sup <= 1.0 + TOL_SWAP,
+        lagrange_sup=lagrange_sup,
         grid_constant=grid_constant,
-        tol_swap=tol_swap,
         grid_points=grid_points,
+        sweeps=sweeps,
     )
 
 

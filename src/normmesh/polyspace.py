@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from . import sets
-from .errors import NonDeterminingError, ValidationError, check_dense, check_int, check_tol
+from .errors import NonDeterminingError, ValidationError, check_dense, check_int
 
 # Both factorizations of the grid Vandermonde evaluate it in strided
 # blocks, whose sizes differ by at most one, of at most this many rows, or
@@ -149,24 +149,21 @@ def _row_blocks(npts: int, m: int) -> list[slice]:
     return [slice(b, None, count) for b in range(count)]
 
 
-def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel,
-                    tol: float = RANK_TOL) -> int:
+def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel) -> int:
     """Numerical dimension of the space restricted to the set's grid.
 
-    Counts singular values of the grid Vandermonde above ``tol`` times the
-    largest one.  The set is determining for the space exactly when this
-    equals ``space.dim``.  When the first strided block of the grid already
-    proves the full rank, the rest of the grid is never evaluated; see
-    ``_grid_rank``.  An evaluation matrix above the dense-array byte
-    budget is refused before the grid is built, after the grid's own
-    checks and the tolerance check.
+    Counts singular values of the grid Vandermonde above ``RANK_TOL`` times
+    the largest one, the rule of node selection's rank guard.  The set is
+    determining for the space exactly when this equals ``space.dim``.  When
+    the first strided block of the grid already proves the full rank, the
+    rest of the grid is never evaluated; see ``_grid_rank``.  An evaluation
+    matrix above the dense-array byte budget is refused before the grid is
+    built, after the grid's own checks.
     """
-    sets.point_count(set_model)  # the grid's own checks come first
-    tol = check_tol(tol, "tolerance")
-    return _grid_rank(space, sets.grid(set_model, space.dim), tol)
+    return _grid_rank(space, sets.grid(set_model, space.dim))
 
 
-def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
+def _grid_rank(space: PolySpace, points) -> int:
     """Numerical rank of the Vandermonde of ``points``, streamed in blocks.
 
     The blocks of ``_row_blocks`` are evaluated one at a time and folded
@@ -188,13 +185,12 @@ def _grid_rank(space: PolySpace, points, tol: float = RANK_TOL) -> int:
     r = np.empty((0, m))
     for b, block in enumerate(blocks):
         r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block]))), mode="r")
-        if b == 0 and len(blocks) > 1 and _certifies_full_rank(space, pts, r, tol):
+        if b == 0 and len(blocks) > 1 and _certifies_full_rank(space, pts, r):
             return m
-    return _numerical_rank(np.linalg.svd(r, compute_uv=False), tol)
+    return _numerical_rank(np.linalg.svd(r, compute_uv=False))
 
 
-def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray,
-                         tol: float) -> bool:
+def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray) -> bool:
     """Whether ``r``, the R factor of some rows of V, proves numerical rank m.
 
     With V the N x m Vandermonde of ``pts`` and V_sub the rows that ``r``
@@ -206,7 +202,7 @@ def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray,
       |coordinate|, and C(k+n-1, n-1) monomials have degree k, so
       sigma_1(V) <= ||V||_F <= sqrt(N * sum_k C(k+n-1, n-1) R^(2k)).
 
-    So sigma_m(V_sub) > 2 tol * bound gives sigma_m(V) > 2 tol sigma_1(V),
+    So sigma_m(V_sub) > 2 RANK_TOL * bound gives sigma_m(V) > 2 RANK_TOL sigma_1(V),
     and the rule of ``_numerical_rank`` counts all m values; the factor 2
     covers rounding in the computed singular values, which is of order
     machine epsilon times m times ||V||.  A bound that overflows to inf
@@ -221,17 +217,17 @@ def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray,
     for k in range(space.d + 1):
         total += math.comb(k + space.n - 1, space.n - 1) * power
         power *= radius * radius
-    return bool(svals[-1] > 2.0 * tol * math.sqrt(pts.shape[0] * total))
+    return bool(svals[-1] > 2.0 * RANK_TOL * math.sqrt(pts.shape[0] * total))
 
 
-def _numerical_rank(svals: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of singular values (descending) above ``tol`` times the largest.
+def _numerical_rank(svals: np.ndarray) -> int:
+    """Count of singular values (descending) above ``RANK_TOL`` times the largest.
 
     An empty or all-zero spectrum has rank 0.
     """
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    return int(np.count_nonzero(svals > RANK_TOL * svals[0]))
 
 
 def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
@@ -274,17 +270,19 @@ def _rank_shortfall(space: PolySpace, ratios: np.ndarray, rank: int) -> NonDeter
     largest dropped value ratios[rank] near roundoff is a true rank
     deficiency; far above it (``_ROUNDOFF_DROP``), the monomial basis is
     too badly conditioned for ``RANK_TOL`` on a grid that may well
-    determine the space.
+    determine the space, and the error's ``conditioning_limited`` is set.
     """
     shortfall = (
         f"numerical rank {rank} < dimension {space.dim} (s_r/s_1 = {ratios[rank - 1]:.3g}, "
         f"s_(r+1)/s_1 = {ratios[rank]:.3g}, s_min/s_max = {ratios[-1]:.3g}, "
         f"rank tolerance {RANK_TOL:g})")
-    if ratios[rank] > _ROUNDOFF_DROP:
+    limited = bool(ratios[rank] > _ROUNDOFF_DROP)
+    if limited:
         message = (
             f"grid is conditioning-limited at degree {space.d} in the monomial basis: "
             f"{shortfall}; the dropped singular values are far above roundoff, so the "
             "grid may still determine the space")
     else:
         message = f"grid does not determine the space at degree {space.d}: {shortfall}"
-    return NonDeterminingError(message, rank=rank, dim=space.dim)
+    return NonDeterminingError(message, rank=rank, dim=space.dim,
+                               conditioning_limited=limited)

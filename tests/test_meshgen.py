@@ -38,7 +38,7 @@ def brute_force_max_det(space, grid_points):
 
 
 def reference_exchange(space, model, max_sweeps=meshgen.DEFAULT_MAX_SWEEPS,
-                       tol_swap=meshgen.DEFAULT_TOL_SWAP, q=None):
+                       tol_swap=meshgen.TOL_SWAP, q=None):
     """The exchange with a full O(m^2 N) re-solve after every accepted swap.
 
     It runs on the orthonormal basis ``q`` of the grid Vandermonde, by
@@ -269,8 +269,6 @@ class TestOversizedMatrixBeforeGrid:
         with pytest.raises(ValidationError) as caught:
             trace_dimension(self.SPACE, self.MODEL)
         assert str(caught.value) == self.MESSAGE
-        with pytest.raises(ValidationError, match="tolerance must be positive"):
-            trace_dimension(self.SPACE, self.MODEL, tol=0.0)
 
     def test_make_node_set(self):
         indices = list(range(self.SPACE.dim))
@@ -288,11 +286,11 @@ class TestOversizedMatrixBeforeGrid:
         assert str(caught.value) == self.MESSAGE
 
     def test_grid_checks_still_come_first(self):
-        # a grid above the budget by itself is named before the tolerance
-        # or an index is looked at
+        # a grid above the budget by itself is named before the evaluation
+        # matrix or an index is looked at
         huge = sets.box([(-1.0, 1.0)] * 3, 10 ** 6)
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
-            trace_dimension(self.SPACE, huge, tol=0.0)
+            trace_dimension(self.SPACE, huge)
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
             make_node_set(self.SPACE, huge, list(range(self.SPACE.dim - 1)) + [10 ** 18])
 
@@ -306,6 +304,7 @@ class TestRankOneExchange:
         got = {key: getattr(ns, key) for key in expected}
         assert got == expected
         assert ns.swap_optimal == (max_sweeps > 1)
+        assert ns.swap_optimal == (ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP)
         assert ns.grid_constant == grid_norming_constant(ns, model)
 
     def test_update_tracks_fresh_solve(self):
@@ -333,7 +332,7 @@ class TestIntervalSelection:
         ns = select_nodes(space, model)
         assert ns.swap_optimal
         assert sorted(ns.nodes.ravel().tolist()) == [-1.0, 1.0]
-        assert ns.lagrange_sup <= 1.0 + ns.tol_swap
+        assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
         assert abs(grid_norming_constant(ns, model) - 1.0) <= 1e-12
 
     def test_degree_two_picks_symmetric_triple(self):
@@ -384,7 +383,16 @@ class TestIntervalSelection:
         done = select_nodes(space, model)
         assert done.swap_optimal
         assert done.sweeps < meshgen.DEFAULT_MAX_SWEEPS
-        assert done.lagrange_sup <= 1.0 + done.tol_swap
+        assert done.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
+
+    def test_last_needed_swap_in_last_sweep_is_certified(self):
+        # the second sweep makes the last swap the nodes need, and no sweep
+        # is left to come back clean; the fresh cardinal product still
+        # certifies them (lagrange_sup 1.0000000000000002)
+        ns = select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201), max_sweeps=2)
+        assert ns.sweeps == 2
+        assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
+        assert ns.swap_optimal
 
     def test_log_abs_det_conditioned_basis_nonpositive(self):
         # any dim-row submatrix of an orthonormal-column Q has |det| <= 1
@@ -402,7 +410,7 @@ class TestPlaneSelection:
         assert ns.nodes.shape == (6, 2)
         assert len(set(ns.node_indices)) == 6
         lam = grid_norming_constant(ns, model)
-        assert 1.0 <= lam <= space.dim * (1.0 + ns.tol_swap)
+        assert 1.0 <= lam <= space.dim * (1.0 + meshgen.TOL_SWAP)
 
     def test_norming_inequality_on_sampled_polynomials(self):
         space = poly_space(2, 3)
@@ -440,18 +448,12 @@ class TestExplicitNodes:
         model = sets.box([(-1.0, 1.0)], 21)
         ns = make_node_set(space, model, [8, 10, 12])
         assert not ns.swap_optimal
-        assert ns.lagrange_sup > 1.0 + ns.tol_swap
+        assert ns.lagrange_sup > 1.0 + meshgen.TOL_SWAP
         assert ns.grid_constant == grid_norming_constant(ns, model)
 
-    @pytest.mark.parametrize("tol_swap", [float("nan"), float("inf"), -1.0, 0.0, True])
-    def test_invalid_tol_swap_refused(self, tol_swap):
-        space = poly_space(1, 2)
-        with pytest.raises(ValidationError, match="tol_swap must be positive and finite"):
-            make_node_set(space, sets.box([(-1.0, 1.0)], 21), [0, 10, 20], tol_swap=tol_swap)
-        # the grid's own checks still come first
+    def test_grid_checks_come_first(self):
         with pytest.raises(ValidationError, match=r"grid of box\(n=1"):
-            make_node_set(space, sets.box([(-1.0, 1.0)], 10 ** 10), [0, 10, 20],
-                          tol_swap=tol_swap)
+            make_node_set(poly_space(1, 2), sets.box([(-1.0, 1.0)], 10 ** 10), [0, 10, 20])
 
     def test_index_validation(self):
         space = poly_space(1, 2)
@@ -525,28 +527,24 @@ class TestRankGuards:
             # a true rank deficiency: s_min/s_max at rounding level
             ratio = float(str(info.value).split("s_min/s_max = ")[1].split(",")[0])
             assert ratio < 1e-14
+            assert not info.value.conditioning_limited
 
     def test_parameter_validation(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 21)
         with pytest.raises(ValidationError):
             select_nodes(space, model, max_sweeps=0)
-        with pytest.raises(ValidationError):
-            select_nodes(space, model, tol_swap=0.0)
-
-    @pytest.mark.parametrize("tol_swap", [float("nan"), float("inf"), -1.0, 0.0, True, "1e-10"])
-    def test_invalid_tol_swap_refused(self, tol_swap):
-        # a nan tolerance used to certify the greedy seed as swap-optimal
-        with pytest.raises(ValidationError, match="tol_swap must be positive and finite"):
-            select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201), tol_swap=tol_swap)
 
     @pytest.mark.parametrize("model, d, rank, cause", [
         (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, "grid does not determine the space"),
         (sets.box([(0.0, 5.0)], 2001), 11, 11, "grid is conditioning-limited"),
-    ], ids=["circle", "interval-0-5"])
+        (sets.box([(2.0, 3.0)], 2001), 7, 7, "grid is conditioning-limited"),
+        (sets.box([(-1.0, 1.0)], 4001), 28, 28, "grid is conditioning-limited"),
+    ], ids=["circle", "interval-0-5", "interval-2-3", "interval-1-1"])
     def test_shortfall_names_its_cause(self, model, d, rank, cause):
         # the largest dropped singular value tells the two apart: ~1e-16 of
-        # the largest on the circle, ~1e-11 for the monomials on [0,5]
+        # the largest on the circle, ~1e-11 for the monomials on the
+        # intervals; either way the trace rank drops the same values
         space = poly_space(model.ambient_dim, d)
         with pytest.raises(NonDeterminingError) as info:
             select_nodes(space, model)
@@ -554,6 +552,8 @@ class TestRankGuards:
         assert message.startswith(f"{cause} at degree {d}")
         assert f"numerical rank {rank} < dimension {space.dim}" in message
         assert (info.value.rank, info.value.dim) == (rank, space.dim)
+        assert info.value.conditioning_limited == ("conditioning" in cause)
+        assert trace_dimension(space, model) == rank
         dropped = float(message.split("s_(r+1)/s_1 = ")[1].split(",")[0])
         if "conditioning" in cause:
             assert 1e-12 < dropped <= polyspace.RANK_TOL
