@@ -11,7 +11,7 @@ import argparse
 import json
 
 from normmesh import landau, meshgen, polyspace, sets
-from normmesh.errors import NormMeshError, report_error
+from normmesh.errors import NormMeshError, exit_process, report_error
 
 
 def main() -> int:
@@ -53,6 +53,7 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        raise SystemExit(main())
+        code = main()
     except NormMeshError as exc:
-        raise SystemExit(report_error(exc))
+        code = report_error(exc)
+    exit_process(code)

@@ -5,7 +5,9 @@ JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments, byte for
 byte; ``--seed`` is only echoed and changes no result.  Each subcommand accepts only the flags it reads, spelled
 out in full.  Exit codes: 0 success, 2 validation, input or argument
-error, 3 violated certificate or precision audit.  Each handler imports
+error, 3 violated certificate or precision audit.  ``main`` returns the
+code; ``run``, the process entry point, exits with it without interpreter
+teardown (``errors.exit_process``).  Each handler imports
 the modules it uses: ``bounds`` and ``entropy`` run without loading numpy,
 and their closed forms, like a ``--schedule``, compute in the standard
 library's ``decimal``.
@@ -17,10 +19,10 @@ import argparse
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .errors import NormMeshError, ValidationError, check_int, report_error
+from .errors import NormMeshError, ValidationError, check_int, exit_process, report_error
 
 if TYPE_CHECKING:
     from . import landau, sets
@@ -151,8 +153,9 @@ def _cmd_bounds(args) -> dict:
 def _cmd_mesh(args) -> dict:
     from . import meshgen, polyspace
 
-    model = _set_from_args(args)
+    # n and d are checked before the set, which --n sizes
     space = polyspace.poly_space(args.n, args.d)
+    model = _set_from_args(args)
     node_set = meshgen.select_nodes(space, model)
     return {
         "command": "mesh",
@@ -170,8 +173,8 @@ def _cmd_mesh(args) -> dict:
 def _build_certificate(args) -> landau.EmbeddingCertificate:
     from . import landau, polyspace
 
-    model = _set_from_args(args)
     space = polyspace.poly_space(args.n, args.d)
+    model = _set_from_args(args)
     if args.schedule is not None:
         s, k, chat = _parse_schedule(args.schedule)
         p, c = landau.power_schedule(args.d, k, chat, s)
@@ -352,5 +355,11 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry point: ``main``, then exit with its code, the
+    output flushed and the interpreter's teardown skipped."""
+    exit_process(main(argv))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,11 +12,16 @@ the plane, latitude-longitude sampled S2 in space), and point clouds given
 as coordinates or read from text files.  A box, ball or sphere grid is
 sized by its resolution, and one whose array would exceed the package's
 dense-array byte budget is refused before it is built; so is a box, sphere
-or cloud grid whose evaluation matrix would.
+or cloud grid whose evaluation matrix would.  A box writes each axis
+straight into its one result array.  A ball sums its axes' squared
+offsets by broadcasting and gathers only the lattice points it keeps, so
+it never builds its cube's coordinates: its peak stays near the cube
+array the byte budget counts.
 
-A point cloud file is parsed by numpy's C text reader, one block of
-4096 lines per call.  The per-line Python parser runs only on a block the
-C parser refuses, or whose array holds a non-finite value or a row of the
+A point cloud file is streamed: read 4096 lines at a time and parsed by
+numpy's C text reader, one block per call, so the file's text is never
+held whole.  The per-line Python parser runs only on a block the C
+parser refuses, or whose array holds a non-finite value or a row of the
 wrong length; it names the first offending line and accepts every numeral
 ``float`` does.
 
@@ -26,6 +31,7 @@ and resolution yield a bit-identical point list, ordering included.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -156,30 +162,30 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
     skipped.  Every other line must hold exactly ``n`` finite reals, each
     a token that ``float`` accepts; a ``#`` after the data is not a
     comment.  Errors report the first offending line.  Duplicate points
-    are dropped, first occurrence kept.
+    are dropped, first occurrence kept.  Blocks are read and checked in
+    file order, so a malformed line is reported ahead of a byte that does
+    not decode in a later block.
     """
     n = check_int(n, "ambient dimension")
+    blocks = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            start = 0
+            while lines := list(itertools.islice(handle, _CLOUD_BLOCK_LINES)):
+                # Blanked, not dropped, so that the per-line path keeps line numbers.
+                lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+                if any(map(str.strip, lines)):
+                    blocks.append(_parse_block(lines, start, path, n))
+                start += len(lines)
     except OSError as exc:
         raise InputError(f"cannot read point cloud file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"point cloud file {path!r} is not UTF-8 text: {exc}") from exc
-
-    lines = text.split("\n")
-    if "#" in text:
-        # Blanked, not dropped, so that the per-line path keeps line numbers.
-        lines = ["" if line.lstrip().startswith("#") else line for line in lines]
-    del text  # the lines hold the file; keeping both raises the peak memory
-    blocks = []
-    for start in range(0, len(lines), _CLOUD_BLOCK_LINES):
-        block = lines[start:start + _CLOUD_BLOCK_LINES]
-        if any(map(str.strip, block)):
-            blocks.append(_parse_block(block, start, path, n))
     if not blocks:
         raise InputError(f"{path}: no data rows found")
-    model = from_points(np.concatenate(blocks))
+    pts = np.concatenate(blocks)
+    del blocks  # the blocks and their concatenation together double the rows
+    model = from_points(pts)
     model.params["source"] = str(path)
     return model
 
@@ -236,27 +242,49 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     return pts[first]
 
 
-def _lattice(bounds, res: int) -> np.ndarray:
-    """The res^n points of a box, last coordinate varying fastest."""
-    axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
-
-
 def _box_grid(model: CompactSetModel) -> np.ndarray:
-    return _lattice(model.params["bounds"], model.resolution)
+    """The res^n points of a box, last coordinate varying fastest.
+
+    Each axis is written straight into the one (res^n, n) result.
+    """
+    res = model.resolution
+    n = model.ambient_dim
+    pts = np.empty((res ** n, n))
+    for k, (lo, hi) in enumerate(model.params["bounds"]):
+        pts.reshape(res ** k, res, res ** (n - 1 - k), n)[:, :, :, k] = \
+            np.linspace(lo, hi, res)[:, None]
+    return pts
 
 
 def _ball_grid(model: CompactSetModel) -> np.ndarray:
+    """The points of the cube's lattice within the ball, in lattice order.
+
+    The squared offsets of the axes are summed by broadcasting, in axis
+    order as a row sum of the lattice would add them, so the distances
+    have the same bits; then only the kept points are gathered, without
+    building the cube's coordinates.
+    """
     center = model.params["center"]
     radius = model.params["radius"]
-    pts = _lattice([(c - radius, c + radius) for c in center], model.resolution)
-    dist = np.sqrt(((pts - center) ** 2).sum(axis=1))
-    pts = pts[dist <= radius + _MEMBERSHIP_SLACK]
+    res = model.resolution
+    n = center.size
+    axes = [np.linspace(c - radius, c + radius, res).reshape(
+        [res if j == k else 1 for j in range(n)]) for k, c in enumerate(center)]
+    dist = (axes[0] - center[0]) ** 2
+    for axis, c in zip(axes[1:], center[1:]):
+        dist = dist + (axis - c) ** 2
+    inside = np.sqrt(dist, out=dist) <= radius + _MEMBERSHIP_SLACK
+    del dist
     # Coarse even resolutions can miss the ball entirely; the center is
-    # always a member and keeps the grid non-empty.
-    if pts.shape[0] == 0 or not np.any(np.all(pts == center, axis=1)):
-        pts = np.concatenate([pts, center.reshape(1, -1)], axis=0)
+    # always a member and keeps the grid non-empty.  A lattice point equal
+    # to it lies at distance 0, so it is kept whenever there is one.
+    missing = not all(np.any(axis == c) for axis, c in zip(axes, center))
+    kept = int(np.count_nonzero(inside))
+    pts = np.empty((kept + missing, n))
+    for k, axis in enumerate(axes):
+        pts[:kept, k] = np.broadcast_to(axis, inside.shape)[inside]
+    if missing:
+        pts[kept] = center
     return pts
 
 

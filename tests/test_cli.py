@@ -1,6 +1,9 @@
 """Command line: report shapes, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -435,6 +438,173 @@ class TestFlags:
         assert out == ""
         assert err.startswith("ERROR[2]: unrecognized arguments: ")
         assert argv[-2] in err
+
+
+class TestNumberOfVariables:
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--d", "3"],
+        ["embed", "--d", "2", "--p", "2"],
+        ["distort", "--d", "2", "--p", "2"],
+    ], ids=["mesh", "embed", "distort"])
+    def test_bad_n_named_before_the_set(self, capsys, argv, n):
+        # n is checked before it sizes the set, whose message would
+        # name a box with no (lo, hi) pair
+        rc, out, err = run_main(argv + ["--n", n, "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"ERROR[2]: number of variables must be a positive integer, got {n}\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the closed forms must stay certified; a child patches one to fail its audit
+VIOLATION = ("import normmesh.bounds, normmesh.errors\n"
+             "def audit(*args):\n"
+             "    raise normmesh.errors.InvariantViolation('audit failed')\n"
+             "normmesh.bounds.poly_bound_report = audit\n")
+ENTRIES = {
+    "module": "import runpy, sys\nsys.argv[0] = 'normmesh'\n"
+              "runpy.run_module('normmesh', run_name='__main__', alter_sys=True)\n",
+    "run": "from normmesh.cli import run\nrun()\n",
+}
+
+
+def _child(entry, argv, *, prelude="", buffered=True, **kwargs):
+    """Run the CLI in a child through one of its process entry points,
+    after the code ``prelude``.
+
+    ``buffered`` drops PYTHONUNBUFFERED, so stdout reaches the pipe only
+    when the entry point flushes it.
+    """
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-c", prelude + ENTRIES[entry], *argv],
+                          env=env, text=True, timeout=120, **kwargs)
+
+
+# a report of over 8 KiB, more than one write of a buffered stdout
+MESH_18 = ["mesh", "--n", "2", "--d", "18", "--resolution", "41", "--no-timestamp"]
+BOUNDS = ["bounds", "--n", "1", "--d", "1", "--no-timestamp"]
+
+
+@pytest.fixture(scope="module")
+def mesh_report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(MESH_18) == 0
+    assert len(out.getvalue()) > 8192
+    return out.getvalue()
+
+
+class TestFastExit:
+    """The process entry points skip interpreter teardown, output intact."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_large_report_arrives_whole(self, mesh_report, entry):
+        proc = _child(entry, MESH_18, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == mesh_report
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("argv, prelude, code, message", [
+        (BOUNDS, "", 0, ""),
+        (["bounds", "--n", "0", "--d", "1"], "", 2,
+         "ERROR[2]: number of variables must be a positive integer, got 0\n"),
+        (BOUNDS, VIOLATION, 3, "ERROR[3]: audit failed\n"),
+    ], ids=["0", "2", "3"])
+    def test_exit_codes(self, entry, argv, prelude, code, message):
+        proc = _child(entry, argv, prelude=prelude, capture_output=True)
+        assert proc.returncode == code
+        assert proc.stderr == message
+        assert (proc.stdout != "") == (code == 0)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("buffered, code, message", [
+        (False, 2, "ERROR[2]: [Errno 32] Broken pipe\n"),
+        # as CPython reports a failed flush at its own exit
+        (True, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                    "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n"),
+    ], ids=["unbuffered", "buffered"])
+    def test_closed_stdout(self, entry, buffered, code, message):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _child(entry, BOUNDS, buffered=buffered, stdout=write,
+                          stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        assert proc.stderr == message
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_out_file_complete(self, mesh_report, tmp_path, entry):
+        target = tmp_path / "mesh.json"
+        proc = _child(entry, MESH_18 + ["--out", str(target)], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert target.read_text(encoding="utf-8") == mesh_report
+
+    def test_help_exits_zero_through_system_exit(self):
+        proc = _child("run", ["mesh", "--help"], capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: normmesh mesh")
+
+    def test_uncaught_exception_keeps_its_traceback(self):
+        proc = _child("run", ["dims", "--n", "1", "--d", "1"], capture_output=True,
+                      prelude="import normmesh.cli\nnormmesh.cli._COMMANDS['dims'] = None\n")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert proc.stderr.endswith("TypeError: 'NoneType' object is not callable\n")
+
+    def test_main_returns_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "_exit", Mock(side_effect=AssertionError("process ended")))
+        assert cli.main(["dims", "--n", "2", "--d", "3", "--no-timestamp"]) == 0
+        assert cli.main(["dims", "--n", "0", "--d", "3"]) == 2
+        capsys.readouterr()
+
+    def test_failed_flush_exits_120(self, monkeypatch):
+        class BrokenStdout:
+            closed = False
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def __repr__(self):
+                return "<stdout>"
+
+        class Stderr(BrokenStdout):
+            def __init__(self):
+                self.text = []
+
+            def write(self, text):
+                self.text.append(text)
+
+            def flush(self):
+                pass
+
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        monkeypatch.setattr(sys, "stderr", stderr)
+        monkeypatch.setattr(os, "_exit", Mock(side_effect=SystemExit))
+        with pytest.raises(SystemExit):
+            errors.exit_process(0)
+        os._exit.assert_called_once_with(120)
+        assert "".join(stderr.text) == ("Exception ignored in: <stdout>\n"
+                                        "BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize("stdout", [None, "closed"])
+    def test_missing_or_closed_stream_is_skipped(self, monkeypatch, stdout):
+        if stdout == "closed":
+            stdout = Mock(closed=True, flush=Mock(side_effect=ValueError("closed")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(os, "_exit", Mock(side_effect=SystemExit))
+        with pytest.raises(SystemExit):
+            errors.exit_process(3)
+        os._exit.assert_called_once_with(3)
 
 
 class TestSubprocess:

@@ -1,5 +1,6 @@
 """The sweep scripts and the README library example run against the package."""
 
+import json
 import os
 import re
 import subprocess
@@ -40,6 +41,32 @@ def test_script_failure_exits_like_the_cli(script, args, message):
                           capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith(message), proc.stderr
+
+
+def test_large_report_arrives_whole():
+    # over 8 KiB on a buffered stdout, flushed before the fast exit
+    eps = [repr(0.5 / (i + 1)) for i in range(40)]
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "entropy_sweep.py"),
+                           "--eps", *eps], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(proc.stdout) > 8192
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + 3 * len(eps)
+    assert all(len(line.split()) == 8 for line in lines)
+
+
+def test_out_file_complete(tmp_path):
+    target = tmp_path / "rows.jsonl"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "interval_certificates.py"),
+         "--max-degree", "3", "--powers", "1", "2", "--resolution", "101",
+         "--out", str(target)], capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in target.read_text(encoding="utf-8").splitlines()]
+    assert [(row["d"], row["p"]) for row in rows] == [(d, p) for d in (1, 2, 3) for p in (1, 2)]
 
 
 def test_readme_library_example():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import unittest.mock
 import warnings
 
@@ -49,6 +50,33 @@ def reference_load(path, n):
     if not rows:
         raise InputError(f"{path}: no data rows found")
     return reference_dedup(np.asarray(rows, dtype=float))
+
+
+def reference_lattice(bounds, res):
+    """The box lattice as the meshgrid of its axes, last axis fastest."""
+    axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+
+
+def reference_ball(center, radius, res):
+    """The ball grid cut from the whole cube lattice by row sums."""
+    center = np.asarray(center, dtype=float)
+    pts = reference_lattice([(c - radius, c + radius) for c in center], res)
+    pts = pts[np.sqrt(((pts - center) ** 2).sum(axis=1)) <= radius + 1e-13]
+    if pts.shape[0] == 0 or not np.any(np.all(pts == center, axis=1)):
+        pts = np.concatenate([pts, center.reshape(1, -1)], axis=0)
+    return pts
+
+
+def traced_peak(build):
+    """``build()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBox:
@@ -195,6 +223,18 @@ class TestPointCloud:
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"0.5 \xe9\n")
         with pytest.raises(InputError, match=r"latin1\.txt.* is not UTF-8 text"):
+            sets.load_point_cloud(str(path), 2)
+
+    def test_malformed_line_before_undecodable_block(self, tmp_path):
+        # blocks are read in file order: a bad line in the first block is
+        # reported before a byte that does not decode three blocks later
+        good = b"0.5 0.25\n" * (3 * sets._CLOUD_BLOCK_LINES)
+        path = tmp_path / "cloud.txt"
+        path.write_bytes(b"1.0 x\n" + good + b"0.5 \xe9\n")
+        with pytest.raises(InputError, match=r"cloud\.txt:1: cannot parse coordinate"):
+            sets.load_point_cloud(str(path), 2)
+        path.write_bytes(b"0.5 \xe9\n" + good + b"1.0 x\n")
+        with pytest.raises(InputError, match=r"cloud\.txt.* is not UTF-8 text"):
             sets.load_point_cloud(str(path), 2)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
@@ -389,6 +429,56 @@ class TestDeterminism:
                 sets.ball([0.0, 0.0, 0.0], 0.3, 2),
                 sets.sphere([0.0, 0.0, 0.0], 1.0, 2)):
             assert sets.grid(model).shape[0] >= 1
+
+
+class TestLatticeBytes:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_bits_as_the_whole_cube(self, seed):
+        # box and ball grids keep the bits of the meshgrid lattice and of a
+        # ball cut from it, for odd and even resolutions
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        res = int(rng.integers(2, (300, 40, 16, 9)[n - 1]))
+        scale = float(rng.choice([1e-3, 1.0, 1e3]))
+        center = list(rng.normal(size=n) * scale)
+        radius = float(rng.uniform(0.1, 2.0)) * scale
+        bounds = [(c - radius, c + 2 * radius) for c in center]
+        got = sets.grid(sets.box(bounds, res))
+        assert got.tobytes() == reference_lattice(bounds, res).tobytes()
+        got = sets.grid(sets.ball(center, radius, res))
+        expected = reference_ball(center, radius, res)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestGridMemory:
+    """Grids and clouds are built without whole-size temporaries."""
+
+    @pytest.mark.parametrize("n, res", [(2, 300), (3, 50)])
+    def test_box_peak_is_its_result(self, n, res):
+        pts, peak = traced_peak(lambda: sets.grid(sets.box([(-1.0, 1.0)] * n, res)))
+        assert pts.shape == (res ** n, n)
+        assert peak <= 1.1 * pts.nbytes
+
+    @pytest.mark.parametrize("res", [50, 51])
+    def test_ball_peak_below_its_cube(self, res):
+        # the cube's coordinates are never built; the byte budget counts them
+        cube = res ** 3 * 3 * 8
+        pts, peak = traced_peak(lambda: sets.grid(sets.ball([0.0] * 3, 1.0, res)))
+        assert 0.4 * res ** 3 < pts.shape[0] < res ** 3
+        assert peak <= 1.3 * cube
+
+    def test_cloud_peak_per_point(self, tmp_path):
+        # several blocks, a header and CRLF endings
+        rows = 5 * sets._CLOUD_BLOCK_LINES
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(rows, 3))
+        path = tmp_path / "cloud.txt"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("# x y z\r\n")
+            handle.writelines(" ".join(map(repr, row)) + "\r\n" for row in pts.tolist())
+        model, peak = traced_peak(lambda: sets.load_point_cloud(str(path), 3))
+        assert model.params["points"].tobytes() == pts.tobytes()
+        assert peak <= 160 * rows
 
 
 class TestGridBudget:
