@@ -11,7 +11,7 @@ import argparse
 import math
 
 from normmesh import bounds
-from normmesh.errors import NormMeshError, exit_process, report_error
+from normmesh.errors import exit_code_of, exit_process
 
 
 def main() -> int:
@@ -40,8 +40,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-    except NormMeshError as exc:
-        code = report_error(exc)
-    exit_process(code)
+    exit_process(exit_code_of(main))

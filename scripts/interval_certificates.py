@@ -11,7 +11,7 @@ import argparse
 import json
 
 from normmesh import landau, meshgen, polyspace, sets
-from normmesh.errors import NormMeshError, exit_process, report_error
+from normmesh.errors import exit_code_of, exit_process
 
 
 def main() -> int:
@@ -52,8 +52,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-    except NormMeshError as exc:
-        code = report_error(exc)
-    exit_process(code)
+    exit_process(exit_code_of(main))

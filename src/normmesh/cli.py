@@ -16,13 +16,14 @@ library's ``decimal``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .errors import NormMeshError, ValidationError, check_int, exit_process, report_error
+from .errors import ValidationError, check_int, exit_code_of, exit_process
 
 if TYPE_CHECKING:
     from . import landau, sets
@@ -89,12 +90,11 @@ def _set_from_args(args) -> sets.CompactSetModel:
     raise ValidationError(f"unknown set kind {kind!r}")
 
 
-def _meta(args, anchors: list[str], seed: int | None = None,
-          grid_size: int | None = None) -> dict:
+def _meta(args, anchors: list[str], grid_size: int | None = None) -> dict:
     meta = {
         "tool": "normmesh",
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "grid_size": grid_size,
         "paper_anchor": anchors,
     }
@@ -129,25 +129,28 @@ def _cmd_dims(args) -> dict:
     return report
 
 
+def _values_report(args, inputs: dict, values: list) -> dict:
+    """The report of ``bounds`` and ``entropy``: formula triples, anchored
+    by their paper labels in order of first use."""
+    return {
+        "command": args.command,
+        "inputs": inputs,
+        "values": values,
+        "meta": _meta(args, list(dict.fromkeys(row[2] for row in values))),
+    }
+
+
 def _cmd_bounds(args) -> dict:
     from . import bounds
 
     report = bounds.poly_bound_report(args.n, args.d)
     values = report.to_json_values()
-    anchors = [row[2] for row in values]
     inputs = dict(report.inputs)
     if args.schedule:
         s, k, chat = _parse_schedule(args.schedule)
-        extra = bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
-        values += extra
-        anchors += [row[2] for row in extra]
+        values += bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
         inputs.update({"s": s, "k": k, "c_hat": chat})
-    return {
-        "command": "bounds",
-        "inputs": inputs,
-        "values": values,
-        "meta": _meta(args, list(dict.fromkeys(anchors))),
-    }
+    return _values_report(args, inputs, values)
 
 
 def _cmd_mesh(args) -> dict:
@@ -165,8 +168,7 @@ def _cmd_mesh(args) -> dict:
         },
         "node_set": node_set.to_json_dict(),
         "grid_constant": node_set.grid_constant,
-        "meta": _meta(args, ["norming-nodes"], seed=args.seed,
-                      grid_size=node_set.grid_size),
+        "meta": _meta(args, ["norming-nodes"], grid_size=node_set.grid_size),
     }
 
 
@@ -182,19 +184,25 @@ def _build_certificate(args) -> landau.EmbeddingCertificate:
     return landau.embed(space, model, args.p)
 
 
-def _cmd_embed(args) -> dict:
-    cert = _build_certificate(args)
-    anchors = ["power-embedding"] + (["power-schedule"] if args.schedule else [])
+def _certificate_report(args, cert: landau.EmbeddingCertificate,
+                        anchors: tuple[str, ...] = (), **inputs) -> dict:
+    """The report of ``embed`` and ``distort``: ``anchors`` and ``inputs``
+    are the command's own, after those the two share."""
+    anchors = ["power-embedding", *anchors] + (["power-schedule"] if args.schedule else [])
     return {
-        "command": "embed",
+        "command": args.command,
         "inputs": {
             "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
-            "resolution": args.resolution, "seed": args.seed,
+            "resolution": args.resolution, "seed": args.seed, **inputs,
         },
         "certificate": {**cert.to_json_dict(), "seed": args.seed,
                         "grid_size": cert.grid_size},
-        "meta": _meta(args, anchors, seed=args.seed, grid_size=cert.grid_size),
+        "meta": _meta(args, anchors, grid_size=cert.grid_size),
     }
+
+
+def _cmd_embed(args) -> dict:
+    return _certificate_report(args, _build_certificate(args))
 
 
 def _cmd_distort(args) -> dict:
@@ -206,19 +214,7 @@ def _cmd_distort(args) -> dict:
     check_int(args.seed, "seed", minimum=0)
     cert = _build_certificate(args)
     landau.estimate_distortion(cert)
-    anchors = ["power-embedding", "distortion-probe"]
-    if args.schedule:
-        anchors.append("power-schedule")
-    return {
-        "command": "distort",
-        "inputs": {
-            "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
-            "resolution": args.resolution, "seed": args.seed, "trials": args.trials,
-        },
-        "certificate": {**cert.to_json_dict(), "seed": args.seed,
-                        "grid_size": cert.grid_size},
-        "meta": _meta(args, anchors, seed=args.seed, grid_size=cert.grid_size),
-    }
+    return _certificate_report(args, cert, ("distortion-probe",), trials=args.trials)
 
 
 def _cmd_entropy(args) -> dict:
@@ -240,13 +236,7 @@ def _cmd_entropy(args) -> dict:
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
     report = bounds.entropy_chain(args.d, k, chat, nbar, args.eps)
-    values = report.to_json_values()
-    return {
-        "command": "entropy",
-        "inputs": dict(report.inputs),
-        "values": values,
-        "meta": _meta(args, [row[2] for row in values]),
-    }
+    return _values_report(args, dict(report.inputs), report.to_json_values())
 
 
 _COMMANDS = {
@@ -293,6 +283,9 @@ def _emit(report: dict, args) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
+    elif sys.stdout is None:
+        # fd 1 was closed when the process started
+        raise OSError(errno.EBADF, "standard output is closed")
     else:
         sys.stdout.write(payload)
 
@@ -345,14 +338,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        report = _COMMANDS[args.command](args)
-        _emit(report, args)
-    except (NormMeshError, OSError) as exc:
-        return report_error(exc)
+def _run_command(argv) -> int:
+    args = _build_parser().parse_args(argv)
+    _emit(_COMMANDS[args.command](args), args)
     return 0
+
+
+def main(argv=None) -> int:
+    return exit_code_of(_run_command, argv)
 
 
 def run(argv=None) -> NoReturn:

@@ -1,19 +1,20 @@
 """Exception types shared across the package, its integer check, and its
 dense-array byte budget.
 
-``report_error`` maps these onto process exit codes for the command line
-and the scripts: validation problems (bad parameters, unreadable inputs,
-sets that cannot norm the requested space) exit with code 2, while
-violations of certified inequalities or precision audits exit with code 3.
-The latter indicate a bug rather than a user error and should never occur
-in normal operation.  ``exit_process`` ends those processes once their
-output is flushed, without interpreter teardown.
+``exit_code_of`` maps these and ``OSError`` onto exit codes for the
+command line and the scripts: validation problems (bad parameters,
+unreadable inputs, sets that cannot norm the requested space) and failed
+reads or writes exit with code 2, while violations of certified
+inequalities or precision audits exit with code 3.  The latter indicate a
+bug rather than a user error and should never occur in normal operation.
+``exit_process`` ends those processes once their output is flushed,
+without interpreter teardown.
 """
 
 import numbers
 import os
 import sys
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 
 # Largest dense float64 array the package allocates: a sampled grid, or an
@@ -92,6 +93,16 @@ def report_error(exc: Exception) -> int:
     code = 3 if isinstance(exc, InvariantViolation) else 2
     print(f"ERROR[{code}]: {exc}", file=sys.stderr)
     return code
+
+
+def exit_code_of(main: Callable[..., int], *args) -> int:
+    """``main(*args)``, or the code ``report_error`` returns for the
+    ``NormMeshError`` or ``OSError`` it raised; any other exception
+    propagates."""
+    try:
+        return main(*args)
+    except (NormMeshError, OSError) as exc:
+        return report_error(exc)
 
 
 def exit_process(code: int) -> NoReturn:

@@ -8,10 +8,10 @@ constant,
               = L^(1/p) * max_A |f|,
 
 so restricting the degree-d space to A embeds it into l_inf(A) with
-distortion at most L^(1/p).  A coarser but a priori bound comes from
-L <= m * (1 + TOL_SWAP), where m is the dimension at degree d*p and
-TOL_SWAP the swap tolerance of ``meshgen``, giving the p-th root of the
-dimension as the certified constant.
+distortion at most L^(1/p), the certified constant.  It is small because
+L <= m * (1 + TOL_SWAP) on a swap-optimal set, with m the dimension at
+degree d*p and TOL_SWAP the swap tolerance of ``meshgen``: the p-th root
+of the dimension, up to that slack.
 
 When the dimension at degree q grows no faster than c_hat * q^k, choosing
 
@@ -98,16 +98,18 @@ class EmbeddingCertificate:
         return self.node_set.grid_size
 
     @property
-    def restriction(self) -> np.ndarray:
-        """The space's basis at the nodes: the embedding in matrix form."""
-        # Monomials at degree d, not the selection basis: constants evaluate
-        # to exactly 1, so a constant or affine space's distortion is exactly 1.
-        return polyspace.vandermonde(self.space, self.node_set.nodes)
-
-    @property
     def grid_values(self) -> np.ndarray:
         """The space's basis at every grid point, one row per point."""
+        # Monomials at degree d, not the selection basis: constants evaluate
+        # to exactly 1, so a constant or affine space's distortion is exactly 1.
         return polyspace.vandermonde(self.space, self.node_set.grid_points)
+
+    @property
+    def restriction(self) -> np.ndarray:
+        """The space's basis at the nodes, the node rows of ``grid_values``:
+        the embedding in matrix form.  Each row is evaluated from its own
+        point alone, so these are the rows of ``vandermonde(space, nodes)``."""
+        return self.grid_values[list(self.node_set.node_indices)]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -131,28 +133,19 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     """Select nodes at degree d*p and certify the degree-d restriction.
 
     The node count equals the dimension at degree d*p, and the certified
-    bound is min(dimension^(1/p) * (1 + TOL_SWAP)^(1/p), L^(1/p)) with L
-    the grid norming constant of the selected nodes.  Grids too small or
-    too large for the degree-d*p space are refused by ``select_nodes``
-    before the basis is enumerated.
+    bound is L^(1/p) with L the grid norming constant of the selected
+    nodes.  Grids too small or too large for the degree-d*p space are
+    refused by ``select_nodes`` before the basis is enumerated.
     """
     p = check_int(p, "power")
     big = polyspace.poly_space(space.n, space.d * p)
     node_set = meshgen.select_nodes(big, set_model)
-
-    # The cardinal bound enters the a priori constant; when the exchange
-    # did not reach optimality the realized sup replaces 1 + TOL_SWAP.
-    card_sup = max(1.0 + meshgen.TOL_SWAP, node_set.lagrange_sup)
-    coarse = (big.dim * card_sup) ** (1.0 / p)
-    sharp = node_set.grid_constant ** (1.0 / p)
-    certified = min(coarse, sharp)
-
     return EmbeddingCertificate(
         space=space,
         set_model=set_model,
         p=p,
         node_set=node_set,
-        certified_bound=float(certified),
+        certified_bound=float(node_set.grid_constant ** (1.0 / p)),
         empirical_distortion=1.0,
         schedule_c=schedule_c,
     )
@@ -228,7 +221,8 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     ``cert.certified_bound``; if it does, a certified inequality has been
     violated and an error is raised.
     """
-    restriction, grid_values = cert.restriction, cert.grid_values
+    grid_values = cert.grid_values
+    restriction = grid_values[list(cert.node_set.node_indices)]
     basis = np.array(meshgen._greedy_rows(restriction))
     # every basis met so far with its signs; owner names, for each open
     # grid point, the one that gave its bound

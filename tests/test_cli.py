@@ -596,6 +596,12 @@ class TestFastExit:
         assert "".join(stderr.text) == ("Exception ignored in: <stdout>\n"
                                         "BrokenPipeError: [Errno 32] Broken pipe\n")
 
+    def test_closed_stdout_at_start_exits_two(self, capsys, monkeypatch):
+        # fd 1 closed before the interpreter started leaves sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["bounds", "--n", "2", "--d", "5", "--no-timestamp"]) == 2
+        assert capsys.readouterr().err.startswith("ERROR[2]:")
+
     @pytest.mark.parametrize("stdout", [None, "closed"])
     def test_missing_or_closed_stream_is_skipped(self, monkeypatch, stdout):
         if stdout == "closed":

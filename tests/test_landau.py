@@ -143,6 +143,7 @@ class TestEmbed:
         coarse = (dim_full(1, 6) * (1.0 + 1e-10)) ** (1.0 / 3.0)
         sharp = cert.grid_constant ** (1.0 / 3.0)
         assert cert.certified_bound == pytest.approx(min(coarse, sharp), rel=1e-15)
+        assert cert.certified_bound == cert.grid_constant ** (1.0 / 3.0)
 
     def test_plane_embedding(self):
         space = poly_space(2, 2)
@@ -156,6 +157,16 @@ class TestEmbed:
         cert = embed(space, INTERVAL, 2)
         assert cert.restriction.shape == (dim_full(1, 8), space.dim)
         assert cert.grid_values.shape == (2001, space.dim)
+
+    @pytest.mark.parametrize("space, model", [
+        (poly_space(1, 3), sets.box([(-1.0, 1.0)], 301)),
+        (poly_space(2, 2), sets.box([(-1.0, 2.0), (0.0, 1.0)], 31)),
+        (poly_space(2, 2), sets.ball([0.5, -0.5], 2.0, 31)),
+    ], ids=["interval", "rectangle", "disk"])
+    def test_restriction_is_the_node_vandermonde(self, space, model):
+        # the node rows of grid_values, bit for bit
+        cert = embed(space, model, 2)
+        assert np.array_equal(cert.restriction, vandermonde(space, cert.node_set.nodes))
 
     def test_target_dimension_guard(self):
         with pytest.raises(ValidationError, match="grid has 121 points"):

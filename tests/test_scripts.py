@@ -69,6 +69,18 @@ def test_out_file_complete(tmp_path):
     assert [(row["d"], row["p"]) for row in rows] == [(d, p) for d in (1, 2, 3) for p in (1, 2)]
 
 
+def test_out_directory_missing_exits_two(tmp_path):
+    # the table is computed, then the write fails: mapped like the CLI's
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "interval_certificates.py"),
+         "--max-degree", "2", "--powers", "1", "--resolution", "101",
+         "--out", str(tmp_path / "missing" / "rows.jsonl")],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ERROR[2]:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_readme_library_example():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
