@@ -4,14 +4,15 @@
 For each degree d on [-1, 1], selects a swap-optimal node set, reports the
 grid norming constant, then builds power-trick embeddings at the requested
 powers and computes their exact grid distortion.  A machine-readable copy of
-the table can be written with --out.
+the table can be written with --out, whose directory is checked before the
+sweep starts.
 """
 
 import argparse
 import json
 
 from normmesh import landau, meshgen, polyspace, sets
-from normmesh.errors import exit_code_of, exit_process
+from normmesh.errors import check_out_path, exit_code_of, exit_process
 
 
 def main() -> int:
@@ -21,6 +22,8 @@ def main() -> int:
     parser.add_argument("--powers", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--out", help="write rows as JSON lines")
     args = parser.parse_args()
+    if args.out:
+        check_out_path(args.out)
 
     model = sets.box([(-1.0, 1.0)], args.resolution)
     rows = []

@@ -7,10 +7,11 @@ byte; ``--seed`` is only echoed and changes no result.  Each subcommand accepts 
 out in full.  Exit codes: 0 success, 2 validation, input or argument
 error, 3 violated certificate or precision audit.  ``main`` returns the
 code; ``run``, the process entry point, exits with it without interpreter
-teardown (``errors.exit_process``).  Each handler imports
-the modules it uses: ``bounds`` and ``entropy`` run without loading numpy,
-and their closed forms, like a ``--schedule``, compute in the standard
-library's ``decimal``.
+teardown (``errors.exit_process``).  An ``--out`` whose directory is
+missing or not writable is refused before any computation.  Each handler
+imports the modules it uses: ``bounds``, ``entropy`` and ``dims`` without
+``--set`` run without loading numpy, and the closed forms, like a
+``--schedule``, compute in the standard library's ``decimal``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .errors import ValidationError, check_int, exit_code_of, exit_process
+from .errors import ValidationError, check_int, check_out_path, exit_code_of, exit_process
 
 if TYPE_CHECKING:
     from . import landau, sets
@@ -54,6 +55,14 @@ def _parse_schedule(text: str) -> tuple[int, int, float]:
     except ValueError as exc:
         raise ValidationError(f"--schedule expects s,k,chat as int,int,real: {exc}") from exc
     return s, k, chat
+
+
+def _space_dim(n, d) -> int:
+    """``polyspace.dim_full`` without importing numpy: C(d + n, n), with
+    its checks of n and d."""
+    n = check_int(n, "number of variables")
+    d = check_int(d, "degree", minimum=0)
+    return math.comb(d + n, n)
 
 
 def _set_from_args(args) -> sets.CompactSetModel:
@@ -106,16 +115,17 @@ def _meta(args, anchors: list[str], grid_size: int | None = None) -> dict:
 
 
 def _cmd_dims(args) -> dict:
-    from . import polyspace, sets
-
-    space = polyspace.poly_space(args.n, args.d)
+    dim = _space_dim(args.n, args.d)
     report = {
         "command": "dims",
         "inputs": {"n": args.n, "d": args.d},
-        "dim_full": space.dim,
+        "dim_full": dim,
     }
     anchors = ["space-dim"]
     if args.set is not None:
+        from . import polyspace, sets
+
+        space = polyspace.poly_space(args.n, args.d)
         model = _set_from_args(args)
         pts = sets.grid(model, space.dim)
         rank = polyspace._grid_rank(space, pts)
@@ -229,10 +239,7 @@ def _cmd_entropy(args) -> dict:
     if args.nbar is not None:
         nbar = args.nbar
     elif args.n is not None:
-        # polyspace.dim_full, without importing numpy
-        n = check_int(args.n, "number of variables")
-        d = check_int(args.d, "degree", minimum=0)
-        nbar = math.comb(d + n, n)
+        nbar = _space_dim(args.n, args.d)
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
     report = bounds.entropy_chain(args.d, k, chat, nbar, args.eps)
@@ -340,6 +347,8 @@ def _build_parser() -> _Parser:
 
 def _run_command(argv) -> int:
     args = _build_parser().parse_args(argv)
+    if args.out:
+        check_out_path(args.out)
     _emit(_COMMANDS[args.command](args), args)
     return 0
 

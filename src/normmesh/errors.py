@@ -7,10 +7,12 @@ unreadable inputs, sets that cannot norm the requested space) and failed
 reads or writes exit with code 2, while violations of certified
 inequalities or precision audits exit with code 3.  The latter indicate a
 bug rather than a user error and should never occur in normal operation.
+``check_out_path`` lets them refuse an unwritable output file up front.
 ``exit_process`` ends those processes once their output is flushed,
 without interpreter teardown.
 """
 
+import errno
 import numbers
 import os
 import sys
@@ -85,6 +87,22 @@ def check_dense(rows: int, cols: int, what: str) -> None:
         raise ValidationError(
             f"a {rows} x {cols} {what} needs {nbytes} bytes, above the "
             f"{MAX_DENSE_BYTES}-byte limit for one dense array")
+
+
+def check_out_path(path: str) -> None:
+    """Refuse an output file whose directory is missing or not writable.
+
+    Raises the ``OSError`` that opening ``path`` for writing would raise,
+    so a command can refuse it before any work, and creates nothing.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def report_error(exc: Exception) -> int:

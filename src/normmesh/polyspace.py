@@ -182,11 +182,11 @@ def _grid_rank(space: PolySpace, points) -> int:
     m = space.dim
     check_dense(pts.shape[0], m, "evaluation matrix")
     blocks = _row_blocks(pts.shape[0], m)
-    r = np.empty((0, m))
-    for b, block in enumerate(blocks):
+    r = np.linalg.qr(vandermonde(space, pts[blocks[0]]), mode="r")
+    if len(blocks) > 1 and _certifies_full_rank(space, pts, r):
+        return m
+    for block in blocks[1:]:
         r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block]))), mode="r")
-        if b == 0 and len(blocks) > 1 and _certifies_full_rank(space, pts, r):
-            return m
     return _numerical_rank(np.linalg.svd(r, compute_uv=False))
 
 
@@ -211,7 +211,7 @@ def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray) -> bo
     svals = np.linalg.svd(r, compute_uv=False)
     if svals.size < space.dim:
         return False
-    radius = float(np.abs(pts).max())
+    radius = float(max(pts.max(), -pts.min()))
     # products, not **: a float power that overflows raises instead of giving inf
     total, power = 0.0, 1.0
     for k in range(space.d + 1):

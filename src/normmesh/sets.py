@@ -23,7 +23,9 @@ numpy's C text reader, one block per call, so the file's text is never
 held whole.  The per-line Python parser runs only on a block the C
 parser refuses, or whose array holds a non-finite value or a row of the
 wrong length; it names the first offending line and accepts every numeral
-``float`` does.
+``float`` does.  Comment lines are looked for only in a block that holds
+a ``#``, and duplicate points only among rows whose first coordinates
+tie.
 
 Grid construction is a pure function of the model: identical parameters
 and resolution yield a bit-identical point list, ordering included.
@@ -172,8 +174,11 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
         with open(path, "r", encoding="utf-8") as handle:
             start = 0
             while lines := list(itertools.islice(handle, _CLOUD_BLOCK_LINES)):
-                # Blanked, not dropped, so that the per-line path keeps line numbers.
-                lines = ["" if line.lstrip().startswith("#") else line for line in lines]
+                # Only a block holding a '#' can hold a comment line; its
+                # comments are blanked, not dropped, so that the per-line
+                # path keeps line numbers.
+                if "#" in "".join(lines):
+                    lines = ["" if line.lstrip().startswith("#") else line for line in lines]
                 if any(map(str.strip, lines)):
                     blocks.append(_parse_block(lines, start, path, n))
                 start += len(lines)
@@ -234,7 +239,16 @@ def _parse_lines(lines: list[str], offset: int, path: str, n: int) -> np.ndarray
 
 
 def _dedup_rows(pts: np.ndarray) -> np.ndarray:
-    """Distinct rows by their bytes (so -0.0 and 0.0 differ), first kept, in order."""
+    """Distinct rows by their bytes (so -0.0 and 0.0 differ), first kept, in order.
+
+    Rows whose first coordinates differ in their bits differ, so when one
+    sort of that column's bit patterns finds no tie, the rows are copied
+    as they are; only a tie sends the whole rows through the byte-key sort.
+    """
+    firsts = np.sort(pts[:, 0].view(np.uint64))
+    if not np.any(firsts[1:] == firsts[:-1]):
+        return np.array(pts, order="C")
+    del firsts
     pts = np.ascontiguousarray(pts)
     keys = pts.view(np.dtype((np.void, pts.dtype.itemsize * pts.shape[1]))).ravel()
     _, first = np.unique(keys, return_index=True)
@@ -245,10 +259,14 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
 def _box_grid(model: CompactSetModel) -> np.ndarray:
     """The res^n points of a box, last coordinate varying fastest.
 
-    Each axis is written straight into the one (res^n, n) result.
+    Each axis is written straight into the one (res^n, n) result; the one
+    axis of an interval is the result.
     """
     res = model.resolution
     n = model.ambient_dim
+    if n == 1:
+        (lo, hi), = model.params["bounds"]
+        return np.linspace(lo, hi, res).reshape(res, 1)
     pts = np.empty((res ** n, n))
     for k, (lo, hi) in enumerate(model.params["bounds"]):
         pts.reshape(res ** k, res, res ** (n - 1 - k), n)[:, :, :, k] = \
@@ -262,7 +280,9 @@ def _ball_grid(model: CompactSetModel) -> np.ndarray:
     The squared offsets of the axes are summed by broadcasting, in axis
     order as a row sum of the lattice would add them, so the distances
     have the same bits; then only the kept points are gathered, without
-    building the cube's coordinates.
+    building the cube's coordinates.  The first axis's offsets are squared
+    in place, and an interval's points are gathered from its axis before
+    the axis is dropped, so neither holds a second copy of a 1-D grid.
     """
     center = model.params["center"]
     radius = model.params["radius"]
@@ -270,7 +290,8 @@ def _ball_grid(model: CompactSetModel) -> np.ndarray:
     n = center.size
     axes = [np.linspace(c - radius, c + radius, res).reshape(
         [res if j == k else 1 for j in range(n)]) for k, c in enumerate(center)]
-    dist = (axes[0] - center[0]) ** 2
+    dist = axes[0] - center[0]
+    np.square(dist, out=dist)
     for axis, c in zip(axes[1:], center[1:]):
         dist = dist + (axis - c) ** 2
     inside = np.sqrt(dist, out=dist) <= radius + _MEMBERSHIP_SLACK
@@ -279,6 +300,9 @@ def _ball_grid(model: CompactSetModel) -> np.ndarray:
     # always a member and keeps the grid non-empty.  A lattice point equal
     # to it lies at distance 0, so it is kept whenever there is one.
     missing = not all(np.any(axis == c) for axis, c in zip(axes, center))
+    if n == 1:
+        pts = axes.pop()[inside]
+        return (np.append(pts, center) if missing else pts).reshape(-1, 1)
     kept = int(np.count_nonzero(inside))
     pts = np.empty((kept + missing, n))
     for k, axis in enumerate(axes):

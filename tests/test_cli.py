@@ -12,7 +12,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from normmesh import cli, errors, landau, polyspace
+from normmesh import cli, errors, landau, meshgen, polyspace
 from normmesh.errors import InvariantViolation
 
 
@@ -408,10 +408,33 @@ class TestOutputModes:
         assert json.loads(target.read_text())["dim_full"] == 6
 
     def test_out_directory_missing(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
         rc, _, err = run_main(
-            ["dims", "--n", "2", "--d", "2", "--out",
-             str(tmp_path / "missing" / "report.json"), "--no-timestamp"], capsys)
+            ["dims", "--n", "2", "--d", "2", "--out", str(target), "--no-timestamp"], capsys)
         assert rc == 2
+        assert err == f"ERROR[2]: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+    @pytest.mark.parametrize("where", ["missing", "file", "read-only"])
+    def test_unwritable_out_refused_before_selection(self, capsys, tmp_path, monkeypatch,
+                                                     where):
+        # refused before any grid is built, and nothing is created
+        monkeypatch.setattr(meshgen, "select_nodes",
+                            Mock(side_effect=AssertionError("nodes selected")))
+        (tmp_path / "file").write_text("")
+        if where == "read-only":
+            # a root process may write anywhere, so the permission is mocked
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+            target, message = tmp_path / "report.json", "Permission denied"
+        else:
+            target = tmp_path / where / "report.json"
+            message = {"missing": "No such file or directory", "file": "Not a directory"}[where]
+        rc, out, err = run_main(
+            ["mesh", "--n", "2", "--d", "12", "--resolution", "81", "--out", str(target),
+             "--no-timestamp"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("ERROR[2]: [Errno ") and f"] {message}: " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["distort", "--n", "1", "--d", "2", "--p", "2", "--trials", "4",

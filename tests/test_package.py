@@ -126,6 +126,17 @@ def test_closed_forms_run_without_numpy(case):
     _assert_same_without("numpy", case)
 
 
+def test_dims_without_a_set_loads_no_numpy():
+    code = ("import sys\n"
+            "from normmesh import cli\n"
+            "assert cli.main(['dims', '--n', '2', '--d', '3', '--no-timestamp']) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim_full"] == 10
+
+
 @pytest.mark.parametrize("case", [
     ["cli", "mesh", "--n", "2", "--d", "3", "--resolution", "21", "--no-timestamp"],
     ["cli", "dims", "--n", "3", "--d", "2", "--set", "box", "--resolution", "9",

@@ -171,20 +171,36 @@ def default_block_rows(space):
                polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
 
 
+def assert_first_qr_is_first_block(calls, space, pts):
+    """The first QR factors the first strided block's Vandermonde itself,
+    not a copy stacked onto anything."""
+    first = polyspace._row_blocks(pts.shape[0], space.dim)[0]
+    np.testing.assert_array_equal(calls["points"][0], pts[first])
+    assert calls["qr_inputs"][0] is calls["matrices"][0]
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Shapes passed to vandermonde, QR and SVD during the test.
 
-    ``calls["points"]`` keeps the point arrays vandermonde was given.
+    ``calls["points"]`` keeps the point arrays vandermonde was given,
+    ``calls["matrices"]`` the arrays it returned, and ``calls["qr_inputs"]``
+    the arrays QR was given.
     """
-    shapes = {"vandermonde": [], "qr": [], "svd": [], "points": []}
+    shapes = {"vandermonde": [], "qr": [], "svd": [], "points": [], "matrices": [],
+              "qr_inputs": []}
 
     def recording(name, fn, shape_of):
         def wrapper(*args, **kwargs):
             shapes[name].append(shape_of(args))
             if name == "vandermonde":
                 shapes["points"].append(np.array(args[1]))
-            return fn(*args, **kwargs)
+            if name == "qr":
+                shapes["qr_inputs"].append(args[0])
+            out = fn(*args, **kwargs)
+            if name == "vandermonde":
+                shapes["matrices"].append(out)
+            return out
         return wrapper
 
     monkeypatch.setattr(polyspace, "vandermonde", recording(
@@ -244,6 +260,7 @@ class TestStreamedTraceRank:
         assert len(calls["vandermonde"]) == 1
         assert calls["vandermonde"][0][0] <= rows
         assert calls["qr"] == [(calls["vandermonde"][0][0], space.dim)]
+        assert_first_qr_is_first_block(calls, space, sets.grid(model))
         assert calls["svd"] == [(space.dim, space.dim)]
 
     def test_default_blocks_stay_within_one_block(self, calls):
@@ -257,6 +274,7 @@ class TestStreamedTraceRank:
         assert npts > 2 * rows
         assert trace_dimension(space, model) == 25
         assert len(calls["vandermonde"]) == -(-npts // rows)
+        assert_first_qr_is_first_block(calls, space, pts)
         assert_same_rows(np.vstack(calls["points"]), pts)
         assert max(shape[0] for shape in calls["vandermonde"]) <= rows
         assert max(shape[0] for shape in calls["qr"]) <= rows + space.dim

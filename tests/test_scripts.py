@@ -69,16 +69,31 @@ def test_out_file_complete(tmp_path):
     assert [(row["d"], row["p"]) for row in rows] == [(d, p) for d in (1, 2, 3) for p in (1, 2)]
 
 
+# Runs a script with node selection made to fail, so a run that exits 2
+# without a traceback never selected a node set.
+_NO_SELECTION = """
+import runpy, sys
+from normmesh import meshgen
+def refuse(*args, **kwargs):
+    raise AssertionError("nodes selected")
+meshgen.select_nodes = refuse
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
 def test_out_directory_missing_exits_two(tmp_path):
-    # the table is computed, then the write fails: mapped like the CLI's
+    # refused before the sweep, mapped like the CLI's: no row, no file
+    target = str(tmp_path / "missing" / "rows.jsonl")
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "interval_certificates.py"),
-         "--max-degree", "2", "--powers", "1", "--resolution", "101",
-         "--out", str(tmp_path / "missing" / "rows.jsonl")],
+        [sys.executable, "-c", _NO_SELECTION,
+         os.path.join(ROOT, "scripts", "interval_certificates.py"),
+         "--max-degree", "2", "--powers", "1", "--resolution", "101", "--out", target],
         capture_output=True, text=True, env=_env(), timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("ERROR[2]:"), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"ERROR[2]: [Errno 2] No such file or directory: {target!r}\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_library_example():

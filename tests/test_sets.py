@@ -406,11 +406,40 @@ class TestDedupRows:
         wide = np.repeat(pts, 2, axis=1)[:, ::2]
         assert sets._dedup_rows(wide).tobytes() == expected.tobytes()
 
+    @staticmethod
+    def _tied_rows(case):
+        rng = np.random.default_rng(5)
+        if case == "lattice":
+            # a shuffled 7^3 lattice, a third of its rows twice
+            lattice = reference_lattice([(-1.0, 1.0)] * 3, 7)
+            pts = np.concatenate([lattice, lattice[rng.integers(0, 343, size=114)]])
+            return pts[rng.permutation(pts.shape[0])]
+        if case == "last-coordinate":
+            # every row ties with every other on all but its last coordinate
+            last = rng.choice([0.0, -0.0, 0.5, 0.5 + 2 ** -53, 1.0], size=300)
+            return np.column_stack([np.full(300, 0.25), np.full(300, -3.0), last])
+        # the first column holds -0.0 and 0.0 only; the second sometimes ties
+        first = rng.choice([0.0, -0.0], size=200)
+        return np.column_stack([first, rng.integers(0, 3, size=200) * 0.5])
+
+    @pytest.mark.parametrize("case", ["lattice", "last-coordinate", "signed-zero"])
+    def test_tied_first_coordinates(self, case):
+        pts = self._tied_rows(case)
+        expected = reference_dedup(pts)
+        assert expected.shape[0] < pts.shape[0]
+        for view in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=1)[:, ::2]):
+            got = sets._dedup_rows(view)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_distinct_rows_copied_in_order(self):
         pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(500, 3))
-        got = sets._dedup_rows(pts)
-        assert got.tobytes() == pts.tobytes()
-        assert not np.shares_memory(got, pts)
+        # -0.0 and 0.0 differ, so these first coordinates do not tie
+        pts[:2, 0] = [0.0, -0.0]
+        for view in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=1)[:, ::2]):
+            got = sets._dedup_rows(view)
+            assert got.tobytes() == pts.tobytes()
+            assert not np.shares_memory(got, view)
 
 
 class TestDeterminism:
@@ -454,7 +483,7 @@ class TestLatticeBytes:
 class TestGridMemory:
     """Grids and clouds are built without whole-size temporaries."""
 
-    @pytest.mark.parametrize("n, res", [(2, 300), (3, 50)])
+    @pytest.mark.parametrize("n, res", [(1, 100000), (2, 300), (3, 50)])
     def test_box_peak_is_its_result(self, n, res):
         pts, peak = traced_peak(lambda: sets.grid(sets.box([(-1.0, 1.0)] * n, res)))
         assert pts.shape == (res ** n, n)
@@ -467,6 +496,15 @@ class TestGridMemory:
         pts, peak = traced_peak(lambda: sets.grid(sets.ball([0.0] * 3, 1.0, res)))
         assert 0.4 * res ** 3 < pts.shape[0] < res ** 3
         assert peak <= 1.3 * cube
+
+    @pytest.mark.parametrize("center, radius, res", [
+        ([0.0], 1.0, 100000), ([0.0], 1.0, 100001), ([0.3], 1e3, 99999)])
+    def test_interval_ball_peak(self, center, radius, res):
+        # the axis, one offsets buffer and the membership bits: 2.13x the
+        # axis measured; a second whole-size buffer would pass 3x
+        pts, peak = traced_peak(lambda: sets.grid(sets.ball(center, radius, res)))
+        assert pts.shape[0] in (res, res + 1)
+        assert peak <= 2.2 * res * 8
 
     def test_cloud_peak_per_point(self, tmp_path):
         # several blocks, a header and CRLF endings
