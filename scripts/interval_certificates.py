@@ -4,8 +4,8 @@
 For each degree d on [-1, 1], selects a swap-optimal node set, reports the
 grid norming constant, then builds power-trick embeddings at the requested
 powers and computes their exact grid distortion.  A machine-readable copy of
-the table can be written with --out, whose directory is checked before the
-sweep starts.
+the table can be written with --out, which is checked before the sweep
+starts.
 """
 
 import argparse

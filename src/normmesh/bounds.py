@@ -44,7 +44,7 @@ from .errors import InvariantViolation, ValidationError, check_int
 
 _BASE_DPS = 30
 # Digits carried beyond those a real is correct to, and the working
-# precision of the entropy chain.
+# precision of the entropy chain and of ``log_distortion_inverse``.
 _GUARD = 10
 _CHAIN_DPS = 40
 # Entries per cache of input-only values: one per (c_hat, d, k), or per
@@ -128,10 +128,9 @@ class BoundReport:
     ~7 ms of every closed-form process.
     """
 
-    def __init__(self, inputs: dict | None = None,
-                 values: list[tuple[str, object, str]] | None = None):
-        self.inputs = {} if inputs is None else inputs
-        self.values = [] if values is None else values
+    def __init__(self, inputs: dict, values: list[tuple[str, object, str]]):
+        self.inputs = inputs
+        self.values = values
 
     def __repr__(self) -> str:
         return f"BoundReport(inputs={self.inputs!r}, values={self.values!r})"
@@ -352,14 +351,14 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
                      4 * (prec + max(upper.adjusted(), 0)) + 40)
 
 
-def log_distortion_inverse(y: float, k: int = 1, dps: int = 40) -> float:
+def log_distortion_inverse(y: float, k: int = 1) -> float:
     """Solve phi(x) = y on the decreasing branch x >= e^((k-1)/k).
 
     Valid for 0 < y <= e^(-(k-1)/k); the root lies below
     (3k/y) ln(3k/y), which bounds the Newton bracket.
     """
     k = check_int(k, "growth order")
-    with _digits(dps):
+    with _digits(_CHAIN_DPS):
         yy = Decimal(float(y))
         if yy <= 0 or yy > (-Decimal(k - 1) / k).exp():
             raise ValidationError(
@@ -466,40 +465,33 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         final = (nbar * growth * (_log_growth(chat, d, k) + 1) ** k * (21 * nbar / e).ln()
                  * s_bound ** k)
 
-    report = BoundReport(
-        inputs={"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps})
-    report.values = [
-        ("s_eps", s_eps, "phi-inverse"),
-        ("s_eps_bound_3_7", s_bound, "phi-majorant"),
-        ("R_eps", r_eps, "net-radius"),
-        ("inv_xi_3_8", inv_xi, "mesh-width"),
-        ("N_ds_cor1", num_nodes, "scheduled-size"),
-        ("log_net_card", log_card, "covering-count"),
-        ("entropy_chain_final", final, "entropy-final"),
-    ]
-    return report
+    return BoundReport(
+        {"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps},
+        [("s_eps", s_eps, "phi-inverse"),
+         ("s_eps_bound_3_7", s_bound, "phi-majorant"),
+         ("R_eps", r_eps, "net-radius"),
+         ("inv_xi_3_8", inv_xi, "mesh-width"),
+         ("N_ds_cor1", num_nodes, "scheduled-size"),
+         ("log_net_card", log_card, "covering-count"),
+         ("entropy_chain_final", final, "entropy-final")])
 
 
 def poly_bound_report(n: int, d: int) -> BoundReport:
     """Mesh size and distortion constant for degree-d polynomials on R^n sets."""
     size = poly_embedding_size(n, d)
     dist = poly_distortion_bound(n)
-    report = BoundReport(inputs={"n": n, "d": d})
-    report.values = [
-        ("N_dn", size, "poly-size"),
-        ("dist_bound_A", dist, "poly-distortion"),
-        ("N_tilde_dn", math.comb(n + d, n), "space-dim"),
-    ]
-    return report
+    return BoundReport(
+        {"n": n, "d": d},
+        [("N_dn", size, "poly-size"),
+         ("dist_bound_A", dist, "poly-distortion"),
+         ("N_tilde_dn", math.comb(n + d, n), "space-dim")])
 
 
 def schedule_bound_report(d: int, k: int, c_hat, s: int) -> BoundReport:
     """Mesh size and distortion constant for a user-supplied growth bound."""
     size = scheduled_embedding_size(d, k, c_hat, s)
     dist = schedule_distortion_bound(s, k)
-    report = BoundReport(inputs={"d": d, "k": k, "c_hat": float(c_hat), "s": s})
-    report.values = [
-        ("N_ds_cor1", size, "scheduled-size"),
-        ("dist_bound_cor1", dist, "scheduled-distortion"),
-    ]
-    return report
+    return BoundReport(
+        {"d": d, "k": k, "c_hat": float(c_hat), "s": s},
+        [("N_ds_cor1", size, "scheduled-size"),
+         ("dist_bound_cor1", dist, "scheduled-distortion")])

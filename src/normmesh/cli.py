@@ -7,8 +7,9 @@ byte; ``--seed`` is only echoed and changes no result.  Each subcommand accepts 
 out in full.  Exit codes: 0 success, 2 validation, input or argument
 error, 3 violated certificate or precision audit.  ``main`` returns the
 code; ``run``, the process entry point, exits with it without interpreter
-teardown (``errors.exit_process``).  An ``--out`` whose directory is
-missing or not writable is refused before any computation.  Each handler
+teardown (``errors.exit_process``).  An ``--out`` that is a directory
+or an unwritable file, or whose directory is missing or not writable, is
+refused before any computation.  Each handler
 imports the modules it uses: ``bounds``, ``entropy`` and ``dims`` without
 ``--set`` run without loading numpy, and the closed forms, like a
 ``--schedule``, compute in the standard library's ``decimal``.
@@ -128,7 +129,7 @@ def _cmd_dims(args) -> dict:
         space = polyspace.poly_space(args.n, args.d)
         model = _set_from_args(args)
         pts = sets.grid(model, space.dim)
-        rank = polyspace._grid_rank(space, pts)
+        rank = polyspace.trace_dimension(space, pts)
         report["inputs"]["set"] = model.describe()
         report["trace_dimension"] = rank
         report["determining"] = rank == space.dim

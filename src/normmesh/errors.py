@@ -90,7 +90,8 @@ def check_dense(rows: int, cols: int, what: str) -> None:
 
 
 def check_out_path(path: str) -> None:
-    """Refuse an output file whose directory is missing or not writable.
+    """Refuse an output file that is a directory, is not writable, or whose
+    directory is missing or not writable.
 
     Raises the ``OSError`` that opening ``path`` for writing would raise,
     so a command can refuse it before any work, and creates nothing.
@@ -98,7 +99,9 @@ def check_out_path(path: str) -> None:
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-    elif not os.access(directory, os.W_OK):
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
         code = errno.EACCES
     else:
         return

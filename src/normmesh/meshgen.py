@@ -63,7 +63,8 @@ from .errors import NonDeterminingError, ValidationError, check_int
 # A swap must grow |det| by more than a 1 + TOL_SWAP factor; a node set
 # whose cardinals stay within 1 + TOL_SWAP on the grid is swap-optimal.
 TOL_SWAP = 1e-10
-DEFAULT_MAX_SWEEPS = 100
+# Node selection stops after this many sweeps, swap-optimal or not.
+MAX_SWEEPS = 100
 # In the greedy seed, residual norms^2 within this relative distance of the
 # largest are tied; the lowest grid index among them is picked.
 _TIE_RTOL = 1e-9
@@ -90,7 +91,7 @@ class NodeSet:
     lagrange_sup: float
     grid_constant: float
     grid_points: np.ndarray = field(repr=False)
-    sweeps: int = 0
+    sweeps: int
 
     @property
     def grid_size(self) -> int:
@@ -180,30 +181,28 @@ def _log_abs_det(q: np.ndarray, indices: Sequence[int]) -> float:
     return float(logdet)
 
 
-def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
-                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> NodeSet:
+def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel) -> NodeSet:
     """Pick dim(space) grid points by greedy init plus exchange sweeps.
 
     One sweep walks the nodes in index order; for each node the grid is
     scanned in grid order and the first swap improving |det| by a factor
     above 1 + TOL_SWAP is applied immediately.  Sweeps repeat until one
-    passes clean or ``max_sweeps`` is exhausted (best nodes so far).
+    passes clean or ``MAX_SWEEPS`` is exhausted (best nodes so far).
 
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
     matrix is computed afresh from the orthonormal basis of the tall-skinny
     QR, O(m^2 N), after the greedy seed; when a sweep comes back clean on
     an updated matrix, where the fresh matrix must confirm it or sweeping
-    goes on; and once at the end of a run that exhausted ``max_sweeps``.
+    goes on; and once at the end of a run that exhausted ``MAX_SWEEPS``.
     A fresh product never reads the updated matrix; it overwrites it in
     place.  ``lagrange_sup``, ``grid_constant`` and ``swap_optimal`` are
     therefore read from a fresh product (``_node_set``), so a run whose
     last sweep made the last needed swap is swap-optimal too.
 
-    The run is deterministic given (space, set_model, max_sweeps); the
-    exchange draws no random numbers.
+    The run is deterministic given (space, set_model); the exchange draws
+    no random numbers.
     """
-    max_sweeps = check_int(max_sweeps, "max_sweeps")
     grid_points = sets.grid(set_model, space.dim)
     q = polyspace.orthonormal_basis(space, grid_points)
     chosen = _greedy_rows(q)
@@ -211,7 +210,7 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
     m = space.dim
     cardinals = _cardinal_values(q, chosen)
     updated = False  # cardinals carry rank-1 updates since the last fresh product
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         improved = False
         for k in range(m):
             better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + TOL_SWAP)

@@ -36,7 +36,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import sets
 from .errors import NonDeterminingError, ValidationError, check_dense, check_int
 
 # Both factorizations of the grid Vandermonde evaluate it in strided
@@ -149,22 +148,13 @@ def _row_blocks(npts: int, m: int) -> list[slice]:
     return [slice(b, None, count) for b in range(count)]
 
 
-def trace_dimension(space: PolySpace, set_model: sets.CompactSetModel) -> int:
-    """Numerical dimension of the space restricted to the set's grid.
+def trace_dimension(space: PolySpace, points) -> int:
+    """Numerical dimension of the space restricted to ``points``.
 
-    Counts singular values of the grid Vandermonde above ``RANK_TOL`` times
-    the largest one, the rule of node selection's rank guard.  The set is
-    determining for the space exactly when this equals ``space.dim``.  When
-    the first strided block of the grid already proves the full rank, the
-    rest of the grid is never evaluated; see ``_grid_rank``.  An evaluation
-    matrix above the dense-array byte budget is refused before the grid is
-    built, after the grid's own checks.
-    """
-    return _grid_rank(space, sets.grid(set_model, space.dim))
-
-
-def _grid_rank(space: PolySpace, points) -> int:
-    """Numerical rank of the Vandermonde of ``points``, streamed in blocks.
+    Counts singular values of the Vandermonde of ``points`` above
+    ``RANK_TOL`` times the largest one, the rule of node selection's rank
+    guard.  A set is determining for the space exactly when this equals
+    ``space.dim`` on its grid.
 
     The blocks of ``_row_blocks`` are evaluated one at a time and folded
     into the R factor of a QR of the rows seen so far (tall-skinny QR);

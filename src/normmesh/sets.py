@@ -190,9 +190,7 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
         raise InputError(f"{path}: no data rows found")
     pts = np.concatenate(blocks)
     del blocks  # the blocks and their concatenation together double the rows
-    model = from_points(pts)
-    model.params["source"] = str(path)
-    return model
+    return from_points(pts)
 
 
 def _parse_block(lines: list[str], offset: int, path: str, n: int) -> np.ndarray:
@@ -320,17 +318,20 @@ def _sphere_grid(model: CompactSetModel) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(res) / res
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return center + radius * pts
-    # S2: poles plus latitude rings, longitude varying fastest.
-    rows = [center + radius * np.array([0.0, 0.0, 1.0])]
+    # S2: poles plus latitude rings, longitude varying fastest, each
+    # coordinate written into the one result by one broadcast product.
+    theta = np.pi * np.arange(1, res - 1) / (res - 1)
     phi = 2.0 * np.pi * np.arange(res) / res
-    for i in range(1, res - 1):
-        theta = np.pi * i / (res - 1)
-        ring = np.stack(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-             np.full(res, np.cos(theta))], axis=-1)
-        rows.append(center + radius * ring)
-    rows.append(center + radius * np.array([0.0, 0.0, -1.0]))
-    return np.concatenate([np.atleast_2d(r) for r in rows], axis=0)
+    pts = np.empty((res * (res - 2) + 2, 3))
+    pts[0], pts[-1] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    rings = pts[1:-1].reshape(res - 2, res, 3)
+    sin_theta = np.sin(theta)
+    rings[:, :, 0] = np.outer(sin_theta, np.cos(phi))
+    rings[:, :, 1] = np.outer(sin_theta, np.sin(phi))
+    rings[:, :, 2] = np.cos(theta)[:, None]
+    pts *= radius
+    pts += center
+    return pts
 
 
 def _cloud_grid(model: CompactSetModel) -> np.ndarray:

@@ -105,7 +105,7 @@ def test_criterion_5_circle_trace_ranks():
         circle = sets.sphere([0.0, 0.0], 1.0, 256)
         for d in range(1, 9):
             space = polyspace.poly_space(2, d)
-            rank = polyspace.trace_dimension(space, circle)
+            rank = polyspace.trace_dimension(space, sets.grid(circle))
             assert rank == 2 * d + 1, f"degree {d} rank {rank}"
 
     _report(5, "plane polynomials restricted to a 256-point circle have trace "

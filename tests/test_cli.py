@@ -414,10 +414,14 @@ class TestOutputModes:
         assert rc == 2
         assert err == f"ERROR[2]: [Errno 2] No such file or directory: {str(target)!r}\n"
 
-    @pytest.mark.parametrize("where", ["missing", "file", "read-only"])
+    @pytest.mark.parametrize("where", [
+        "missing", "file", "read-only", "directory",
+        pytest.param("read-only-file", marks=pytest.mark.skipif(
+            os.name != "posix" or os.geteuid() == 0,
+            reason="a root process may write to a read-only file"))])
     def test_unwritable_out_refused_before_selection(self, capsys, tmp_path, monkeypatch,
                                                      where):
-        # refused before any grid is built, and nothing is created
+        # refused before any grid is built, and nothing is created or changed
         monkeypatch.setattr(meshgen, "select_nodes",
                             Mock(side_effect=AssertionError("nodes selected")))
         (tmp_path / "file").write_text("")
@@ -425,6 +429,11 @@ class TestOutputModes:
             # a root process may write anywhere, so the permission is mocked
             monkeypatch.setattr(os, "access", lambda path, mode: False)
             target, message = tmp_path / "report.json", "Permission denied"
+        elif where == "directory":
+            target, message = tmp_path, "Is a directory"
+        elif where == "read-only-file":
+            (tmp_path / "file").chmod(0o444)
+            target, message = tmp_path / "file", "Permission denied"
         else:
             target = tmp_path / where / "report.json"
             message = {"missing": "No such file or directory", "file": "Not a directory"}[where]
@@ -433,8 +442,9 @@ class TestOutputModes:
              "--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
-        assert err.startswith("ERROR[2]: [Errno ") and f"] {message}: " in err
+        assert err.startswith("ERROR[2]: [Errno ") and f"] {message}: {str(target)!r}\n" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == ""
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["distort", "--n", "1", "--d", "2", "--p", "2", "--trials", "4",

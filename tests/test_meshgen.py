@@ -37,7 +37,7 @@ def brute_force_max_det(space, grid_points):
     return best
 
 
-def reference_exchange(space, model, max_sweeps=meshgen.DEFAULT_MAX_SWEEPS,
+def reference_exchange(space, model, max_sweeps=meshgen.MAX_SWEEPS,
                        tol_swap=meshgen.TOL_SWAP, q=None):
     """The exchange with a full O(m^2 N) re-solve after every accepted swap.
 
@@ -266,8 +266,9 @@ class TestOversizedMatrixBeforeGrid:
         monkeypatch.setitem(sets._GRID_BUILDERS, "box", refuse)
 
     def test_trace_dimension(self):
+        # the caller's sets.grid refuses the matrix that trace_dimension builds
         with pytest.raises(ValidationError) as caught:
-            trace_dimension(self.SPACE, self.MODEL)
+            trace_dimension(self.SPACE, sets.grid(self.MODEL, self.SPACE.dim))
         assert str(caught.value) == self.MESSAGE
 
     def test_make_node_set(self):
@@ -290,16 +291,17 @@ class TestOversizedMatrixBeforeGrid:
         # matrix or an index is looked at
         huge = sets.box([(-1.0, 1.0)] * 3, 10 ** 6)
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
-            trace_dimension(self.SPACE, huge)
+            trace_dimension(self.SPACE, sets.grid(huge, self.SPACE.dim))
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
             make_node_set(self.SPACE, huge, list(range(self.SPACE.dim - 1)) + [10 ** 18])
 
 
 class TestRankOneExchange:
     @pytest.mark.parametrize("n, d, model, max_sweeps", REFERENCE_CASES)
-    def test_matches_full_resolve_reference(self, n, d, model, max_sweeps):
+    def test_matches_full_resolve_reference(self, n, d, model, max_sweeps, monkeypatch):
         space = poly_space(n, d)
-        ns = select_nodes(space, model, max_sweeps=max_sweeps)
+        monkeypatch.setattr(meshgen, "MAX_SWEEPS", max_sweeps)
+        ns = select_nodes(space, model)
         expected = reference_exchange(space, model, max_sweeps=max_sweeps)
         got = {key: getattr(ns, key) for key in expected}
         assert got == expected
@@ -377,19 +379,22 @@ class TestIntervalSelection:
     def test_sweep_budget_exhaustion_reported(self):
         space = poly_space(1, 5)
         model = sets.box([(-1.0, 1.0)], 2001)
-        ns = select_nodes(space, model, max_sweeps=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meshgen, "MAX_SWEEPS", 1)
+            ns = select_nodes(space, model)
         assert not ns.swap_optimal
         assert ns.sweeps == 1
         done = select_nodes(space, model)
         assert done.swap_optimal
-        assert done.sweeps < meshgen.DEFAULT_MAX_SWEEPS
+        assert done.sweeps < meshgen.MAX_SWEEPS
         assert done.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
 
-    def test_last_needed_swap_in_last_sweep_is_certified(self):
+    def test_last_needed_swap_in_last_sweep_is_certified(self, monkeypatch):
         # the second sweep makes the last swap the nodes need, and no sweep
         # is left to come back clean; the fresh cardinal product still
         # certifies them (lagrange_sup 1.0000000000000002)
-        ns = select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201), max_sweeps=2)
+        monkeypatch.setattr(meshgen, "MAX_SWEEPS", 2)
+        ns = select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201))
         assert ns.sweeps == 2
         assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
         assert ns.swap_optimal
@@ -522,18 +527,12 @@ class TestRankGuards:
             with pytest.raises(NonDeterminingError) as info:
                 select_nodes(space, model)
             assert info.value.rank == rank
-            assert info.value.rank == trace_dimension(space, model)
+            assert info.value.rank == trace_dimension(space, sets.grid(model))
             assert info.value.dim == space.dim
             # a true rank deficiency: s_min/s_max at rounding level
             ratio = float(str(info.value).split("s_min/s_max = ")[1].split(",")[0])
             assert ratio < 1e-14
             assert not info.value.conditioning_limited
-
-    def test_parameter_validation(self):
-        space = poly_space(1, 2)
-        model = sets.box([(-1.0, 1.0)], 21)
-        with pytest.raises(ValidationError):
-            select_nodes(space, model, max_sweeps=0)
 
     @pytest.mark.parametrize("model, d, rank, cause", [
         (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, "grid does not determine the space"),
@@ -553,7 +552,7 @@ class TestRankGuards:
         assert f"numerical rank {rank} < dimension {space.dim}" in message
         assert (info.value.rank, info.value.dim) == (rank, space.dim)
         assert info.value.conditioning_limited == ("conditioning" in cause)
-        assert trace_dimension(space, model) == rank
+        assert trace_dimension(space, sets.grid(model)) == rank
         dropped = float(message.split("s_(r+1)/s_1 = ")[1].split(",")[0])
         if "conditioning" in cause:
             assert 1e-12 < dropped <= polyspace.RANK_TOL

@@ -1,7 +1,9 @@
 """Package surface: exported names and the shared integer rule."""
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import normmesh
-from normmesh import bounds, meshgen, polyspace, sets
+from normmesh import bounds, cli, meshgen, polyspace, sets
 from normmesh.errors import ValidationError, check_int
 
 
@@ -34,10 +36,6 @@ def _load_interval_cloud(n):
     (lambda: polyspace.dim_full(True, 2), None),
     (lambda: polyspace.dim_full(2, 2.0), None),
     (lambda: polyspace.dim_full(np.int64(2), np.int32(2)), 6),
-    (lambda: meshgen.select_nodes(polyspace.poly_space(1, 2), INTERVAL,
-                                  max_sweeps=True), None),
-    (lambda: meshgen.select_nodes(polyspace.poly_space(1, 2), INTERVAL,
-                                  max_sweeps=np.int64(3)).sweeps, 1),
     (lambda: bounds.poly_embedding_size(np.int64(2), 3),
      bounds.poly_embedding_size(2, 3)),
     (lambda: bounds.poly_embedding_size(2, True), None),
@@ -49,8 +47,8 @@ def _load_interval_cloud(n):
                                    np.array([0, 10, 20])).node_indices, (0, 10, 20)),
     (lambda: _load_interval_cloud(True), None),
     (lambda: sets.grid(_load_interval_cloud(np.int64(1))).shape, (3, 1)),
-], ids=["dim_full-bool", "dim_full-float", "dim_full-np-int", "max_sweeps-bool",
-        "max_sweeps-np-int", "embedding_size-np-int", "embedding_size-bool",
+], ids=["dim_full-bool", "dim_full-float", "dim_full-np-int",
+        "embedding_size-np-int", "embedding_size-bool",
         "resolution-np-int", "resolution-bool", "node_index-float", "node_index-np-int",
         "cloud_dimension-bool", "cloud_dimension-np-int"])
 def test_integer_rule(call, expected):
@@ -161,6 +159,19 @@ def test_distortion_runs_without_scipy():
     # the exact distortion solves its linear programs with numpy alone
     _assert_same_without("scipy", ["cli", "distort", "--n", "2", "--d", "2", "--p", "2",
                                    "--resolution", "41", "--no-timestamp"])
+
+
+def test_polyspace_loads_no_set_models():
+    # the trace rank, like the Vandermonde, works on points alone
+    code = ("import sys, normmesh.polyspace\n"
+            "assert 'normmesh.sets' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_uses_only_public_polyspace_names():
+    assert re.findall(r"polyspace\._\w+", inspect.getsource(cli)) == []
 
 
 def test_import_loads_no_mpmath_until_a_closed_form_is_read():

@@ -113,12 +113,12 @@ class TestTraceDimension:
     def test_full_rank_on_fine_interval_grid(self):
         space = poly_space(1, 6)
         model = sets.box([(-1.0, 1.0)], 101)
-        assert trace_dimension(space, model) == 7
+        assert trace_dimension(space, sets.grid(model)) == 7
 
     def test_too_few_points_drop_rank(self):
         space = poly_space(1, 5)
         model = sets.from_points([[-1.0], [-0.3], [0.3], [1.0]])
-        assert trace_dimension(space, model) == 4
+        assert trace_dimension(space, sets.grid(model)) == 4
 
     def test_circle_trace_rank_is_odd_ladder(self):
         # restricted to the unit circle the monomials span
@@ -126,7 +126,7 @@ class TestTraceDimension:
         circle = sets.sphere([0.0, 0.0], 1.0, 256)
         for d in range(1, 6):
             space = poly_space(2, d)
-            assert trace_dimension(space, circle) == 2 * d + 1
+            assert trace_dimension(space, sets.grid(circle)) == 2 * d + 1
 
     def test_circle_rank_matches_trig_span_oracle(self):
         # independent oracle: rank of the pointwise trig frame itself
@@ -141,7 +141,8 @@ class TestTraceDimension:
             svals = np.linalg.svd(frame, compute_uv=False)
             oracle = int(np.count_nonzero(svals > 1e-10 * svals[0]))
             space = poly_space(2, d)
-            assert trace_dimension(space, sets.sphere([0.0, 0.0], 1.0, m)) == oracle
+            circle = sets.grid(sets.sphere([0.0, 0.0], 1.0, m))
+            assert trace_dimension(space, circle) == oracle
             assert oracle == 2 * d + 1
 
     def test_line_inside_plane_has_affine_trace(self):
@@ -149,7 +150,7 @@ class TestTraceDimension:
         space = poly_space(2, 3)
         axis_pts = [[x, 0.0] for x in np.linspace(-1.0, 1.0, 33)]
         model = sets.from_points(axis_pts)
-        assert trace_dimension(space, model) == 4
+        assert trace_dimension(space, sets.grid(model)) == 4
 
 
 def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
@@ -232,35 +233,35 @@ class TestStreamedTraceRank:
         pts = sets.grid(model)
         for d in degrees:
             space = poly_space(n, d)
-            assert trace_dimension(space, model) == full_svd_rank(space, pts)
+            assert trace_dimension(space, pts) == full_svd_rank(space, pts)
 
     def test_circle_rank_equals_full_svd_rank(self, block_rows):
         circle = sets.sphere([0.0, 0.0], 1.0, 256)
         pts = sets.grid(circle)
         for d in range(1, 9):
             space = poly_space(2, d)
-            rank = trace_dimension(space, circle)
+            rank = trace_dimension(space, pts)
             assert rank == full_svd_rank(space, pts) == 2 * d + 1
 
     def test_fewer_points_than_basis_members(self, block_rows):
         rng = np.random.default_rng(3)
         model = sets.from_points(rng.uniform(-1.0, 1.0, size=(5, 2)))
         space = poly_space(2, 3)
-        assert trace_dimension(space, model) == full_svd_rank(space, sets.grid(model)) == 5
+        pts = sets.grid(model)
+        assert trace_dimension(space, pts) == full_svd_rank(space, pts) == 5
 
     def test_certified_grid_evaluates_one_block(self, calls):
         # full rank on the ball: the first strided block proves it, and no
         # other block is evaluated
         space = poly_space(3, 8)
-        model = sets.ball([0.0, 0.0, 0.0], 1.0, 25)
-        npts = sets.grid(model).shape[0]
+        pts = sets.grid(sets.ball([0.0, 0.0, 0.0], 1.0, 25))
         rows = default_block_rows(space)
-        assert npts > 2 * rows
-        assert trace_dimension(space, model) == space.dim
+        assert pts.shape[0] > 2 * rows
+        assert trace_dimension(space, pts) == space.dim
         assert len(calls["vandermonde"]) == 1
         assert calls["vandermonde"][0][0] <= rows
         assert calls["qr"] == [(calls["vandermonde"][0][0], space.dim)]
-        assert_first_qr_is_first_block(calls, space, sets.grid(model))
+        assert_first_qr_is_first_block(calls, space, pts)
         assert calls["svd"] == [(space.dim, space.dim)]
 
     def test_default_blocks_stay_within_one_block(self, calls):
@@ -272,7 +273,7 @@ class TestStreamedTraceRank:
         npts = pts.shape[0]
         rows = default_block_rows(space)
         assert npts > 2 * rows
-        assert trace_dimension(space, model) == 25
+        assert trace_dimension(space, pts) == 25
         assert len(calls["vandermonde"]) == -(-npts // rows)
         assert_first_qr_is_first_block(calls, space, pts)
         assert_same_rows(np.vstack(calls["points"]), pts)
@@ -282,7 +283,7 @@ class TestStreamedTraceRank:
 
 
 class TestRankScreen:
-    """The one-block screen of ``_grid_rank`` at the default block sizes."""
+    """The one-block screen of ``trace_dimension`` at the default block sizes."""
 
     @pytest.mark.parametrize("model, degrees, oracle", [
         (sets.sphere([0.0, 0.0], 1.0, 5000), range(1, 9), lambda d: 2 * d + 1),
@@ -298,7 +299,7 @@ class TestRankScreen:
         for d in degrees:
             space = poly_space(model.ambient_dim, d)
             assert pts.shape[0] > default_block_rows(space)
-            rank = trace_dimension(space, model)
+            rank = trace_dimension(space, pts)
             assert rank == full_svd_rank(space, pts)
             if oracle is not None:
                 assert rank == oracle(d)
@@ -313,7 +314,7 @@ class TestRankScreen:
         space = poly_space(model.ambient_dim, d)
         pts = sets.grid(model)
         assert pts.shape[0] > default_block_rows(space)
-        assert trace_dimension(space, model) == full_svd_rank(space, pts) == space.dim
+        assert trace_dimension(space, pts) == full_svd_rank(space, pts) == space.dim
 
     def test_overflowing_bound_folds_every_row(self, calls):
         # R^2 overflows to inf, so the screen certifies nothing and every
@@ -321,7 +322,7 @@ class TestRankScreen:
         rng = np.random.default_rng(11)
         pts = 1e200 * rng.uniform(0.5, 1.0, size=(5000, 2))
         space = poly_space(2, 1)
-        rank = polyspace._grid_rank(space, pts)
+        rank = trace_dimension(space, pts)
         assert_same_rows(np.vstack(calls["points"]), pts)
         assert rank == full_svd_rank(space, pts)
 
@@ -338,7 +339,7 @@ class TestRankScreen:
         space = poly_space(1, 1)
         for tol in (1e-10, 1e-3, 0.03):
             monkeypatch.setattr(polyspace, "RANK_TOL", tol)
-            assert polyspace._grid_rank(space, pts) == full_svd_rank(space, pts, tol)
+            assert trace_dimension(space, pts) == full_svd_rank(space, pts, tol)
 
 
 CLOUD_SHAPES = ("cloud", "line", "circle", "quadric")
@@ -378,5 +379,5 @@ def test_screened_rank_equals_full_svd_rank(seed, shape, n, d, npts, pad, block,
         patch.setattr(polyspace, "_RANK_BLOCK_ROWS", npts if block is None else block)
         patch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
         patch.setattr(polyspace, "RANK_TOL", tol)
-        rank = polyspace._grid_rank(space, pts)
+        rank = trace_dimension(space, pts)
     assert rank == full_svd_rank(space, pts, tol)

@@ -82,16 +82,28 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-def test_out_directory_missing_exits_two(tmp_path):
-    # refused before the sweep, mapped like the CLI's: no row, no file
-    target = str(tmp_path / "missing" / "rows.jsonl")
-    proc = subprocess.run(
+def _certificates_without_selection(target: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-c", _NO_SELECTION,
          os.path.join(ROOT, "scripts", "interval_certificates.py"),
          "--max-degree", "2", "--powers", "1", "--resolution", "101", "--out", target],
         capture_output=True, text=True, env=_env(), timeout=120)
+
+
+def test_out_directory_missing_exits_two(tmp_path):
+    # refused before the sweep, mapped like the CLI's: no row, no file
+    target = str(tmp_path / "missing" / "rows.jsonl")
+    proc = _certificates_without_selection(target)
     assert proc.returncode == 2
     assert proc.stderr == f"ERROR[2]: [Errno 2] No such file or directory: {target!r}\n"
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_directory_exits_two(tmp_path):
+    proc = _certificates_without_selection(str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"ERROR[2]: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
 

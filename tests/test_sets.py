@@ -69,6 +69,21 @@ def reference_ball(center, radius, res):
     return pts
 
 
+def reference_s2(center, radius, res):
+    """S2 built ring by ring: poles plus latitude rings, longitude fastest."""
+    center = np.asarray(center, dtype=float)
+    rows = [center + radius * np.array([0.0, 0.0, 1.0])]
+    phi = 2.0 * np.pi * np.arange(res) / res
+    for i in range(1, res - 1):
+        theta = np.pi * i / (res - 1)
+        ring = np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+             np.full(res, np.cos(theta))], axis=-1)
+        rows.append(center + radius * ring)
+    rows.append(center + radius * np.array([0.0, 0.0, -1.0]))
+    return np.concatenate([np.atleast_2d(r) for r in rows], axis=0)
+
+
 def traced_peak(build):
     """``build()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -170,6 +185,15 @@ class TestSphere:
     def test_unsupported_dimension(self):
         with pytest.raises(ValidationError):
             sets.sphere([0.0, 0.0, 0.0, 0.0], 1.0, 5)
+
+    @pytest.mark.parametrize("res", [2, 3, 4, 5, 17, 40, 64, 80, 101, 256, 333])
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0, 0.0], 1.0), ([0.25, -1.5, 3.0], 2.5), ([-0.0, 1e-3, -7.0], 0.3)])
+    def test_s2_same_bits_as_ring_by_ring(self, res, center, radius):
+        got = sets.grid(sets.sphere(center, radius, res))
+        expected = reference_s2(center, radius, res)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPointCloud:
@@ -505,6 +529,13 @@ class TestGridMemory:
         pts, peak = traced_peak(lambda: sets.grid(sets.ball(center, radius, res)))
         assert pts.shape[0] in (res, res + 1)
         assert peak <= 2.2 * res * 8
+
+    def test_s2_peak_below_ring_by_ring(self):
+        # the result and one ring-sized product at a time
+        pts, peak = traced_peak(lambda: sets.grid(sets.sphere([0.0] * 3, 1.0, 300)))
+        _, reference_peak = traced_peak(lambda: reference_s2([0.0] * 3, 1.0, 300))
+        assert peak <= reference_peak
+        assert peak <= 1.4 * pts.nbytes
 
     def test_cloud_peak_per_point(self, tmp_path):
         # several blocks, a header and CRLF endings
