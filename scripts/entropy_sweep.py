@@ -24,12 +24,13 @@ def main() -> int:
                         default=[0.5, 0.25, 0.1, 0.05, 0.01])
     args = parser.parse_args()
 
-    print(f"{'k':>3} {'eps':>6} {'s_eps':>12} {'R_eps':>10} {'1/xi':>12} "
+    print(f"{'k':>3} {'eps':>11} {'s_eps':>12} {'R_eps':>10} {'1/xi':>12} "
           f"{'nodes':>10} {'log_cover':>14} {'closed_form':>14}")
     for k in args.orders:
         for eps in args.eps:
             rep = bounds.entropy_chain(args.d, k, args.chat, args.nbar, eps)
-            print(f"{k:>3} {eps:>6.3f} "
+            # 6 significant digits, as many as the benchmark's accuracies carry
+            print(f"{k:>3} {eps:>11.6g} "
                   f"{bounds.format_real(rep.value('s_eps'), 8):>12} "
                   f"{bounds.format_real(rep.value('R_eps'), 7):>10} "
                   f"{bounds.format_real(rep.value('inv_xi_3_8'), 8):>12} "

@@ -26,10 +26,19 @@ kept in bounded caches: the audited floor(ln(c_hat d^k)) of ``log_floor``,
 ln(c_hat d^k) at the entropy chain's working precision, e^((k-1)/k), and
 the upper end of phi's Newton bracket, keyed by the 30-digit 3k/y it is
 computed from, so that the chain's solve for s_eps and the solve of its
-floor audit share one logarithm.  The arguments are checked before every
-lookup; a miss runs both precisions of a floor audit, and only a floor
-that passed is kept; the floor(s_eps), 1/xi and majorant checks run on
-every chain.  No audit is skipped or weakened.
+floor audit share one logarithm.  The chain's terms that depend only on
+the accuracy are cached too, so that growth orders share them:
+ln(1+eps) at each precision the chain and its floor audit solve at,
+R_eps - 1, 1/xi, ln(1 + 2/xi) and ln(21 nbar/eps) per (eps, nbar), and
+the 40-digit branch edge e^(-(k-1)/k) per k.  The arguments are checked
+before every lookup; a miss runs both precisions of a floor audit, and
+only a floor that passed is kept; no exception is cached.  The
+floor(s_eps), 1/xi and majorant checks run on every chain.  No audit is
+skipped or weakened.
+
+Each Decimal Newton solve for s_eps takes one full-precision logarithm,
+at its first residual; each later residual continues it by a series in
+the step (``_continued_log``).  The floor audit's solve takes its own.
 """
 
 from __future__ import annotations
@@ -47,8 +56,9 @@ _BASE_DPS = 30
 # precision of the entropy chain and of ``log_distortion_inverse``.
 _GUARD = 10
 _CHAIN_DPS = 40
-# Entries per cache of input-only values: one per (c_hat, d, k), or per
-# chain for the bracket, whose 120 in a benchmark sweep all fit.
+# Entries per cache of input-only values: one per (c_hat, d, k), per
+# accuracy and precision, or per chain for the bracket; the 120 chains of
+# a benchmark sweep fill at most 120 of any one.
 _CACHE_ENTRIES = 256
 
 # Stable wire names for reported formulas, used verbatim in JSON reports.
@@ -71,6 +81,12 @@ def _digits(prec: int):
     """A decimal context of ``prec`` significant digits whose exponent range
     no value here leaves."""
     return localcontext(Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def _ln(x: Decimal) -> Decimal:
+    """ln(x), correctly rounded to the context's precision: every
+    full-precision logarithm of this module is taken here."""
+    return x.ln()
 
 
 def _e() -> Decimal:
@@ -202,21 +218,21 @@ def log_floor(c_hat, d: int, k: int) -> int:
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _log_floor(c: Decimal, d: int, k: int) -> int:
     """``log_floor`` of checked arguments, audited once per process."""
-    return _audited_floor(lambda: (c * d ** k).ln(), "log_floor")
+    return _audited_floor(lambda: _ln(c * d ** k), "log_floor")
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _log_growth(c: Decimal, d: int, k: int) -> Decimal:
     """ln(c d^k) at the entropy chain's working precision, once per process."""
     with _digits(_CHAIN_DPS):
-        return (c * d ** k).ln()
+        return _ln(c * d ** k)
 
 
 def poly_embedding_size(n: int, d: int) -> int:
     """Node-count budget for degree-d polynomials in n variables."""
     n = check_int(n, "number of variables")
     d = check_int(d, "degree")
-    inner = _audited_floor(lambda: n * Decimal(d).ln(), "poly_embedding_size inner floor")
+    inner = _audited_floor(lambda: n * _ln(Decimal(d)), "poly_embedding_size inner floor")
     factor = 2 * n + 1 + inner
     # the exact integer part of e^(2n) (n+2)^(2n) d^n factor^n
     count = (n + 2) ** (2 * n) * d ** n * factor ** n
@@ -320,6 +336,14 @@ def _branch_start(k: int) -> Decimal:
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
+def _branch_edge(k: int) -> Decimal:
+    """e^(-(k-1)/k) to 40 digits, the upper end of the y that phi's
+    inverse accepts."""
+    with _digits(_CHAIN_DPS):
+        return (-Decimal(k - 1) / k).exp()
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _bracket_upper(top: Decimal) -> Decimal:
     """top ln(top) to 30 digits, for a 30-digit top = 3k/y.
 
@@ -329,7 +353,49 @@ def _bracket_upper(top: Decimal) -> Decimal:
     the logarithm the first one took.
     """
     with _digits(_BASE_DPS):
-        return top * top.ln()
+        return top * _ln(top)
+
+
+# The largest step, relative to the iterate, that ``_continued_log``
+# continues by its series; a bisection step near the branch edge is larger.
+_SERIES_STEP = Decimal("0.01")
+
+
+def _log1p_series(t: Decimal) -> Decimal:
+    """ln(1 + t) = t - t^2/2 + t^3/3 - ... for |t| <= _SERIES_STEP, summed
+    until a power of t falls below 10^-(prec+2)."""
+    tiny = Decimal(1).scaleb(-getcontext().prec - 2)
+    total = power = t
+    j = 1
+    while abs(power) > tiny:
+        j += 1
+        power *= -t
+        total += power / j
+    return total
+
+
+def _continued_log() -> Callable[[Decimal], Decimal]:
+    """ln at the context's precision along one Newton solve, one full
+    logarithm at its first iterate.
+
+    Each later iterate x continues from the one before, x0, as
+    ln x = ln x0 + log1p((x - x0) / x0), where x - x0 is exact and the
+    series is truncated below the precision, so each continuation adds
+    about half a unit in the last place.  A step larger than
+    _SERIES_STEP takes a full logarithm again.
+    """
+    last = None
+
+    def log(x: Decimal) -> Decimal:
+        nonlocal last
+        if last is not None and abs(x - last[0]) <= last[0] * _SERIES_STEP:
+            value = last[1] + _log1p_series((x - last[0]) / last[0])
+        else:
+            value = _ln(x)
+        last = x, value
+        return value
+
+    return log
 
 
 def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
@@ -338,7 +404,8 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     Safeguarded Newton (``_phi_root``) in the bracket
     [e^((k-1)/k), (3k/y) ln(3k/y)], from ``seed`` when it lies inside,
     else from the double-precision root, else from the bracket's upper end.
-    The bracket only guards the steps, so its ends take 30 digits.
+    The bracket only guards the steps, so its ends take 30 digits.  The
+    residuals' logarithms come from one ``_continued_log``.
     """
     prec = getcontext().prec
     lower = _branch_start(k)
@@ -347,7 +414,7 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     if seed is None:
         seed = _float_root(y, k)
     x = Decimal(seed) if seed is not None and lower < seed < upper else upper
-    return _phi_root(y, k, lower, upper, x, Decimal.ln, Decimal(1).scaleb(5 - prec),
+    return _phi_root(y, k, lower, upper, x, _continued_log(), Decimal(1).scaleb(5 - prec),
                      4 * (prec + max(upper.adjusted(), 0)) + 40)
 
 
@@ -360,7 +427,7 @@ def log_distortion_inverse(y: float, k: int = 1) -> float:
     k = check_int(k, "growth order")
     with _digits(_CHAIN_DPS):
         yy = Decimal(float(y))
-        if yy <= 0 or yy > (-Decimal(k - 1) / k).exp():
+        if yy <= 0 or yy > _branch_edge(k):
             raise ValidationError(
                 f"y must lie in (0, e^(-(k-1)/k)] for k={k}, got {y}")
         return float(_phi_inverse(yy, k))
@@ -374,7 +441,7 @@ def _log1p(x: Decimal) -> Decimal:
     """
     with localcontext() as ctx:
         ctx.prec += max(0, -x.adjusted())
-        value = (1 + x).ln()
+        value = _ln(1 + x)
     return +value
 
 
@@ -386,10 +453,29 @@ def _expm1(x: Decimal) -> Decimal:
     return +value
 
 
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _log1p_at(eps: Decimal, dps: int) -> Decimal:
+    """ln(1+eps) at dps digits, once per process."""
+    with _digits(dps):
+        return _log1p(eps)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _mesh_terms(eps: Decimal, nbar: int) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+    """R_eps - 1, 1/xi, ln(1 + 2/xi) and ln(21 nbar / eps) at the entropy
+    chain's working precision, once per process."""
+    with _digits(_CHAIN_DPS):
+        # R_eps - 1 = e^(ln(1+eps)/4) - 1; the chain checks 1/xi against an
+        # expanded form from square roots
+        radius_gap = _expm1(_log1p_at(eps, _CHAIN_DPS) / 4)
+        inv_xi = nbar * (2 + radius_gap) / radius_gap
+        return radius_gap, inv_xi, _ln(1 + 2 * inv_xi), _ln(21 * nbar / eps)
+
+
 def _scale_root(eps: Decimal, k: int, dps: int, seed: Decimal) -> Decimal:
     """s_eps, the root of phi(s) = ln(1+eps)/4, at dps digits."""
     with _digits(dps):
-        return _phi_inverse(_log1p(eps) / 4, k, seed)
+        return _phi_inverse(_log1p_at(eps, dps) / 4, k, seed)
 
 
 def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
@@ -423,9 +509,9 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
             raise ValidationError(
                 f"block dimension {nbar} exceeds the growth budget c_hat*d^k = "
                 f"{format_real(growth, 12)}")
-        log1p = _log1p(e)
+        log1p = _log1p_at(e, _CHAIN_DPS)
         y = log1p / 4
-        branch_edge = (-Decimal(k - 1) / k).exp()
+        branch_edge = _branch_edge(k)
         if not y < branch_edge:
             raise InvariantViolation(
                 f"ln(1+eps)/4 = {format_real(y, 12)} is not below the decreasing-branch "
@@ -440,16 +526,14 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
 
     with _digits(_CHAIN_DPS):
         majorant_arg = 12 * k / log1p
-        s_bound = majorant_arg * majorant_arg.ln()
+        s_bound = majorant_arg * _ln(majorant_arg)
         if s_eps > s_bound * (1 + Decimal("1e-20")):
             raise InvariantViolation(
                 f"s_eps = {format_real(s_eps, 12)} exceeds its majorant "
                 f"{format_real(s_bound, 12)}")
 
-        # R_eps - 1 = e^(ln(1+eps)/4) - 1; the expanded form uses square roots
-        radius_gap = _expm1(y)
+        radius_gap, inv_xi, log_net, log_scale = _mesh_terms(e, nbar)
         r_eps = 1 + radius_gap
-        inv_xi = nbar * (2 + radius_gap) / radius_gap
         sqrt_1p = (1 + e).sqrt()
         inv_xi_expanded = nbar * (sqrt_1p.sqrt() + 1) ** 2 * (sqrt_1p + 1) / e
         if abs(inv_xi - inv_xi_expanded) > abs(inv_xi) * Decimal("1e-20"):
@@ -460,10 +544,9 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
             raise InvariantViolation(f"schedule scale floor(s_eps) = {s_int} fell below 3")
         num_nodes = scheduled_embedding_size(d, k, c_hat, s_int)
 
-        log_card = num_nodes * nbar * (1 + 2 * inv_xi).ln()
+        log_card = num_nodes * nbar * log_net
 
-        final = (nbar * growth * (_log_growth(chat, d, k) + 1) ** k * (21 * nbar / e).ln()
-                 * s_bound ** k)
+        final = nbar * growth * (_log_growth(chat, d, k) + 1) ** k * log_scale * s_bound ** k
 
     return BoundReport(
         {"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps},

@@ -298,47 +298,62 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(payload)
 
 
-def _build_parser() -> _Parser:
-    """One subparser per command, holding only the flags that command reads."""
+_HELP = {
+    "dims": "space dimension and grid trace rank",
+    "bounds": "closed-form mesh sizes and distortion constants",
+    "mesh": "select and certify a norming node set",
+    "embed": "build a sup-norm embedding certificate",
+    "distort": "embed plus the exact grid distortion: the largest "
+               "grid-to-node sup ratio of any member",
+    "entropy": "metric entropy budget for an embedded family",
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """One subparser per command, holding only the flags that command reads.
+
+    Only ``command``'s subparser is built when it names a command; all six
+    otherwise, for --help, no command or an unknown one.  A command's
+    help, usage and errors read the same either way.
+    """
     parser = _Parser(prog="normmesh", allow_abbrev=False,
                      description="Certified norming meshes and embedding bounds "
                                  "for polynomial spaces on compact sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    cmds = {name: sub.add_parser(name, help=help_text, description=help_text,
+    cmds = {name: sub.add_parser(name, help=_HELP[name], description=_HELP[name],
                                  allow_abbrev=False)
-            for name, help_text in (
-                ("dims", "space dimension and grid trace rank"),
-                ("bounds", "closed-form mesh sizes and distortion constants"),
-                ("mesh", "select and certify a norming node set"),
-                ("embed", "build a sup-norm embedding certificate"),
-                ("distort", "embed plus the exact grid distortion: the largest "
-                            "grid-to-node sup ratio of any member"),
-                ("entropy", "metric entropy budget for an embedded family"))}
-    for name in ("dims", "bounds", "mesh", "embed", "distort"):
-        cmds[name].add_argument("--n", type=int, required=True)
-        cmds[name].add_argument("--d", type=int, required=True)
-    for name in ("dims", "mesh", "embed", "distort"):
-        cmds[name].add_argument("--set", choices=["box", "ball", "sphere", "cloud"],
-                                default=None if name == "dims" else "box")
-        cmds[name].add_argument("--params", help="comma-separated reals for the set")
-        cmds[name].add_argument("--cloud", help="path to a point cloud text file")
-        cmds[name].add_argument("--resolution", type=int, default=101)
-    for name in ("mesh", "embed", "distort"):
-        cmds[name].add_argument("--seed", type=int, default=0,
-                                help="echoed in the report; changes no result")
-    for name in ("embed", "distort"):
-        power = cmds[name].add_mutually_exclusive_group(required=True)
+            for name in ([command] if command in _HELP else _HELP)}
+
+    def having(*names):
+        return [cmds[name] for name in names if name in cmds]
+
+    for cmd in having("dims", "bounds", "mesh", "embed", "distort"):
+        cmd.add_argument("--n", type=int, required=True)
+        cmd.add_argument("--d", type=int, required=True)
+    for cmd in having("dims", "mesh", "embed", "distort"):
+        cmd.add_argument("--set", choices=["box", "ball", "sphere", "cloud"],
+                         default=None if cmd is cmds.get("dims") else "box")
+        cmd.add_argument("--params", help="comma-separated reals for the set")
+        cmd.add_argument("--cloud", help="path to a point cloud text file")
+        cmd.add_argument("--resolution", type=int, default=101)
+    for cmd in having("mesh", "embed", "distort"):
+        cmd.add_argument("--seed", type=int, default=0,
+                         help="echoed in the report; changes no result")
+    for cmd in having("embed", "distort"):
+        power = cmd.add_mutually_exclusive_group(required=True)
         power.add_argument("--p", type=int)
         power.add_argument("--schedule", help="s,k,chat")
-    cmds["distort"].add_argument("--trials", type=int, default=32,
-                                 help="checked and echoed; changes no result")
-    cmds["bounds"].add_argument("--schedule", help="s,k,chat")
-    entropy = cmds["entropy"]
-    entropy.add_argument("--d", type=int, required=True)
-    entropy.add_argument("--eps", type=float, required=True)
-    entropy.add_argument("--n", type=int)
-    entropy.add_argument("--schedule", help="s,k,chat")
-    entropy.add_argument("--nbar", type=int)
+    for cmd in having("distort"):
+        cmd.add_argument("--trials", type=int, default=32,
+                         help="checked and echoed; changes no result")
+    for cmd in having("bounds"):
+        cmd.add_argument("--schedule", help="s,k,chat")
+    for cmd in having("entropy"):
+        cmd.add_argument("--d", type=int, required=True)
+        cmd.add_argument("--eps", type=float, required=True)
+        cmd.add_argument("--n", type=int)
+        cmd.add_argument("--schedule", help="s,k,chat")
+        cmd.add_argument("--nbar", type=int)
     for cmd in cmds.values():
         cmd.add_argument("--out")
         cmd.add_argument("--format", choices=["json", "csv"], default="json")
@@ -347,7 +362,8 @@ def _build_parser() -> _Parser:
 
 
 def _run_command(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.out:
         check_out_path(args.out)
     _emit(_COMMANDS[args.command](args), args)

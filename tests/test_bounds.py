@@ -455,8 +455,51 @@ class TestPhiInverse:
                             assert len(calls) <= most, (dps, k, eps, start, len(calls))
 
 
+class TestContinuedLog:
+    @pytest.mark.parametrize("dps", [40, 80, 320])
+    def test_matches_full_logarithm_along_newton_iterates(self, dps, monkeypatch):
+        # every residual's logarithm, from the double-precision seed and from
+        # the bracket's upper end (whose first steps are too large to continue),
+        # within a few units in the last place of the correctly rounded ln;
+        # from the seed, only the first residual takes a full logarithm
+        seen, full = [], []
+        gap, ln = bounds._phi_gap, bounds._ln
+
+        def recorded(x, y, k, log):
+            def logged(z):
+                value = log(z)
+                seen.append((z, value))
+                return value
+            return gap(x, y, k, logged if isinstance(x, Decimal) else log)
+
+        def counted(x):
+            full.append(x)
+            return ln(x)
+
+        monkeypatch.setattr(bounds, "_phi_gap", recorded)
+        monkeypatch.setattr(bounds, "_ln", counted)
+        with localcontext() as ctx:
+            ctx.prec = dps
+            for k in (1, 2, 3):
+                for eps in sweep_eps(1)[:10] + [0.5, 1e-20]:
+                    y = bounds._log1p(Decimal(eps)) / 4
+                    for start in (None, 0):
+                        bounds._phi_inverse(y, k, start)  # the bracket's end, cached
+                        seen.clear()
+                        full.clear()
+                        bounds._phi_inverse(y, k, start)
+                        assert len(full) < len(seen), (k, eps, start)
+                        if start is None:
+                            assert full == [seen[0][0]], (k, eps)
+                        for x, value in seen:
+                            exact = x.ln()
+                            ulp = Decimal(1).scaleb(exact.adjusted() - dps + 1)
+                            assert abs(value - exact) <= 4 * ulp, (k, eps, start, x)
+
+
 # The per-process caches of input-only values in ``bounds``.
-CACHES = ("_log_floor", "_log_growth", "_branch_start", "_bracket_upper")
+CACHES = ("_log_floor", "_log_growth", "_branch_start", "_bracket_upper", "_branch_edge",
+          "_log1p_at", "_mesh_terms")
 
 
 @pytest.fixture
@@ -508,9 +551,12 @@ class TestCaches:
     def test_evaluation_ceiling(self, monkeypatch):
         # 120 chains of the benchmark's sweep: one floor for each node
         # budget, and one audited log floor per growth order, not per chain;
-        # the Newton residuals are as many as without the caches
-        floors, residuals = [], []
-        audited_floor, gap = bounds._audited_floor, bounds._phi_gap
+        # the Newton residuals are as many as without the caches.  Full
+        # logarithms: one per Newton solve, the majorant's and the bracket's
+        # per chain, and the accuracy's four shared by the growth orders
+        # (1328 with a full logarithm per residual and no accuracy caches)
+        floors, residuals, logs = [], [], []
+        audited_floor, gap, ln = bounds._audited_floor, bounds._phi_gap, bounds._ln
 
         def counted_floor(*args):
             floors.append(1)
@@ -521,13 +567,19 @@ class TestCaches:
                 residuals.append(1)
             return gap(x, *args)
 
+        def counted_ln(x):
+            logs.append(1)
+            return ln(x)
+
         monkeypatch.setattr(bounds, "_audited_floor", counted_floor)
         monkeypatch.setattr(bounds, "_phi_gap", counted_gap)
+        monkeypatch.setattr(bounds, "_ln", counted_ln)
         for k in (1, 2, 3):
             for eps in sweep_eps(1):
                 entropy_chain(1, k, math.e ** 2, 1, eps)
         assert len(floors) <= 123
         assert len(residuals) <= 596
+        assert len(logs) <= 652
         assert bounds._log_floor.cache_info().misses == 3
         assert bounds._log_growth.cache_info().misses == 3
         # one 30-digit bracket per chain, shared by its two solves

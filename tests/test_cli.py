@@ -473,6 +473,43 @@ class TestFlags:
         assert argv[-2] in err
 
 
+class TestParser:
+    """Only the invoked command's subparser is built; help and errors read
+    as with all six."""
+
+    COMMANDS = ("dims", "bounds", "mesh", "embed", "distort", "entropy")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: normmesh [-h] {dims,bounds,mesh,embed,distort,entropy} ...\n")
+        for name in self.COMMANDS:
+            assert re.search(rf"^    {name} ", out, re.M), name
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        rc, out, err = run_main(["nosuch"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("ERROR[2]: argument command: invalid choice: 'nosuch' (choose from ")
+        assert re.findall(r"\w+", err.split("choose from", 1)[1]) == list(self.COMMANDS)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--n", "1", "--d", "1", "--eps", "0.1"],
+         "unrecognized arguments: --eps 0.1"),
+        (["bounds", "--eps", "0.1"], "the following arguments are required: --n, --d"),
+    ])
+    def test_flag_of_another_command_exits_two(self, capsys, argv, message):
+        assert run_main(argv, capsys) == (2, "", f"ERROR[2]: {message}\n")
+
+    def test_one_subparser_per_named_command(self):
+        assert cli._build_parser("bounds").format_usage() == "usage: normmesh [-h] {bounds} ...\n"
+        every = "usage: normmesh [-h] {dims,bounds,mesh,embed,distort,entropy} ...\n"
+        assert cli._build_parser("nosuch").format_usage() == every
+        assert cli._build_parser().format_usage() == every
+
+
 class TestNumberOfVariables:
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("argv", [

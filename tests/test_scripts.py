@@ -58,6 +58,17 @@ def test_large_report_arrives_whole():
     assert all(len(line.split()) == 8 for line in lines)
 
 
+def test_sweep_labels_small_accuracies_apart():
+    # eps to 6 significant digits, in the second of 8 columns
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "entropy_sweep.py"),
+                           "--orders", "1", "--eps", "0.0004", "0.0001"],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert all(len(row) == 8 for row in rows)
+    assert [row[1] for row in rows] == ["eps", "0.0004", "0.0001"]
+
+
 def test_out_file_complete(tmp_path):
     target = tmp_path / "rows.jsonl"
     proc = subprocess.run(
