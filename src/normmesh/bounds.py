@@ -22,19 +22,19 @@ precision itself scaled to the magnitude of the value, and the two floors
 must agree.  Integer results are exact Python integers.
 
 Values that depend only on the inputs are evaluated once per process and
-kept in bounded caches: the audited floor(ln(c_hat d^k)) of ``log_floor``,
-ln(c_hat d^k) at the entropy chain's working precision, e^((k-1)/k), and
-the upper end of phi's Newton bracket, keyed by the 30-digit 3k/y it is
-computed from, so that the chain's solve for s_eps and the solve of its
-floor audit share one logarithm.  The chain's terms that depend only on
-the accuracy are cached too, so that growth orders share them:
-ln(1+eps) at each precision the chain and its floor audit solve at,
-R_eps - 1, 1/xi, ln(1 + 2/xi) and ln(21 nbar/eps) per (eps, nbar), and
-the 40-digit branch edge e^(-(k-1)/k) per k.  The arguments are checked
-before every lookup; a miss runs both precisions of a floor audit, and
-only a floor that passed is kept; no exception is cached.  The
-floor(s_eps), 1/xi and majorant checks run on every chain.  No audit is
-skipped or weakened.
+kept in bounded caches: the audited floor(ln(c_hat d^k)) of ``log_floor``
+(and of ``poly_embedding_size``, at c_hat = 1 and k = n), ln(c_hat d^k)
+at the entropy chain's working precision, e^((k-1)/k) and the 40-digit
+branch edge e^(-(k-1)/k) per k, and the upper end of phi's Newton
+bracket, keyed by the 30-digit 3k/y it is computed from, so that the
+chain's solve for s_eps and the solve of its floor audit share one
+logarithm.  The chain's terms that depend only on the accuracy are cached
+too, so that growth orders share them: ln(1+eps) at each precision the
+chain and its floor audit solve at, and R_eps - 1, 1/xi, ln(1 + 2/xi) and
+ln(21 nbar/eps) per (eps, nbar).  The arguments are checked before every
+lookup; a miss runs both precisions of a floor audit, and only a floor
+that passed is kept; no exception is cached.  The floor(s_eps), 1/xi and
+majorant checks run on every chain.  No audit is skipped or weakened.
 
 Each Decimal Newton solve for s_eps takes one full-precision logarithm,
 at its first residual; each later residual continues it by a series in
@@ -232,18 +232,17 @@ def poly_embedding_size(n: int, d: int) -> int:
     """Node-count budget for degree-d polynomials in n variables."""
     n = check_int(n, "number of variables")
     d = check_int(d, "degree")
-    inner = _audited_floor(lambda: n * _ln(Decimal(d)), "poly_embedding_size inner floor")
-    factor = 2 * n + 1 + inner
+    # floor(n ln d) is the schedule's floor(ln(c_hat d^k)) at c_hat = 1, k = n
+    factor = 2 * n + 1 + _log_floor(Decimal(1), d, n)
     # the exact integer part of e^(2n) (n+2)^(2n) d^n factor^n
     count = (n + 2) ** (2 * n) * d ** n * factor ** n
     return _audited_floor(lambda: _e() ** (2 * n) * count, "poly_embedding_size")
 
 
 def poly_distortion_bound(n: int, dps: int = _BASE_DPS) -> Decimal:
-    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2)), correct to dps digits."""
-    n = check_int(n, "number of variables")
-    with _digits(dps + _GUARD):
-        return (_e() * (n + 2) ** 2) ** (1 / Decimal(n + 2))
+    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2)), correct to dps
+    digits: the scheduled constant (e s^k)^(1/s) at s = n + 2, k = 2."""
+    return schedule_distortion_bound(check_int(n, "number of variables") + 2, 2, dps)
 
 
 def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
@@ -329,18 +328,13 @@ def _float_root(y: Decimal, k: int) -> float | None:
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
-def _branch_start(k: int) -> Decimal:
-    """e^((k-1)/k), where phi's decreasing branch starts, to 30 digits."""
+def _branch(k: int) -> tuple[Decimal, Decimal]:
+    """e^((k-1)/k), where phi's decreasing branch starts, to 30 digits, and
+    e^(-(k-1)/k), the upper end of the y that phi's inverse accepts, to 40."""
     with _digits(_BASE_DPS):
-        return (Decimal(k - 1) / k).exp()
-
-
-@lru_cache(maxsize=_CACHE_ENTRIES)
-def _branch_edge(k: int) -> Decimal:
-    """e^(-(k-1)/k) to 40 digits, the upper end of the y that phi's
-    inverse accepts."""
+        start = (Decimal(k - 1) / k).exp()
     with _digits(_CHAIN_DPS):
-        return (-Decimal(k - 1) / k).exp()
+        return start, (-Decimal(k - 1) / k).exp()
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -408,7 +402,7 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     residuals' logarithms come from one ``_continued_log``.
     """
     prec = getcontext().prec
-    lower = _branch_start(k)
+    lower = _branch(k)[0]
     with _digits(_BASE_DPS):
         upper = _bracket_upper(3 * k / y)
     if seed is None:
@@ -427,30 +421,30 @@ def log_distortion_inverse(y: float, k: int = 1) -> float:
     k = check_int(k, "growth order")
     with _digits(_CHAIN_DPS):
         yy = Decimal(float(y))
-        if yy <= 0 or yy > _branch_edge(k):
+        if yy <= 0 or yy > _branch(k)[1]:
             raise ValidationError(
                 f"y must lie in (0, e^(-(k-1)/k)] for k={k}, got {y}")
         return float(_phi_inverse(yy, k))
 
 
-def _log1p(x: Decimal) -> Decimal:
-    """ln(1 + x) for x > 0 to the context's precision.
-
-    1 + x is formed with as many more digits as x has leading zeros, so a
-    small x keeps its own digits instead of cancelling against the 1.
-    """
+def _near_one(f: Callable[[Decimal], Decimal], x: Decimal) -> Decimal:
+    """f(x), which adds x to 1 or subtracts 1 from e^x, for x > 0 to the
+    context's precision: f runs with as many more digits as x has leading
+    zeros, so a small x keeps its digits instead of cancelling against 1."""
     with localcontext() as ctx:
         ctx.prec += max(0, -x.adjusted())
-        value = _ln(1 + x)
+        value = f(x)
     return +value
+
+
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x) for x > 0 to the context's precision."""
+    return _near_one(lambda t: _ln(1 + t), x)
 
 
 def _expm1(x: Decimal) -> Decimal:
-    """e^x - 1 for x > 0 to the context's precision, with _log1p's extra digits."""
-    with localcontext() as ctx:
-        ctx.prec += max(0, -x.adjusted())
-        value = x.exp() - 1
-    return +value
+    """e^x - 1 for x > 0 to the context's precision."""
+    return _near_one(lambda t: t.exp() - 1, x)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -511,7 +505,7 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
                 f"{format_real(growth, 12)}")
         log1p = _log1p_at(e, _CHAIN_DPS)
         y = log1p / 4
-        branch_edge = _branch_edge(k)
+        branch_edge = _branch(k)[1]
         if not y < branch_edge:
             raise InvariantViolation(
                 f"ln(1+eps)/4 = {format_real(y, 12)} is not below the decreasing-branch "

@@ -3,16 +3,17 @@
 Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments, byte for
-byte; ``--seed`` is only echoed and changes no result.  Each subcommand accepts only the flags it reads, spelled
-out in full.  Exit codes: 0 success, 2 validation, input or argument
-error, 3 violated certificate or precision audit.  ``main`` returns the
-code; ``run``, the process entry point, exits with it without interpreter
-teardown (``errors.exit_process``).  An ``--out`` that is a directory
-or an unwritable file, or whose directory is missing or not writable, is
-refused before any computation.  Each handler
-imports the modules it uses: ``bounds``, ``entropy`` and ``dims`` without
-``--set`` run without loading numpy, and the closed forms, like a
-``--schedule``, compute in the standard library's ``decimal``.
+byte; ``--seed`` must be non-negative, is echoed and changes no result.
+Each subcommand accepts only the flags it reads, spelled out in full.
+Exit codes: 0 success, 2 validation, input or argument error, 3 violated
+certificate or precision audit.  ``main`` returns the code; ``run``, the
+process entry point, exits with it without interpreter teardown
+(``errors.exit_process``).  An ``--out`` that is a directory or an
+unwritable file, or whose directory is missing or not writable, is
+refused before any computation.  Each handler imports the modules it
+uses: ``bounds``, ``entropy`` and ``dims`` without ``--set`` run without
+loading numpy, and the closed forms, like a ``--schedule``, compute in
+the standard library's ``decimal``.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _cmd_mesh(args) -> dict:
         "command": "mesh",
         "inputs": {
             "n": args.n, "d": args.d, "set": model.describe(),
-            "resolution": args.resolution, "seed": args.seed,
+            "resolution": model.resolution, "seed": args.seed,
         },
         "node_set": node_set.to_json_dict(),
         "grid_constant": node_set.grid_constant,
@@ -204,7 +205,7 @@ def _certificate_report(args, cert: landau.EmbeddingCertificate,
         "command": args.command,
         "inputs": {
             "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
-            "resolution": args.resolution, "seed": args.seed, **inputs,
+            "resolution": cert.set_model.resolution, "seed": args.seed, **inputs,
         },
         "certificate": {**cert.to_json_dict(), "seed": args.seed,
                         "grid_size": cert.grid_size},
@@ -219,10 +220,9 @@ def _cmd_embed(args) -> dict:
 def _cmd_distort(args) -> dict:
     from . import landau
 
-    # --trials and --seed change no result; they stay so that existing
-    # command lines run, and are checked before node selection at degree d*p
+    # --trials changes no result; it stays so that existing command lines
+    # run, and is checked before node selection at degree d*p
     check_int(args.trials, "trials")
-    check_int(args.seed, "seed", minimum=0)
     cert = _build_certificate(args)
     landau.estimate_distortion(cert)
     return _certificate_report(args, cert, ("distortion-probe",), trials=args.trials)
@@ -366,6 +366,8 @@ def _run_command(argv) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.out:
         check_out_path(args.out)
+    if "seed" in args:  # mesh, embed and distort echo it; it changes no result
+        check_int(args.seed, "seed", minimum=0)
     _emit(_COMMANDS[args.command](args), args)
     return 0
 

@@ -49,9 +49,6 @@ _MEMBERSHIP_SLACK = 1e-13
 # refuses sends only its own block through the per-line parser.
 _CLOUD_BLOCK_LINES = 4096
 
-# Kinds whose grids are driven by the resolution parameter.
-SAMPLED_KINDS = ("box", "ball", "sphere")
-
 
 @dataclass
 class CompactSetModel:
@@ -75,15 +72,6 @@ def _check_resolution(resolution: int) -> int:
     return check_int(resolution, "resolution", minimum=2)
 
 
-def _check_center(center: Sequence[float]) -> np.ndarray:
-    c = np.asarray(center, dtype=float)
-    if c.ndim != 1 or c.size < 1:
-        raise ValidationError("center must be a non-empty 1-d coordinate sequence")
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("center coordinates must be finite")
-    return c
-
-
 def box(bounds: Sequence[Sequence[float]], resolution: int) -> CompactSetModel:
     """Axis-aligned box given as one (lo, hi) pair per coordinate."""
     pairs = [(float(lo), float(hi)) for lo, hi in bounds]
@@ -102,34 +90,31 @@ def box(bounds: Sequence[Sequence[float]], resolution: int) -> CompactSetModel:
     )
 
 
-def ball(center: Sequence[float], radius: float, resolution: int) -> CompactSetModel:
-    """Closed Euclidean ball of the given center and radius."""
-    c = _check_center(center)
+def _round_set(kind: str, center: Sequence[float], radius: float,
+               resolution: int) -> CompactSetModel:
+    """A ball or sphere model, its center, radius and resolution checked."""
+    c = np.asarray(center, dtype=float)
+    if c.ndim != 1 or c.size < 1:
+        raise ValidationError("center must be a non-empty 1-d coordinate sequence")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("center coordinates must be finite")
+    if kind == "sphere" and c.size not in (2, 3):
+        raise ValidationError(f"sphere supports ambient dimension 2 or 3, got {c.size}")
     r = float(radius)
     if not np.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"ball radius must be positive and finite, got {radius!r}")
-    return CompactSetModel(
-        ambient_dim=c.size,
-        kind="ball",
-        params={"center": c, "radius": r},
-        resolution=_check_resolution(resolution),
-    )
+        raise ValidationError(f"{kind} radius must be positive and finite, got {radius!r}")
+    return CompactSetModel(ambient_dim=c.size, kind=kind, params={"center": c, "radius": r},
+                           resolution=_check_resolution(resolution))
+
+
+def ball(center: Sequence[float], radius: float, resolution: int) -> CompactSetModel:
+    """Closed Euclidean ball of the given center and radius."""
+    return _round_set("ball", center, radius, resolution)
 
 
 def sphere(center: Sequence[float], radius: float, resolution: int) -> CompactSetModel:
     """Euclidean sphere: a circle for n = 2, latitude-longitude S2 for n = 3."""
-    c = _check_center(center)
-    if c.size not in (2, 3):
-        raise ValidationError(f"sphere supports ambient dimension 2 or 3, got {c.size}")
-    r = float(radius)
-    if not np.isfinite(r) or r <= 0.0:
-        raise ValidationError(f"sphere radius must be positive and finite, got {radius!r}")
-    return CompactSetModel(
-        ambient_dim=c.size,
-        kind="sphere",
-        params={"center": c, "radius": r},
-        resolution=_check_resolution(resolution),
-    )
+    return _round_set("sphere", center, radius, resolution)
 
 
 def from_points(points: Sequence[Sequence[float]]) -> CompactSetModel:
@@ -346,33 +331,26 @@ _GRID_BUILDERS = {
 }
 
 
-def _sampled_points(model: CompactSetModel) -> int:
-    """Point count of a grid, worked out before it is built.
-
-    A ball counts the whole cube its grid is cut from; a cloud, its points.
-    """
-    if model.kind == "point_cloud":
-        return model.params["points"].shape[0]
-    res = model.resolution
-    if model.kind == "sphere":
-        return res if model.ambient_dim == 2 else res * (res - 2) + 2
-    return res ** model.ambient_dim
-
-
 def point_count(model: CompactSetModel) -> int | None:
     """Point count of the model's grid, checked before anything is built.
 
     Runs the grid's own checks (resolution, kind, and the dense-array byte
     budget of the sampled array) and returns the exact count of a box,
     sphere or cloud grid.  A ball's grid is cut from its cube after it is
-    sampled, so its count is known only once it is built: None.
+    sampled, so the budget counts the whole cube and its count is known
+    only once it is built: None.
     """
-    if model.kind in SAMPLED_KINDS:
-        _check_resolution(model.resolution)
-        check_dense(_sampled_points(model), model.ambient_dim, f"grid of {model.describe()}")
+    if model.kind == "point_cloud":
+        return model.params["points"].shape[0]
     if model.kind not in _GRID_BUILDERS:
         raise ValidationError(f"unknown set kind {model.kind!r}")
-    return None if model.kind == "ball" else _sampled_points(model)
+    res = _check_resolution(model.resolution)
+    if model.kind != "sphere":
+        sampled = res ** model.ambient_dim
+    else:
+        sampled = res if model.ambient_dim == 2 else res * (res - 2) + 2
+    check_dense(sampled, model.ambient_dim, f"grid of {model.describe()}")
+    return None if model.kind == "ball" else sampled
 
 
 def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:

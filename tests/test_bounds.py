@@ -498,8 +498,8 @@ class TestContinuedLog:
 
 
 # The per-process caches of input-only values in ``bounds``.
-CACHES = ("_log_floor", "_log_growth", "_branch_start", "_bracket_upper", "_branch_edge",
-          "_log1p_at", "_mesh_terms")
+CACHES = ("_log_floor", "_log_growth", "_branch", "_bracket_upper", "_log1p_at",
+          "_mesh_terms")
 
 
 @pytest.fixture

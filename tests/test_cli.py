@@ -12,7 +12,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from normmesh import cli, errors, landau, meshgen, polyspace
+from normmesh import cli, errors, landau, meshgen, polyspace, sets
 from normmesh.errors import InvariantViolation
 
 
@@ -162,6 +162,14 @@ class TestMesh:
              "--d", "2", "--no-timestamp"], capsys)
         assert payload["node_set"]["swap_optimal"] is True
         assert payload["meta"]["grid_size"] == 21
+        # the cloud's own resolution, its point count, not the --resolution default
+        assert payload["inputs"]["set"] == "point_cloud(n=1, resolution=21)"
+        assert payload["inputs"]["resolution"] == 21
+        for command in ("embed", "distort"):
+            payload = run_json(
+                [command, "--set", "cloud", "--cloud", str(path), "--n", "1", "--d", "1",
+                 "--p", "1", "--no-timestamp"], capsys)
+            assert payload["inputs"]["resolution"] == 21
 
     def test_cloud_path_required(self, capsys):
         rc, _, err = run_main(
@@ -281,13 +289,17 @@ class TestDistort:
         assert err.startswith("ERROR[3]:")
 
 
-    def test_negative_seed_exits_two(self, capsys):
-        rc, out, err = run_main(
-            ["distort", "--n", "1", "--d", "1", "--p", "1", "--resolution", "21",
-             "--seed", "-1", "--no-timestamp"], capsys)
-        assert rc == 2
-        assert out == ""
-        assert err.strip() == "ERROR[2]: seed must be a non-negative integer, got -1"
+    def test_negative_seed_exits_two(self, capsys, monkeypatch):
+        # refused by all three commands alike, before any grid is built
+        monkeypatch.setattr(sets, "grid", Mock(side_effect=AssertionError("grid built")))
+        for command, power in (("mesh", []), ("embed", ["--p", "1"]),
+                               ("distort", ["--p", "1"])):
+            rc, out, err = run_main(
+                [command, "--n", "1", "--d", "1", *power, "--resolution", "21",
+                 "--seed", "-1", "--no-timestamp"], capsys)
+            assert rc == 2, command
+            assert out == ""
+            assert err.strip() == "ERROR[2]: seed must be a non-negative integer, got -1"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must be a non-negative integer, got -1"),

@@ -178,7 +178,7 @@ def test_import_loads_no_mpmath_until_a_closed_form_is_read():
     # nor after: the closed forms compute in the standard library's decimal
     code = ("import sys, normmesh\n"
             "assert 'mpmath' not in sys.modules and 'numpy' not in sys.modules\n"
-            "print(normmesh.poly_bound_report(1, 2).inputs)\n"
+            "print(normmesh.bounds.poly_bound_report(1, 2).inputs)\n"
             "assert 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), timeout=120)

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from normmesh import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -119,9 +122,25 @@ def test_out_naming_a_directory_exits_two(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_readme_library_example():
+def _readme_block(section: str, language: str) -> str:
+    """The first ``language`` code block after README's ``section`` heading."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
         readme = handle.read()
-    section = readme.split("## Library", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    text = readme.split(f"\n{section}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_library_example():
+    code = _readme_block("## Library", "python")
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_command_lines(capsys):
+    # each `normmesh ...` line, continuations joined and comments dropped
+    block = _readme_block("## Command line", "sh").replace("\\\n", " ")
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [argv for argv in lines if argv and argv[0] == "normmesh"]
+    assert lines
+    for argv in lines:
+        assert cli.main(argv[1:] + ["--no-timestamp"]) == 0, argv
+        assert capsys.readouterr().err == ""

@@ -623,7 +623,7 @@ class TestGridBudget:
     ], ids=["ball", "fewer-points"])
     def test_matrix_left_to_later_check(self, model, columns, budget, rows, monkeypatch):
         monkeypatch.setattr(errors, "MAX_DENSE_BYTES", budget)
-        assert sets._sampled_points(model) * columns * 8 > budget
+        assert model.resolution ** model.ambient_dim * columns * 8 > budget
         assert sets.grid(model, columns).shape[0] == rows
 
     def test_unknown_kind_refused(self):
