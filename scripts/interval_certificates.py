@@ -31,7 +31,7 @@ def main() -> int:
           f"{'certified':>10} {'observed':>10} {'sweeps':>6}")
     for d in range(1, args.max_degree + 1):
         space = polyspace.poly_space(1, d)
-        ns = meshgen.select_nodes(space, model)
+        ns = meshgen.select_nodes(space, sets.grid(model, space.dim))
         print(f"{d:>3} {'-':>3} {space.dim:>6} {ns.grid_constant:>10.6f} "
               f"{'-':>10} {'-':>10} {ns.sweeps:>6}")
         for p in args.powers:

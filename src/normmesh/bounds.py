@@ -205,14 +205,17 @@ def _check_chat(c_hat) -> Decimal:
 
 def log_floor(c_hat, d: int, k: int) -> int:
     """Audited floor(ln(c_hat * d^k)); requires c_hat * d^k >= 1."""
-    d = check_int(d, "degree")
-    k = check_int(k, "growth order")
+    return _schedule_level(c_hat, check_int(d, "degree"), check_int(k, "growth order"))[1]
+
+
+def _schedule_level(c_hat, d: int, k: int) -> tuple[Decimal, int]:
+    """The checked c_hat, and ``log_floor`` of it and of checked d and k."""
     c = _check_chat(c_hat)
     with _digits(_BASE_DPS):
         if c * d ** k < 1:
             raise ValidationError(
                 f"need c_hat * d^k >= 1 for the schedule, got {c_hat!r} * {d}^{k}")
-    return _log_floor(c, d, k)
+    return c, _log_floor(c, d, k)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -250,8 +253,7 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
     s = check_int(s, "schedule parameter s", minimum=3)
-    inner = log_floor(c_hat, d, k)
-    c = _check_chat(c_hat)
+    c, inner = _schedule_level(c_hat, d, k)
     count = d ** k * s ** k * (inner + 1) ** k
     return _audited_floor(lambda: c * count, "scheduled_embedding_size")
 

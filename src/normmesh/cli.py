@@ -4,7 +4,8 @@ Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments, byte for
 byte; ``--seed`` must be non-negative, is echoed and changes no result.
-Each subcommand accepts only the flags it reads, spelled out in full.
+Each subcommand accepts only the flags it reads, spelled out in full, and
+each ``--set`` only the set flags it reads.
 Exit codes: 0 success, 2 validation, input or argument error, 3 violated
 certificate or precision audit.  ``main`` returns the code; ``run``, the
 process entry point, exits with it without interpreter teardown
@@ -67,11 +68,26 @@ def _space_dim(n, d) -> int:
     return math.comb(d + n, n)
 
 
+def _refuse_unread_set_flags(args) -> None:
+    """Exit 2 on a set flag that ``args.set`` does not read (dims without
+    --set reads none)."""
+    reads = {None: (), "cloud": ("cloud",)}.get(args.set, ("params", "resolution"))
+    for flag in ("params", "cloud", "resolution"):
+        if getattr(args, flag) is not None and flag not in reads:
+            where = f"--set {args.set}" if args.set else "dims without --set"
+            raise ValidationError(f"--{flag} is not read by {where}")
+
+
 def _set_from_args(args) -> sets.CompactSetModel:
     from . import sets
 
-    kind = args.set
-    n = args.n
+    _refuse_unread_set_flags(args)
+    kind, n = args.set, args.n
+    if kind == "cloud":
+        if not args.cloud:
+            raise ValidationError("--cloud <path> is required with --set cloud")
+        return sets.load_point_cloud(args.cloud, n)
+    resolution = 101 if args.resolution is None else args.resolution
     params = _parse_reals(args.params, "--params") if args.params else None
     if kind == "box":
         if params is None:
@@ -82,23 +98,17 @@ def _set_from_args(args) -> sets.CompactSetModel:
                     f"box in R^{n} expects 2n = {2 * n} params (lo,hi per axis), "
                     f"got {len(params)}")
             pairs = [(params[2 * i], params[2 * i + 1]) for i in range(n)]
-        return sets.box(pairs, args.resolution)
-    if kind in ("ball", "sphere"):
-        if params is None:
-            center, radius = [0.0] * n, 1.0
-        else:
-            if len(params) != n + 1:
-                raise ValidationError(
-                    f"{kind} in R^{n} expects n+1 = {n + 1} params (center, radius), "
-                    f"got {len(params)}")
-            center, radius = params[:n], params[n]
-        build = sets.ball if kind == "ball" else sets.sphere
-        return build(center, radius, args.resolution)
-    if kind == "cloud":
-        if not args.cloud:
-            raise ValidationError("--cloud <path> is required with --set cloud")
-        return sets.load_point_cloud(args.cloud, n)
-    raise ValidationError(f"unknown set kind {kind!r}")
+        return sets.box(pairs, resolution)
+    if params is None:
+        center, radius = [0.0] * n, 1.0
+    else:
+        if len(params) != n + 1:
+            raise ValidationError(
+                f"{kind} in R^{n} expects n+1 = {n + 1} params (center, radius), "
+                f"got {len(params)}")
+        center, radius = params[:n], params[n]
+    build = sets.ball if kind == "ball" else sets.sphere
+    return build(center, radius, resolution)
 
 
 def _meta(args, anchors: list[str], grid_size: int | None = None) -> dict:
@@ -137,6 +147,7 @@ def _cmd_dims(args) -> dict:
         anchors.append("trace-dim")
         report["meta"] = _meta(args, anchors, grid_size=int(pts.shape[0]))
     else:
+        _refuse_unread_set_flags(args)
         report["meta"] = _meta(args, anchors)
     return report
 
@@ -166,12 +177,12 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_mesh(args) -> dict:
-    from . import meshgen, polyspace
+    from . import meshgen, polyspace, sets
 
     # n and d are checked before the set, which --n sizes
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
-    node_set = meshgen.select_nodes(space, model)
+    node_set = meshgen.select_nodes(space, sets.grid(model, space.dim))
     return {
         "command": "mesh",
         "inputs": {
@@ -335,7 +346,7 @@ def _build_parser(command: str | None = None) -> _Parser:
                          default=None if cmd is cmds.get("dims") else "box")
         cmd.add_argument("--params", help="comma-separated reals for the set")
         cmd.add_argument("--cloud", help="path to a point cloud text file")
-        cmd.add_argument("--resolution", type=int, default=101)
+        cmd.add_argument("--resolution", type=int)
     for cmd in having("mesh", "embed", "distort"):
         cmd.add_argument("--seed", type=int, default=0,
                          help="echoed in the report; changes no result")

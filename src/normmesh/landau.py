@@ -135,11 +135,11 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     The node count equals the dimension at degree d*p, and the certified
     bound is L^(1/p) with L the grid norming constant of the selected
     nodes.  Grids too small or too large for the degree-d*p space are
-    refused by ``select_nodes`` before the basis is enumerated.
+    refused by ``sets.grid`` or ``select_nodes`` before the basis is enumerated.
     """
     p = check_int(p, "power")
     big = polyspace.poly_space(space.n, space.d * p)
-    node_set = meshgen.select_nodes(big, set_model)
+    node_set = meshgen.select_nodes(big, sets.grid(set_model, big.dim))
     return EmbeddingCertificate(
         space=space,
         set_model=set_model,

@@ -7,7 +7,8 @@ nodes norm the space: expanding any g through its cardinal interpolant,
 
     max_G |g|  <=  L * max_k |g(z_k)|,    L = max_{z in G} sum_k |f_k(z)|,
 
-and L itself is at most m * max_k max_G |f_k|.
+and L itself is at most m * max_k max_G |f_k|.  G enters as its points
+alone, such as ``sets.grid(set_model, m)``: this module sees no set model.
 
 The selection loop is a row-exchange determinant ascent.  By Cramer's
 rule, replacing node k with a grid point z multiplies the determinant of
@@ -57,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import polyspace, sets
+from . import polyspace
 from .errors import NonDeterminingError, ValidationError, check_int
 
 # A swap must grow |det| by more than a 1 + TOL_SWAP factor; a node set
@@ -136,15 +137,6 @@ def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
         rows[j] -= weights[j] * pivot
 
 
-def _certificates(cardinals: np.ndarray) -> tuple[float, float]:
-    """(max_G max_k |f_k|, max_G sum_k |f_k|) of a cardinal matrix.
-
-    The matrix is overwritten by its absolute values.
-    """
-    magnitudes = np.abs(cardinals, out=cardinals)
-    return float(magnitudes.max()), float(magnitudes.sum(axis=1).max())
-
-
 def _greedy_rows(q: np.ndarray) -> list[int]:
     """Pivoted orthogonalization over rows, largest residual norm first.
 
@@ -181,8 +173,8 @@ def _log_abs_det(q: np.ndarray, indices: Sequence[int]) -> float:
     return float(logdet)
 
 
-def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel) -> NodeSet:
-    """Pick dim(space) grid points by greedy init plus exchange sweeps.
+def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
+    """Pick dim(space) of the grid ``points`` by greedy init plus exchange sweeps.
 
     One sweep walks the nodes in index order; for each node the grid is
     scanned in grid order and the first swap improving |det| by a factor
@@ -200,10 +192,10 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel) ->
     therefore read from a fresh product (``_node_set``), so a run whose
     last sweep made the last needed swap is swap-optimal too.
 
-    The run is deterministic given (space, set_model); the exchange draws
+    The run is deterministic given (space, points); the exchange draws
     no random numbers.
     """
-    grid_points = sets.grid(set_model, space.dim)
+    grid_points = polyspace._as_points(points, space.n)
     q = polyspace.orthonormal_basis(space, grid_points)
     chosen = _greedy_rows(q)
 
@@ -232,9 +224,9 @@ def select_nodes(space: polyspace.PolySpace, set_model: sets.CompactSetModel) ->
     return _node_set(space, grid_points, q, chosen, cardinals, sweeps)
 
 
-def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
+def make_node_set(space: polyspace.PolySpace, points,
                   node_indices: Sequence[int]) -> NodeSet:
-    """Certify an explicitly chosen set of grid indices as nodes.
+    """Certify the grid ``points`` at ``node_indices`` as nodes.
 
     The certificates are those of ``select_nodes``, read the same way
     (``_node_set``); ``sweeps`` is 0.
@@ -245,12 +237,7 @@ def make_node_set(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
             f"need exactly {space.dim} node indices for this space, got {len(indices)}")
     if len(set(indices)) != len(indices):
         raise ValidationError("node indices must be distinct")
-    # Checked before the evaluation matrix is refused: a box, sphere or
-    # cloud grid is counted before it is built, a ball's grid after.
-    count = sets.point_count(set_model)
-    if count is not None and max(indices) >= count:
-        raise ValidationError("node index out of grid range")
-    grid_points = sets.grid(set_model, space.dim)
+    grid_points = polyspace._as_points(points, space.n)
     if max(indices) >= grid_points.shape[0]:
         raise ValidationError("node index out of grid range")
     q = polyspace.orthonormal_basis(space, grid_points)
@@ -265,7 +252,8 @@ def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray
     which this overwrites; ``lagrange_sup``, ``grid_constant`` and
     ``swap_optimal`` are read from it, the last by the Cramer identity.
     """
-    lagrange_sup, grid_constant = _certificates(cardinals)
+    magnitudes = np.abs(cardinals, out=cardinals)
+    lagrange_sup = float(magnitudes.max())
     return NodeSet(
         space=space,
         nodes=grid_points[indices].copy(),
@@ -273,27 +261,24 @@ def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray
         log_abs_det=_log_abs_det(q, indices),
         swap_optimal=lagrange_sup <= 1.0 + TOL_SWAP,
         lagrange_sup=lagrange_sup,
-        grid_constant=grid_constant,
+        grid_constant=float(magnitudes.sum(axis=1).max()),
         grid_points=grid_points,
         sweeps=sweeps,
     )
 
 
-def grid_norming_constant(node_set: NodeSet, set_model: sets.CompactSetModel) -> float:
-    """The constant L = max over the grid of sum_k |f_k|.
+def grid_norming_constant(node_set: NodeSet, points) -> float:
+    """The constant L = max over the grid ``points`` of sum_k |f_k|.
 
     Every space member g satisfies max_G |g| <= L * max_k |g(z_k)|.
     Cardinals are evaluated through the conditioned basis; their values
-    do not depend on the basis choice.  This rebuilds the grid, basis and
-    cardinal product from scratch, so it is an independent check of the
-    ``grid_constant`` that ``select_nodes`` and ``make_node_set`` store.
+    do not depend on the basis choice.  ``make_node_set`` recomputes the
+    basis and cardinal product without the exchange, so this is an
+    independent check of the ``grid_constant`` that ``select_nodes`` stores.
     """
-    grid_points = sets.grid(set_model, node_set.space.dim)
-    indices = list(node_set.node_indices)
-    if max(indices) >= grid_points.shape[0] or not np.array_equal(
-            grid_points[indices], node_set.nodes):
+    fresh = make_node_set(node_set.space, points, node_set.node_indices)
+    if not np.array_equal(fresh.nodes, node_set.nodes):
         raise ValidationError(
-            "node set does not match this set's grid; certify against the grid "
+            "node set does not match these grid points; certify against the grid "
             "the nodes were selected from")
-    q = polyspace.orthonormal_basis(node_set.space, grid_points)
-    return _certificates(_cardinal_values(q, indices))[1]
+    return fresh.grid_constant

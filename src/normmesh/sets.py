@@ -1,11 +1,12 @@
 """Finite-grid models of compact subsets of R^n.
 
 A compact set enters every computation through a deterministic finite grid
-contained in it.  Downstream modules take suprema over that grid, so each
-certificate is an exact statement about the sampled points; because the
-grid lies inside the set it models, certified inequalities remain valid
-when the sampling is refined.  Reports carry grid size and resolution so
-the surrogate can be judged and tightened.
+contained in it: ``grid`` builds it, and the rank, node selection and
+certificates downstream take its points, never the model.  Their suprema
+over the grid make each certificate an exact statement about the sampled
+points; because the grid lies inside the set it models, certified
+inequalities remain valid when the sampling is refined.  Reports carry
+grid size and resolution so the surrogate can be judged and tightened.
 
 Supported kinds: axis-aligned boxes, Euclidean balls, spheres (circle in
 the plane, latitude-longitude sampled S2 in space), and point clouds given
@@ -331,35 +332,13 @@ _GRID_BUILDERS = {
 }
 
 
-def point_count(model: CompactSetModel) -> int | None:
-    """Point count of the model's grid, checked before anything is built.
-
-    Runs the grid's own checks (resolution, kind, and the dense-array byte
-    budget of the sampled array) and returns the exact count of a box,
-    sphere or cloud grid.  A ball's grid is cut from its cube after it is
-    sampled, so the budget counts the whole cube and its count is known
-    only once it is built: None.
-    """
-    if model.kind == "point_cloud":
-        return model.params["points"].shape[0]
-    if model.kind not in _GRID_BUILDERS:
-        raise ValidationError(f"unknown set kind {model.kind!r}")
-    res = _check_resolution(model.resolution)
-    if model.kind != "sphere":
-        sampled = res ** model.ambient_dim
-    else:
-        sampled = res if model.ambient_dim == 2 else res * (res - 2) + 2
-    check_dense(sampled, model.ambient_dim, f"grid of {model.describe()}")
-    return None if model.kind == "ball" else sampled
-
-
 def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     """Deterministic ordered sample of the set, shape (num_points, n).
 
     Every returned point lies in the modeled set, with at most 1e-12
     deviation for curved boundaries.  The result is never empty.  A
-    sampled grid above the dense-array byte budget is refused before
-    anything is allocated.
+    sampled grid (a ball's whole cube) above the dense-array byte budget
+    is refused before anything is allocated.
 
     ``columns`` is the column count of the evaluation matrix the caller
     builds on the grid next.  A box, sphere or cloud grid, whose point
@@ -370,8 +349,18 @@ def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     grid with fewer points than columns, which node selection refuses
     first as too small for the space.
     """
-    count = point_count(model)
-    if columns is not None and count is not None and count >= columns:
+    if model.kind == "point_cloud":
+        count = model.params["points"].shape[0]
+    elif model.kind not in _GRID_BUILDERS:
+        raise ValidationError(f"unknown set kind {model.kind!r}")
+    else:
+        res = _check_resolution(model.resolution)
+        if model.kind != "sphere":
+            count = res ** model.ambient_dim
+        else:
+            count = res if model.ambient_dim == 2 else res * (res - 2) + 2
+        check_dense(count, model.ambient_dim, f"grid of {model.describe()}")
+    if columns is not None and model.kind != "ball" and count >= columns:
         check_dense(count, columns, "evaluation matrix")
     pts = _GRID_BUILDERS[model.kind](model)
     if pts.shape[0] < 1:

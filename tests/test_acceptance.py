@@ -33,7 +33,8 @@ def test_criterion_1_swap_optimal_meshes_within_budget():
                   for d in range(2, 6)]
         for n, d, model in cases:
             start = time.monotonic()
-            ns = meshgen.select_nodes(polyspace.poly_space(n, d), model)
+            space = polyspace.poly_space(n, d)
+            ns = meshgen.select_nodes(space, sets.grid(model, space.dim))
             elapsed = time.monotonic() - start
             assert elapsed <= 60.0, f"n={n} d={d} took {elapsed:.1f}s"
             assert ns.swap_optimal, f"n={n} d={d} not swap optimal"

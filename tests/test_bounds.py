@@ -169,9 +169,31 @@ class TestScheduledSizes:
             entropy_chain(2, 1, True, 1, 0.5)
         assert log_floor(1, 3, 1) == 1
 
-    def test_schedule_scale_validation(self):
+    def test_schedule_scale_validation(self, monkeypatch):
         with pytest.raises(ValidationError):
             scheduled_embedding_size(1, 1, 1.0, 2)
+        # each argument is checked once, in the order d, k, s, c_hat, then
+        # c_hat * d^k >= 1
+        for args, message in [((0, 0, 0.0, 2), "degree"), ((1, 0, 0.0, 2), "growth order"),
+                              ((1, 1, 0.0, 2), "schedule parameter s"),
+                              ((1, 1, 0.0, 3), "growth constant"),
+                              ((1, 1, 0.5, 3), "need c_hat")]:
+            with pytest.raises(ValidationError, match=message):
+                scheduled_embedding_size(*args)
+        calls = []
+
+        def counting(name):
+            checked = getattr(bounds, name)
+
+            def check(*args, **kwargs):
+                calls.append(name)
+                return checked(*args, **kwargs)
+            return check
+
+        for name in ("check_int", "_check_chat"):
+            monkeypatch.setattr(bounds, name, counting(name))
+        assert scheduled_embedding_size(2, 1, 1.0, 3) == 6
+        assert calls == ["check_int"] * 3 + ["_check_chat"]
 
 
 class TestDistortionConstants:

@@ -121,6 +121,15 @@ class TestBounds:
             capsys)
         assert rc == 2
         assert "ERROR[2]" in err
+        # s and k are integers
+        for schedule, token in (("3.5,1,1.0", "3.5"), ("3,x,1.0", "x")):
+            for command in (["bounds", "--n", "1"], ["embed", "--n", "1"]):
+                rc, out, err = run_main(
+                    [*command, "--d", "2", "--schedule", schedule, "--no-timestamp"], capsys)
+                assert rc == 2
+                assert out == ""
+                assert err == ("ERROR[2]: --schedule expects s,k,chat as int,int,real: "
+                               f"invalid literal for int() with base 10: '{token}'\n")
 
 
 class TestMesh:
@@ -153,6 +162,12 @@ class TestMesh:
         assert node_set["lagrange_sup"] <= 1.0 + 1e-9
         assert payload["grid_constant"] == pytest.approx(1.25, abs=1e-12)
         assert payload["meta"]["grid_size"] == 21
+        # the same nodes, shifted and scaled, on a box given by --params
+        payload = run_json(
+            ["mesh", "--n", "1", "--d", "2", "--params", "2,6", "--resolution", "21",
+             "--no-timestamp"], capsys)
+        assert sorted(x for [x] in payload["node_set"]["points"]) == [2.0, 4.0, 6.0]
+        assert payload["grid_constant"] == pytest.approx(1.25, abs=1e-12)
 
     def test_cloud_set(self, capsys, tmp_path):
         path = tmp_path / "cloud.txt"
@@ -382,6 +397,12 @@ class TestEntropy:
             ["entropy", "--d", "1", "--eps", "0.5", "--nbar", "2", "--no-timestamp"],
             capsys)
         assert rc == 2
+        # a schedule gives the growth but not the block dimension
+        rc, out, err = run_main(
+            ["entropy", "--d", "1", "--eps", "0.5", "--schedule", "3,1,8.0",
+             "--no-timestamp"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "ERROR[2]: entropy needs --nbar or --n to size the blocks\n"
 
     def test_eps_window(self, capsys):
         rc, _, err = run_main(
@@ -467,21 +488,47 @@ class TestOutputModes:
         assert first == second
 
 
+UNRECOGNIZED = "unrecognized arguments: "
+
+
 class TestFlags:
-    @pytest.mark.parametrize("argv", [
-        ["mesh", "--n", "1", "--d", "2", "--resolution", "21", "--p", "4"],
-        ["bounds", "--n", "1", "--d", "1", "--trials", "3"],
-        ["dims", "--n", "2", "--d", "3", "--seed", "1"],
-        ["entropy", "--n", "1", "--d", "1", "--eps", "0.5", "--resolution", "5"],
-        ["mesh", "--n", "1", "--d", "2", "--res", "21"],
+    @pytest.mark.parametrize("argv, message", [
+        (["mesh", "--n", "1", "--d", "2", "--resolution", "21", "--p", "4"], UNRECOGNIZED),
+        (["bounds", "--n", "1", "--d", "1", "--trials", "3"], UNRECOGNIZED),
+        (["dims", "--n", "2", "--d", "3", "--seed", "1"], UNRECOGNIZED),
+        (["entropy", "--n", "1", "--d", "1", "--eps", "0.5", "--resolution", "5"],
+         UNRECOGNIZED),
+        (["mesh", "--n", "1", "--d", "2", "--res", "21"], UNRECOGNIZED),
+        # set flags that the chosen set does not read
+        (["mesh", "--set", "cloud", "--cloud", "c.txt", "--n", "1", "--d", "2",
+          "--resolution", "5"], "--resolution is not read by --set cloud"),
+        (["dims", "--set", "cloud", "--cloud", "c.txt", "--n", "1", "--d", "2",
+          "--params", "0,1"], "--params is not read by --set cloud"),
+        (["embed", "--n", "1", "--d", "1", "--p", "1", "--cloud", "c.txt"],
+         "--cloud is not read by --set box"),
+        (["distort", "--set", "ball", "--n", "2", "--d", "1", "--p", "1",
+          "--cloud", "c.txt"], "--cloud is not read by --set ball"),
+        (["mesh", "--set", "sphere", "--n", "2", "--d", "1", "--cloud", "c.txt"],
+         "--cloud is not read by --set sphere"),
+        (["dims", "--n", "2", "--d", "3", "--resolution", "5"],
+         "--resolution is not read by dims without --set"),
+        (["dims", "--n", "2", "--d", "3", "--params", "0,1"],
+         "--params is not read by dims without --set"),
+        (["dims", "--n", "2", "--d", "3", "--cloud", "c.txt"],
+         "--cloud is not read by dims without --set"),
     ], ids=["mesh-p", "bounds-trials", "dims-seed", "entropy-resolution",
-            "mesh-abbreviation"])
-    def test_unread_flag_exits_two(self, capsys, argv):
-        # each subcommand takes only the flags it reads, spelled out in full
+            "mesh-abbreviation", "cloud-resolution", "cloud-params", "box-cloud",
+            "ball-cloud", "sphere-cloud", "dims-resolution", "dims-params", "dims-cloud"])
+    def test_unread_flag_exits_two(self, capsys, monkeypatch, argv, message):
+        # each subcommand takes only the flags it reads, spelled out in full,
+        # and each set only its own set flags: refused before a file is read
+        # or a grid is built
+        for name in ("grid", "load_point_cloud"):
+            monkeypatch.setattr(sets, name, Mock(side_effect=AssertionError(name)))
         rc, out, err = run_main(argv + ["--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
-        assert err.startswith("ERROR[2]: unrecognized arguments: ")
+        assert err.startswith(f"ERROR[2]: {message}")
         assert argv[-2] in err
 
 
@@ -711,9 +758,23 @@ class TestSubprocess:
         assert proc.returncode == 2
         assert "ERROR[2]" in proc.stderr
 
-    def test_bad_flag_value_exits_two(self):
+    def test_bad_flag_value_exits_two(self, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "normmesh", "dims", "--n", "two", "--d", "3"],
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "ERROR[2]" in proc.stderr
+        # --params values, in process
+        for params, kind, message in [
+            ("0,1,2", "box", "box in R^2 expects 2n = 4 params (lo,hi per axis), got 3"),
+            ("0,0", "ball", "ball in R^2 expects n+1 = 3 params (center, radius), got 2"),
+            ("0,0,0,1", "sphere",
+             "sphere in R^2 expects n+1 = 3 params (center, radius), got 4"),
+            ("0,x,1", "ball",
+             "--params expects comma-separated reals: could not convert string to float: 'x'"),
+            (",", "box", "--params received no values"),
+        ]:
+            rc, out, err = run_main(
+                ["mesh", "--set", kind, "--n", "2", "--d", "1", "--params", params,
+                 "--no-timestamp"], capsys)
+            assert (rc, out, err) == (2, "", f"ERROR[2]: {message}\n")

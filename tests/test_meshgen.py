@@ -194,7 +194,7 @@ class TestBlockedBasis:
     def test_grid_of_exactly_dim_points(self):
         space = poly_space(1, 4)
         model = sets.from_points([[x] for x in (-1.0, -0.4, 0.1, 0.5, 1.0)])
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert sorted(ns.node_indices) == [0, 1, 2, 3, 4]
         assert ns.swap_optimal
         assert ns.lagrange_sup == pytest.approx(1.0, abs=1e-12)
@@ -207,7 +207,7 @@ class TestBlockedBasis:
         space = poly_space(n, d)
         whole = np.linalg.qr(vandermonde(space, sets.grid(model)))[0]
         expected = reference_exchange(space, model, q=whole)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert (ns.node_indices, ns.sweeps, ns.swap_optimal) == (
             expected["node_indices"], expected["sweeps"], expected["swap_optimal"])
         assert ns.lagrange_sup == pytest.approx(expected["lagrange_sup"], rel=1e-12, abs=0)
@@ -223,7 +223,7 @@ class TestBlockedBasis:
             return vandermonde(space, points)
 
         monkeypatch.setattr(polyspace, "vandermonde", recording)
-        select_nodes(space, model)
+        select_nodes(space, sets.grid(model, space.dim))
         assert len(evaluated) == block_count(space, grid_points)
         assert max(block.shape[0] for block in evaluated) <= block_rows(space)
         stacked = np.vstack(evaluated)
@@ -235,7 +235,7 @@ class TestBlockedBasis:
         # degree-3 members on the circle span 1, cos jt, sin jt (j <= 3)
         with pytest.raises(NonDeterminingError, match=r"numerical rank 7 < dimension 10") \
                 as info:
-            select_nodes(poly_space(2, 3), sets.sphere([0.0, 0.0], 1.0, 64))
+            select_nodes(poly_space(2, 3), sets.grid(sets.sphere([0.0, 0.0], 1.0, 64), 10))
         assert (info.value.rank, info.value.dim) == (7, 10)
 
     def test_selection_holds_two_matrices(self):
@@ -243,10 +243,10 @@ class TestBlockedBasis:
         # own buffers are not traced, so this guards numpy's arrays only
         space = poly_space(3, 3)
         model = sets.box([(-1.0, 1.0)] * 3, 25)
-        select_nodes(poly_space(1, 2), sets.box([(-1.0, 1.0)], 11))
+        select_nodes(poly_space(1, 2), sets.grid(sets.box([(-1.0, 1.0)], 11), 3))
         tracemalloc.start()
         try:
-            select_nodes(space, model)
+            select_nodes(space, sets.grid(model, space.dim))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -272,18 +272,17 @@ class TestOversizedMatrixBeforeGrid:
         assert str(caught.value) == self.MESSAGE
 
     def test_make_node_set(self):
-        indices = list(range(self.SPACE.dim))
         with pytest.raises(ValidationError) as caught:
-            make_node_set(self.SPACE, self.MODEL, indices)
+            make_node_set(self.SPACE, sets.grid(self.MODEL, self.SPACE.dim),
+                          list(range(self.SPACE.dim)))
         assert str(caught.value) == self.MESSAGE
-        with pytest.raises(ValidationError, match="node index out of grid range"):
-            make_node_set(self.SPACE, self.MODEL, indices[:-1] + [150 ** 3])
 
     def test_grid_norming_constant(self):
-        small = make_node_set(poly_space(1, 2), sets.from_points([[-1.0], [0.0], [1.0]]),
-                              [0, 1, 2])
+        small = make_node_set(poly_space(1, 2),
+                              sets.grid(sets.from_points([[-1.0], [0.0], [1.0]]), 3), [0, 1, 2])
         with pytest.raises(ValidationError) as caught:
-            grid_norming_constant(dataclasses.replace(small, space=self.SPACE), self.MODEL)
+            grid_norming_constant(dataclasses.replace(small, space=self.SPACE),
+                                  sets.grid(self.MODEL, self.SPACE.dim))
         assert str(caught.value) == self.MESSAGE
 
     def test_grid_checks_still_come_first(self):
@@ -293,7 +292,8 @@ class TestOversizedMatrixBeforeGrid:
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
             trace_dimension(self.SPACE, sets.grid(huge, self.SPACE.dim))
         with pytest.raises(ValidationError, match=r"grid of box\(n=3"):
-            make_node_set(self.SPACE, huge, list(range(self.SPACE.dim - 1)) + [10 ** 18])
+            make_node_set(self.SPACE, sets.grid(huge, self.SPACE.dim),
+                          list(range(self.SPACE.dim - 1)) + [10 ** 18])
 
 
 class TestRankOneExchange:
@@ -301,13 +301,13 @@ class TestRankOneExchange:
     def test_matches_full_resolve_reference(self, n, d, model, max_sweeps, monkeypatch):
         space = poly_space(n, d)
         monkeypatch.setattr(meshgen, "MAX_SWEEPS", max_sweeps)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         expected = reference_exchange(space, model, max_sweeps=max_sweeps)
         got = {key: getattr(ns, key) for key in expected}
         assert got == expected
         assert ns.swap_optimal == (max_sweeps > 1)
         assert ns.swap_optimal == (ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP)
-        assert ns.grid_constant == grid_norming_constant(ns, model)
+        assert ns.grid_constant == grid_norming_constant(ns, sets.grid(model, space.dim))
 
     def test_update_tracks_fresh_solve(self):
         space = poly_space(2, 4)
@@ -331,28 +331,28 @@ class TestIntervalSelection:
     def test_degree_one_picks_endpoints(self):
         space = poly_space(1, 1)
         model = sets.box([(-1.0, 1.0)], 2001)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert ns.swap_optimal
         assert sorted(ns.nodes.ravel().tolist()) == [-1.0, 1.0]
         assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
-        assert abs(grid_norming_constant(ns, model) - 1.0) <= 1e-12
+        assert abs(grid_norming_constant(ns, sets.grid(model, space.dim)) - 1.0) <= 1e-12
 
     def test_degree_two_picks_symmetric_triple(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 2001)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert ns.swap_optimal
         assert sorted(ns.nodes.ravel().tolist()) == [-1.0, 0.0, 1.0]
         # sum of |cardinals| peaks at +-1/2 with value 5/4
-        assert abs(grid_norming_constant(ns, model) - 1.25) <= 1e-12
+        assert abs(grid_norming_constant(ns, sets.grid(model, space.dim)) - 1.25) <= 1e-12
 
     def test_degree_zero_single_node(self):
         space = poly_space(1, 0)
         model = sets.box([(-1.0, 1.0)], 101)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert ns.nodes.shape == (1, 1)
         assert ns.swap_optimal
-        assert abs(grid_norming_constant(ns, model) - 1.0) <= 1e-12
+        assert abs(grid_norming_constant(ns, sets.grid(model, space.dim)) - 1.0) <= 1e-12
 
     def test_matches_exhaustive_search_on_coarse_grid(self):
         space = poly_space(1, 2)
@@ -361,7 +361,7 @@ class TestIntervalSelection:
         best_det, best_combo = brute_force_max_det(space, grid_points)
         assert best_det == pytest.approx(2.0, abs=1e-12)
         assert set(best_combo) == {0, 10, 20}
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         got = abs(np.linalg.det(vandermonde(space, ns.nodes)))
         assert got == pytest.approx(best_det, rel=1e-12)
 
@@ -370,7 +370,7 @@ class TestIntervalSelection:
         model = sets.box([(-1.0, 1.0)], 11)
         grid_points = sets.grid(model)
         best_det, _ = brute_force_max_det(space, grid_points)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         got = abs(np.linalg.det(vandermonde(space, ns.nodes)))
         # exchange reaches swap-local optimality; on this grid it is global
         assert ns.swap_optimal
@@ -381,10 +381,10 @@ class TestIntervalSelection:
         model = sets.box([(-1.0, 1.0)], 2001)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(meshgen, "MAX_SWEEPS", 1)
-            ns = select_nodes(space, model)
+            ns = select_nodes(space, sets.grid(model, space.dim))
         assert not ns.swap_optimal
         assert ns.sweeps == 1
-        done = select_nodes(space, model)
+        done = select_nodes(space, sets.grid(model, space.dim))
         assert done.swap_optimal
         assert done.sweeps < meshgen.MAX_SWEEPS
         assert done.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
@@ -394,7 +394,7 @@ class TestIntervalSelection:
         # is left to come back clean; the fresh cardinal product still
         # certifies them (lagrange_sup 1.0000000000000002)
         monkeypatch.setattr(meshgen, "MAX_SWEEPS", 2)
-        ns = select_nodes(poly_space(1, 6), sets.box([(-1.0, 1.0)], 201))
+        ns = select_nodes(poly_space(1, 6), sets.grid(sets.box([(-1.0, 1.0)], 201), 7))
         assert ns.sweeps == 2
         assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
         assert ns.swap_optimal
@@ -402,7 +402,7 @@ class TestIntervalSelection:
     def test_log_abs_det_conditioned_basis_nonpositive(self):
         # any dim-row submatrix of an orthonormal-column Q has |det| <= 1
         for d in (1, 2, 4, 6):
-            ns = select_nodes(poly_space(1, d), sets.box([(-1.0, 1.0)], 301))
+            ns = select_nodes(poly_space(1, d), sets.grid(sets.box([(-1.0, 1.0)], 301), d + 1))
             assert ns.log_abs_det <= 1e-12
 
 
@@ -410,18 +410,18 @@ class TestPlaneSelection:
     def test_quadratics_on_square(self):
         space = poly_space(2, 2)
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 21)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert ns.swap_optimal
         assert ns.nodes.shape == (6, 2)
         assert len(set(ns.node_indices)) == 6
-        lam = grid_norming_constant(ns, model)
+        lam = grid_norming_constant(ns, sets.grid(model, space.dim))
         assert 1.0 <= lam <= space.dim * (1.0 + meshgen.TOL_SWAP)
 
     def test_norming_inequality_on_sampled_polynomials(self):
         space = poly_space(2, 3)
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 31)
-        ns = select_nodes(space, model)
-        lam = grid_norming_constant(ns, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
+        lam = grid_norming_constant(ns, sets.grid(model, space.dim))
         grid_v = vandermonde(space, sets.grid(model))
         node_v = vandermonde(space, ns.nodes)
         rng = np.random.default_rng(11)
@@ -434,7 +434,7 @@ class TestPlaneSelection:
     def test_ball_grid_selection(self):
         space = poly_space(2, 2)
         model = sets.ball([0.0, 0.0], 1.0, 15)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         assert ns.swap_optimal
         assert np.sqrt((ns.nodes ** 2).sum(axis=1)).max() <= 1.0 + 1e-12
 
@@ -443,39 +443,40 @@ class TestExplicitNodes:
     def test_known_triple_certifies_optimal(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 21)
-        ns = make_node_set(space, model, [0, 10, 20])
+        ns = make_node_set(space, sets.grid(model, space.dim), [0, 10, 20])
         assert ns.swap_optimal
         np.testing.assert_array_equal(ns.nodes.ravel(), [-1.0, 0.0, 1.0])
-        assert abs(grid_norming_constant(ns, model) - 1.25) <= 1e-12
+        assert abs(grid_norming_constant(ns, sets.grid(model, space.dim)) - 1.25) <= 1e-12
 
     def test_poor_triple_flagged_suboptimal(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 21)
-        ns = make_node_set(space, model, [8, 10, 12])
+        ns = make_node_set(space, sets.grid(model, space.dim), [8, 10, 12])
         assert not ns.swap_optimal
         assert ns.lagrange_sup > 1.0 + meshgen.TOL_SWAP
-        assert ns.grid_constant == grid_norming_constant(ns, model)
+        assert ns.grid_constant == grid_norming_constant(ns, sets.grid(model, space.dim))
 
     def test_grid_checks_come_first(self):
         with pytest.raises(ValidationError, match=r"grid of box\(n=1"):
-            make_node_set(poly_space(1, 2), sets.box([(-1.0, 1.0)], 10 ** 10), [0, 10, 20])
+            make_node_set(poly_space(1, 2), sets.grid(sets.box([(-1.0, 1.0)], 10 ** 10), 3),
+                          [0, 10, 20])
 
     def test_index_validation(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 21)
         with pytest.raises(ValidationError):
-            make_node_set(space, model, [0, 10])
+            make_node_set(space, sets.grid(model, space.dim), [0, 10])
         with pytest.raises(ValidationError):
-            make_node_set(space, model, [0, 10, 10])
+            make_node_set(space, sets.grid(model, space.dim), [0, 10, 10])
         with pytest.raises(ValidationError):
-            make_node_set(space, model, [0, 10, 21])
+            make_node_set(space, sets.grid(model, space.dim), [0, 10, 21])
 
 
 class TestCardinalSystem:
     def test_center_cardinal_is_one_minus_x_squared(self):
         space = poly_space(1, 2)
         model = sets.box([(-1.0, 1.0)], 2001)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         x = sets.grid(model).ravel()
         q = polyspace.orthonormal_basis(space, sets.grid(model))
         cardinals = meshgen._cardinal_values(q, ns.node_indices)
@@ -485,7 +486,7 @@ class TestCardinalSystem:
     def test_cardinal_delta_property(self):
         space = poly_space(2, 2)
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 15)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         q = polyspace.orthonormal_basis(space, sets.grid(model))
         cardinals = meshgen._cardinal_values(q, ns.node_indices)
         np.testing.assert_allclose(
@@ -495,8 +496,8 @@ class TestCardinalSystem:
         # the norming constant must not depend on the working basis
         space = poly_space(1, 4)
         model = sets.box([(-1.0, 1.0)], 201)
-        ns = select_nodes(space, model)
-        lam = grid_norming_constant(ns, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
+        lam = grid_norming_constant(ns, sets.grid(model, space.dim))
         coef = np.linalg.solve(vandermonde(space, ns.nodes), np.eye(space.dim))
         card = vandermonde(space, sets.grid(model)) @ coef
         lam_monomial = np.abs(card).sum(axis=1).max()
@@ -504,9 +505,9 @@ class TestCardinalSystem:
 
     def test_certificate_requires_matching_grid(self):
         space = poly_space(1, 2)
-        ns = select_nodes(space, sets.box([(-1.0, 1.0)], 21))
+        ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21), space.dim))
         with pytest.raises(ValidationError):
-            grid_norming_constant(ns, sets.box([(-1.0, 1.0)], 41))
+            grid_norming_constant(ns, sets.grid(sets.box([(-1.0, 1.0)], 41), space.dim))
 
 
 class TestRankGuards:
@@ -514,7 +515,7 @@ class TestRankGuards:
         space = poly_space(1, 5)
         model = sets.from_points([[-1.0], [-0.3], [0.3], [1.0]])
         with pytest.raises(ValidationError):
-            select_nodes(space, model)
+            select_nodes(space, sets.grid(model, space.dim))
 
     def test_nondetermining_grid_names_rank(self):
         # plane quadratics restricted to the x-axis span only 1, x1, x1^2;
@@ -525,7 +526,7 @@ class TestRankGuards:
         for d, model, rank in cases:
             space = poly_space(2, d)
             with pytest.raises(NonDeterminingError) as info:
-                select_nodes(space, model)
+                select_nodes(space, sets.grid(model, space.dim))
             assert info.value.rank == rank
             assert info.value.rank == trace_dimension(space, sets.grid(model))
             assert info.value.dim == space.dim
@@ -546,7 +547,7 @@ class TestRankGuards:
         # intervals; either way the trace rank drops the same values
         space = poly_space(model.ambient_dim, d)
         with pytest.raises(NonDeterminingError) as info:
-            select_nodes(space, model)
+            select_nodes(space, sets.grid(model, space.dim))
         message = str(info.value)
         assert message.startswith(f"{cause} at degree {d}")
         assert f"numerical rank {rank} < dimension {space.dim}" in message
@@ -565,8 +566,8 @@ class TestDeterminism:
     def test_repeat_runs_identical(self):
         space = poly_space(2, 3)
         model = sets.box([(-1.0, 1.0), (0.0, 2.0)], 17)
-        a = select_nodes(space, model)
-        b = select_nodes(space, model)
+        a = select_nodes(space, sets.grid(model, space.dim))
+        b = select_nodes(space, sets.grid(model, space.dim))
         assert a.node_indices == b.node_indices
         assert a.nodes.tobytes() == b.nodes.tobytes()
         assert a.log_abs_det == b.log_abs_det
@@ -575,13 +576,13 @@ class TestDeterminism:
     def test_indices_point_into_grid(self):
         space = poly_space(1, 3)
         model = sets.box([(-1.0, 1.0)], 51)
-        ns = select_nodes(space, model)
+        ns = select_nodes(space, sets.grid(model, space.dim))
         grid_points = sets.grid(model)
         np.testing.assert_array_equal(grid_points[list(ns.node_indices)], ns.nodes)
 
     def test_json_dict_shape(self):
         space = poly_space(1, 2)
-        ns = select_nodes(space, sets.box([(-1.0, 1.0)], 21))
+        ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21), space.dim))
         payload = ns.to_json_dict()
         assert set(payload) == {"degree", "ambient_dim", "points",
                                 "log_abs_det", "swap_optimal", "lagrange_sup"}

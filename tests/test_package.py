@@ -41,9 +41,9 @@ def _load_interval_cloud(n):
     (lambda: bounds.poly_embedding_size(2, True), None),
     (lambda: sets.box([(0.0, 1.0)], np.int64(5)).resolution, 5),
     (lambda: sets.box([(0.0, 1.0)], True), None),
-    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), INTERVAL,
+    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), sets.grid(INTERVAL, 3),
                                    [0, 10.9, 20]), None),
-    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), INTERVAL,
+    (lambda: meshgen.make_node_set(polyspace.poly_space(1, 2), sets.grid(INTERVAL, 3),
                                    np.array([0, 10, 20])).node_indices, (0, 10, 20)),
     (lambda: _load_interval_cloud(True), None),
     (lambda: sets.grid(_load_interval_cloud(np.int64(1))).shape, (3, 1)),
@@ -162,12 +162,14 @@ def test_distortion_runs_without_scipy():
 
 
 def test_polyspace_loads_no_set_models():
-    # the trace rank, like the Vandermonde, works on points alone
-    code = ("import sys, normmesh.polyspace\n"
-            "assert 'normmesh.sets' not in sys.modules\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_child_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    # the trace rank, like the Vandermonde, works on points alone, and so
+    # do node selection and its certificates
+    for module in ("polyspace", "meshgen"):
+        code = (f"import sys, normmesh.{module}\n"
+                "assert 'normmesh.sets' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, (module, proc.stderr)
 
 
 def test_cli_uses_only_public_polyspace_names():

@@ -117,6 +117,11 @@ class TestBox:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValidationError):
             sets.box([(1.0, -1.0)], 5)
+        with pytest.raises(ValidationError, match="at least one"):
+            sets.box([], 5)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match=r"finite \(axis 1\)"):
+                sets.box([(-1.0, 1.0), (0.0, bad)], 5)
 
     def test_resolution_floor(self):
         with pytest.raises(ValidationError):
@@ -159,6 +164,13 @@ class TestBall:
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
             sets.ball([0.0], 0.0, 5)
+        # and a bad center, checked before the radius
+        for center in ([], [[0.0, 1.0]]):
+            with pytest.raises(ValidationError, match="non-empty 1-d"):
+                sets.ball(center, 1.0, 5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="center coordinates must be finite"):
+                sets.ball([0.0, bad], 1.0, 5)
 
 
 class TestSphere:
@@ -242,6 +254,13 @@ class TestPointCloud:
     def test_from_points_dedup(self):
         model = sets.from_points([[1.0], [1.0], [2.0]])
         np.testing.assert_array_equal(sets.grid(model).ravel(), [1.0, 2.0])
+        # an empty or non-finite array is no point set
+        for points in ([], [[]], np.zeros((0, 2))):
+            with pytest.raises(ValidationError, match="non-empty 2-d"):
+                sets.from_points(points)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="must be finite"):
+                sets.from_points([[0.0, 1.0], [bad, 0.0]])
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.txt"
