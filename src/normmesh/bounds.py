@@ -53,29 +53,13 @@ from .errors import InvariantViolation, ValidationError, check_int
 
 _BASE_DPS = 30
 # Digits carried beyond those a real is correct to, and the working
-# precision of the entropy chain and of ``log_distortion_inverse``.
+# precision of the entropy chain.
 _GUARD = 10
 _CHAIN_DPS = 40
 # Entries per cache of input-only values: one per (c_hat, d, k), per
 # accuracy and precision, or per chain for the bracket; the 120 chains of
 # a benchmark sweep fill at most 120 of any one.
 _CACHE_ENTRIES = 256
-
-# Stable wire names for reported formulas, used verbatim in JSON reports.
-FORMULA_NAMES = (
-    "N_dn",
-    "N_ds_cor1",
-    "dist_bound_A",
-    "N_tilde_dn",
-    "dist_bound_cor1",
-    "s_eps",
-    "s_eps_bound_3_7",
-    "R_eps",
-    "inv_xi_3_8",
-    "log_net_card",
-    "entropy_chain_final",
-)
-
 
 def _digits(prec: int):
     """A decimal context of ``prec`` significant digits whose exponent range
@@ -272,17 +256,6 @@ def _phi_gap(x, y, k: int, log):
     return (1 + k * log_x) / x - y, (k - 1 - k * log_x) / (x * x)
 
 
-def log_distortion(x: float, k: int = 1) -> float:
-    """phi(x) = (1 + k ln x) / x, the log of (e x^k)^(1/x).
-
-    Strictly decreasing for x >= e^((k-1)/k).
-    """
-    k = check_int(k, "growth order")
-    if x <= 0:
-        raise ValidationError(f"argument must be positive, got {x}")
-    return (1.0 + k * math.log(x)) / x
-
-
 def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
     """Root of phi(x) = y in [lo, hi] by Newton's method from x, in floats
     or Decimals alike.
@@ -412,21 +385,6 @@ def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
     x = Decimal(seed) if seed is not None and lower < seed < upper else upper
     return _phi_root(y, k, lower, upper, x, _continued_log(), Decimal(1).scaleb(5 - prec),
                      4 * (prec + max(upper.adjusted(), 0)) + 40)
-
-
-def log_distortion_inverse(y: float, k: int = 1) -> float:
-    """Solve phi(x) = y on the decreasing branch x >= e^((k-1)/k).
-
-    Valid for 0 < y <= e^(-(k-1)/k); the root lies below
-    (3k/y) ln(3k/y), which bounds the Newton bracket.
-    """
-    k = check_int(k, "growth order")
-    with _digits(_CHAIN_DPS):
-        yy = Decimal(float(y))
-        if yy <= 0 or yy > _branch(k)[1]:
-            raise ValidationError(
-                f"y must lie in (0, e^(-(k-1)/k)] for k={k}, got {y}")
-        return float(_phi_inverse(yy, k))
 
 
 def _near_one(f: Callable[[Decimal], Decimal], x: Decimal) -> Decimal:

@@ -9,12 +9,13 @@ each ``--set`` only the set flags it reads.
 Exit codes: 0 success, 2 validation, input or argument error, 3 violated
 certificate or precision audit.  ``main`` returns the code; ``run``, the
 process entry point, exits with it without interpreter teardown
-(``errors.exit_process``).  An ``--out`` that is a directory or an
+(``errors.exit_process``).  An ``--out`` that is empty, a directory or an
 unwritable file, or whose directory is missing or not writable, is
-refused before any computation.  Each handler imports the modules it
-uses: ``bounds``, ``entropy`` and ``dims`` without ``--set`` run without
-loading numpy, and the closed forms, like a ``--schedule``, compute in
-the standard library's ``decimal``.
+refused before any computation; an empty ``--params``, ``--schedule`` or
+``--cloud`` exits 2 as a malformed one does.  Each handler imports the
+modules it uses: ``bounds``, ``entropy`` and ``dims`` without ``--set``
+run without loading numpy, and the closed forms, like a ``--schedule``,
+compute in the standard library's ``decimal``.
 """
 
 from __future__ import annotations
@@ -84,11 +85,11 @@ def _set_from_args(args) -> sets.CompactSetModel:
     _refuse_unread_set_flags(args)
     kind, n = args.set, args.n
     if kind == "cloud":
-        if not args.cloud:
+        if args.cloud is None:
             raise ValidationError("--cloud <path> is required with --set cloud")
         return sets.load_point_cloud(args.cloud, n)
     resolution = 101 if args.resolution is None else args.resolution
-    params = _parse_reals(args.params, "--params") if args.params else None
+    params = None if args.params is None else _parse_reals(args.params, "--params")
     if kind == "box":
         if params is None:
             pairs = [(-1.0, 1.0)] * n
@@ -169,7 +170,7 @@ def _cmd_bounds(args) -> dict:
     report = bounds.poly_bound_report(args.n, args.d)
     values = report.to_json_values()
     inputs = dict(report.inputs)
-    if args.schedule:
+    if args.schedule is not None:
         s, k, chat = _parse_schedule(args.schedule)
         values += bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
         inputs.update({"s": s, "k": k, "c_hat": chat})
@@ -211,7 +212,8 @@ def _certificate_report(args, cert: landau.EmbeddingCertificate,
                         anchors: tuple[str, ...] = (), **inputs) -> dict:
     """The report of ``embed`` and ``distort``: ``anchors`` and ``inputs``
     are the command's own, after those the two share."""
-    anchors = ["power-embedding", *anchors] + (["power-schedule"] if args.schedule else [])
+    anchors = ["power-embedding", *anchors] + (
+        [] if args.schedule is None else ["power-schedule"])
     return {
         "command": args.command,
         "inputs": {
@@ -242,7 +244,7 @@ def _cmd_distort(args) -> dict:
 def _cmd_entropy(args) -> dict:
     from . import bounds
 
-    if args.schedule:
+    if args.schedule is not None:
         _, k, chat = _parse_schedule(args.schedule)
     elif args.n is not None:
         k, chat = args.n, math.exp(2 * args.n)
@@ -299,7 +301,7 @@ def _render(report: dict, fmt: str) -> str:
 
 def _emit(report: dict, args) -> None:
     payload = _render(report, args.format)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     elif sys.stdout is None:
@@ -375,7 +377,7 @@ def _build_parser(command: str | None = None) -> _Parser:
 def _run_command(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    if args.out:
+    if args.out is not None:
         check_out_path(args.out)
     if "seed" in args:  # mesh, embed and distort echo it; it changes no result
         check_int(args.seed, "seed", minimum=0)

@@ -90,14 +90,16 @@ def check_dense(rows: int, cols: int, what: str) -> None:
 
 
 def check_out_path(path: str) -> None:
-    """Refuse an output file that is a directory, is not writable, or whose
-    directory is missing or not writable.
+    """Refuse an output file that is empty, is a directory, is not
+    writable, or whose directory is missing or not writable.
 
     Raises the ``OSError`` that opening ``path`` for writing would raise,
     so a command can refuse it before any work, and creates nothing.
     """
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
+    if not path:
+        code = errno.ENOENT
+    elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
     elif os.path.isdir(path):
         code = errno.EISDIR
@@ -108,22 +110,17 @@ def check_out_path(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def report_error(exc: Exception) -> int:
-    """Print ``exc`` on stderr as ``ERROR[code]: ...`` and return the exit
-    code: 3 for a violated certificate or precision audit, 2 otherwise."""
-    code = 3 if isinstance(exc, InvariantViolation) else 2
-    print(f"ERROR[{code}]: {exc}", file=sys.stderr)
-    return code
-
-
 def exit_code_of(main: Callable[..., int], *args) -> int:
-    """``main(*args)``, or the code ``report_error`` returns for the
-    ``NormMeshError`` or ``OSError`` it raised; any other exception
-    propagates."""
+    """``main(*args)``, or for the ``NormMeshError`` or ``OSError`` it
+    raised, an exit code after printing the error on stderr as
+    ``ERROR[code]: ...``: 3 for a violated certificate or precision audit,
+    2 otherwise.  Any other exception propagates."""
     try:
         return main(*args)
     except (NormMeshError, OSError) as exc:
-        return report_error(exc)
+        code = 3 if isinstance(exc, InvariantViolation) else 2
+        print(f"ERROR[{code}]: {exc}", file=sys.stderr)
+        return code
 
 
 def exit_process(code: int) -> NoReturn:

@@ -73,21 +73,24 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
 class EmbeddingCertificate:
     """A concrete embedding of a polynomial space into l_inf(nodes).
 
-    ``certified_bound`` dominates max_G |f| / max_nodes |f| for every
-    member f; ``empirical_distortion`` is the largest such ratio on the
-    grid, exhibited by a polynomial, once ``estimate_distortion`` has run
-    (1.0 until then).  The grid, its norming constant and its size are
-    read from ``node_set``, and the evaluation matrices are built from
-    it when read.
+    ``certified_bound``, L^(1/p) with L the grid norming constant,
+    dominates max_G |f| / max_nodes |f| for every member f;
+    ``empirical_distortion`` is the largest such ratio on the grid,
+    exhibited by a polynomial, once ``estimate_distortion`` has run (1.0
+    until then).  The grid, L and the grid size are read from
+    ``node_set``, and the evaluation matrices are built from it when read.
     """
 
     space: polyspace.PolySpace
     set_model: sets.CompactSetModel
     p: int
     node_set: meshgen.NodeSet
-    certified_bound: float
     empirical_distortion: float
     schedule_c: float | None = None
+
+    @property
+    def certified_bound(self) -> float:
+        return self.node_set.grid_constant ** (1.0 / self.p)
 
     @property
     def grid_constant(self) -> float:
@@ -145,7 +148,6 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
         set_model=set_model,
         p=p,
         node_set=node_set,
-        certified_bound=float(node_set.grid_constant ** (1.0 / p)),
         empirical_distortion=1.0,
         schedule_c=schedule_c,
     )

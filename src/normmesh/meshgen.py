@@ -75,24 +75,31 @@ _TIE_RTOL = 1e-9
 class NodeSet:
     """Selected nodes plus the certificates of their fresh cardinal matrix.
 
+    Only measured values are stored; ``nodes`` are the ``node_indices``
+    rows of ``grid_points``, the grid the nodes were selected on.
     ``log_abs_det`` is reported in the orthonormalized (conditioned)
     basis.  ``lagrange_sup`` is max over the grid of max_k |f_k|, and
     ``swap_optimal`` is ``lagrange_sup <= 1 + TOL_SWAP``: by the Cramer
     identity, no swap grows |det| by more than a 1 + TOL_SWAP factor.
     ``grid_constant`` is the norming constant L = max over the grid of
-    sum_k |f_k|, read from the same cardinal matrix.  ``grid_points`` is
-    the grid the nodes were selected on.
+    sum_k |f_k|, read from the same cardinal matrix.
     """
 
     space: polyspace.PolySpace
-    nodes: np.ndarray
     node_indices: tuple[int, ...]
     log_abs_det: float
-    swap_optimal: bool
     lagrange_sup: float
     grid_constant: float
     grid_points: np.ndarray = field(repr=False)
     sweeps: int
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.grid_points[list(self.node_indices)]
+
+    @property
+    def swap_optimal(self) -> bool:
+        return self.lagrange_sup <= 1.0 + TOL_SWAP
 
     @property
     def grid_size(self) -> int:
@@ -131,10 +138,11 @@ def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
     rows = cardinals.T
     pivot = rows[k]
     pivot /= pivot[z]
-    weights = rows[:, z].copy()
+    weights = rows[:, z].tolist()
     weights[k] = 0.0
-    for j in np.flatnonzero(weights):
-        rows[j] -= weights[j] * pivot
+    for row, weight in zip(rows, weights):
+        if weight:
+            row -= weight * pivot
 
 
 def _greedy_rows(q: np.ndarray) -> list[int]:
@@ -205,10 +213,11 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     for sweeps in range(1, MAX_SWEEPS + 1):
         improved = False
         for k in range(m):
-            better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + TOL_SWAP)
-            if better.size:
-                chosen[k] = int(better[0])
-                _swap_cardinals(cardinals, k, chosen[k])
+            better = np.abs(cardinals[:, k]) > 1.0 + TOL_SWAP
+            z = int(better.argmax())
+            if better[z]:
+                chosen[k] = z
+                _swap_cardinals(cardinals, k, z)
                 improved = updated = True
         if not improved:
             # A clean sweep over rank-1 updates may rest on rounding drift
@@ -249,18 +258,14 @@ def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray
     """The NodeSet of grid nodes ``indices`` and its certificates.
 
     ``cardinals`` is the fresh product ``_cardinal_values(q, indices)``,
-    which this overwrites; ``lagrange_sup``, ``grid_constant`` and
-    ``swap_optimal`` are read from it, the last by the Cramer identity.
+    which this overwrites; ``lagrange_sup`` and ``grid_constant`` are read from it.
     """
     magnitudes = np.abs(cardinals, out=cardinals)
-    lagrange_sup = float(magnitudes.max())
     return NodeSet(
         space=space,
-        nodes=grid_points[indices].copy(),
         node_indices=tuple(indices),
         log_abs_det=_log_abs_det(q, indices),
-        swap_optimal=lagrange_sup <= 1.0 + TOL_SWAP,
-        lagrange_sup=lagrange_sup,
+        lagrange_sup=float(magnitudes.max()),
         grid_constant=float(magnitudes.sum(axis=1).max()),
         grid_points=grid_points,
         sweeps=sweeps,

@@ -121,7 +121,7 @@ def test_criterion_6_entropy_scale_identities():
                 rep = bounds.entropy_chain(1, k, math.exp(2), 1, float(eps))
                 s_eps = float(rep.value("s_eps"))
                 target = math.log1p(float(eps)) / 4.0
-                got = bounds.log_distortion(s_eps, k)
+                got = (1.0 + k * math.log(s_eps)) / s_eps
                 assert abs(got - target) <= 1e-10 * target
                 assert rep.value("s_eps") <= rep.value("s_eps_bound_3_7")
                 r = float(rep.value("R_eps"))

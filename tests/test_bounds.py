@@ -14,8 +14,7 @@ import mpmath as mp
 import pytest
 
 from normmesh import bounds
-from normmesh.bounds import (FORMULA_NAMES, entropy_chain, format_real, log_distortion,
-                             log_distortion_inverse, log_floor, poly_bound_report,
+from normmesh.bounds import (entropy_chain, format_real, log_floor, poly_bound_report,
                              poly_distortion_bound, poly_embedding_size,
                              schedule_bound_report, schedule_distortion_bound,
                              scheduled_embedding_size)
@@ -230,17 +229,14 @@ class TestDistortionConstants:
         assert sched.value("N_ds_cor1") == 6
 
     def test_wire_names_registry(self):
-        assert set(FORMULA_NAMES) >= {
-            "N_dn", "N_ds_cor1", "dist_bound_A", "dist_bound_cor1",
-            "s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
-            "log_net_card", "entropy_chain_final"}
-
-    def test_every_emitted_name_is_registered(self):
         reports = [poly_bound_report(1, 1), poly_bound_report(3, 5),
                    schedule_bound_report(2, 1, 1.0, 3),
                    entropy_chain(1, 1, math.e ** 2, 1, 0.5)]
         emitted = {name for rep in reports for name, _, _ in rep.values}
-        assert emitted <= set(FORMULA_NAMES), emitted - set(FORMULA_NAMES)
+        assert emitted == {
+            "N_dn", "N_ds_cor1", "dist_bound_A", "N_tilde_dn", "dist_bound_cor1",
+            "s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
+            "log_net_card", "entropy_chain_final"}
 
     def test_json_rendering_types(self):
         rep = poly_bound_report(1, 2)
@@ -311,36 +307,10 @@ class TestRendering:
 
 
 class TestLogDistortion:
-    def test_known_points(self):
-        assert log_distortion(1.0, 1) == pytest.approx(1.0, rel=1e-15)
-        assert log_distortion(math.e, 1) == pytest.approx(2.0 / math.e, rel=1e-15)
-
-    def test_decreasing_on_branch(self):
-        for k in (1, 2, 4):
-            edge = math.exp((k - 1) / k)
-            xs = [edge * (1.1 ** i) for i in range(30)]
-            vals = [log_distortion(x, k) for x in xs]
-            assert all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
-
     def test_inverse_frozen_value(self):
-        got = log_distortion_inverse(0.101366, 1)
+        with bounds._digits(bounds._CHAIN_DPS):
+            got = float(bounds._phi_inverse(Decimal(0.101366), 1))
         assert got == pytest.approx(48.069933740119022281, rel=1e-13)
-
-    def test_roundtrip(self):
-        for k in (1, 2, 3):
-            for y in (0.02, 0.1, 0.3):
-                x = log_distortion_inverse(y, k)
-                assert log_distortion(x, k) == pytest.approx(y, rel=1e-10)
-                majorant = (3 * k / y) * math.log(3 * k / y)
-                assert x <= majorant
-
-    def test_branch_window_enforced(self):
-        with pytest.raises(ValidationError):
-            log_distortion_inverse(0.0, 1)
-        with pytest.raises(ValidationError):
-            log_distortion_inverse(0.7, 2)   # above e^(-1/2)
-        with pytest.raises(ValidationError):
-            log_distortion(0.0, 1)
 
 
 class TestEntropyChain:

@@ -130,6 +130,11 @@ class TestBounds:
                 assert out == ""
                 assert err == ("ERROR[2]: --schedule expects s,k,chat as int,int,real: "
                                f"invalid literal for int() with base 10: '{token}'\n")
+        # an empty schedule is malformed, not omitted
+        for command in (["bounds", "--n", "1", "--d", "2"],
+                        ["entropy", "--n", "1", "--d", "2", "--eps", "0.1"]):
+            rc, out, err = run_main([*command, "--schedule", "", "--no-timestamp"], capsys)
+            assert (rc, out, err) == (2, "", "ERROR[2]: --schedule expects s,k,chat\n")
 
 
 class TestMesh:
@@ -448,7 +453,7 @@ class TestOutputModes:
         assert err == f"ERROR[2]: [Errno 2] No such file or directory: {str(target)!r}\n"
 
     @pytest.mark.parametrize("where", [
-        "missing", "file", "read-only", "directory",
+        "missing", "file", "read-only", "directory", "empty",
         pytest.param("read-only-file", marks=pytest.mark.skipif(
             os.name != "posix" or os.geteuid() == 0,
             reason="a root process may write to a read-only file"))])
@@ -464,6 +469,8 @@ class TestOutputModes:
             target, message = tmp_path / "report.json", "Permission denied"
         elif where == "directory":
             target, message = tmp_path, "Is a directory"
+        elif where == "empty":
+            target, message = "", "No such file or directory"
         elif where == "read-only-file":
             (tmp_path / "file").chmod(0o444)
             target, message = tmp_path / "file", "Permission denied"
@@ -773,6 +780,7 @@ class TestSubprocess:
             ("0,x,1", "ball",
              "--params expects comma-separated reals: could not convert string to float: 'x'"),
             (",", "box", "--params received no values"),
+            ("", "box", "--params received no values"),
         ]:
             rc, out, err = run_main(
                 ["mesh", "--set", kind, "--n", "2", "--d", "1", "--params", params,

@@ -228,7 +228,7 @@ class TestDistortionProbe:
 
     def test_falsified_certificate_detected(self):
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 1)
-        cert.certified_bound = 0.5
+        cert.node_set.grid_constant = 0.5  # p = 1, so the bound is 0.5
         with pytest.raises(InvariantViolation):
             estimate_distortion(cert)
 
