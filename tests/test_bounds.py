@@ -228,15 +228,25 @@ class TestDistortionConstants:
         assert [name for name, _, _ in sched.values] == ["N_ds_cor1", "dist_bound_cor1"]
         assert sched.value("N_ds_cor1") == 6
 
-    def test_wire_names_registry(self):
+    WIRE_NAMES = {
+        "N_dn", "N_ds_cor1", "dist_bound_A", "N_tilde_dn", "dist_bound_cor1",
+        "s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
+        "log_net_card", "entropy_chain_final"}
+
+    @staticmethod
+    def emitted_names():
         reports = [poly_bound_report(1, 1), poly_bound_report(3, 5),
                    schedule_bound_report(2, 1, 1.0, 3),
                    entropy_chain(1, 1, math.e ** 2, 1, 0.5)]
-        emitted = {name for rep in reports for name, _, _ in rep.values}
-        assert emitted == {
-            "N_dn", "N_ds_cor1", "dist_bound_A", "N_tilde_dn", "dist_bound_cor1",
-            "s_eps", "s_eps_bound_3_7", "R_eps", "inv_xi_3_8",
-            "log_net_card", "entropy_chain_final"}
+        return {name for rep in reports for name, _, _ in rep.values}
+
+    def test_wire_names_registry(self):
+        missing = self.WIRE_NAMES - self.emitted_names()
+        assert not missing, missing
+
+    def test_every_emitted_name_is_registered(self):
+        unknown = self.emitted_names() - self.WIRE_NAMES
+        assert not unknown, unknown
 
     def test_json_rendering_types(self):
         rep = poly_bound_report(1, 2)
