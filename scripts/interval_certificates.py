@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--powers", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--out", help="write rows as JSON lines")
     args = parser.parse_args()
-    if args.out:
+    if args.out is not None:
         check_out_path(args.out)
 
     model = sets.box([(-1.0, 1.0)], args.resolution)
@@ -47,7 +47,7 @@ def main() -> int:
                 "certified_bound": cert.certified_bound,
                 "observed": observed,
             })
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             for row in rows:
                 handle.write(json.dumps(row) + "\n")

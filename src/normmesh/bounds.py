@@ -189,17 +189,19 @@ def _check_chat(c_hat) -> Decimal:
 
 def log_floor(c_hat, d: int, k: int) -> int:
     """Audited floor(ln(c_hat * d^k)); requires c_hat * d^k >= 1."""
-    return _schedule_level(c_hat, check_int(d, "degree"), check_int(k, "growth order"))[1]
+    d = check_int(d, "degree")
+    k = check_int(k, "growth order")
+    return _log_floor(_schedule_growth(c_hat, d, k), d, k)
 
 
-def _schedule_level(c_hat, d: int, k: int) -> tuple[Decimal, int]:
-    """The checked c_hat, and ``log_floor`` of it and of checked d and k."""
+def _schedule_growth(c_hat, d: int, k: int) -> Decimal:
+    """The checked c_hat, for checked d and k with c_hat * d^k >= 1."""
     c = _check_chat(c_hat)
     with _digits(_BASE_DPS):
         if c * d ** k < 1:
             raise ValidationError(
                 f"need c_hat * d^k >= 1 for the schedule, got {c_hat!r} * {d}^{k}")
-    return c, _log_floor(c, d, k)
+    return c
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -237,8 +239,12 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
     s = check_int(s, "schedule parameter s", minimum=3)
-    c, inner = _schedule_level(c_hat, d, k)
-    count = d ** k * s ** k * (inner + 1) ** k
+    return _scheduled_size(_schedule_growth(c_hat, d, k), d, k, s)
+
+
+def _scheduled_size(c: Decimal, d: int, k: int, s: int) -> int:
+    """``scheduled_embedding_size`` of checked arguments with c d^k >= 1."""
+    count = d ** k * s ** k * (_log_floor(c, d, k) + 1) ** k
     return _audited_floor(lambda: c * count, "scheduled_embedding_size")
 
 
@@ -496,7 +502,8 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         s_int = math.floor(s_eps)
         if s_int < 3:
             raise InvariantViolation(f"schedule scale floor(s_eps) = {s_int} fell below 3")
-        num_nodes = scheduled_embedding_size(d, k, c_hat, s_int)
+        # 1 <= nbar <= c_hat d^k: the schedule's condition holds
+        num_nodes = _scheduled_size(chat, d, k, s_int)
 
         log_card = num_nodes * nbar * log_net
 

@@ -103,15 +103,15 @@ class EmbeddingCertificate:
     @property
     def grid_values(self) -> np.ndarray:
         """The space's basis at every grid point, one row per point."""
-        # Monomials at degree d, not the selection basis: constants evaluate
-        # to exactly 1, so a constant or affine space's distortion is exactly 1.
-        return polyspace.vandermonde(self.space, self.node_set.grid_points)
+        grid_points = self.node_set.grid_points
+        return polyspace.vandermonde(self.space, grid_points, polyspace.grid_box(grid_points))
 
     @property
     def restriction(self) -> np.ndarray:
         """The space's basis at the nodes, the node rows of ``grid_values``:
         the embedding in matrix form.  Each row is evaluated from its own
-        point alone, so these are the rows of ``vandermonde(space, nodes)``."""
+        point alone, so these are the rows of ``vandermonde(space, nodes)``
+        in the grid's box."""
         return self.grid_values[list(self.node_set.node_indices)]
 
     def to_json_dict(self) -> dict:

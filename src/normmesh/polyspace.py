@@ -1,30 +1,31 @@
-"""Multivariate polynomial spaces in a graded monomial basis.
+"""Multivariate polynomial spaces in a graded Chebyshev basis.
 
 The space of real polynomials of total degree at most d in n variables is
 identified by (n, d); its dimension is the binomial count, and its ordered
-basis of monomials is enumerated only when first evaluated, so size checks
-run before any exponent tuple exists.  Exponent tuples are listed degree
-block by degree block, starting with the zero tuple, and inside each block
+basis is enumerated only when first evaluated, so size checks run before
+any exponent tuple exists.  Exponent tuples are listed degree block by
+degree block, starting with the zero tuple, and inside each block
 lexicographically with the first variable dominant:
 
-    n = 2, d = 2:  1, x1, x2, x1^2, x1*x2, x2^2
+    n = 2, d = 2:  (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
 
 Vandermonde columns follow this one ordering, so indices are meaningful
-across modules.
-
-Evaluation uses per-coordinate power tables, one multiplication chain per
-coordinate, rather than repeated exponentiation.
+across modules.  Tuple alpha is T_alpha1(y1) ... T_alphan(yn), T_k the
+Chebyshev polynomials and y the point with each axis of the grid's
+bounding box (``grid_box``) mapped affinely onto [-1, 1], as in Bos, De
+Marchi, Sommariva and Vianello (SIAM J. Numer. Anal. 48, 2010): each
+member is at most 1 in magnitude on the grid, wherever the grid sits.
 
 The grid Vandermonde is never built whole: the trace rank and node
 selection's orthonormal basis are tall-skinny QRs over the same strided
-row blocks (``_row_blocks``).  The trace rank keeps only R and tries to
-prove full rank from the first block: deleting rows of a matrix never
-raises a singular value, and the largest singular value of the whole grid
-Vandermonde is bounded by its Frobenius norm, which the largest
-|coordinate| bounds without evaluating the grid.  A grid the first block
-cannot certify (rank deficient, or too badly conditioned for the bound)
-has the rest of its rows folded onto that block, so no row is evaluated
-twice.
+row blocks (``_row_blocks``), each mapped into the box as it is
+evaluated.  The trace rank keeps only R and tries to prove full rank
+from the first block: deleting rows of a matrix never raises a singular
+value, and the largest singular value of the whole N x m grid
+Vandermonde is at most its Frobenius norm, at most sqrt(N m).  A grid
+the first block cannot certify (rank deficient, or too badly
+conditioned for the bound) has the rest of its rows folded onto that
+block, so no row is evaluated twice.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ _RANK_BLOCK_ROWS_PER_COLUMN = 4
 # Singular values at or below this fraction of the largest count as zero,
 # both for the grid trace rank and for node selection's rank guard.
 RANK_TOL = 1e-10
-# The rank guard calls a shortfall a conditioning limit of the monomial
+# The rank guard calls a shortfall a conditioning limit of the Chebyshev
 # basis, not a rank deficiency of the grid, when the largest dropped
-# singular value is above this fraction of the largest.  Measured, true
-# deficiencies (circles, spheres, a line) drop values of 1e-17 to 1e-15;
-# conditioning limits on boxes drop values of 1e-11 to 1e-10.
+# singular value is above this fraction of the largest.  Measured, a true
+# deficiency drops 1.6e-16 on the circle (degree 3 @64); conditioning
+# limits on [-1,1] drop 4.6e-11 (degree 72 @101) and 6.6e-11 (104 @201).
 _ROUNDOFF_DROP = 1e-3 * RANK_TOL
 
 
@@ -116,23 +117,40 @@ def _as_points(points, n: int) -> np.ndarray:
     return pts
 
 
-def vandermonde(space: PolySpace, points) -> np.ndarray:
-    """Evaluation matrix: entry (i, j) is basis monomial j at point i.
+def grid_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis minima and maxima of an (N, n) grid: the box of its basis."""
+    # one column at a time: a reduction across the rows of (N, n) is ~8x slower
+    return (np.array([axis.min() for axis in points.T]),
+            np.array([axis.max() for axis in points.T]))
 
-    A matrix above the dense-array byte budget is refused before anything
-    is allocated or the basis is enumerated.
+
+def vandermonde(space: PolySpace, points, box) -> np.ndarray:
+    """Evaluation matrix: entry (i, j) is basis member j at point i.
+
+    ``box`` is (lower, upper), the ``grid_box`` of the points' grid;
+    coordinates that rounding maps outside [-1, 1] are clipped back.  A
+    matrix above the dense-array byte budget is refused before anything is
+    allocated or the basis is enumerated.
     """
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
     check_dense(npts, space.dim, "evaluation matrix")
-    powers = np.ones((space.n, npts, space.d + 1))
-    for e in range(1, space.d + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * pts.T
+    lower, upper = (np.asarray(edge, dtype=float)[:, None] for edge in box)
+    half = (upper - lower) / 2.0
+    # a flat axis maps to 0
+    y = np.clip((pts.T - (lower + upper) / 2.0) / np.where(half > 0.0, half, 1.0), -1.0, 1.0)
+    # cheb[axis, k] is T_k of that coordinate at every point
+    cheb = np.empty((space.n, space.d + 1, npts))
+    cheb[:, 0] = 1.0
+    if space.d:
+        cheb[:, 1] = y
+    for k in range(2, space.d + 1):
+        cheb[:, k] = 2.0 * y * cheb[:, k - 1] - cheb[:, k - 2]
     out = np.empty((npts, space.dim))
     for j, alpha in enumerate(space.basis):
-        col = powers[0, :, alpha[0]]
+        col = cheb[0, alpha[0]]
         for axis in range(1, space.n):
-            col = col * powers[axis, :, alpha[axis]]
+            col = col * cheb[axis, alpha[axis]]
         out[:, j] = col
     return out
 
@@ -163,51 +181,30 @@ def trace_dimension(space: PolySpace, points) -> int:
     dense-array byte budget is refused as if it were built whole.
 
     When there is more than one block, the R of the first block is
-    screened (``_certifies_full_rank``): if it proves that the rank is m,
-    that is the result and no other row is evaluated.  Otherwise the
-    remaining blocks are folded onto it, so a grid the screen cannot
-    certify costs one m x m SVD more than the fold alone.
+    screened: if it proves that the rank is m, that is the result and no
+    other row is evaluated.  Otherwise the remaining blocks are folded onto
+    it, so a grid the screen cannot certify costs one m x m SVD more than
+    the fold alone.  With V the N x m grid Vandermonde and V_1 the first
+    block's rows, deleting rows never raises a singular value
+    (interlacing), so sigma_m(V) >= sigma_m(V_1), and every entry of V is
+    at most 1 in magnitude, so sigma_1(V) <= ||V||_F <= sqrt(N m).  Hence
+    sigma_m(V_1) > 2 RANK_TOL sqrt(N m) gives sigma_m(V) > 2 RANK_TOL
+    sigma_1(V), and the rule of ``_numerical_rank`` counts all m values;
+    the factor 2 covers rounding in the entries and in the computed
+    singular values, of order machine epsilon times m times ||V||.
     """
     pts = _as_points(points, space.n)
     m = space.dim
     check_dense(pts.shape[0], m, "evaluation matrix")
-    blocks = _row_blocks(pts.shape[0], m)
-    r = np.linalg.qr(vandermonde(space, pts[blocks[0]]), mode="r")
-    if len(blocks) > 1 and _certifies_full_rank(space, pts, r):
-        return m
+    blocks, box = _row_blocks(pts.shape[0], m), grid_box(pts)
+    r = np.linalg.qr(vandermonde(space, pts[blocks[0]], box), mode="r")
+    if len(blocks) > 1:
+        svals = np.linalg.svd(r, compute_uv=False)
+        if svals.size == m and svals[-1] > 2.0 * RANK_TOL * math.sqrt(pts.shape[0] * m):
+            return m
     for block in blocks[1:]:
-        r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block]))), mode="r")
+        r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block], box))), mode="r")
     return _numerical_rank(np.linalg.svd(r, compute_uv=False))
-
-
-def _certifies_full_rank(space: PolySpace, pts: np.ndarray, r: np.ndarray) -> bool:
-    """Whether ``r``, the R factor of some rows of V, proves numerical rank m.
-
-    With V the N x m Vandermonde of ``pts`` and V_sub the rows that ``r``
-    factors (its singular values are those of V_sub):
-
-    - deleting rows never raises a singular value (interlacing), so
-      sigma_m(V) >= sigma_m(V_sub);
-    - every monomial obeys |x^alpha| <= R^|alpha|, R the largest
-      |coordinate|, and C(k+n-1, n-1) monomials have degree k, so
-      sigma_1(V) <= ||V||_F <= sqrt(N * sum_k C(k+n-1, n-1) R^(2k)).
-
-    So sigma_m(V_sub) > 2 RANK_TOL * bound gives sigma_m(V) > 2 RANK_TOL sigma_1(V),
-    and the rule of ``_numerical_rank`` counts all m values; the factor 2
-    covers rounding in the computed singular values, which is of order
-    machine epsilon times m times ||V||.  A bound that overflows to inf
-    certifies nothing.
-    """
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals.size < space.dim:
-        return False
-    radius = float(max(pts.max(), -pts.min()))
-    # products, not **: a float power that overflows raises instead of giving inf
-    total, power = 0.0, 1.0
-    for k in range(space.d + 1):
-        total += math.comb(k + space.n - 1, space.n - 1) * power
-        power *= radius * radius
-    return bool(svals[-1] > 2.0 * RANK_TOL * math.sqrt(pts.shape[0] * total))
 
 
 def _numerical_rank(svals: np.ndarray) -> int:
@@ -237,11 +234,12 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
             f"grid has {npts} points but the space needs at least {m} to determine "
             "a node set")
     check_dense(npts, m, "evaluation matrix")
-    blocks = _row_blocks(npts, m)
+    blocks, box = _row_blocks(npts, m), grid_box(pts)
     q = np.empty((npts, m))
     stacked = np.empty((len(blocks) * m, m))
     for b, block in enumerate(blocks):
-        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(vandermonde(space, pts[block]))
+        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(
+            vandermonde(space, pts[block], box))
     w, r = np.linalg.qr(stacked)
     for b, block in enumerate(blocks):
         q[block] = q[block] @ w[b * m:(b + 1) * m]
@@ -258,7 +256,7 @@ def _rank_shortfall(space: PolySpace, ratios: np.ndarray, rank: int) -> NonDeter
 
     ratios[0] = 1: the constant column is all ones, so rank >= 1.  The
     largest dropped value ratios[rank] near roundoff is a true rank
-    deficiency; far above it (``_ROUNDOFF_DROP``), the monomial basis is
+    deficiency; far above it (``_ROUNDOFF_DROP``), the Chebyshev basis is
     too badly conditioned for ``RANK_TOL`` on a grid that may well
     determine the space, and the error's ``conditioning_limited`` is set.
     """
@@ -269,7 +267,7 @@ def _rank_shortfall(space: PolySpace, ratios: np.ndarray, rank: int) -> NonDeter
     limited = bool(ratios[rank] > _ROUNDOFF_DROP)
     if limited:
         message = (
-            f"grid is conditioning-limited at degree {space.d} in the monomial basis: "
+            f"grid is conditioning-limited at degree {space.d} in the Chebyshev basis: "
             f"{shortfall}; the dropped singular values are far above roundoff, so the "
             "grid may still determine the space")
     else:

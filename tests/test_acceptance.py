@@ -50,12 +50,13 @@ def test_criterion_2_power_embeddings_hold_on_random_polynomials():
         model = sets.box([(-1.0, 1.0)], 2001)
         grid_points = sets.grid(model)
         space = polyspace.poly_space(1, 4)
-        grid_v = polyspace.vandermonde(space, grid_points)
+        box = polyspace.grid_box(grid_points)
+        grid_v = polyspace.vandermonde(space, grid_points, box)
         roots = {1: 5.0, 2: 3.0, 4: 17.0 ** 0.25}
         for p, root in roots.items():
             cert = landau.embed(space, model, p)
             assert cert.certified_bound <= root * (1.0 + 1e-8)
-            node_v = polyspace.vandermonde(space, cert.node_set.nodes)
+            node_v = polyspace.vandermonde(space, cert.node_set.nodes, box)
             rng = np.random.default_rng(2026)
             for _ in range(1000):
                 coeffs = rng.standard_normal(space.dim)

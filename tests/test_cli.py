@@ -12,7 +12,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from normmesh import cli, errors, landau, meshgen, polyspace, sets
+from normmesh import bounds, cli, errors, landau, meshgen, polyspace, sets
 from normmesh.errors import InvariantViolation
 
 
@@ -139,18 +139,18 @@ class TestBounds:
 
 class TestMesh:
     def test_conditioning_limit_reports_singular_value_ratio(self, capsys):
-        # monomials on [-1,1] @2001 reach the rank cut at degree 28 through
-        # conditioning, not through a rank deficiency: the ratio sits just
-        # under the tolerance, far above machine epsilon, and the message
-        # says so
+        # the Chebyshev basis on [-1,1] @101 reaches the rank cut at degree 72
+        # through conditioning, not through a rank deficiency: the ratio sits
+        # just under the tolerance, far above machine epsilon, and the
+        # message says so
         rc, out, err = run_main(
-            ["mesh", "--n", "1", "--d", "28", "--resolution", "2001",
+            ["mesh", "--n", "1", "--d", "72", "--resolution", "101",
              "--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
         match = re.fullmatch(
-            r"ERROR\[2\]: grid is conditioning-limited at degree 28 in the monomial basis: "
-            r"numerical rank 28 < dimension 29 \(s_r/s_1 = (\S+), s_\(r\+1\)/s_1 = (\S+), "
+            r"ERROR\[2\]: grid is conditioning-limited at degree 72 in the Chebyshev basis: "
+            r"numerical rank 72 < dimension 73 \(s_r/s_1 = (\S+), s_\(r\+1\)/s_1 = (\S+), "
             r"s_min/s_max = (\S+), rank tolerance 1e-10\); the dropped singular values are "
             r"far above roundoff, so the grid may still determine the space\n", err)
         assert match is not None, err
@@ -261,6 +261,18 @@ class TestEmbed:
         cert = payload["certificate"]
         assert cert["p"] == 9
         assert cert["schedule_c"] == pytest.approx(0.6995374295560366, rel=1e-14)
+
+    @pytest.mark.parametrize("resolution, degrees", [(101, range(1, 6)), (2001, range(1, 7))])
+    def test_scheduled_power_within_corollary_bound(self, capsys, resolution, degrees):
+        # the paper's headline case runs at nodes of degree up to 72: each
+        # certificate stays under dist_bound_cor1 = (e s^k)^(1/s) = 2.0128 at
+        # s = 3, k = 1
+        corollary = float(bounds.schedule_distortion_bound(3, 1))
+        for d in degrees:
+            cert = run_json(
+                ["embed", "--n", "1", "--d", str(d), "--schedule", "3,1,7.389",
+                 "--resolution", str(resolution), "--no-timestamp"], capsys)["certificate"]
+            assert cert["certified_bound"] <= corollary
 
     def test_power_schedule_exclusive(self, capsys):
         rc, _, err = run_main(

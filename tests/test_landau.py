@@ -10,7 +10,7 @@ from normmesh import bounds, landau, meshgen, polyspace, sets
 from normmesh.errors import InvariantViolation, ValidationError
 from normmesh.landau import (EmbeddingCertificate, embed, estimate_distortion,
                              power_schedule)
-from normmesh.polyspace import dim_full, poly_space, vandermonde
+from normmesh.polyspace import dim_full, grid_box, poly_space, vandermonde
 
 
 INTERVAL = sets.box([(-1.0, 1.0)], 2001)
@@ -129,8 +129,9 @@ class TestEmbed:
     def test_certificate_holds_on_sampled_polynomials(self):
         space = poly_space(1, 3)
         cert = embed(space, sets.box([(-1.0, 1.0)], 501), 2)
-        grid_v = vandermonde(space, sets.grid(sets.box([(-1.0, 1.0)], 501)))
-        node_v = vandermonde(space, cert.node_set.nodes)
+        grid_points = sets.grid(sets.box([(-1.0, 1.0)], 501))
+        grid_v = vandermonde(space, grid_points, grid_box(grid_points))
+        node_v = vandermonde(space, cert.node_set.nodes, grid_box(grid_points))
         rng = np.random.default_rng(3)
         for _ in range(300):
             coeffs = rng.standard_normal(space.dim)
@@ -164,9 +165,10 @@ class TestEmbed:
         (poly_space(2, 2), sets.ball([0.5, -0.5], 2.0, 31)),
     ], ids=["interval", "rectangle", "disk"])
     def test_restriction_is_the_node_vandermonde(self, space, model):
-        # the node rows of grid_values, bit for bit
+        # the node rows of grid_values, bit for bit, in the grid's box
         cert = embed(space, model, 2)
-        assert np.array_equal(cert.restriction, vandermonde(space, cert.node_set.nodes))
+        box = grid_box(cert.node_set.grid_points)
+        assert np.array_equal(cert.restriction, vandermonde(space, cert.node_set.nodes, box))
 
     def test_target_dimension_guard(self):
         with pytest.raises(ValidationError, match="grid has 121 points"):

@@ -23,14 +23,14 @@ from numpy.polynomial import chebyshev
 from normmesh import meshgen, polyspace, sets
 from normmesh.errors import NonDeterminingError, ValidationError
 from normmesh.meshgen import grid_norming_constant, make_node_set, select_nodes
-from normmesh.polyspace import poly_space, trace_dimension, vandermonde
+from normmesh.polyspace import grid_box, poly_space, trace_dimension, vandermonde
 
 
 def brute_force_max_det(space, grid_points):
     """Enumerate all node subsets; return (best |det|, best index tuple)."""
-    best = (-1.0, None)
+    best, box = (-1.0, None), grid_box(grid_points)
     for combo in itertools.combinations(range(grid_points.shape[0]), space.dim):
-        v = vandermonde(space, grid_points[list(combo)])
+        v = vandermonde(space, grid_points[list(combo)], box)
         a = abs(np.linalg.det(v))
         if a > best[0]:
             best = (a, combo)
@@ -118,9 +118,11 @@ class TestGreedySeed:
     def test_matches_right_looking_reference_in_two_bases(self, n, d, model):
         space = poly_space(n, d)
         grid_points = sets.grid(model)
-        monomial = polyspace.orthonormal_basis(space, grid_points)
-        picks = meshgen._greedy_rows(monomial)
-        assert picks == reference_greedy(monomial)
+        # the blocked basis of node selection, and numpy's chebval of the
+        # same members orthonormalized whole
+        blocked = polyspace.orthonormal_basis(space, grid_points)
+        picks = meshgen._greedy_rows(blocked)
+        assert picks == reference_greedy(blocked)
         cheb = chebyshev_basis(space, grid_points)
         cheb_picks = meshgen._greedy_rows(cheb)
         assert cheb_picks == reference_greedy(cheb)
@@ -164,7 +166,7 @@ class TestBlockedBasis:
         assert q.shape == (grid_points.shape[0], space.dim)
         assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
         # Q spans the columns of V: the projection leaves only roundoff
-        v = vandermonde(space, grid_points)
+        v = vandermonde(space, grid_points, grid_box(grid_points))
         assert np.linalg.norm(v - q @ (q.T @ v)) <= 1e-12 * np.linalg.norm(v)
         # the greedy seed reads only the span, so numpy's QR of the whole
         # matrix picks the same rows
@@ -188,7 +190,7 @@ class TestBlockedBasis:
         grid_points = sets.grid(sets.box([(-1.0, 1.0)], 2001))
         assert block_count(space, grid_points) == 1
         q = polyspace.orthonormal_basis(space, grid_points)
-        whole = np.linalg.qr(vandermonde(space, grid_points))[0]
+        whole = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))[0]
         np.testing.assert_allclose(q, whole, rtol=0, atol=1e-14)
 
     def test_grid_of_exactly_dim_points(self):
@@ -205,7 +207,8 @@ class TestBlockedBasis:
         # the same exchange, re-solved after every swap, on numpy's QR of
         # the whole grid Vandermonde: the strided blocks change no choice
         space = poly_space(n, d)
-        whole = np.linalg.qr(vandermonde(space, sets.grid(model)))[0]
+        grid_points = sets.grid(model)
+        whole = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))[0]
         expected = reference_exchange(space, model, q=whole)
         ns = select_nodes(space, sets.grid(model, space.dim))
         assert (ns.node_indices, ns.sweeps, ns.swap_optimal) == (
@@ -218,9 +221,9 @@ class TestBlockedBasis:
         grid_points = sets.grid(model)
         evaluated = []
 
-        def recording(space, points):
+        def recording(space, points, box):
             evaluated.append(np.array(points))
-            return vandermonde(space, points)
+            return vandermonde(space, points, box)
 
         monkeypatch.setattr(polyspace, "vandermonde", recording)
         select_nodes(space, sets.grid(model, space.dim))
@@ -359,10 +362,11 @@ class TestIntervalSelection:
         model = sets.box([(-1.0, 1.0)], 21)
         grid_points = sets.grid(model)
         best_det, best_combo = brute_force_max_det(space, grid_points)
-        assert best_det == pytest.approx(2.0, abs=1e-12)
+        # the Chebyshev Vandermonde of -1, 0, 1
+        assert best_det == pytest.approx(4.0, abs=1e-12)
         assert set(best_combo) == {0, 10, 20}
         ns = select_nodes(space, sets.grid(model, space.dim))
-        got = abs(np.linalg.det(vandermonde(space, ns.nodes)))
+        got = abs(np.linalg.det(vandermonde(space, ns.nodes, grid_box(grid_points))))
         assert got == pytest.approx(best_det, rel=1e-12)
 
     def test_exhaustive_search_degree_three(self):
@@ -371,7 +375,7 @@ class TestIntervalSelection:
         grid_points = sets.grid(model)
         best_det, _ = brute_force_max_det(space, grid_points)
         ns = select_nodes(space, sets.grid(model, space.dim))
-        got = abs(np.linalg.det(vandermonde(space, ns.nodes)))
+        got = abs(np.linalg.det(vandermonde(space, ns.nodes, grid_box(grid_points))))
         # exchange reaches swap-local optimality; on this grid it is global
         assert ns.swap_optimal
         assert got == pytest.approx(best_det, rel=1e-12)
@@ -422,8 +426,9 @@ class TestPlaneSelection:
         model = sets.box([(-1.0, 1.0), (-1.0, 1.0)], 31)
         ns = select_nodes(space, sets.grid(model, space.dim))
         lam = grid_norming_constant(ns, sets.grid(model, space.dim))
-        grid_v = vandermonde(space, sets.grid(model))
-        node_v = vandermonde(space, ns.nodes)
+        grid_points = sets.grid(model)
+        grid_v = vandermonde(space, grid_points, grid_box(grid_points))
+        node_v = vandermonde(space, ns.nodes, grid_box(grid_points))
         rng = np.random.default_rng(11)
         for _ in range(200):
             coeffs = rng.standard_normal(space.dim)
@@ -492,22 +497,38 @@ class TestCardinalSystem:
         np.testing.assert_allclose(
             cardinals[list(ns.node_indices)], np.eye(space.dim), atol=1e-12)
 
-    def test_monomial_route_agrees_with_conditioned_route(self):
-        # the norming constant must not depend on the working basis
+    def test_vandermonde_route_agrees_with_conditioned_route(self):
+        # the norming constant must not depend on the working basis: cardinal
+        # functions solved from the node Vandermonde, not read from Q
         space = poly_space(1, 4)
         model = sets.box([(-1.0, 1.0)], 201)
         ns = select_nodes(space, sets.grid(model, space.dim))
         lam = grid_norming_constant(ns, sets.grid(model, space.dim))
-        coef = np.linalg.solve(vandermonde(space, ns.nodes), np.eye(space.dim))
-        card = vandermonde(space, sets.grid(model)) @ coef
-        lam_monomial = np.abs(card).sum(axis=1).max()
-        assert lam == pytest.approx(lam_monomial, rel=1e-9)
+        grid_points = sets.grid(model)
+        box = grid_box(grid_points)
+        coef = np.linalg.solve(vandermonde(space, ns.nodes, box), np.eye(space.dim))
+        card = vandermonde(space, grid_points, box) @ coef
+        lam_vandermonde = np.abs(card).sum(axis=1).max()
+        assert lam == pytest.approx(lam_vandermonde, rel=1e-9)
 
     def test_certificate_requires_matching_grid(self):
         space = poly_space(1, 2)
         ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21), space.dim))
         with pytest.raises(ValidationError):
             grid_norming_constant(ns, sets.grid(sets.box([(-1.0, 1.0)], 41), space.dim))
+
+
+class TestAffineInvariance:
+    @pytest.mark.parametrize("n, d, resolution", [(1, 20, 2001), (2, 8, 41), (3, 3, 15)])
+    @pytest.mark.parametrize("interval", [(0.0, 5.0), (2.0, 3.0)])
+    def test_box_selects_the_indices_of_the_unit_box(self, n, d, resolution, interval):
+        # the basis lives on the grid's bounding box, so moving and scaling
+        # the box moves no node and leaves the norming constant
+        space = poly_space(n, d)
+        unit = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)] * n, resolution), space.dim))
+        moved = select_nodes(space, sets.grid(sets.box([interval] * n, resolution), space.dim))
+        assert moved.node_indices == unit.node_indices
+        assert moved.grid_constant == pytest.approx(unit.grid_constant, rel=1e-12, abs=0)
 
 
 class TestRankGuards:
@@ -537,13 +558,13 @@ class TestRankGuards:
 
     @pytest.mark.parametrize("model, d, rank, cause", [
         (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, "grid does not determine the space"),
-        (sets.box([(0.0, 5.0)], 2001), 11, 11, "grid is conditioning-limited"),
-        (sets.box([(2.0, 3.0)], 2001), 7, 7, "grid is conditioning-limited"),
-        (sets.box([(-1.0, 1.0)], 4001), 28, 28, "grid is conditioning-limited"),
+        (sets.box([(0.0, 5.0)], 101), 72, 72, "grid is conditioning-limited"),
+        (sets.box([(2.0, 3.0)], 101), 72, 72, "grid is conditioning-limited"),
+        (sets.box([(-1.0, 1.0)], 101), 72, 72, "grid is conditioning-limited"),
     ], ids=["circle", "interval-0-5", "interval-2-3", "interval-1-1"])
     def test_shortfall_names_its_cause(self, model, d, rank, cause):
         # the largest dropped singular value tells the two apart: ~1e-16 of
-        # the largest on the circle, ~1e-11 for the monomials on the
+        # the largest on the circle, ~5e-11 for the Chebyshev basis on the
         # intervals; either way the trace rank drops the same values
         space = poly_space(model.ambient_dim, d)
         with pytest.raises(NonDeterminingError) as info:

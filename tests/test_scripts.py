@@ -114,6 +114,14 @@ def test_out_directory_missing_exits_two(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_empty_exits_two():
+    # an empty --out is refused as the CLI refuses it, not read as omitted
+    proc = _certificates_without_selection("")
+    assert proc.returncode == 2
+    assert proc.stderr == "ERROR[2]: [Errno 2] No such file or directory: ''\n"
+    assert proc.stdout == ""
+
+
 def test_out_naming_a_directory_exits_two(tmp_path):
     proc = _certificates_without_selection(str(tmp_path))
     assert proc.returncode == 2
