@@ -14,7 +14,11 @@ The selection loop is a row-exchange determinant ascent.  By Cramer's
 rule, replacing node k with a grid point z multiplies the determinant of
 the node evaluation matrix by exactly f_k(z), so "no swap can grow |det|
 by more than a (1 + TOL_SWAP) factor" and "every |f_k| stays below
-1 + TOL_SWAP on the grid" are the same statement.  Each accepted swap
+1 + TOL_SWAP on the grid" are the same statement.  Each sweep moves
+node k to the grid point of largest |f_k|, the swap that grows |det|
+most for that node, whenever that value exceeds 1 + TOL_SWAP: the
+maxvol step of Goreinov, Oseledets, Savostyanov, Tyrtyshnikov and
+Zamarashkin ("How to find a good submatrix", 2010).  Each accepted swap
 grows log|det| by at least log(1 + TOL_SWAP); on a finite grid that
 bounds the number of swaps and forces termination.
 
@@ -31,11 +35,11 @@ the end of a run that exhausted its sweeps, so every reported
 certificate is read from a fresh product; each refills the one N x m
 cardinal buffer.
 
-The orthonormal basis Q is ``polyspace.orthonormal_basis``: a tall-skinny
-QR of the grid Vandermonde over the same strided blocks of grid rows as
-the trace rank, which also refuses a grid whose numerical rank falls
-short of m.  Node selection holds two N x m arrays (the basis and the
-cardinal matrix) plus one block of rows.
+The orthonormal basis Q is ``polyspace.orthonormal_basis``: the trace
+rank's R-only QR fold of the grid Vandermonde over its strided blocks of
+grid rows, then Q = V inv(R) block by block; it also refuses a grid
+whose numerical rank falls short of m.  Node selection holds two N x m
+arrays (the basis and the cardinal matrix) plus one block of rows.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
@@ -113,6 +117,7 @@ class NodeSet:
             "log_abs_det": float(self.log_abs_det),
             "swap_optimal": bool(self.swap_optimal),
             "lagrange_sup": float(self.lagrange_sup),
+            "sweeps": self.sweeps,
         }
 
 
@@ -184,17 +189,18 @@ def _log_abs_det(q: np.ndarray, indices: Sequence[int]) -> float:
 def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     """Pick dim(space) of the grid ``points`` by greedy init plus exchange sweeps.
 
-    One sweep walks the nodes in index order; for each node the grid is
-    scanned in grid order and the first swap improving |det| by a factor
-    above 1 + TOL_SWAP is applied immediately.  Sweeps repeat until one
-    passes clean or ``MAX_SWEEPS`` is exhausted (best nodes so far).
+    One sweep walks the nodes in index order; node k moves to the grid
+    point z of largest |f_k(z)| (the lowest grid index among equal
+    values), which grows |det| by that factor, whenever it exceeds
+    1 + TOL_SWAP.  Sweeps repeat until one passes clean or ``MAX_SWEEPS``
+    is exhausted (best nodes so far).
 
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
-    matrix is computed afresh from the orthonormal basis of the tall-skinny
-    QR, O(m^2 N), after the greedy seed; when a sweep comes back clean on
-    an updated matrix, where the fresh matrix must confirm it or sweeping
-    goes on; and once at the end of a run that exhausted ``MAX_SWEEPS``.
+    matrix is computed afresh from the orthonormal basis, O(m^2 N), after
+    the greedy seed; when a sweep comes back clean on an updated matrix,
+    where the fresh matrix must confirm it or sweeping goes on; and once
+    at the end of a run that exhausted ``MAX_SWEEPS``.
     A fresh product never reads the updated matrix; it overwrites it in
     place.  ``lagrange_sup``, ``grid_constant`` and ``swap_optimal`` are
     therefore read from a fresh product (``_node_set``), so a run whose
@@ -213,9 +219,8 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     for sweeps in range(1, MAX_SWEEPS + 1):
         improved = False
         for k in range(m):
-            better = np.abs(cardinals[:, k]) > 1.0 + TOL_SWAP
-            z = int(better.argmax())
-            if better[z]:
+            z = int(np.abs(cardinals[:, k]).argmax())
+            if abs(cardinals[z, k]) > 1.0 + TOL_SWAP:
                 chosen[k] = z
                 _swap_cardinals(cardinals, k, z)
                 improved = updated = True

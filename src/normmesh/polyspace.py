@@ -16,12 +16,13 @@ bounding box (``grid_box``) mapped affinely onto [-1, 1], as in Bos, De
 Marchi, Sommariva and Vianello (SIAM J. Numer. Anal. 48, 2010): each
 member is at most 1 in magnitude on the grid, wherever the grid sits.
 
-The grid Vandermonde is never built whole: the trace rank and node
-selection's orthonormal basis are tall-skinny QRs over the same strided
-row blocks (``_row_blocks``), each mapped into the box as it is
-evaluated.  The trace rank keeps only R and tries to prove full rank
-from the first block: deleting rows of a matrix never raises a singular
-value, and the largest singular value of the whole N x m grid
+The trace rank and node selection's orthonormal basis fold the grid
+Vandermonde into the R of one tall-skinny QR over the same strided row
+blocks (``_row_blocks``), each mapped into the box as it is evaluated.
+The basis keeps the blocks in its N x m result, which it turns into
+V inv(R) in place.  The trace rank keeps only R and tries to prove full
+rank from the first block: deleting rows of a matrix never raises a
+singular value, and the largest singular value of the whole N x m grid
 Vandermonde is at most its Frobenius norm, at most sqrt(N m).  A grid
 the first block cannot certify (rank deficient, or too badly
 conditioned for the bound) has the rest of its rows folded onto that
@@ -146,13 +147,15 @@ def vandermonde(space: PolySpace, points, box) -> np.ndarray:
         cheb[:, 1] = y
     for k in range(2, space.d + 1):
         cheb[:, k] = 2.0 * y * cheb[:, k - 1] - cheb[:, k - 2]
-    out = np.empty((npts, space.dim))
+    # built as its transpose, one contiguous row per member: the N x m
+    # result is column-major
+    out = np.empty((space.dim, npts))
     for j, alpha in enumerate(space.basis):
         col = cheb[0, alpha[0]]
         for axis in range(1, space.n):
             col = col * cheb[axis, alpha[axis]]
-        out[:, j] = col
-    return out
+        out[j] = col
+    return out.T
 
 
 def _row_blocks(npts: int, m: int) -> list[slice]:
@@ -220,12 +223,12 @@ def _numerical_rank(svals: np.ndarray) -> int:
 def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
-    A tall-skinny QR (Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci.
-    Comput. 34, 2012) over the blocks of ``_row_blocks``: each block's
-    V_b = Q_b R_b is factored into its rows of Q, the stacked R_b are
-    factored once, [R_1; ...; R_c] = W R, and each block's rows are
-    rotated by its m x m piece W_b of W.  A grid of fewer than m points or
-    of numerical rank below m raises (``_rank_shortfall``).
+    The blocks of ``_row_blocks`` are evaluated once each into the N x m
+    result and folded into R by the R-only QR fold of ``trace_dimension``,
+    so V = QR with Q = V inv(R) orthonormal.  The rank is checked on R
+    before Q is formed, one block of rows at a time in place.  A grid of
+    fewer than m points or of numerical rank below m raises
+    (``_rank_shortfall``).
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
@@ -236,18 +239,18 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     check_dense(npts, m, "evaluation matrix")
     blocks, box = _row_blocks(npts, m), grid_box(pts)
     q = np.empty((npts, m))
-    stacked = np.empty((len(blocks) * m, m))
-    for b, block in enumerate(blocks):
-        q[block], stacked[b * m:(b + 1) * m] = np.linalg.qr(
-            vandermonde(space, pts[block], box))
-    w, r = np.linalg.qr(stacked)
-    for b, block in enumerate(blocks):
-        q[block] = q[block] @ w[b * m:(b + 1) * m]
-    # V = QR with orthonormal Q, so R carries the singular values of V.
+    r = np.empty((0, m))
+    for block in blocks:
+        v = q[block] = vandermonde(space, pts[block], box)
+        r = np.linalg.qr(np.vstack((r, v)), mode="r")
+    # R carries the singular values of V
     svals = np.linalg.svd(r, compute_uv=False)
     rank = _numerical_rank(svals)
     if rank < m:
         raise _rank_shortfall(space, svals / svals[0], rank)
+    inverse = np.linalg.inv(r)
+    for block in blocks:
+        q[block] = q[block] @ inverse
     return q
 
 

@@ -3,7 +3,8 @@
 Oracle strategy: on coarse grids the optimal node set is found by exhaustive
 enumeration over all index subsets and compared against the exchange result;
 on fine grids we check the certificates (swap optimality, cardinal sup,
-norming inequality on sampled polynomials) rather than node identity.
+norming inequality on sampled polynomials) rather than node identity,
+and on a fine interval the distance to the Gauss-Lobatto-Legendre nodes.
 The rank-1 exchange is checked against a reference exchange that solves
 the cardinal matrix afresh after every swap, and the left-looking greedy
 seed against a right-looking one that rewrites the whole residual per pick.
@@ -18,7 +19,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, legendre
 
 from normmesh import meshgen, polyspace, sets
 from normmesh.errors import NonDeterminingError, ValidationError
@@ -41,8 +42,9 @@ def reference_exchange(space, model, max_sweeps=meshgen.MAX_SWEEPS,
                        tol_swap=meshgen.TOL_SWAP, q=None):
     """The exchange with a full O(m^2 N) re-solve after every accepted swap.
 
-    It runs on the orthonormal basis ``q`` of the grid Vandermonde, by
-    default the blocked one that node selection uses.
+    Node k moves to the grid point of largest |f_k| when that exceeds
+    1 + tol_swap.  It runs on the orthonormal basis ``q`` of the grid
+    Vandermonde, by default the blocked one that node selection uses.
     """
     if q is None:
         q = polyspace.orthonormal_basis(space, sets.grid(model))
@@ -53,9 +55,9 @@ def reference_exchange(space, model, max_sweeps=meshgen.MAX_SWEEPS,
         sweeps += 1
         improved = False
         for k in range(space.dim):
-            better = np.flatnonzero(np.abs(cardinals[:, k]) > 1.0 + tol_swap)
-            if better.size:
-                chosen[k] = int(better[0])
+            z = int(np.argmax(np.abs(cardinals[:, k])))
+            if abs(cardinals[z, k]) > 1.0 + tol_swap:
+                chosen[k] = z
                 cardinals = meshgen._cardinal_values(q, chosen)
                 improved = True
         if not improved:
@@ -394,12 +396,12 @@ class TestIntervalSelection:
         assert done.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
 
     def test_last_needed_swap_in_last_sweep_is_certified(self, monkeypatch):
-        # the second sweep makes the last swap the nodes need, and no sweep
+        # the first sweep makes the last swap the nodes need, and no sweep
         # is left to come back clean; the fresh cardinal product still
         # certifies them (lagrange_sup 1.0000000000000002)
-        monkeypatch.setattr(meshgen, "MAX_SWEEPS", 2)
+        monkeypatch.setattr(meshgen, "MAX_SWEEPS", 1)
         ns = select_nodes(poly_space(1, 6), sets.grid(sets.box([(-1.0, 1.0)], 201), 7))
-        assert ns.sweeps == 2
+        assert ns.sweeps == 1
         assert ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP
         assert ns.swap_optimal
 
@@ -408,6 +410,35 @@ class TestIntervalSelection:
         for d in (1, 2, 4, 6):
             ns = select_nodes(poly_space(1, d), sets.grid(sets.box([(-1.0, 1.0)], 301), d + 1))
             assert ns.log_abs_det <= 1e-12
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_fine_grid_nodes_sit_at_gauss_lobatto_legendre(self, d):
+        # the Fekete points of [-1, 1] are the roots of (1 - x^2) P_d'
+        # (Fejer, 1932); on a fine grid the swap-optimal nodes sit next to them
+        resolution = 20001
+        model = sets.box([(-1.0, 1.0)], resolution)
+        ns = select_nodes(poly_space(1, d), sets.grid(model, d + 1))
+        assert ns.swap_optimal
+        assert ns.sweeps < meshgen.MAX_SWEEPS
+        gll = np.concatenate(([-1.0], legendre.legroots(legendre.legder([0] * d + [1])), [1.0]))
+        spacing = 2.0 / (resolution - 1)
+        assert np.abs(np.sort(ns.nodes.ravel()) - np.sort(gll)).max() <= 1.6 * spacing
+
+
+class TestBenchmarkGrids:
+    # the mesh jobs of the exchange workload, then the degree-d*p grids
+    # that the embeddings of the probe workload select on (its d=4 p=2
+    # grid is the exchange's n=1 d=8 @2001)
+    GRIDS = [(2, 10, 61), (2, 5, 101), (3, 3, 25), (1, 4, 10001), (1, 8, 2001),
+             (1, 16, 2001), (2, 4, 101), (1, 18, 2001)]
+
+    @pytest.mark.parametrize("n, d, resolution", GRIDS,
+                             ids=[f"n{n}-d{d}-r{r}" for n, d, r in GRIDS])
+    def test_ends_swap_optimal(self, n, d, resolution):
+        space = poly_space(n, d)
+        ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)] * n, resolution), space.dim))
+        assert ns.swap_optimal
+        assert ns.sweeps < meshgen.MAX_SWEEPS
 
 
 class TestPlaneSelection:
@@ -606,8 +637,9 @@ class TestDeterminism:
         ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21), space.dim))
         payload = ns.to_json_dict()
         assert set(payload) == {"degree", "ambient_dim", "points",
-                                "log_abs_det", "swap_optimal", "lagrange_sup"}
+                                "log_abs_det", "swap_optimal", "lagrange_sup", "sweeps"}
         assert payload["degree"] == 2
         assert payload["ambient_dim"] == 1
         assert payload["swap_optimal"] is True
         assert len(payload["points"]) == 3
+        assert payload["sweeps"] == ns.sweeps >= 1
