@@ -20,13 +20,13 @@ The trace rank and node selection's orthonormal basis fold the grid
 Vandermonde into the R of one tall-skinny QR over the same strided row
 blocks (``_row_blocks``), each mapped into the box as it is evaluated.
 The basis keeps the blocks in its N x m result, which it turns into
-V inv(R) in place.  The trace rank keeps only R and tries to prove full
-rank from the first block: deleting rows of a matrix never raises a
-singular value, and the largest singular value of the whole N x m grid
-Vandermonde is at most its Frobenius norm, at most sqrt(N m).  A grid
-the first block cannot certify (rank deficient, or too badly
-conditioned for the bound) has the rest of its rows folded onto that
-block, so no row is evaluated twice.
+V inv(R) in place.  The trace rank first tries to prove full rank from
+a strided sample of about 4m rows: deleting rows of a matrix never
+raises a singular value, and the largest singular value of the whole
+N x m grid Vandermonde is at most its Frobenius norm, at most sqrt(N m).
+A grid the sample cannot certify (rank deficient, too badly conditioned
+for the bound, or a tensor grid the stride aliases with) runs the
+R-only fold over every block, which evaluates the sample's rows again.
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ from .errors import NonDeterminingError, ValidationError, check_dense, check_int
 # blocks, whose sizes differ by at most one, of at most this many rows, or
 # this many rows per basis member when that is more.  A grid of more than
 # one block gives each block at least half that many rows, so carrying the
-# m x m factor adds at most half to the flops of each fold.
+# m x m factor adds at most half to the flops of each fold.  Before its
+# fold, the trace rank screens for full rank on a strided sample of its
+# own, of at most _SCREEN_ROWS_PER_COLUMN rows per basis member.
 _RANK_BLOCK_ROWS = 2048
 _RANK_BLOCK_ROWS_PER_COLUMN = 4
+_SCREEN_ROWS_PER_COLUMN = 4
 
 # Singular values at or below this fraction of the largest count as zero,
 # both for the grid trace rank and for node selection's rank guard.
@@ -183,28 +186,32 @@ def trace_dimension(space: PolySpace, points) -> int:
     most (rows + m) x m floats are held at once, but a matrix above the
     dense-array byte budget is refused as if it were built whole.
 
-    When there is more than one block, the R of the first block is
-    screened: if it proves that the rank is m, that is the result and no
-    other row is evaluated.  Otherwise the remaining blocks are folded onto
-    it, so a grid the screen cannot certify costs one m x m SVD more than
-    the fold alone.  With V the N x m grid Vandermonde and V_1 the first
-    block's rows, deleting rows never raises a singular value
-    (interlacing), so sigma_m(V) >= sigma_m(V_1), and every entry of V is
+    Before the fold, the sample ``points[::ceil(N / (4 m))]`` of at most
+    4m rows (``_SCREEN_ROWS_PER_COLUMN``) is screened: if one QR and the
+    SVD of its R prove that the rank is m, that is the result and no other
+    row is evaluated.  Otherwise the fold runs over every block as if
+    there were no screen, so a grid the sample cannot certify evaluates
+    the sample's rows twice and costs one QR and one SVD of the sample
+    more than the fold alone.  With V the N x m grid Vandermonde and V_s
+    the sample's rows, deleting rows never raises a singular value
+    (interlacing), so sigma_m(V) >= sigma_m(V_s), and every entry of V is
     at most 1 in magnitude, so sigma_1(V) <= ||V||_F <= sqrt(N m).  Hence
-    sigma_m(V_1) > 2 RANK_TOL sqrt(N m) gives sigma_m(V) > 2 RANK_TOL
+    sigma_m(V_s) > 2 RANK_TOL sqrt(N m) gives sigma_m(V) > 2 RANK_TOL
     sigma_1(V), and the rule of ``_numerical_rank`` counts all m values;
     the factor 2 covers rounding in the entries and in the computed
     singular values, of order machine epsilon times m times ||V||.
     """
     pts = _as_points(points, space.n)
-    m = space.dim
-    check_dense(pts.shape[0], m, "evaluation matrix")
-    blocks, box = _row_blocks(pts.shape[0], m), grid_box(pts)
+    npts, m = pts.shape[0], space.dim
+    check_dense(npts, m, "evaluation matrix")
+    box = grid_box(pts)
+    sample = pts[::-(-npts // (_SCREEN_ROWS_PER_COLUMN * m))]
+    svals = np.linalg.svd(np.linalg.qr(vandermonde(space, sample, box), mode="r"),
+                          compute_uv=False)
+    if svals.size == m and svals[-1] > 2.0 * RANK_TOL * math.sqrt(npts * m):
+        return m
+    blocks = _row_blocks(npts, m)
     r = np.linalg.qr(vandermonde(space, pts[blocks[0]], box), mode="r")
-    if len(blocks) > 1:
-        svals = np.linalg.svd(r, compute_uv=False)
-        if svals.size == m and svals[-1] > 2.0 * RANK_TOL * math.sqrt(pts.shape[0] * m):
-            return m
     for block in blocks[1:]:
         r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block], box))), mode="r")
     return _numerical_rank(np.linalg.svd(r, compute_uv=False))

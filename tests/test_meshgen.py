@@ -314,6 +314,22 @@ class TestRankOneExchange:
         assert ns.swap_optimal == (ns.lagrange_sup <= 1.0 + meshgen.TOL_SWAP)
         assert ns.grid_constant == grid_norming_constant(ns, sets.grid(model, space.dim))
 
+    @pytest.mark.parametrize("n, d, resolution", [(2, 10, 61), (1, 8, 2001)])
+    @pytest.mark.parametrize("max_sweeps", [1, 2])
+    def test_cut_short_run_certifies_from_a_fresh_product(self, n, d, resolution, max_sweeps,
+                                                          monkeypatch):
+        # both grids need more sweeps, so the run ends on a matrix that
+        # carries rank-1 updates; its certificates are still those of a
+        # fresh cardinal product, to the last bit
+        monkeypatch.setattr(meshgen, "MAX_SWEEPS", max_sweeps)
+        space = poly_space(n, d)
+        pts = sets.grid(sets.box([(-1.0, 1.0)] * n, resolution), space.dim)
+        ns = select_nodes(space, pts)
+        assert ns.sweeps == max_sweeps
+        fresh = make_node_set(space, pts, ns.node_indices)
+        assert ns.lagrange_sup == fresh.lagrange_sup
+        assert ns.grid_constant == fresh.grid_constant
+
     def test_update_tracks_fresh_solve(self):
         space = poly_space(2, 4)
         q = polyspace.orthonormal_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))

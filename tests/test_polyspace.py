@@ -187,12 +187,19 @@ def default_block_rows(space):
                polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
 
 
-def assert_first_qr_is_first_block(calls, space, pts):
-    """The first QR factors the first strided block's Vandermonde itself,
-    not a copy stacked onto anything."""
+def screen_sample(space, pts):
+    """The rows of the trace rank's full-rank screen, points[::ceil(N / 4m)]."""
+    rows = polyspace._SCREEN_ROWS_PER_COLUMN * space.dim
+    return pts[::-(-pts.shape[0] // rows)]
+
+
+def assert_first_qr_is_first_block(calls, space, pts, fold=0):
+    """The fold's first QR, call ``fold`` of vandermonde and of QR, factors
+    the first strided block's Vandermonde itself, not a copy stacked onto
+    anything."""
     first = polyspace._row_blocks(pts.shape[0], space.dim)[0]
-    np.testing.assert_array_equal(calls["points"][0], pts[first])
-    assert calls["qr_inputs"][0] is calls["matrices"][0]
+    np.testing.assert_array_equal(calls["points"][fold], pts[first])
+    assert calls["qr_inputs"][fold] is calls["matrices"][fold]
 
 
 @pytest.fixture
@@ -267,22 +274,23 @@ class TestStreamedTraceRank:
         assert trace_dimension(space, pts) == full_svd_rank(space, pts) == 5
 
     def test_certified_grid_evaluates_one_block(self, calls):
-        # full rank on the ball: the first strided block proves it, and no
-        # other block is evaluated
+        # full rank on the ball: the strided sample of at most 4m rows
+        # proves it, and no block of the fold is evaluated
         space = poly_space(3, 8)
         pts = sets.grid(sets.ball([0.0, 0.0, 0.0], 1.0, 25))
-        rows = default_block_rows(space)
-        assert pts.shape[0] > 2 * rows
+        sample = screen_sample(space, pts)
+        assert pts.shape[0] > 2 * default_block_rows(space)
+        assert sample.shape[0] <= 4 * space.dim
         assert trace_dimension(space, pts) == space.dim
         assert len(calls["vandermonde"]) == 1
-        assert calls["vandermonde"][0][0] <= rows
-        assert calls["qr"] == [(calls["vandermonde"][0][0], space.dim)]
-        assert_first_qr_is_first_block(calls, space, pts)
+        np.testing.assert_array_equal(calls["points"][0], sample)
+        assert calls["qr"] == [(sample.shape[0], space.dim)]
+        assert calls["qr_inputs"][0] is calls["matrices"][0]
         assert calls["svd"] == [(space.dim, space.dim)]
 
     def test_default_blocks_stay_within_one_block(self, calls):
-        # S2 at degree 4 has trace rank 25 < 35: the screen of the first
-        # block cannot certify, so the other blocks are folded onto it
+        # S2 at degree 4 has trace rank 25 < 35: the sample cannot certify,
+        # so the fold evaluates every block after it, each grid row once
         space = poly_space(3, 4)
         model = sets.sphere([0.0, 0.0, 0.0], 1.0, 80)
         pts = sets.grid(model)
@@ -290,16 +298,27 @@ class TestStreamedTraceRank:
         rows = default_block_rows(space)
         assert npts > 2 * rows
         assert trace_dimension(space, pts) == 25
-        assert len(calls["vandermonde"]) == -(-npts // rows)
-        assert_first_qr_is_first_block(calls, space, pts)
-        assert_same_rows(np.vstack(calls["points"]), pts)
+        np.testing.assert_array_equal(calls["points"][0], screen_sample(space, pts))
+        assert calls["qr_inputs"][0] is calls["matrices"][0]
+        assert len(calls["vandermonde"]) == 1 + -(-npts // rows)
+        assert_first_qr_is_first_block(calls, space, pts, fold=1)
+        assert_same_rows(np.vstack(calls["points"][1:]), pts)
         assert max(shape[0] for shape in calls["vandermonde"]) <= rows
         assert max(shape[0] for shape in calls["qr"]) <= rows + space.dim
         assert calls["svd"] == [(space.dim, space.dim)] * 2
 
+    def test_screen_evaluates_at_most_four_rows_per_member(self, calls):
+        # 29,791 points at m = 84: the one Vandermonde has at most 4m = 336
+        # rows, where the fold's first block has 1,987
+        space = poly_space(3, 6)
+        pts = sets.grid(sets.box([(-1.0, 1.0)] * 3, 31))
+        assert trace_dimension(space, pts) == space.dim
+        assert len(calls["vandermonde"]) == 1
+        assert calls["vandermonde"][0][0] <= 336
+
 
 class TestRankScreen:
-    """The one-block screen of ``trace_dimension`` at the default block sizes."""
+    """The strided-sample screen of ``trace_dimension`` at the default sizes."""
 
     @pytest.mark.parametrize("model, degrees, oracle", [
         (sets.sphere([0.0, 0.0], 1.0, 5000), range(1, 9), lambda d: 2 * d + 1),
@@ -325,19 +344,23 @@ class TestRankScreen:
         (sets.box([(0.0, 2.0), (-1.0, 1.0)], 101), 10),
         (sets.ball([0.0, 0.0, 0.0], 1.0, 25), 5),
         (sets.from_points(np.random.default_rng(7).uniform(-1.0, 1.0, size=(9000, 2))), 8),
-    ], ids=["box-3d", "box-2d", "ball", "cloud"])
+        # the sample's stride equals the resolution, so it lies on one grid
+        # line and cannot certify; the fold finds the full rank
+        (sets.box([(-1.0, 1.0)] * 2, 40), 3),
+        (sets.box([(-1.0, 1.0)] * 2, 84), 5),
+    ], ids=["box-3d", "box-2d", "ball", "cloud", "box-2d-aliased-40", "box-2d-aliased-84"])
     def test_full_rank_grids_keep_full_svd_rank(self, model, d):
         space = poly_space(model.ambient_dim, d)
         pts = sets.grid(model)
-        assert pts.shape[0] > default_block_rows(space)
+        assert pts.shape[0] > screen_sample(space, pts).shape[0]
         assert trace_dimension(space, pts) == full_svd_rank(space, pts) == space.dim
 
     def test_block_better_conditioned_than_grid(self, monkeypatch):
-        # 1-D, d=1: x=1 everywhere but at 21 points, all inside the strided
-        # block.  s_min/s_max is about 0.1 on the block and 0.014 on the
-        # grid, so at RANK_TOL 0.03 a bound on sigma_1 taken from the block, or
-        # one without the sqrt(N) factor, would certify rank 2 against
-        # the rule's rank 1.
+        # 1-D, d=1: x=1 everywhere but at 21 points, one of them the first
+        # of the screen's 8 sample rows.  s_min/s_max is about 0.38 on the
+        # sample and 0.014 on the grid, so at RANK_TOL 0.03 a bound on
+        # sigma_1 taken from the sample, or one without the sqrt(N) factor,
+        # would certify rank 2 against the rule's rank 1.
         npts, rows = 100000, polyspace._RANK_BLOCK_ROWS
         stride = -(-npts // rows)
         pts = np.ones((npts, 1))
@@ -369,18 +392,23 @@ def _shaped_cloud(rng, shape, n, npts):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(CLOUD_SHAPES),
-       n=st.integers(2, 3), d=st.integers(0, 4), npts=st.integers(1, 200),
+       n=st.integers(2, 3), d=st.integers(0, 4),
+       npts=st.one_of(st.integers(1, 200), st.none()),
        pad=st.integers(0, 30), block=st.one_of(st.none(), st.integers(1, 40)),
        tol=st.sampled_from([polyspace.RANK_TOL, 1e-6, 1e-2, 0.1]))
 def test_screened_rank_equals_full_svd_rank(seed, shape, n, d, npts, pad, block, tol):
-    # Each point is followed by ``pad`` copies of the first one.  With the
-    # block size None (one row per point) the strided block skips every
-    # copy, so it is better conditioned than the grid it screens.
+    # Each point is followed by ``pad`` copies of the first one.  With npts
+    # None the cloud has 4m points, so the screen's sample, every
+    # ceil(N / 4m)-th row, is the cloud and skips every copy; with the block
+    # size None (one row per point) so does the fold's first block.  Either
+    # is then better conditioned than the grid.
+    space = poly_space(n, d)
+    if npts is None:
+        npts = polyspace._SCREEN_ROWS_PER_COLUMN * space.dim
     rng = np.random.default_rng(seed)
     cloud = _shaped_cloud(rng, shape, n, npts)
     pts = np.repeat(cloud[:1], npts * (pad + 1), axis=0)
     pts[::pad + 1] = cloud
-    space = poly_space(n, d)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polyspace, "_RANK_BLOCK_ROWS", npts if block is None else block)
         patch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
