@@ -22,7 +22,7 @@ from typing import Callable, NoReturn
 # Largest dense float64 array the package allocates: a sampled grid, or an
 # evaluation matrix of grid points by basis members, of which node
 # selection holds two at once (the orthonormal basis and the cardinal
-# matrix) plus one block of rows of the blocked QR.
+# matrix) plus one block of rows of the basis's blocked factorization.
 MAX_DENSE_BYTES = 2 ** 30
 
 

@@ -33,7 +33,6 @@ the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +68,6 @@ def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
     return p, c
 
 
-@dataclass
 class EmbeddingCertificate:
     """A concrete embedding of a polynomial space into l_inf(nodes).
 
@@ -81,12 +79,15 @@ class EmbeddingCertificate:
     ``node_set``, and the evaluation matrices are built from it when read.
     """
 
-    space: polyspace.PolySpace
-    set_model: sets.CompactSetModel
-    p: int
-    node_set: meshgen.NodeSet
-    empirical_distortion: float
-    schedule_c: float | None = None
+    def __init__(self, space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
+                 node_set: meshgen.NodeSet, empirical_distortion: float,
+                 schedule_c: float | None = None):
+        self.space = space
+        self.set_model = set_model
+        self.p = p
+        self.node_set = node_set
+        self.empirical_distortion = empirical_distortion
+        self.schedule_c = schedule_c
 
     @property
     def certified_bound(self) -> float:

@@ -35,11 +35,12 @@ the end of a run that exhausted its sweeps, so every reported
 certificate is read from a fresh product; each refills the one N x m
 cardinal buffer.
 
-The orthonormal basis Q is ``polyspace.orthonormal_basis``: the trace
-rank's R-only QR fold of the grid Vandermonde over its strided blocks of
-grid rows, then Q = V inv(R) block by block; it also refuses a grid
-whose numerical rank falls short of m.  Node selection holds two N x m
-arrays (the basis and the cardinal matrix) plus one block of rows.
+The orthonormal basis Q is ``polyspace.orthonormal_basis``, built in
+place over strided blocks of grid rows: CholeskyQR2 from the Gram matrix
+of the grid Vandermonde when that proves it well conditioned, otherwise
+the trace rank's R-only QR fold and Q = V inv(R), which also refuses a
+grid whose numerical rank falls short of m.  Node selection holds two
+N x m arrays (the basis and the cardinal matrix) plus one block of rows.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
@@ -57,7 +58,6 @@ change, while the conditioning keeps moderate degrees far from overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +75,6 @@ MAX_SWEEPS = 100
 _TIE_RTOL = 1e-9
 
 
-@dataclass
 class NodeSet:
     """Selected nodes plus the certificates of their fresh cardinal matrix.
 
@@ -89,13 +88,16 @@ class NodeSet:
     sum_k |f_k|, read from the same cardinal matrix.
     """
 
-    space: polyspace.PolySpace
-    node_indices: tuple[int, ...]
-    log_abs_det: float
-    lagrange_sup: float
-    grid_constant: float
-    grid_points: np.ndarray = field(repr=False)
-    sweeps: int
+    def __init__(self, space: polyspace.PolySpace, node_indices: tuple[int, ...],
+                 log_abs_det: float, lagrange_sup: float, grid_constant: float,
+                 grid_points: np.ndarray, sweeps: int):
+        self.space = space
+        self.node_indices = node_indices
+        self.log_abs_det = log_abs_det
+        self.lagrange_sup = lagrange_sup
+        self.grid_constant = grid_constant
+        self.grid_points = grid_points
+        self.sweeps = sweeps
 
     @property
     def nodes(self) -> np.ndarray:

@@ -16,24 +16,26 @@ bounding box (``grid_box``) mapped affinely onto [-1, 1], as in Bos, De
 Marchi, Sommariva and Vianello (SIAM J. Numer. Anal. 48, 2010): each
 member is at most 1 in magnitude on the grid, wherever the grid sits.
 
-The trace rank and node selection's orthonormal basis fold the grid
-Vandermonde into the R of one tall-skinny QR over the same strided row
-blocks (``_row_blocks``), each mapped into the box as it is evaluated.
-The basis keeps the blocks in its N x m result, which it turns into
-V inv(R) in place.  The trace rank first tries to prove full rank from
-a strided sample of about 4m rows: deleting rows of a matrix never
-raises a singular value, and the largest singular value of the whole
-N x m grid Vandermonde is at most its Frobenius norm, at most sqrt(N m).
-A grid the sample cannot certify (rank deficient, too badly conditioned
-for the bound, or a tensor grid the stride aliases with) runs the
-R-only fold over every block, which evaluates the sample's rows again.
+The trace rank and node selection's orthonormal basis evaluate the grid
+Vandermonde over the same strided row blocks (``_row_blocks``), each
+mapped into the box as it is evaluated.  The basis keeps the blocks in
+its N x m result and sums their Gram matrix; when its Cholesky factor
+proves the Vandermonde well conditioned, CholeskyQR2 turns the result
+into Q in place, and otherwise the trace rank's R-only fold of the
+blocks into one tall-skinny QR does, as V inv(R).  The trace rank first
+tries to prove full rank from a strided sample of about 4m rows:
+deleting rows of a matrix never raises a singular value, and the largest
+singular value of the whole N x m grid Vandermonde is at most its
+Frobenius norm, at most sqrt(N m).  A grid the sample cannot certify
+(rank deficient, too badly conditioned for the bound, or a tensor grid
+the stride aliases with) runs the fold over every block, which
+evaluates the sample's rows again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -82,12 +84,22 @@ def _degree_block(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
 class PolySpace:
-    """Polynomials of total degree at most d in n variables."""
+    """Polynomials of total degree at most d in n variables, compared by (n, d)."""
 
-    n: int
-    d: int
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+
+    def __repr__(self) -> str:
+        return f"PolySpace(n={self.n!r}, d={self.d!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.d) == (other.n, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d))
 
     @property
     def dim(self) -> int:
@@ -231,11 +243,28 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
     The blocks of ``_row_blocks`` are evaluated once each into the N x m
-    result and folded into R by the R-only QR fold of ``trace_dimension``,
-    so V = QR with Q = V inv(R) orthonormal.  The rank is checked on R
-    before Q is formed, one block of rows at a time in place.  A grid of
-    fewer than m points or of numerical rank below m raises
-    (``_rank_shortfall``).
+    result while their Gram matrix G = V^T V is summed.  If the Cholesky
+    factor R1 of G passes the bound below, Q is built by CholeskyQR2
+    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015):
+    Q1 = V inv(R1) in place, summing G2 = Q1^T Q1, then Q = Q1 inv(R2) for
+    the Cholesky factor R2 of G2.  Otherwise the stored blocks are folded
+    into R by the R-only QR fold of ``trace_dimension``, the rank is
+    checked on R (``_rank_shortfall``), and Q = V inv(R) in place.  No row
+    is evaluated twice.  A grid of fewer than m points raises.
+
+    The bound is s_m^2 > 128 eta s_1^2 for the singular values s of R1,
+    with eta = (N m + m (m + 1)) u and u = 2^-53.  Rounding gives
+    R1^T R1 = V^T V + E with ||E||_2 <= eta sigma_1^2 to first order: N m u
+    from the length-N inner products, as ||V||_F^2 <= m sigma_1^2, and
+    about m (m + 1) u from the Cholesky.  By Weyl's inequality each s_i^2
+    lies within ||E|| of sigma_i(V)^2.  So the bound gives eta < 1/128 and
+    (sigma_m / sigma_1)^2 > 128 eta (1 - eta) - eta > 64 eta, that is
+    kappa(V) < 1 / (8 sqrt(eta)): the hypothesis under which Yamamoto et
+    al. prove ||Q^T Q - I||_F <= 6 eta.  The factor 2 to spare covers the
+    higher-order terms and the rounding of the SVD.  It also proves full
+    rank: 8 sqrt(eta) >= 8 sqrt(2 u), about 1.2e-7, is far above
+    ``RANK_TOL``.  Box grids pass with s_m / s_1 of 0.1 to 0.4; [-1,1]
+    @101 takes the fold from degree 55 (8.8e-6 against 1.1e-5).
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
@@ -246,16 +275,33 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     check_dense(npts, m, "evaluation matrix")
     blocks, box = _row_blocks(npts, m), grid_box(pts)
     q = np.empty((npts, m))
-    r = np.empty((0, m))
+    gram = np.zeros((m, m))
     for block in blocks:
         v = q[block] = vandermonde(space, pts[block], box)
-        r = np.linalg.qr(np.vstack((r, v)), mode="r")
-    # R carries the singular values of V
-    svals = np.linalg.svd(r, compute_uv=False)
-    rank = _numerical_rank(svals)
-    if rank < m:
-        raise _rank_shortfall(space, svals / svals[0], rank)
-    inverse = np.linalg.inv(r)
+        gram += v.T @ v
+    try:
+        lower = np.linalg.cholesky(gram)
+        svals = np.linalg.svd(lower, compute_uv=False)
+        certified = svals[-1] ** 2 > 128.0 * (npts * m + m * (m + 1)) * 2.0 ** -53 * svals[0] ** 2
+    except np.linalg.LinAlgError:
+        certified = False
+    if certified:
+        inverse = np.linalg.inv(lower).T
+        gram = np.zeros((m, m))
+        for block in blocks:
+            w = q[block] = q[block] @ inverse
+            gram += w.T @ w
+        inverse = np.linalg.inv(np.linalg.cholesky(gram)).T
+    else:
+        r = np.empty((0, m))
+        for block in blocks:
+            r = np.linalg.qr(np.vstack((r, q[block])), mode="r")
+        # R carries the singular values of V
+        svals = np.linalg.svd(r, compute_uv=False)
+        rank = _numerical_rank(svals)
+        if rank < m:
+            raise _rank_shortfall(space, svals / svals[0], rank)
+        inverse = np.linalg.inv(r)
     for block in blocks:
         q[block] = q[block] @ inverse
     return q

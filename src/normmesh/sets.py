@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -51,7 +50,6 @@ _MEMBERSHIP_SLACK = 1e-13
 _CLOUD_BLOCK_LINES = 4096
 
 
-@dataclass
 class CompactSetModel:
     """A compact subset of R^n together with its sampling recipe.
 
@@ -60,10 +58,12 @@ class CompactSetModel:
     validate parameters.
     """
 
-    ambient_dim: int
-    kind: str
-    params: dict[str, Any] = field(repr=False)
-    resolution: int = 0
+    def __init__(self, ambient_dim: int, kind: str, params: dict[str, Any],
+                 resolution: int = 0):
+        self.ambient_dim = ambient_dim
+        self.kind = kind
+        self.params = params
+        self.resolution = resolution
 
     def describe(self) -> str:
         return f"{self.kind}(n={self.ambient_dim}, resolution={self.resolution})"

@@ -8,11 +8,11 @@ and on a fine interval the distance to the Gauss-Lobatto-Legendre nodes.
 The rank-1 exchange is checked against a reference exchange that solves
 the cardinal matrix afresh after every swap, and the left-looking greedy
 seed against a right-looking one that rewrites the whole residual per pick.
-The blocked (tall-skinny) QR basis is checked against numpy's QR of the
-whole grid Vandermonde, and so is the whole selection run on it.
+The blocked basis (CholeskyQR2, or the tall-skinny QR fold on grids too
+badly conditioned for it) is checked against numpy's QR of the whole grid
+Vandermonde, and so is the whole selection run on it.
 """
 
-import dataclasses
 import itertools
 import tracemalloc
 import unittest.mock
@@ -75,7 +75,9 @@ REFERENCE_CASES = (
     + [pytest.param(2, d, sets.box([(-1.0, 1.0), (0.0, 2.0)], 41), 100, id=f"square-d{d}")
        for d in range(3, 6)]
     + [pytest.param(2, 3, sets.ball([0.0, 0.0], 1.0, 31), 100, id="disk-d3"),
-       pytest.param(1, 5, sets.box([(-1.0, 1.0)], 2001), 1, id="interval-d5-one-sweep")])
+       pytest.param(1, 5, sets.box([(-1.0, 1.0)], 2001), 1, id="interval-d5-one-sweep"),
+       # too badly conditioned for the Gram bound: the basis takes the QR fold
+       pytest.param(1, 60, sets.box([(-1.0, 1.0)], 101), 100, id="interval-r101-d60-fold")])
 
 
 def reference_greedy(q):
@@ -192,8 +194,29 @@ class TestBlockedBasis:
         grid_points = sets.grid(sets.box([(-1.0, 1.0)], 2001))
         assert block_count(space, grid_points) == 1
         q = polyspace.orthonormal_basis(space, grid_points)
-        whole = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))[0]
-        np.testing.assert_allclose(q, whole, rtol=0, atol=1e-14)
+        # the QR whose R has a positive diagonal is unique
+        whole, r = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))
+        np.testing.assert_allclose(q, whole * np.sign(np.diag(r)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
+    def test_well_conditioned_grid_needs_no_qr(self, n, d, model, monkeypatch):
+        # the Gram bound holds (s_m/s_1 >= 0.1), so CholeskyQR2 builds the basis
+        space = poly_space(n, d)
+        grid_points = sets.grid(model)
+        whole, r = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))
+        monkeypatch.setattr(np.linalg, "qr",
+                            unittest.mock.Mock(side_effect=AssertionError("qr called")))
+        q = polyspace.orthonormal_basis(space, grid_points)
+        np.testing.assert_allclose(q, whole * np.sign(np.diag(r)), rtol=0, atol=1e-13)
+
+    def test_ill_conditioned_grid_takes_the_fold(self, monkeypatch):
+        # s_m/s_1 = 4.2e-7 on [-1,1] @101 at degree 60, below the bound's 1.2e-5
+        space = poly_space(1, 60)
+        grid_points = sets.grid(sets.box([(-1.0, 1.0)], 101), space.dim)
+        qr = unittest.mock.Mock(wraps=np.linalg.qr)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        polyspace.orthonormal_basis(space, grid_points)
+        assert qr.call_count == 1
 
     def test_grid_of_exactly_dim_points(self):
         space = poly_space(1, 4)
@@ -285,9 +308,12 @@ class TestOversizedMatrixBeforeGrid:
     def test_grid_norming_constant(self):
         small = make_node_set(poly_space(1, 2),
                               sets.grid(sets.from_points([[-1.0], [0.0], [1.0]]), 3), [0, 1, 2])
+        mismatched = meshgen.NodeSet(
+            space=self.SPACE, node_indices=small.node_indices, log_abs_det=small.log_abs_det,
+            lagrange_sup=small.lagrange_sup, grid_constant=small.grid_constant,
+            grid_points=small.grid_points, sweeps=small.sweeps)
         with pytest.raises(ValidationError) as caught:
-            grid_norming_constant(dataclasses.replace(small, space=self.SPACE),
-                                  sets.grid(self.MODEL, self.SPACE.dim))
+            grid_norming_constant(mismatched, sets.grid(self.MODEL, self.SPACE.dim))
         assert str(caught.value) == self.MESSAGE
 
     def test_grid_checks_still_come_first(self):
