@@ -22,7 +22,7 @@ from typing import Callable, NoReturn
 # Largest dense float64 array the package allocates: a sampled grid, or an
 # evaluation matrix of grid points by basis members, of which node
 # selection holds two at once (the orthonormal basis and the cardinal
-# matrix) plus one block of rows of the basis's blocked factorization.
+# matrix), plus the grid's coordinates while the basis is built.
 MAX_DENSE_BYTES = 2 ** 30
 
 
@@ -41,20 +41,14 @@ class InputError(ValidationError):
 class NonDeterminingError(ValidationError):
     """The sampled grid's numerical rank falls short of the space dimension.
 
-    ``rank`` and ``dim`` are the numerical rank and the dimension.  With
-    ``conditioning_limited`` false the grid cannot norm the requested
-    polynomial space.  With it true the shortfall is a conditioning limit
-    of the working basis, not a grid that fails to norm the space: the
-    dropped singular values are far above roundoff, and the grid may
-    still determine the space.
+    ``rank`` and ``dim`` are the numerical rank and the dimension: the
+    grid cannot norm the requested polynomial space.
     """
 
-    def __init__(self, message: str, rank: int | None = None, dim: int | None = None,
-                 conditioning_limited: bool = False):
+    def __init__(self, message: str, rank: int | None = None, dim: int | None = None):
         super().__init__(message)
         self.rank = rank
         self.dim = dim
-        self.conditioning_limited = conditioning_limited
 
 
 class InvariantViolation(NormMeshError):

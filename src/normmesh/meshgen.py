@@ -36,11 +36,10 @@ certificate is read from a fresh product; each refills the one N x m
 cardinal buffer.
 
 The orthonormal basis Q is ``polyspace.orthonormal_basis``, built in
-place over strided blocks of grid rows: CholeskyQR2 from the Gram matrix
-of the grid Vandermonde when that proves it well conditioned, otherwise
-the trace rank's R-only QR fold and Q = V inv(R), which also refuses a
-grid whose numerical rank falls short of m.  Node selection holds two
-N x m arrays (the basis and the cardinal matrix) plus one block of rows.
+place degree by degree (Vandermonde with Arnoldi), which also refuses a
+grid whose trace rank falls short of m and names the first deficient
+degree.  Node selection holds two N x m arrays (the basis and the
+cardinal matrix), plus the grid's coordinates while the basis is built.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its

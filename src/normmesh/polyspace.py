@@ -16,20 +16,15 @@ bounding box (``grid_box``) mapped affinely onto [-1, 1], as in Bos, De
 Marchi, Sommariva and Vianello (SIAM J. Numer. Anal. 48, 2010): each
 member is at most 1 in magnitude on the grid, wherever the grid sits.
 
-The trace rank and node selection's orthonormal basis evaluate the grid
-Vandermonde over the same strided row blocks (``_row_blocks``), each
-mapped into the box as it is evaluated.  The basis keeps the blocks in
-its N x m result and sums their Gram matrix; when its Cholesky factor
-proves the Vandermonde well conditioned, CholeskyQR2 turns the result
-into Q in place, and otherwise the trace rank's R-only fold of the
-blocks into one tall-skinny QR does, as V inv(R).  The trace rank first
-tries to prove full rank from a strided sample of about 4m rows:
-deleting rows of a matrix never raises a singular value, and the largest
-singular value of the whole N x m grid Vandermonde is at most its
-Frobenius norm, at most sqrt(N m).  A grid the sample cannot certify
-(rank deficient, too badly conditioned for the bound, or a tensor grid
-the stride aliases with) runs the fold over every block, which
-evaluates the sample's rows again.
+The trace rank and node selection's orthonormal basis come from one
+construction (``_graded_basis``), Vandermonde with Arnoldi (Brubeck,
+Nakatsukasa and Trefethen, SIAM Review 63, 2021) in n variables: the
+grid's orthonormal basis is built degree by degree, each degree's
+columns from the coordinates y times columns of the degree before, so
+the ill-conditioned Chebyshev Vandermonde is never formed whole.  Its
+column count is the trace rank.  ``vandermonde`` evaluates the basis
+itself, for the coordinates of that construction and for callers that
+need the members' values.
 """
 
 from __future__ import annotations
@@ -41,28 +36,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NonDeterminingError, ValidationError, check_dense, check_int
-
-# Both factorizations of the grid Vandermonde evaluate it in strided
-# blocks, whose sizes differ by at most one, of at most this many rows, or
-# this many rows per basis member when that is more.  A grid of more than
-# one block gives each block at least half that many rows, so carrying the
-# m x m factor adds at most half to the flops of each fold.  Before its
-# fold, the trace rank screens for full rank on a strided sample of its
-# own, of at most _SCREEN_ROWS_PER_COLUMN rows per basis member.
-_RANK_BLOCK_ROWS = 2048
-_RANK_BLOCK_ROWS_PER_COLUMN = 4
-_SCREEN_ROWS_PER_COLUMN = 4
-
-# Singular values at or below this fraction of the largest count as zero,
-# both for the grid trace rank and for node selection's rank guard.
-RANK_TOL = 1e-10
-# The rank guard calls a shortfall a conditioning limit of the Chebyshev
-# basis, not a rank deficiency of the grid, when the largest dropped
-# singular value is above this fraction of the largest.  Measured, a true
-# deficiency drops 1.6e-16 on the circle (degree 3 @64); conditioning
-# limits on [-1,1] drop 4.6e-11 (degree 72 @101) and 6.6e-11 (104 @201).
-_ROUNDOFF_DROP = 1e-3 * RANK_TOL
-
 
 def dim_full(n: int, d: int) -> int:
     """Dimension binomial(d + n, n) of degree-<=d polynomials in n variables.
@@ -173,98 +146,153 @@ def vandermonde(space: PolySpace, points, box) -> np.ndarray:
     return out.T
 
 
-def _row_blocks(npts: int, m: int) -> list[slice]:
-    """Strided blocks ``points[b::count]`` of an N-point grid, largest first.
+def _graded_basis(space: PolySpace, pts: np.ndarray, box) -> tuple[np.ndarray, int, tuple]:
+    """Orthonormal basis of the space's traces on ``pts``, degree by degree.
 
-    count = ceil(N / rows) for rows = max(``_RANK_BLOCK_ROWS``,
-    ``_RANK_BLOCK_ROWS_PER_COLUMN`` * m), so block sizes differ by at most one.
+    Returns (q, rank, deficiency).  The first ``rank`` columns of the
+    N x m array q are orthonormal and span the traces; deficiency is None
+    when every degree has full rank, and otherwise (degree, smallest kept
+    residual, largest dropped residual, cut) for the first degree that
+    does not, residuals being the square roots of the Gram eigenvalues
+    below; the largest dropped one is measured as a norm.  Besides q the
+    construction holds the coordinates, N x (n + 1), and temporaries of
+    one grid column (``_update_rows``).
+
+    Column 0 is the constant 1/sqrt(N).  The degree-q candidates are
+    written into q's free columns: y_i times the column of alpha - e_i for
+    each member alpha of degree q, i the first nonzero exponent of alpha,
+    with y the coordinates mapped into ``box`` (columns 1..n of the
+    degree-1 ``vandermonde``).  Each member's parents are the last columns
+    of the degree before, in order.  The block is projected twice against
+    every earlier column (block classical Gram-Schmidt twice, Giraud,
+    Langou and Rozloznik, Comput. Math. Appl. 50, 2005) and orthonormalised
+    by two Cholesky factorisations of its Gram matrix (CholeskyQR2,
+    Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015).  Both
+    factors are triangular, so while every degree has full rank column
+    alpha stays the member alpha plus earlier members, and q is V inv(R)
+    for the Chebyshev Vandermonde V and an upper-triangular R with
+    positive diagonal: the Q of V's QR.
+
+    A degree whose block Gram matrix G has an eigenvalue at or below the
+    cut is deficient.  Its block is rotated onto the eigenvectors above
+    the cut before the Cholesky pair, and every later degree takes as
+    candidates all n b products of y_i with the b columns of the degree
+    before, kept the same way, since its columns no longer stand for
+    members.  The cut is 128 c eta with eta = c (N + c + 1) u for c
+    candidates and u = 2^-53.  Every candidate has norm at most 1
+    (|y_i| <= 1 times a unit column), so trace(G) <= c bounds the largest
+    eigenvalue.  Rounding gives the computed G within eta of the exact
+    Gram of the computed block to first order: N c u from the length-N
+    inner products and c (c + 1) u from the eigensolver, so by Weyl's
+    inequality each eigenvalue moves by at most eta, far below the cut.
+    What is kept then has a condition number squared below c / cut =
+    1 / (128 eta), half the 1 / (64 eta) under which Yamamoto et al. prove
+    the Cholesky pair orthonormal to ||Q^T Q - I||_F <= 6 eta; the factor
+    2 to spare covers the higher-order terms.  A degree that keeps no
+    direction ends the construction: every later candidate lies in the
+    span of earlier columns.
     """
-    rows = max(_RANK_BLOCK_ROWS, _RANK_BLOCK_ROWS_PER_COLUMN * m)
-    count = -(-npts // rows)
-    return [slice(b, None, count) for b in range(count)]
+    npts, m, n = pts.shape[0], space.dim, space.n
+    y = vandermonde(PolySpace(n, 1), pts, box)
+    q = np.empty((npts, m), order="F")
+    q[:, 0] = 1.0 / math.sqrt(npts)
+    rank, parents, deficiency = 1, 1, None
+    # the constant column is a unit vector before any projection
+    smallest = 1.0
+    for degree in range(1, space.d + 1):
+        if deficiency is None:
+            widths = [math.comb(degree - 2 + n - i, n - 1 - i) for i in range(n)]
+        else:
+            widths = [parents] * n
+        count = sum(widths)
+        if rank + count <= m:
+            block = q[:, rank:rank + count]
+        else:
+            # only a deficient degree's candidates outgrow the free columns
+            check_dense(npts, count, "candidate block")
+            block = np.empty((npts, count), order="F")
+        start = 0
+        for axis, width in enumerate(widths):
+            np.multiply(y[:, axis + 1, None], q[:, rank - width:rank],
+                        out=block[:, start:start + width])
+            start += width
+        earlier = q[:, :rank]
+        for _ in range(2):
+            _update_rows(block, earlier, earlier.T @ block)
+        gram = block.T @ block
+        cut = 128.0 * count * count * (npts + count + 1) * 2.0 ** -53
+        eigenvalues, vectors = np.linalg.eigh(gram)
+        kept = eigenvalues > cut
+        if kept.any():
+            smallest = min(smallest, math.sqrt(eigenvalues[kept][0]))
+        if deficiency is not None or not kept.all():
+            if deficiency is None:
+                # measured directly: an eigenvalue carries an absolute error near
+                # u ||G||, a residual norm one near u
+                dropped = np.linalg.norm(block @ vectors[:, ~kept], axis=0).max()
+                deficiency = (degree, smallest, float(dropped), math.sqrt(cut))
+            parents = int(np.count_nonzero(kept))
+            if not parents:
+                break
+            q[:, rank:rank + parents] = block @ vectors[:, kept]
+            block = q[:, rank:rank + parents]
+            gram = block.T @ block
+        else:
+            parents = count
+        _update_rows(block, block, np.linalg.inv(np.linalg.cholesky(gram)).T)
+        _update_rows(block, block, np.linalg.inv(np.linalg.cholesky(block.T @ block)).T)
+        rank += parents
+    return q, rank, deficiency
+
+
+def _update_rows(block: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """block -= left @ right, or block = block @ right when left is block.
+
+    Row block by row block, each of ceil(N / c) rows for c columns of
+    ``block``, so no temporary holds more floats than one grid column.
+    """
+    npts, count = block.shape
+    rows = -(-npts // count)
+    for start in range(0, npts, rows):
+        part = slice(start, start + rows)
+        if left is block:
+            block[part] = block[part] @ right
+        else:
+            block[part] -= left[part] @ right
 
 
 def trace_dimension(space: PolySpace, points) -> int:
     """Numerical dimension of the space restricted to ``points``.
 
-    Counts singular values of the Vandermonde of ``points`` above
-    ``RANK_TOL`` times the largest one, the rule of node selection's rank
-    guard.  A set is determining for the space exactly when this equals
-    ``space.dim`` on its grid.
-
-    The blocks of ``_row_blocks`` are evaluated one at a time and folded
-    into the R factor of a QR of the rows seen so far (tall-skinny QR);
-    the singular values of the final R are those of the whole matrix.  At
-    most (rows + m) x m floats are held at once, but a matrix above the
-    dense-array byte budget is refused as if it were built whole.
-
-    Before the fold, the sample ``points[::ceil(N / (4 m))]`` of at most
-    4m rows (``_SCREEN_ROWS_PER_COLUMN``) is screened: if one QR and the
-    SVD of its R prove that the rank is m, that is the result and no other
-    row is evaluated.  Otherwise the fold runs over every block as if
-    there were no screen, so a grid the sample cannot certify evaluates
-    the sample's rows twice and costs one QR and one SVD of the sample
-    more than the fold alone.  With V the N x m grid Vandermonde and V_s
-    the sample's rows, deleting rows never raises a singular value
-    (interlacing), so sigma_m(V) >= sigma_m(V_s), and every entry of V is
-    at most 1 in magnitude, so sigma_1(V) <= ||V||_F <= sqrt(N m).  Hence
-    sigma_m(V_s) > 2 RANK_TOL sqrt(N m) gives sigma_m(V) > 2 RANK_TOL
-    sigma_1(V), and the rule of ``_numerical_rank`` counts all m values;
-    the factor 2 covers rounding in the entries and in the computed
-    singular values, of order machine epsilon times m times ||V||.
+    The column count of ``_graded_basis``, the basis node selection works
+    in; a set is determining for the space exactly when this equals
+    ``space.dim`` on its grid.  The construction runs first on at most 4m
+    sample rows, those at the golden-ratio indices floor(N frac(k phi))
+    for k < 4m, which spread over a grid without aliasing with its
+    stride.  Deleting rows never raises the rank, so a sample of rank m
+    proves rank m; otherwise the construction runs on the whole grid.  A
+    matrix above the dense-array byte budget is refused before anything
+    is evaluated.
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
     check_dense(npts, m, "evaluation matrix")
     box = grid_box(pts)
-    sample = pts[::-(-npts // (_SCREEN_ROWS_PER_COLUMN * m))]
-    svals = np.linalg.svd(np.linalg.qr(vandermonde(space, sample, box), mode="r"),
-                          compute_uv=False)
-    if svals.size == m and svals[-1] > 2.0 * RANK_TOL * math.sqrt(npts * m):
-        return m
-    blocks = _row_blocks(npts, m)
-    r = np.linalg.qr(vandermonde(space, pts[blocks[0]], box), mode="r")
-    for block in blocks[1:]:
-        r = np.linalg.qr(np.vstack((r, vandermonde(space, pts[block], box))), mode="r")
-    return _numerical_rank(np.linalg.svd(r, compute_uv=False))
-
-
-def _numerical_rank(svals: np.ndarray) -> int:
-    """Count of singular values (descending) above ``RANK_TOL`` times the largest.
-
-    An empty or all-zero spectrum has rank 0.
-    """
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > RANK_TOL * svals[0]))
+    if npts > 4 * m:
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        sample = sorted({int(npts * (k * golden % 1.0)) for k in range(4 * m)})
+        if _graded_basis(space, pts[sample], box)[1] == m:
+            return m
+    return _graded_basis(space, pts, box)[1]
 
 
 def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
-    The blocks of ``_row_blocks`` are evaluated once each into the N x m
-    result while their Gram matrix G = V^T V is summed.  If the Cholesky
-    factor R1 of G passes the bound below, Q is built by CholeskyQR2
-    (Yamamoto, Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015):
-    Q1 = V inv(R1) in place, summing G2 = Q1^T Q1, then Q = Q1 inv(R2) for
-    the Cholesky factor R2 of G2.  Otherwise the stored blocks are folded
-    into R by the R-only QR fold of ``trace_dimension``, the rank is
-    checked on R (``_rank_shortfall``), and Q = V inv(R) in place.  No row
-    is evaluated twice.  A grid of fewer than m points raises.
-
-    The bound is s_m^2 > 128 eta s_1^2 for the singular values s of R1,
-    with eta = (N m + m (m + 1)) u and u = 2^-53.  Rounding gives
-    R1^T R1 = V^T V + E with ||E||_2 <= eta sigma_1^2 to first order: N m u
-    from the length-N inner products, as ||V||_F^2 <= m sigma_1^2, and
-    about m (m + 1) u from the Cholesky.  By Weyl's inequality each s_i^2
-    lies within ||E|| of sigma_i(V)^2.  So the bound gives eta < 1/128 and
-    (sigma_m / sigma_1)^2 > 128 eta (1 - eta) - eta > 64 eta, that is
-    kappa(V) < 1 / (8 sqrt(eta)): the hypothesis under which Yamamoto et
-    al. prove ||Q^T Q - I||_F <= 6 eta.  The factor 2 to spare covers the
-    higher-order terms and the rounding of the SVD.  It also proves full
-    rank: 8 sqrt(eta) >= 8 sqrt(2 u), about 1.2e-7, is far above
-    ``RANK_TOL``.  Box grids pass with s_m / s_1 of 0.1 to 0.4; [-1,1]
-    @101 takes the fold from degree 55 (8.8e-6 against 1.1e-5).
+    The basis of ``_graded_basis``.  A grid of fewer than m points raises
+    ``ValidationError``, and a grid whose trace rank falls short of m
+    raises ``NonDeterminingError`` with that rank, naming the first
+    deficient degree and its gap between kept and dropped residuals.
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
@@ -273,60 +301,12 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
             f"grid has {npts} points but the space needs at least {m} to determine "
             "a node set")
     check_dense(npts, m, "evaluation matrix")
-    blocks, box = _row_blocks(npts, m), grid_box(pts)
-    q = np.empty((npts, m))
-    gram = np.zeros((m, m))
-    for block in blocks:
-        v = q[block] = vandermonde(space, pts[block], box)
-        gram += v.T @ v
-    try:
-        lower = np.linalg.cholesky(gram)
-        svals = np.linalg.svd(lower, compute_uv=False)
-        certified = svals[-1] ** 2 > 128.0 * (npts * m + m * (m + 1)) * 2.0 ** -53 * svals[0] ** 2
-    except np.linalg.LinAlgError:
-        certified = False
-    if certified:
-        inverse = np.linalg.inv(lower).T
-        gram = np.zeros((m, m))
-        for block in blocks:
-            w = q[block] = q[block] @ inverse
-            gram += w.T @ w
-        inverse = np.linalg.inv(np.linalg.cholesky(gram)).T
-    else:
-        r = np.empty((0, m))
-        for block in blocks:
-            r = np.linalg.qr(np.vstack((r, q[block])), mode="r")
-        # R carries the singular values of V
-        svals = np.linalg.svd(r, compute_uv=False)
-        rank = _numerical_rank(svals)
-        if rank < m:
-            raise _rank_shortfall(space, svals / svals[0], rank)
-        inverse = np.linalg.inv(r)
-    for block in blocks:
-        q[block] = q[block] @ inverse
+    q, rank, deficiency = _graded_basis(space, pts, grid_box(pts))
+    if rank < m:
+        degree, kept, dropped, cut = deficiency
+        raise NonDeterminingError(
+            f"grid does not determine the space at degree {space.d}: numerical rank {rank} "
+            f"< dimension {m}; degree {degree} is the first short of full rank, with smallest "
+            f"kept residual {kept:.3g} and largest dropped residual {dropped:.3g} (cut "
+            f"{cut:.3g})", rank=rank, dim=m)
     return q
-
-
-def _rank_shortfall(space: PolySpace, ratios: np.ndarray, rank: int) -> NonDeterminingError:
-    """The rank guard's error, from the singular values over the largest.
-
-    ratios[0] = 1: the constant column is all ones, so rank >= 1.  The
-    largest dropped value ratios[rank] near roundoff is a true rank
-    deficiency; far above it (``_ROUNDOFF_DROP``), the Chebyshev basis is
-    too badly conditioned for ``RANK_TOL`` on a grid that may well
-    determine the space, and the error's ``conditioning_limited`` is set.
-    """
-    shortfall = (
-        f"numerical rank {rank} < dimension {space.dim} (s_r/s_1 = {ratios[rank - 1]:.3g}, "
-        f"s_(r+1)/s_1 = {ratios[rank]:.3g}, s_min/s_max = {ratios[-1]:.3g}, "
-        f"rank tolerance {RANK_TOL:g})")
-    limited = bool(ratios[rank] > _ROUNDOFF_DROP)
-    if limited:
-        message = (
-            f"grid is conditioning-limited at degree {space.d} in the Chebyshev basis: "
-            f"{shortfall}; the dropped singular values are far above roundoff, so the "
-            "grid may still determine the space")
-    else:
-        message = f"grid does not determine the space at degree {space.d}: {shortfall}"
-    return NonDeterminingError(message, rank=rank, dim=space.dim,
-                               conditioning_limited=limited)

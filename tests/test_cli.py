@@ -138,24 +138,31 @@ class TestBounds:
 
 
 class TestMesh:
-    def test_conditioning_limit_reports_singular_value_ratio(self, capsys):
-        # the Chebyshev basis on [-1,1] @101 reaches the rank cut at degree 72
-        # through conditioning, not through a rank deficiency: the ratio sits
-        # just under the tolerance, far above machine epsilon, and the
-        # message says so
+    def test_deficient_grid_reports_its_gap(self, capsys):
+        # the circle carries cubics of rank 7 < 10: the message names the
+        # first deficient degree, 2, and its gap, with the dropped residual
+        # at rounding level and the kept ones far above the cut
         rc, out, err = run_main(
-            ["mesh", "--n", "1", "--d", "72", "--resolution", "101",
+            ["mesh", "--n", "2", "--d", "3", "--set", "sphere", "--resolution", "64",
              "--no-timestamp"], capsys)
         assert rc == 2
         assert out == ""
         match = re.fullmatch(
-            r"ERROR\[2\]: grid is conditioning-limited at degree 72 in the Chebyshev basis: "
-            r"numerical rank 72 < dimension 73 \(s_r/s_1 = (\S+), s_\(r\+1\)/s_1 = (\S+), "
-            r"s_min/s_max = (\S+), rank tolerance 1e-10\); the dropped singular values are "
-            r"far above roundoff, so the grid may still determine the space\n", err)
+            r"ERROR\[2\]: grid does not determine the space at degree 3: numerical rank 7 "
+            r"< dimension 10; degree 2 is the first short of full rank, with smallest kept "
+            r"residual (\S+) and largest dropped residual (\S+) \(cut (\S+)\)\n", err)
         assert match is not None, err
-        kept, dropped, smallest = (float(match.group(i)) for i in (1, 2, 3))
-        assert 1e-12 < smallest == dropped <= polyspace.RANK_TOL < kept
+        kept, dropped, cut = (float(match.group(i)) for i in (1, 2, 3))
+        assert dropped < 1e-14 < cut < kept
+
+    @pytest.mark.parametrize("d, grid_constant", [(72, 5.58276), (100, 1.0)])
+    def test_interval_reaches_the_grid_size(self, capsys, d, grid_constant):
+        # 101 equispaced points determine every degree up to 100; at 100
+        # every point is a node
+        payload = run_json(["mesh", "--n", "1", "--d", str(d), "--resolution", "101",
+                            "--no-timestamp"], capsys)
+        assert payload["node_set"]["swap_optimal"] is True
+        assert payload["grid_constant"] == pytest.approx(grid_constant, rel=1e-6, abs=1e-12)
 
     def test_interval_quadratics(self, capsys):
         payload = run_json(
@@ -262,9 +269,10 @@ class TestEmbed:
         assert cert["p"] == 9
         assert cert["schedule_c"] == pytest.approx(0.6995374295560366, rel=1e-14)
 
-    @pytest.mark.parametrize("resolution, degrees", [(101, range(1, 6)), (2001, range(1, 7))])
+    @pytest.mark.parametrize("resolution, degrees", [(101, range(1, 7)), (2001, range(1, 7))])
     def test_scheduled_power_within_corollary_bound(self, capsys, resolution, degrees):
-        # the paper's headline case runs at nodes of degree up to 72: each
+        # the paper's headline case runs at nodes of degree up to 72 (d = 6,
+        # p = 12), on 101 points too: each
         # certificate stays under dist_bound_cor1 = (e s^k)^(1/s) = 2.0128 at
         # s = 3, k = 1
         corollary = float(bounds.schedule_distortion_bound(3, 1))

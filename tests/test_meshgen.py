@@ -8,9 +8,8 @@ and on a fine interval the distance to the Gauss-Lobatto-Legendre nodes.
 The rank-1 exchange is checked against a reference exchange that solves
 the cardinal matrix afresh after every swap, and the left-looking greedy
 seed against a right-looking one that rewrites the whole residual per pick.
-The blocked basis (CholeskyQR2, or the tall-skinny QR fold on grids too
-badly conditioned for it) is checked against numpy's QR of the whole grid
-Vandermonde, and so is the whole selection run on it.
+The graded basis, built degree by degree, is checked against numpy's QR
+of the whole grid Vandermonde, and so is the whole selection run on it.
 """
 
 import itertools
@@ -76,7 +75,7 @@ REFERENCE_CASES = (
        for d in range(3, 6)]
     + [pytest.param(2, 3, sets.ball([0.0, 0.0], 1.0, 31), 100, id="disk-d3"),
        pytest.param(1, 5, sets.box([(-1.0, 1.0)], 2001), 1, id="interval-d5-one-sweep"),
-       # too badly conditioned for the Gram bound: the basis takes the QR fold
+       # s_m/s_1 = 4.2e-7 for the Chebyshev Vandermonde of this grid
        pytest.param(1, 60, sets.box([(-1.0, 1.0)], 101), 100, id="interval-r101-d60-fold")])
 
 
@@ -144,7 +143,7 @@ class TestGreedySeed:
         assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
 
 
-# Grids of several row blocks: 8, 5 and 5 blocks.
+# Grids of 10,001 to 15,625 points, in one to three variables.
 MULTI_BLOCK_CASES = [
     pytest.param(3, 3, sets.box([(-1.0, 1.0)] * 3, 25), id="cube-r25-d3"),
     pytest.param(1, 4, sets.box([(-1.0, 1.0)], 10001), id="interval-r10001-d4"),
@@ -152,20 +151,11 @@ MULTI_BLOCK_CASES = [
 ]
 
 
-def block_rows(space):
-    return max(polyspace._RANK_BLOCK_ROWS, polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
-
-
-def block_count(space, grid_points):
-    return -(-grid_points.shape[0] // block_rows(space))
-
-
 class TestBlockedBasis:
     @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
     def test_orthonormal_basis_of_the_vandermonde(self, n, d, model):
         space = poly_space(n, d)
         grid_points = sets.grid(model)
-        assert block_count(space, grid_points) > 1
         q = polyspace.orthonormal_basis(space, grid_points)
         assert q.shape == (grid_points.shape[0], space.dim)
         assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
@@ -192,7 +182,6 @@ class TestBlockedBasis:
     def test_one_block_grid_matches_whole_qr(self):
         space = poly_space(1, 5)
         grid_points = sets.grid(sets.box([(-1.0, 1.0)], 2001))
-        assert block_count(space, grid_points) == 1
         q = polyspace.orthonormal_basis(space, grid_points)
         # the QR whose R has a positive diagonal is unique
         whole, r = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))
@@ -200,7 +189,7 @@ class TestBlockedBasis:
 
     @pytest.mark.parametrize("n, d, model", MULTI_BLOCK_CASES)
     def test_well_conditioned_grid_needs_no_qr(self, n, d, model, monkeypatch):
-        # the Gram bound holds (s_m/s_1 >= 0.1), so CholeskyQR2 builds the basis
+        # the basis takes no QR, and is numpy's QR whose R has a positive diagonal
         space = poly_space(n, d)
         grid_points = sets.grid(model)
         whole, r = np.linalg.qr(vandermonde(space, grid_points, grid_box(grid_points)))
@@ -209,14 +198,17 @@ class TestBlockedBasis:
         q = polyspace.orthonormal_basis(space, grid_points)
         np.testing.assert_allclose(q, whole * np.sign(np.diag(r)), rtol=0, atol=1e-13)
 
-    def test_ill_conditioned_grid_takes_the_fold(self, monkeypatch):
-        # s_m/s_1 = 4.2e-7 on [-1,1] @101 at degree 60, below the bound's 1.2e-5
-        space = poly_space(1, 60)
+    @pytest.mark.parametrize("d", [60, 72, 100])
+    def test_ill_conditioned_grid_needs_no_qr(self, d, monkeypatch):
+        # s_m/s_1 = 4.2e-7 for the Chebyshev Vandermonde of [-1,1] @101 at
+        # degree 60, and its SVD's 1e-10 cut loses rank from degree 72; the
+        # graded basis never forms it and stays orthonormal up to degree 100
+        space = poly_space(1, d)
         grid_points = sets.grid(sets.box([(-1.0, 1.0)], 101), space.dim)
-        qr = unittest.mock.Mock(wraps=np.linalg.qr)
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        polyspace.orthonormal_basis(space, grid_points)
-        assert qr.call_count == 1
+        monkeypatch.setattr(np.linalg, "qr",
+                            unittest.mock.Mock(side_effect=AssertionError("qr called")))
+        q = polyspace.orthonormal_basis(space, grid_points)
+        assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
 
     def test_grid_of_exactly_dim_points(self):
         space = poly_space(1, 4)
@@ -247,17 +239,14 @@ class TestBlockedBasis:
         evaluated = []
 
         def recording(space, points, box):
-            evaluated.append(np.array(points))
+            evaluated.append((space, np.array(points)))
             return vandermonde(space, points, box)
 
         monkeypatch.setattr(polyspace, "vandermonde", recording)
         select_nodes(space, sets.grid(model, space.dim))
-        assert len(evaluated) == block_count(space, grid_points)
-        assert max(block.shape[0] for block in evaluated) <= block_rows(space)
-        stacked = np.vstack(evaluated)
-        order = np.lexsort(stacked.T[::-1])
-        expected = np.lexsort(grid_points.T[::-1])
-        np.testing.assert_array_equal(stacked[order], grid_points[expected])
+        # the coordinates, the degree-1 Vandermonde of the whole grid
+        assert [(v[0].n, v[0].d) for v in evaluated] == [(n, 1)]
+        np.testing.assert_array_equal(evaluated[0][1], grid_points)
 
     def test_circle_still_non_determining(self):
         # degree-3 members on the circle span 1, cos jt, sin jt (j <= 3)
@@ -267,8 +256,9 @@ class TestBlockedBasis:
         assert (info.value.rank, info.value.dim) == (7, 10)
 
     def test_selection_holds_two_matrices(self):
-        # the basis and the cardinal matrix, plus one block of rows; LAPACK's
-        # own buffers are not traced, so this guards numpy's arrays only
+        # the basis and the cardinal matrix, plus the coordinates and one
+        # grid column; LAPACK's own buffers are not traced, so this guards
+        # numpy's arrays only
         space = poly_space(3, 3)
         model = sets.box([(-1.0, 1.0)] * 3, 25)
         select_nodes(poly_space(1, 2), sets.grid(sets.box([(-1.0, 1.0)], 11), 3))
@@ -624,36 +614,34 @@ class TestRankGuards:
             assert info.value.rank == rank
             assert info.value.rank == trace_dimension(space, sets.grid(model))
             assert info.value.dim == space.dim
-            # a true rank deficiency: s_min/s_max at rounding level
-            ratio = float(str(info.value).split("s_min/s_max = ")[1].split(",")[0])
-            assert ratio < 1e-14
-            assert not info.value.conditioning_limited
+            # a true rank deficiency: the largest dropped residual at rounding level
+            dropped = float(str(info.value).split("largest dropped residual ")[1].split()[0])
+            assert dropped < 1e-14
 
-    @pytest.mark.parametrize("model, d, rank, cause", [
-        (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, "grid does not determine the space"),
-        (sets.box([(0.0, 5.0)], 101), 72, 72, "grid is conditioning-limited"),
-        (sets.box([(2.0, 3.0)], 101), 72, 72, "grid is conditioning-limited"),
-        (sets.box([(-1.0, 1.0)], 101), 72, 72, "grid is conditioning-limited"),
+    @pytest.mark.parametrize("model, d, rank, first", [
+        (sets.sphere([0.0, 0.0], 1.0, 64), 3, 7, 2),
+        (sets.box([(0.0, 5.0)], 101), 101, 101, 101),
+        (sets.box([(2.0, 3.0)], 101), 101, 101, 101),
+        (sets.box([(-1.0, 1.0)], 101), 101, 101, 101),
     ], ids=["circle", "interval-0-5", "interval-2-3", "interval-1-1"])
-    def test_shortfall_names_its_cause(self, model, d, rank, cause):
-        # the largest dropped singular value tells the two apart: ~1e-16 of
-        # the largest on the circle, ~5e-11 for the Chebyshev basis on the
-        # intervals; either way the trace rank drops the same values
+    def test_shortfall_names_its_cause(self, model, d, rank, first):
+        # Every grid point is listed twice, so the grid has at least as many
+        # rows as the space has members and the rank guard, not the size
+        # check, refuses it.  The message names the first deficient degree
+        # and its gap: the dropped residual at rounding level, the kept ones
+        # above the cut.
         space = poly_space(model.ambient_dim, d)
         with pytest.raises(NonDeterminingError) as info:
-            select_nodes(space, sets.grid(model, space.dim))
+            select_nodes(space, np.repeat(sets.grid(model), 2, axis=0))
         message = str(info.value)
-        assert message.startswith(f"{cause} at degree {d}")
-        assert f"numerical rank {rank} < dimension {space.dim}" in message
+        assert message.startswith(f"grid does not determine the space at degree {d}: "
+                                  f"numerical rank {rank} < dimension {space.dim}; degree "
+                                  f"{first} is the first short of full rank")
         assert (info.value.rank, info.value.dim) == (rank, space.dim)
-        assert info.value.conditioning_limited == ("conditioning" in cause)
         assert trace_dimension(space, sets.grid(model)) == rank
-        dropped = float(message.split("s_(r+1)/s_1 = ")[1].split(",")[0])
-        if "conditioning" in cause:
-            assert 1e-12 < dropped <= polyspace.RANK_TOL
-        else:
-            assert dropped < 1e-14
-            assert "conditioning" not in message
+        kept, dropped, cut = (float(message.split(label)[1].split()[0].rstrip(")"))
+                              for label in ("kept residual ", "dropped residual ", "cut "))
+        assert dropped < 1e-14 < cut < kept
 
 
 class TestDeterminism:

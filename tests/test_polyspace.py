@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
@@ -160,6 +160,22 @@ class TestTraceDimension:
             assert trace_dimension(space, circle) == oracle
             assert oracle == 2 * d + 1
 
+    def test_coarse_circle_and_sphere_reach_their_harmonics(self):
+        # trigonometric degree q on 64 angles: 2q + 1; spherical harmonics
+        # of degree <= q on the 6,242 points of S2 @80: (q + 1)^2
+        circle = sets.grid(sets.sphere([0.0, 0.0], 1.0, 64))
+        assert [trace_dimension(poly_space(2, q), circle) for q in range(13)] == \
+            [2 * q + 1 for q in range(13)]
+        sphere = sets.grid(sets.sphere([0.0, 0.0, 0.0], 1.0, 80))
+        assert [trace_dimension(poly_space(3, q), sphere) for q in range(9)] == \
+            [(q + 1) ** 2 for q in range(9)]
+
+    def test_interval_rank_reaches_the_grid_size(self):
+        # 101 distinct points: rank d + 1 up to degree 100, then 101
+        pts = sets.grid(sets.box([(-1.0, 1.0)], 101))
+        for d, rank in ((72, 73), (80, 81), (100, 101), (101, 101), (130, 101)):
+            assert trace_dimension(poly_space(1, d), pts) == rank
+
     def test_line_inside_plane_has_affine_trace(self):
         # on the x-axis every x2-multiple vanishes: rank is dim of one variable
         space = poly_space(2, 3)
@@ -168,62 +184,42 @@ class TestTraceDimension:
         assert trace_dimension(space, sets.grid(model)) == 4
 
 
-def full_svd_rank(space, pts, tol=polyspace.RANK_TOL):
-    """Rank from one SVD of the whole grid Vandermonde."""
+def full_svd_rank(space, pts, tol=1e-10):
+    """Rank from one SVD of the whole grid Vandermonde, singular values
+    above ``tol`` times the largest."""
     svals = np.linalg.svd(vandermonde(space, pts, grid_box(pts)), compute_uv=False)
     return int(np.count_nonzero(svals > tol * svals[0]))
 
 
-def assert_same_rows(got, expected):
-    """The two arrays hold the same rows, each as often, in any order."""
-    def key(a):
-        return a[np.lexsort(a.T[::-1])]
-    assert got.shape == expected.shape
-    np.testing.assert_array_equal(key(got), key(expected))
+def exact_box_rank(n, d, resolution):
+    """Exact trace rank of degree-<=d polynomials on a tensor grid of
+    ``resolution`` distinct values per axis: the exponents alpha with
+    |alpha| <= d and every alpha_i < resolution, since each axis's values
+    determine exactly its polynomials of degree < resolution."""
+    return sum(1 for alpha in poly_space(n, d).basis if max(alpha) < resolution)
 
 
-def default_block_rows(space):
-    return max(polyspace._RANK_BLOCK_ROWS,
-               polyspace._RANK_BLOCK_ROWS_PER_COLUMN * space.dim)
-
-
-def screen_sample(space, pts):
-    """The rows of the trace rank's full-rank screen, points[::ceil(N / 4m)]."""
-    rows = polyspace._SCREEN_ROWS_PER_COLUMN * space.dim
-    return pts[::-(-pts.shape[0] // rows)]
-
-
-def assert_first_qr_is_first_block(calls, space, pts, fold=0):
-    """The fold's first QR, call ``fold`` of vandermonde and of QR, factors
-    the first strided block's Vandermonde itself, not a copy stacked onto
-    anything."""
-    first = polyspace._row_blocks(pts.shape[0], space.dim)[0]
-    np.testing.assert_array_equal(calls["points"][fold], pts[first])
-    assert calls["qr_inputs"][fold] is calls["matrices"][fold]
+def golden_sample(space, pts):
+    """The trace rank's sample, rows floor(N frac(k phi)) for k < 4m."""
+    k = np.arange(4 * space.dim)
+    return pts[np.unique(np.floor(pts.shape[0] * np.modf(k * (1 + 5 ** 0.5) / 2)[0])
+                         .astype(int))]
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Shapes passed to vandermonde, QR and SVD during the test.
 
-    ``calls["points"]`` keeps the point arrays vandermonde was given,
-    ``calls["matrices"]`` the arrays it returned, and ``calls["qr_inputs"]``
-    the arrays QR was given.
+    ``calls["points"]`` keeps the point arrays vandermonde was given.
     """
-    shapes = {"vandermonde": [], "qr": [], "svd": [], "points": [], "matrices": [],
-              "qr_inputs": []}
+    shapes = {"vandermonde": [], "qr": [], "svd": [], "points": []}
 
     def recording(name, fn, shape_of):
         def wrapper(*args, **kwargs):
             shapes[name].append(shape_of(args))
             if name == "vandermonde":
                 shapes["points"].append(np.array(args[1]))
-            if name == "qr":
-                shapes["qr_inputs"].append(args[0])
-            out = fn(*args, **kwargs)
-            if name == "vandermonde":
-                shapes["matrices"].append(out)
-            return out
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(polyspace, "vandermonde", recording(
@@ -237,138 +233,146 @@ def calls(monkeypatch):
 
 class TestStreamedTraceRank:
     @pytest.fixture(params=[1, 7, 64])
-    def block_rows(self, request, monkeypatch):
-        monkeypatch.setattr(polyspace, "_RANK_BLOCK_ROWS", request.param)
-        monkeypatch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
-        return request.param
+    def row_order(self, request):
+        """Reorders N grid rows as rows b, b + s, b + 2s, ... for b < s,
+        s the parameter: the rank must not depend on the row order, which
+        decides the rows of the sample."""
+        stride = request.param
+        return lambda npts: np.concatenate([np.arange(b, npts, stride) for b in range(stride)])
 
     @pytest.mark.parametrize("n, bounds, resolution, degrees", [
         (1, [(-1.0, 1.0)], 2001, range(26, 31)),
         (1, [(0.0, 5.0)], 2001, range(9, 13)),
-        # 21^2 grid at degree 6: 28 columns, so the first blocks are shorter than m
+        # 21^2 grid at degree 6: 28 columns, so the sample is the whole grid
         (2, [(-1.0, 1.0)] * 2, 21, range(5, 7)),
-        (1, [(2.0, 3.0)], 101, range(70, 75)),
+        # true rank deficiencies from degree 101 @101, where the Chebyshev
+        # Vandermonde's SVD loses rank to conditioning from degree 72
+        (1, [(2.0, 3.0)], 101, range(98, 104)),
     ])
-    def test_box_rank_equals_full_svd_rank(self, block_rows, n, bounds, resolution,
+    def test_box_rank_equals_full_svd_rank(self, row_order, n, bounds, resolution,
                                            degrees):
-        # rank-deficient rows near the 1e-10 cut included (degree 72 and up @101)
+        # the reference is the exact rank, which the full SVD also gives
+        # wherever the Chebyshev Vandermonde is well conditioned
         model = sets.box(bounds, resolution)
         pts = sets.grid(model)
+        pts = pts[row_order(pts.shape[0])]
         for d in degrees:
             space = poly_space(n, d)
-            assert trace_dimension(space, pts) == full_svd_rank(space, pts)
+            assert trace_dimension(space, pts) == exact_box_rank(n, d, resolution)
+            if d < 60:
+                assert trace_dimension(space, pts) == full_svd_rank(space, pts)
 
-    def test_circle_rank_equals_full_svd_rank(self, block_rows):
+    def test_circle_rank_equals_full_svd_rank(self, row_order):
         circle = sets.sphere([0.0, 0.0], 1.0, 256)
         pts = sets.grid(circle)
+        pts = pts[row_order(pts.shape[0])]
         for d in range(1, 9):
             space = poly_space(2, d)
             rank = trace_dimension(space, pts)
             assert rank == full_svd_rank(space, pts) == 2 * d + 1
 
-    def test_fewer_points_than_basis_members(self, block_rows):
+    def test_fewer_points_than_basis_members(self, row_order):
         rng = np.random.default_rng(3)
         model = sets.from_points(rng.uniform(-1.0, 1.0, size=(5, 2)))
         space = poly_space(2, 3)
-        pts = sets.grid(model)
+        pts = sets.grid(model)[row_order(5)]
         assert trace_dimension(space, pts) == full_svd_rank(space, pts) == 5
 
     def test_certified_grid_evaluates_one_block(self, calls):
-        # full rank on the ball: the strided sample of at most 4m rows
-        # proves it, and no block of the fold is evaluated
+        # full rank on the ball: the golden-ratio sample of at most 4m rows
+        # proves it, and no other row is evaluated; nothing takes a QR or SVD
         space = poly_space(3, 8)
         pts = sets.grid(sets.ball([0.0, 0.0, 0.0], 1.0, 25))
-        sample = screen_sample(space, pts)
-        assert pts.shape[0] > 2 * default_block_rows(space)
-        assert sample.shape[0] <= 4 * space.dim
+        sample = golden_sample(space, pts)
+        assert sample.shape[0] <= 4 * space.dim < pts.shape[0]
         assert trace_dimension(space, pts) == space.dim
-        assert len(calls["vandermonde"]) == 1
+        assert calls["vandermonde"] == [(sample.shape[0], 3)]
         np.testing.assert_array_equal(calls["points"][0], sample)
-        assert calls["qr"] == [(sample.shape[0], space.dim)]
-        assert calls["qr_inputs"][0] is calls["matrices"][0]
-        assert calls["svd"] == [(space.dim, space.dim)]
+        assert calls["qr"] == calls["svd"] == []
 
-    def test_default_blocks_stay_within_one_block(self, calls):
+    def test_uncertified_sample_then_whole_grid(self, calls):
         # S2 at degree 4 has trace rank 25 < 35: the sample cannot certify,
-        # so the fold evaluates every block after it, each grid row once
+        # so the construction runs once more, on every grid row
         space = poly_space(3, 4)
-        model = sets.sphere([0.0, 0.0, 0.0], 1.0, 80)
-        pts = sets.grid(model)
-        npts = pts.shape[0]
-        rows = default_block_rows(space)
-        assert npts > 2 * rows
+        pts = sets.grid(sets.sphere([0.0, 0.0, 0.0], 1.0, 80))
         assert trace_dimension(space, pts) == 25
-        np.testing.assert_array_equal(calls["points"][0], screen_sample(space, pts))
-        assert calls["qr_inputs"][0] is calls["matrices"][0]
-        assert len(calls["vandermonde"]) == 1 + -(-npts // rows)
-        assert_first_qr_is_first_block(calls, space, pts, fold=1)
-        assert_same_rows(np.vstack(calls["points"][1:]), pts)
-        assert max(shape[0] for shape in calls["vandermonde"]) <= rows
-        assert max(shape[0] for shape in calls["qr"]) <= rows + space.dim
-        assert calls["svd"] == [(space.dim, space.dim)] * 2
+        assert len(calls["vandermonde"]) == 2
+        np.testing.assert_array_equal(calls["points"][0], golden_sample(space, pts))
+        np.testing.assert_array_equal(calls["points"][1], pts)
+        assert calls["qr"] == calls["svd"] == []
 
     def test_screen_evaluates_at_most_four_rows_per_member(self, calls):
-        # 29,791 points at m = 84: the one Vandermonde has at most 4m = 336
-        # rows, where the fold's first block has 1,987
+        # 29,791 points at m = 84: the one Vandermonde has at most 4m = 336 rows
         space = poly_space(3, 6)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 3, 31))
         assert trace_dimension(space, pts) == space.dim
         assert len(calls["vandermonde"]) == 1
         assert calls["vandermonde"][0][0] <= 336
 
+    @pytest.mark.parametrize("resolution, d, strided", [
+        (40, 3, 4), (84, 5, 6), (61, 10, 58), (101, 16, 132)])
+    def test_tensor_grids_certify_from_one_sample(self, calls, resolution, d, strided):
+        # every ceil(N / 4m)-th point of these [-1,1]^2 grids lies on few grid
+        # lines, where the sample's exact rank is ``strided``; the golden-ratio
+        # sample has full rank, so one build certifies
+        space = poly_space(2, d)
+        pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, resolution))
+        stride_sample = pts[::-(-pts.shape[0] // (4 * space.dim))]
+        assert trace_dimension(space, stride_sample) == strided < space.dim
+        calls["vandermonde"].clear()
+        assert trace_dimension(space, pts) == space.dim
+        assert len(calls["vandermonde"]) == 1
+
 
 class TestRankScreen:
-    """The strided-sample screen of ``trace_dimension`` at the default sizes."""
+    """The sample and whole-grid ranks of ``trace_dimension`` at the default sizes."""
 
     @pytest.mark.parametrize("model, degrees, oracle", [
         (sets.sphere([0.0, 0.0], 1.0, 5000), range(1, 9), lambda d: 2 * d + 1),
         (sets.sphere([0.0, 0.0, 0.0], 1.0, 60), range(1, 6), lambda d: (d + 1) ** 2),
         (sets.from_points(np.outer(np.linspace(-1.0, 1.0, 5000), [0.6, -0.8])
                           + [0.25, 0.5]), range(1, 7), lambda d: d + 1),
-        # degrees on both sides of the 1e-10 cut (from 337 @2049)
-        (sets.box([(0.0, 5.0)], 2049), range(335, 340), None),
-        (sets.box([(-1.0, 1.0)], 2049), range(335, 340), None),
+        # 2049 distinct points: full rank d + 1, which the Chebyshev SVD's
+        # 1e-10 cut loses to conditioning from degree 337
+        (sets.box([(0.0, 5.0)], 2049), range(335, 340), lambda d: d + 1),
+        (sets.box([(-1.0, 1.0)], 2049), range(335, 340), lambda d: d + 1),
     ], ids=["circle", "S2", "line", "interval-0-5", "interval-1-1"])
     def test_rank_deficient_grids_keep_full_svd_rank(self, model, degrees, oracle):
         pts = sets.grid(model)
         for d in degrees:
             space = poly_space(model.ambient_dim, d)
-            assert pts.shape[0] > default_block_rows(space)
             rank = trace_dimension(space, pts)
-            assert rank == full_svd_rank(space, pts)
-            if oracle is not None:
-                assert rank == oracle(d)
+            assert rank == oracle(d)
+            if d < 60:
+                assert rank == full_svd_rank(space, pts)
 
     @pytest.mark.parametrize("model, d", [
         (sets.box([(-1.0, 1.0)] * 3, 31), 6),
         (sets.box([(0.0, 2.0), (-1.0, 1.0)], 101), 10),
         (sets.ball([0.0, 0.0, 0.0], 1.0, 25), 5),
         (sets.from_points(np.random.default_rng(7).uniform(-1.0, 1.0, size=(9000, 2))), 8),
-        # the sample's stride equals the resolution, so it lies on one grid
-        # line and cannot certify; the fold finds the full rank
+        # grids whose every ceil(N / 4m)-th point lies on one grid line
         (sets.box([(-1.0, 1.0)] * 2, 40), 3),
         (sets.box([(-1.0, 1.0)] * 2, 84), 5),
     ], ids=["box-3d", "box-2d", "ball", "cloud", "box-2d-aliased-40", "box-2d-aliased-84"])
     def test_full_rank_grids_keep_full_svd_rank(self, model, d):
         space = poly_space(model.ambient_dim, d)
         pts = sets.grid(model)
-        assert pts.shape[0] > screen_sample(space, pts).shape[0]
+        assert pts.shape[0] > golden_sample(space, pts).shape[0]
         assert trace_dimension(space, pts) == full_svd_rank(space, pts) == space.dim
 
-    def test_block_better_conditioned_than_grid(self, monkeypatch):
-        # 1-D, d=1: x=1 everywhere but at 21 points, one of them the first
-        # of the screen's 8 sample rows.  s_min/s_max is about 0.38 on the
-        # sample and 0.014 on the grid, so at RANK_TOL 0.03 a bound on
-        # sigma_1 taken from the sample, or one without the sqrt(N) factor,
-        # would certify rank 2 against the rule's rank 1.
-        npts, rows = 100000, polyspace._RANK_BLOCK_ROWS
-        stride = -(-npts // rows)
-        pts = np.ones((npts, 1))
-        pts[::stride * 100] = -1.0
+    def test_block_better_conditioned_than_grid(self):
+        # 1-D, d=1: x=1 everywhere but at every 4900th row, so the sample
+        # may hold a larger share of x=-1 than the grid (better conditioned)
+        # or none at all; the rank is the grid's, 2, either way.  A lone x=-1
+        # still gives rank 2, and no x=-1 at all rank 1.
         space = poly_space(1, 1)
-        for tol in (1e-10, 1e-3, 0.03):
-            monkeypatch.setattr(polyspace, "RANK_TOL", tol)
-            assert trace_dimension(space, pts) == full_svd_rank(space, pts, tol)
+        pts = np.ones((100000, 1))
+        assert trace_dimension(space, pts) == 1
+        for rows in (slice(None, None, 4900), slice(77777, 77778), slice(0, 1)):
+            pts[:] = 1.0
+            pts[rows] = -1.0
+            assert trace_dimension(space, pts) == full_svd_rank(space, pts) == 2
 
 
 CLOUD_SHAPES = ("cloud", "line", "circle", "quadric")
@@ -394,24 +398,33 @@ def _shaped_cloud(rng, shape, n, npts):
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(CLOUD_SHAPES),
        n=st.integers(2, 3), d=st.integers(0, 4),
        npts=st.one_of(st.integers(1, 200), st.none()),
-       pad=st.integers(0, 30), block=st.one_of(st.none(), st.integers(1, 40)),
-       tol=st.sampled_from([polyspace.RANK_TOL, 1e-6, 1e-2, 0.1]))
-def test_screened_rank_equals_full_svd_rank(seed, shape, n, d, npts, pad, block, tol):
+       pad=st.integers(0, 30))
+def test_screened_rank_equals_full_svd_rank(seed, shape, n, d, npts, pad):
     # Each point is followed by ``pad`` copies of the first one.  With npts
-    # None the cloud has 4m points, so the screen's sample, every
-    # ceil(N / 4m)-th row, is the cloud and skips every copy; with the block
-    # size None (one row per point) so does the fold's first block.  Either
-    # is then better conditioned than the grid.
+    # None the cloud has 4m points, the sample's size.  The full SVD decides
+    # the rank only where its gap is clear: no singular value between 1e-13
+    # and 1e-4 of the largest.
     space = poly_space(n, d)
     if npts is None:
-        npts = polyspace._SCREEN_ROWS_PER_COLUMN * space.dim
+        npts = 4 * space.dim
     rng = np.random.default_rng(seed)
     cloud = _shaped_cloud(rng, shape, n, npts)
     pts = np.repeat(cloud[:1], npts * (pad + 1), axis=0)
     pts[::pad + 1] = cloud
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(polyspace, "_RANK_BLOCK_ROWS", npts if block is None else block)
-        patch.setattr(polyspace, "_RANK_BLOCK_ROWS_PER_COLUMN", 0)
-        patch.setattr(polyspace, "RANK_TOL", tol)
-        rank = trace_dimension(space, pts)
-    assert rank == full_svd_rank(space, pts, tol)
+    svals = np.linalg.svd(vandermonde(space, pts, grid_box(pts)), compute_uv=False)
+    ratios = svals / svals[0]
+    assume(not np.any((ratios > 1e-13) & (ratios < 1e-4)))
+    assert trace_dimension(space, pts) == full_svd_rank(space, pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), npts=st.integers(1, 130), d=st.integers(0, 120))
+def test_distinct_points_on_a_line_have_rank_min_of_degree_and_points(seed, npts, d):
+    # M distinct points determine exactly the polynomials of degree < M, so
+    # the trace rank is min(d + 1, M) at every degree: here jittered
+    # equispaced points, at least a third of their spacing apart, on a
+    # random interval and in random order
+    rng = np.random.default_rng(seed)
+    offsets = np.arange(npts) + rng.uniform(-1.0 / 3.0, 1.0 / 3.0, npts)
+    pts = rng.uniform(-10.0, 10.0) + 10.0 ** rng.uniform(-3.0, 3.0) * rng.permutation(offsets)
+    assert trace_dimension(poly_space(1, d), pts.reshape(-1, 1)) == min(d + 1, npts)
