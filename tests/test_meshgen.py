@@ -210,6 +210,17 @@ class TestBlockedBasis:
         q = polyspace.orthonormal_basis(space, grid_points)
         assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
 
+    def test_grid_near_a_circle_stays_orthonormal(self):
+        # 256 points alternately 1e-4 inside and outside the unit circle:
+        # x^2 + y^2 - 1 leaves a degree-2 residual near 1e-4, far above the
+        # cut, and a single projection would lose orthogonality to ~3e-13
+        t = 2.0 * np.pi * np.arange(256) / 256
+        radius = 1.0 + 1e-4 * np.where(np.arange(256) % 2, 1.0, -1.0)
+        space = poly_space(2, 3)
+        q = polyspace.orthonormal_basis(
+            space, np.column_stack([radius * np.cos(t), radius * np.sin(t)]))
+        assert np.abs(q.T @ q - np.eye(space.dim)).max() <= 1e-13
+
     def test_grid_of_exactly_dim_points(self):
         space = poly_space(1, 4)
         model = sets.from_points([[x] for x in (-1.0, -0.4, 0.1, 0.5, 1.0)])
