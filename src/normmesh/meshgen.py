@@ -208,7 +208,8 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     last sweep made the last needed swap is swap-optimal too.
 
     The run is deterministic given (space, points); the exchange draws
-    no random numbers.
+    no random numbers.  Rows should be distinct, as for
+    ``polyspace.trace_dimension``; ``sets.from_points`` drops duplicates.
     """
     grid_points = polyspace._as_points(points, space.n)
     q = polyspace.orthonormal_basis(space, grid_points)

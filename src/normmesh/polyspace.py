@@ -25,6 +25,19 @@ the ill-conditioned Chebyshev Vandermonde is never formed whole.  Its
 column count is the trace rank.  ``vandermonde`` evaluates the basis
 itself, for the coordinates of that construction and for callers that
 need the members' values.
+
+On a box grid, the tensor product of M samples per axis with the last
+axis varying fastest (``sets``' box order), the grid sum factorises
+axis by axis, so the products q_alpha1(x1) ... q_alphan(xn) of each
+axis's one-variable orthonormal basis are orthonormal on the grid
+(``_box_axes``, ``_product_basis``).  Each product is the member alpha
+plus members componentwise below alpha, which come earlier in graded
+order, so they form the same Q as the general construction, at O(N m)
+instead of O(N m^2) and with nothing built on the whole grid but Q.
+The route is chosen from the points alone: n >= 2, the rows are that
+tensor product bit for bit, and every axis has full one-variable rank
+d + 1.  Every other input, row-permuted boxes and boxes with an axis
+short of rank included, takes the general construction.
 """
 
 from __future__ import annotations
@@ -261,22 +274,82 @@ def _update_rows(block: np.ndarray, left: np.ndarray, right: np.ndarray) -> None
             block[part] -= left[part] @ right
 
 
+def _box_axes(space: PolySpace, pts: np.ndarray) -> list[np.ndarray] | None:
+    """Per-axis orthonormal bases of a box grid, or None off the box route.
+
+    The route needs n >= 2 and N = M^n rows that are, bit for bit, the
+    tensor product of one M-point sample per axis, the last axis varying
+    fastest.  Each axis's basis is then ``_graded_basis`` in one variable
+    on its sample and the sample's own box, the axis of ``grid_box``; the
+    route also needs each to have full rank d + 1, which a flat axis or
+    M <= d denies.  Every axis is checked before any basis is built, and
+    each check holds one byte per grid row.
+    """
+    npts, n = pts.shape
+    side = round(npts ** (1.0 / n))
+    if n < 2 or side ** n != npts:
+        return None
+    bits = pts.view(np.int64)
+    samples = []
+    for axis in range(n):
+        column = bits[:, axis].reshape(side ** axis, side, side ** (n - 1 - axis))
+        if not (column == column[0, :, :1]).all():
+            return None
+        samples.append(pts[:side ** (n - axis):side ** (n - 1 - axis), axis].reshape(side, 1))
+    bases = []
+    for sample in samples:
+        q, rank, _ = _graded_basis(PolySpace(1, space.d), sample, grid_box(sample))
+        if rank <= space.d:
+            return None
+        bases.append(q)
+    return bases
+
+
+def _product_basis(space: PolySpace, bases: list[np.ndarray]) -> np.ndarray:
+    """The N x m Fortran-order basis whose column alpha is the outer product
+    of the per-axis columns alpha_1, ..., alpha_n, last axis fastest.
+
+    Each column is written in place through a (N / M, M) view of itself,
+    as the rank-1 product of the leading axes' outer product, which for
+    n >= 3 is kept in a buffer of N / M floats, and the last axis's column.
+    """
+    side, n = bases[0].shape[0], space.n
+    q = np.empty((side ** n, space.dim), order="F")
+    leading = [np.empty(side ** (axis + 1)) for axis in range(1, n - 1)]
+    for j, alpha in enumerate(space.basis):
+        lead = bases[0][:, alpha[0]]
+        for axis in range(1, n):
+            out = q[:, j] if axis == n - 1 else leading[axis - 1]
+            # a rank-1 product into out: a ufunc's broadcast outer product
+            # would pass through a temporary as large as out
+            np.dot(lead[:, None], bases[axis][None, :, alpha[axis]], out=out.reshape(-1, side))
+            lead = out
+    return q
+
+
 def trace_dimension(space: PolySpace, points) -> int:
     """Numerical dimension of the space restricted to ``points``.
 
     The column count of ``_graded_basis``, the basis node selection works
     in; a set is determining for the space exactly when this equals
-    ``space.dim`` on its grid.  The construction runs first on at most 4m
-    sample rows, those at the golden-ratio indices floor(N frac(k phi))
-    for k < 4m, which spread over a grid without aliasing with its
-    stride.  Deleting rows never raises the rank, so a sample of rank m
-    proves rank m; otherwise the construction runs on the whole grid.  A
-    matrix above the dense-array byte budget is refused before anything
-    is evaluated.
+    ``space.dim`` on its grid.  On the box route (``_box_axes``) it is m,
+    every exponent being below each axis's full one-variable rank.
+    Otherwise the construction runs first on at most 4m sample rows,
+    those at the golden-ratio indices floor(N frac(k phi)) for k < 4m,
+    which spread over a grid without aliasing with its stride.  Deleting
+    rows never raises the rank, so a sample of rank m proves rank m;
+    otherwise the construction runs on the whole grid.  A matrix above the
+    dense-array byte budget is refused before anything is evaluated.
+
+    Rows should be distinct: repeated rows can add a spurious direction
+    at degrees near the number of distinct points.  ``sets.from_points``
+    and the cloud loader drop duplicates.
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
     check_dense(npts, m, "evaluation matrix")
+    if _box_axes(space, pts) is not None:
+        return m
     box = grid_box(pts)
     if npts > 4 * m:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -289,10 +362,13 @@ def trace_dimension(space: PolySpace, points) -> int:
 def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
-    The basis of ``_graded_basis``.  A grid of fewer than m points raises
-    ``ValidationError``, and a grid whose trace rank falls short of m
-    raises ``NonDeterminingError`` with that rank, naming the first
+    The basis of ``_graded_basis``, the Q of the Chebyshev Vandermonde's
+    QR; on the box route (``_box_axes``) the same Q as products of
+    per-axis bases (``_product_basis``).  A grid of fewer than m points
+    raises ``ValidationError``, and a grid whose trace rank falls short of
+    m raises ``NonDeterminingError`` with that rank, naming the first
     deficient degree and its gap between kept and dropped residuals.
+    Rows should be distinct, as for ``trace_dimension``.
     """
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
@@ -301,6 +377,9 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
             f"grid has {npts} points but the space needs at least {m} to determine "
             "a node set")
     check_dense(npts, m, "evaluation matrix")
+    bases = _box_axes(space, pts)
+    if bases is not None:
+        return _product_basis(space, bases)
     q, rank, deficiency = _graded_basis(space, pts, grid_box(pts))
     if rank < m:
         degree, kept, dropped, cut = deficiency

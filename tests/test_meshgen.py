@@ -143,6 +143,12 @@ class TestGreedySeed:
         assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
 
 
+def swap_first_rows(grid_points):
+    """A copy of a box grid with its first two rows swapped: out of box
+    order, so its basis takes the general route."""
+    return grid_points[np.r_[1, 0, 2:grid_points.shape[0]]]
+
+
 # Grids of 10,001 to 15,625 points, in one to three variables.
 MULTI_BLOCK_CASES = [
     pytest.param(3, 3, sets.box([(-1.0, 1.0)] * 3, 25), id="cube-r25-d3"),
@@ -254,10 +260,20 @@ class TestBlockedBasis:
             return vandermonde(space, points, box)
 
         monkeypatch.setattr(polyspace, "vandermonde", recording)
-        select_nodes(space, sets.grid(model, space.dim))
-        # the coordinates, the degree-1 Vandermonde of the whole grid
+        # off box order the general route runs: the coordinates, the
+        # degree-1 Vandermonde of the whole grid
+        general = grid_points if n == 1 else swap_first_rows(grid_points)
+        select_nodes(space, general)
         assert [(v[0].n, v[0].d) for v in evaluated] == [(n, 1)]
-        np.testing.assert_array_equal(evaluated[0][1], grid_points)
+        np.testing.assert_array_equal(evaluated[0][1], general)
+        if n > 1:
+            # in box order the box route evaluates each axis's M samples alone
+            evaluated.clear()
+            select_nodes(space, sets.grid(model, space.dim))
+            side = model.resolution
+            assert [(v[0].n, v[0].d, v[1].shape) for v in evaluated] == [(1, 1, (side, 1))] * n
+            for (_, axis_points), (lo, hi) in zip(evaluated, model.params["bounds"]):
+                np.testing.assert_array_equal(axis_points[:, 0], np.linspace(lo, hi, side))
 
     def test_circle_still_non_determining(self):
         # degree-3 members on the circle span 1, cos jt, sin jt (j <= 3)
@@ -267,9 +283,8 @@ class TestBlockedBasis:
         assert (info.value.rank, info.value.dim) == (7, 10)
 
     def test_selection_holds_two_matrices(self):
-        # the basis and the cardinal matrix, plus the coordinates and one
-        # grid column; LAPACK's own buffers are not traced, so this guards
-        # numpy's arrays only
+        # the basis and the cardinal matrix, plus one grid column; LAPACK's
+        # own buffers are not traced, so this guards numpy's arrays only
         space = poly_space(3, 3)
         model = sets.box([(-1.0, 1.0)] * 3, 25)
         select_nodes(poly_space(1, 2), sets.grid(sets.box([(-1.0, 1.0)], 11), 3))
