@@ -75,8 +75,8 @@ class EmbeddingCertificate:
     dominates max_G |f| / max_nodes |f| for every member f;
     ``empirical_distortion`` is the largest such ratio on the grid,
     exhibited by a polynomial, once ``estimate_distortion`` has run (1.0
-    until then).  The grid, L and the grid size are read from
-    ``node_set``, and the evaluation matrices are built from it when read.
+    until then).  The grid, L, the grid size and the basis of the
+    distortion's programs are read from ``node_set``.
     """
 
     def __init__(self, space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
@@ -100,20 +100,6 @@ class EmbeddingCertificate:
     @property
     def grid_size(self) -> int:
         return self.node_set.grid_size
-
-    @property
-    def grid_values(self) -> np.ndarray:
-        """The space's basis at every grid point, one row per point."""
-        grid_points = self.node_set.grid_points
-        return polyspace.vandermonde(self.space, grid_points, polyspace.grid_box(grid_points))
-
-    @property
-    def restriction(self) -> np.ndarray:
-        """The space's basis at the nodes, the node rows of ``grid_values``:
-        the embedding in matrix form.  Each row is evaluated from its own
-        point alone, so these are the rows of ``vandermonde(space, nodes)``
-        in the grid's box."""
-        return self.grid_values[list(self.node_set.node_indices)]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -209,9 +195,11 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     """The grid distortion max_G |g| / max_nodes |g| over the space.
 
     For each grid point z the largest g(z) with |g| <= 1 at the nodes is
-    a linear program, solved by ``_optimal_basis``.  Any basis B of k
-    node rows bounds every such program at once: g(z) <= sum_i |l_i(z)|
-    with l_i the cardinal functions of B, the row sums of |G R_B^{-1}|.
+    a linear program over g's coordinates in the first dim columns of
+    ``node_set.grid_basis``, which span the space on the grid, solved by
+    ``_optimal_basis``.  Any basis B of k node rows bounds every such
+    program at once: g(z) <= sum_i |l_i(z)| with l_i the cardinal
+    functions of B, the row sums of |G R_B^{-1}|.
     Starting from the greedy basis of the node rows, each round takes the
     open grid point of largest bound, solves its program warm-started
     from the basis that gave that bound, keeps the ratio of the final
@@ -224,8 +212,9 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     ``cert.certified_bound``; if it does, a certified inequality has been
     violated and an error is raised.
     """
-    grid_values = cert.grid_values
-    restriction = grid_values[list(cert.node_set.node_indices)]
+    node_set = cert.node_set
+    grid_values = node_set.grid_basis[:, :cert.space.dim]
+    restriction = grid_values[list(node_set.node_indices)]
     basis = np.array(meshgen._greedy_rows(restriction))
     # every basis met so far with its signs; owner names, for each open
     # grid point, the one that gave its bound

@@ -40,6 +40,7 @@ place degree by degree (Vandermonde with Arnoldi), which also refuses a
 grid whose trace rank falls short of m and names the first deficient
 degree.  Node selection holds two N x m arrays (the basis and the
 cardinal matrix), plus the grid's coordinates while the basis is built.
+The basis is kept, as the returned ``NodeSet.grid_basis``.
 
 A greedy pass seeds the exchange: rows of the orthonormalized grid
 Vandermonde are picked one by one, each maximizing the norm of its
@@ -84,18 +85,20 @@ class NodeSet:
     ``swap_optimal`` is ``lagrange_sup <= 1 + TOL_SWAP``: by the Cramer
     identity, no swap grows |det| by more than a 1 + TOL_SWAP factor.
     ``grid_constant`` is the norming constant L = max over the grid of
-    sum_k |f_k|, read from the same cardinal matrix.
+    sum_k |f_k|, read from the same cardinal matrix.  ``grid_basis`` is
+    the graded orthonormal basis the nodes were selected in.
     """
 
     def __init__(self, space: polyspace.PolySpace, node_indices: tuple[int, ...],
                  log_abs_det: float, lagrange_sup: float, grid_constant: float,
-                 grid_points: np.ndarray, sweeps: int):
+                 grid_points: np.ndarray, grid_basis: np.ndarray, sweeps: int):
         self.space = space
         self.node_indices = node_indices
         self.log_abs_det = log_abs_det
         self.lagrange_sup = lagrange_sup
         self.grid_constant = grid_constant
         self.grid_points = grid_points
+        self.grid_basis = grid_basis
         self.sweeps = sweeps
 
     @property
@@ -262,7 +265,7 @@ def make_node_set(space: polyspace.PolySpace, points,
 
 def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray,
               indices: Sequence[int], cardinals: np.ndarray, sweeps: int) -> NodeSet:
-    """The NodeSet of grid nodes ``indices`` and its certificates.
+    """The NodeSet of grid nodes ``indices`` and its certificates, keeping ``q``.
 
     ``cardinals`` is the fresh product ``_cardinal_values(q, indices)``,
     which this overwrites; ``lagrange_sup`` and ``grid_constant`` are read from it.
@@ -275,6 +278,7 @@ def _node_set(space: polyspace.PolySpace, grid_points: np.ndarray, q: np.ndarray
         lagrange_sup=float(magnitudes.max()),
         grid_constant=float(magnitudes.sum(axis=1).max()),
         grid_points=grid_points,
+        grid_basis=q,
         sweeps=sweeps,
     )
 

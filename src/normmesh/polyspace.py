@@ -22,9 +22,11 @@ Nakatsukasa and Trefethen, SIAM Review 63, 2021) in n variables: the
 grid's orthonormal basis is built degree by degree, each degree's
 columns from the coordinates y times columns of the degree before, so
 the ill-conditioned Chebyshev Vandermonde is never formed whole.  Its
-column count is the trace rank.  ``vandermonde`` evaluates the basis
-itself, for the coordinates of that construction and for callers that
-need the members' values.
+column count is the trace rank.  It is graded, so its first dim(P_d)
+columns span the degree-<=d traces for each d, and it is the Q of the
+Chebyshev Vandermonde's QR in exact arithmetic only (``_graded_basis``).
+``vandermonde`` evaluates the basis itself, for the coordinates of that
+construction.
 
 On a box grid, the tensor product of M samples per axis with the last
 axis varying fastest (``sets``' box order), the grid sum factorises
@@ -184,7 +186,10 @@ def _graded_basis(space: PolySpace, pts: np.ndarray, box) -> tuple[np.ndarray, i
     factors are triangular, so while every degree has full rank column
     alpha stays the member alpha plus earlier members, and q is V inv(R)
     for the Chebyshev Vandermonde V and an upper-triangular R with
-    positive diagonal: the Q of V's QR.
+    positive diagonal: the Q of V's QR, in exact arithmetic.  Computed, q
+    stays orthonormal, but near the grid's resolution drifts from that Q,
+    span included: on [-1,1]^2 @23 at d = 22 by 2.7e-12, and the span by
+    6.8e-12, against an extended-precision Gram-Schmidt.
 
     A degree whose block Gram matrix G has an eigenvalue at or below the
     cut is deficient.  Its block is rotated onto the eigenvectors above
@@ -363,11 +368,12 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
     The basis of ``_graded_basis``, the Q of the Chebyshev Vandermonde's
-    QR; on the box route (``_box_axes``) the same Q as products of
-    per-axis bases (``_product_basis``).  A grid of fewer than m points
-    raises ``ValidationError``, and a grid whose trace rank falls short of
-    m raises ``NonDeterminingError`` with that rank, naming the first
-    deficient degree and its gap between kept and dropped residuals.
+    QR up to its rounding drift; on the box route (``_box_axes``) the same
+    Q as products of per-axis bases (``_product_basis``).  Its first
+    dim(P_d) columns span the degree-<=d traces.  A grid of fewer than m
+    points raises ``ValidationError``, and a grid whose trace rank falls
+    short of m raises ``NonDeterminingError`` with that rank, naming the
+    first deficient degree and its gap between kept and dropped residuals.
     Rows should be distinct, as for ``trace_dimension``.
     """
     pts = _as_points(points, space.n)

@@ -317,6 +317,18 @@ class TestDistort:
         assert cert["empirical_distortion"] <= cert["certified_bound"] * (1.0 + 1e-9)
         assert payload["inputs"]["trials"] == 4
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_scheduled_distortion_within_corollary_bound(self, capsys, d):
+        # the paper's headline through the exact distortion: on [-1,1] @101
+        # the scheduled embedding's grid distortion (1.00963 at d = 6, p = 12)
+        # is at most its certificate (1.15408), which is at most
+        # dist_bound_cor1 = (e s^k)^(1/s) = 2.0128 at s = 3, k = 1
+        corollary = float(bounds.schedule_distortion_bound(3, 1))
+        cert = run_json(
+            ["distort", "--n", "1", "--d", str(d), "--schedule", "3,1,7.389",
+             "--resolution", "101", "--no-timestamp"], capsys)["certificate"]
+        assert 1.0 <= cert["empirical_distortion"] <= cert["certified_bound"] <= corollary
+
     def test_violated_certificate_exits_three(self, capsys, monkeypatch):
         def explode(cert):
             raise InvariantViolation("probe exceeded the certified bound")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,17 @@ from normmesh.polyspace import dim_full, grid_box, poly_space, vandermonde
 INTERVAL = sets.box([(-1.0, 1.0)], 2001)
 
 
+def chebyshev_values(cert):
+    """The space's Chebyshev Vandermonde at the nodes and on the whole grid.
+
+    A basis other than the certificate's ``node_set.grid_basis``, so a
+    reference built on it checks the program in a second basis.
+    """
+    grid_points = cert.node_set.grid_points
+    grid_values = vandermonde(cert.space, grid_points, grid_box(grid_points))
+    return grid_values[list(cert.node_set.node_indices)], grid_values
+
+
 def reference_distortion(cert):
     """The largest grid-to-node sup ratio over every vertex of |R a| <= 1.
 
@@ -23,7 +35,7 @@ def reference_distortion(cert):
     polytope sits at a vertex a = R_S^{-1} s: S a set of k node rows with
     R_S invertible and s a sign vector, kept when no node row exceeds 1.
     """
-    restriction, grid_values = cert.restriction, cert.grid_values
+    restriction, grid_values = chebyshev_values(cert)
     rows, dim = restriction.shape
     subsets = np.array(list(itertools.combinations(range(rows), dim)))
     blocks = restriction[subsets]
@@ -47,7 +59,7 @@ def whole_grid_distortion(cert):
     previous optimal basis; a point's optimum is target . a over the
     largest node value of its optimal vertex a.
     """
-    restriction, grid_values = cert.restriction, cert.grid_values
+    restriction, grid_values = chebyshev_values(cert)
     basis = np.array(meshgen._greedy_rows(restriction))
     signs = np.ones(basis.size)
     best = 0.0
@@ -153,22 +165,29 @@ class TestEmbed:
         assert cert.node_set.nodes.shape == (dim_full(2, 4), 2)
         assert cert.certified_bound <= math.sqrt(dim_full(2, 4)) * (1.0 + 1e-8)
 
-    def test_restriction_matrix_shape(self):
+    def test_grid_basis_shape(self):
+        # the N x m basis of node selection at degree d*p, in Fortran order
+        # so that the distortion's degree-d prefix is a contiguous view
         space = poly_space(1, 4)
         cert = embed(space, INTERVAL, 2)
-        assert cert.restriction.shape == (dim_full(1, 8), space.dim)
-        assert cert.grid_values.shape == (2001, space.dim)
+        assert cert.node_set.grid_basis.shape == (2001, dim_full(1, 8))
+        assert cert.node_set.grid_basis.flags.f_contiguous
 
     @pytest.mark.parametrize("space, model", [
         (poly_space(1, 3), sets.box([(-1.0, 1.0)], 301)),
         (poly_space(2, 2), sets.box([(-1.0, 2.0), (0.0, 1.0)], 31)),
         (poly_space(2, 2), sets.ball([0.5, -0.5], 2.0, 31)),
     ], ids=["interval", "rectangle", "disk"])
-    def test_restriction_is_the_node_vandermonde(self, space, model):
-        # the node rows of grid_values, bit for bit, in the grid's box
+    def test_grid_basis_prefix_spans_the_vandermonde(self, space, model):
+        # the first dim columns are orthonormal and the degree-d Chebyshev
+        # Vandermonde, of full rank dim, lies in their span: the same space
         cert = embed(space, model, 2)
-        box = grid_box(cert.node_set.grid_points)
-        assert np.array_equal(cert.restriction, vandermonde(space, cert.node_set.nodes, box))
+        prefix = cert.node_set.grid_basis[:, :space.dim]
+        grid_values = chebyshev_values(cert)[1]
+        assert np.abs(prefix.T @ prefix - np.eye(space.dim)).max() <= 1e-13
+        assert np.linalg.matrix_rank(grid_values) == space.dim
+        residual = grid_values - prefix @ (prefix.T @ grid_values)
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(grid_values)
 
     def test_target_dimension_guard(self):
         with pytest.raises(ValidationError, match="grid has 121 points"):
@@ -221,6 +240,16 @@ class TestDistortionProbe:
             cert = embed(poly_space(1, d), sets.box([(-1.0, 1.0)], 301), p)
             observed = estimate_distortion(cert)
             assert 1.0 <= observed <= cert.certified_bound * (1.0 + 1e-9)
+
+    def test_evaluates_no_basis(self, monkeypatch):
+        # the programs read the node set's basis; nothing is evaluated again
+        cert = embed(poly_space(2, 2), sets.box([(-1.0, 1.0)] * 2, 21), 2)
+        spies = {name: Mock(wraps=getattr(polyspace, name))
+                 for name in ("vandermonde", "orthonormal_basis", "_graded_basis")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(polyspace, name, spy)
+        assert estimate_distortion(cert) >= 1.0
+        assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(spies, 0)
 
     def test_repeat_runs_identical(self):
         cert = embed(poly_space(1, 3), sets.box([(-1.0, 1.0)], 301), 2)

@@ -327,7 +327,7 @@ class TestOversizedMatrixBeforeGrid:
         mismatched = meshgen.NodeSet(
             space=self.SPACE, node_indices=small.node_indices, log_abs_det=small.log_abs_det,
             lagrange_sup=small.lagrange_sup, grid_constant=small.grid_constant,
-            grid_points=small.grid_points, sweeps=small.sweeps)
+            grid_points=small.grid_points, grid_basis=small.grid_basis, sweeps=small.sweeps)
         with pytest.raises(ValidationError) as caught:
             grid_norming_constant(mismatched, sets.grid(self.MODEL, self.SPACE.dim))
         assert str(caught.value) == self.MESSAGE

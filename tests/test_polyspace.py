@@ -496,6 +496,37 @@ def exchange_meets_a_tie(q, rtol=1e-12):
     return False
 
 
+def span_residual(a, b):
+    """The largest distance of a unit column of ``a`` from the span of
+    ``b``'s columns, or of ``b``'s from ``a``'s, each span taken from
+    numpy's QR."""
+    a, b = a / np.linalg.norm(a, axis=0), b / np.linalg.norm(b, axis=0)
+    qa, qb = np.linalg.qr(a)[0], np.linalg.qr(b)[0]
+    return max(np.linalg.norm(a - qb @ (qb.T @ a), axis=0).max(),
+               np.linalg.norm(b - qa @ (qa.T @ b), axis=0).max())
+
+
+@pytest.mark.parametrize("model, big, degrees, product", [
+    (sets.box([(-1.0, 1.0)] * 2, 21), poly_space(2, 4), range(5), True),
+    (sets.box([(0.0, 5.0)] * 3, 9), poly_space(3, 4), range(5), True),
+    (sets.ball([0.0, 0.0], 1.0, 31), poly_space(2, 4), range(5), False),
+    # up to degree 36, where the Chebyshev Vandermonde on 101 equispaced
+    # points is still well conditioned (s_m / s_1 >= 0.05): the reference's
+    # own QR loses digits from about degree 45
+    (sets.box([(-1.0, 1.0)], 101), poly_space(1, 72), [*range(1, 7), 12, 24, 36], False),
+], ids=["square-r21", "cube-0-5-r9", "disk-r31", "interval-r101-D72"])
+def test_graded_prefix_spans_the_lower_degree_vandermonde(model, big, degrees, product):
+    # the first dim(P_d) columns of the degree-D basis span the degree-d
+    # traces, on the product route and on the general one
+    pts = sets.grid(model)
+    assert (polyspace._box_axes(big, pts) is not None) == product
+    q = polyspace.orthonormal_basis(big, pts)
+    for d in degrees:
+        space = poly_space(big.n, d)
+        v = vandermonde(space, pts, grid_box(pts))
+        assert span_residual(q[:, :space.dim], v) <= 1e-12, d
+
+
 class TestBoxRoute:
     """Box grids in box order: the basis is a product of per-axis bases."""
 
