@@ -12,10 +12,12 @@ process entry point, exits with it without interpreter teardown
 (``errors.exit_process``).  An ``--out`` that is empty, a directory or an
 unwritable file, or whose directory is missing or not writable, is
 refused before any computation; an empty ``--params``, ``--schedule`` or
-``--cloud`` exits 2 as a malformed one does.  Each handler imports the
-modules it uses: ``bounds``, ``entropy`` and ``dims`` without ``--set``
-run without loading numpy, and the closed forms, like a ``--schedule``,
-compute in the standard library's ``decimal``.
+``--cloud``, or an empty ``--params`` field, exits 2 as a malformed one
+does.  Each handler imports the modules it uses: ``bounds``, ``entropy``
+and ``dims`` without ``--set`` run without loading numpy, and the closed
+forms, like a ``--schedule``, compute in the standard library's
+``decimal``.  Every report is {command, inputs, <body>, meta}, built by
+``_report``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import __version__
 from .errors import ValidationError, check_int, check_out_path, exit_code_of, exit_process
 
 if TYPE_CHECKING:
-    from . import landau, sets
+    from . import sets
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,13 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_reals(text: str, flag: str) -> list[float]:
+    fields = text.split(",")
+    if not any(fields):
+        raise ValidationError(f"{flag} received no values")
+    if not all(fields):
+        raise ValidationError(f"{flag} has an empty field: {text!r}")
     try:
-        values = [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in fields]
     except ValueError as exc:
         raise ValidationError(f"{flag} expects comma-separated reals: {exc}") from exc
-    if not values:
-        raise ValidationError(f"{flag} received no values")
-    return values
 
 
 def _parse_schedule(text: str) -> tuple[int, int, float]:
@@ -112,56 +116,38 @@ def _set_from_args(args) -> sets.CompactSetModel:
     return build(center, radius, resolution)
 
 
-def _meta(args, anchors: list[str], grid_size: int | None = None) -> dict:
+def _report(args, inputs: dict, body: dict, anchors, grid_size: int | None = None) -> dict:
+    """Every command's report: {command, inputs, <body>, meta}, ``anchors``
+    naming the paper labels it rests on, in order of first mention."""
     meta = {
         "tool": "normmesh",
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "grid_size": grid_size,
-        "paper_anchor": anchors,
+        "paper_anchor": list(dict.fromkeys(anchors)),
     }
     if not args.no_timestamp:
         from datetime import datetime, timezone
 
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return meta
+    return {"command": args.command, "inputs": inputs, **body, "meta": meta}
 
 
 def _cmd_dims(args) -> dict:
-    dim = _space_dim(args.n, args.d)
-    report = {
-        "command": "dims",
-        "inputs": {"n": args.n, "d": args.d},
-        "dim_full": dim,
-    }
-    anchors = ["space-dim"]
-    if args.set is not None:
-        from . import polyspace, sets
-
-        space = polyspace.poly_space(args.n, args.d)
-        model = _set_from_args(args)
-        pts = sets.grid(model, space.dim)
-        rank = polyspace.trace_dimension(space, pts)
-        report["inputs"]["set"] = model.describe()
-        report["trace_dimension"] = rank
-        report["determining"] = rank == space.dim
-        anchors.append("trace-dim")
-        report["meta"] = _meta(args, anchors, grid_size=int(pts.shape[0]))
-    else:
+    inputs = {"n": args.n, "d": args.d}
+    body = {"dim_full": _space_dim(args.n, args.d)}
+    if args.set is None:
         _refuse_unread_set_flags(args)
-        report["meta"] = _meta(args, anchors)
-    return report
+        return _report(args, inputs, body, ["space-dim"])
+    from . import polyspace, sets
 
-
-def _values_report(args, inputs: dict, values: list) -> dict:
-    """The report of ``bounds`` and ``entropy``: formula triples, anchored
-    by their paper labels in order of first use."""
-    return {
-        "command": args.command,
-        "inputs": inputs,
-        "values": values,
-        "meta": _meta(args, list(dict.fromkeys(row[2] for row in values))),
-    }
+    space = polyspace.poly_space(args.n, args.d)
+    model = _set_from_args(args)
+    pts = sets.grid(model, space.dim)
+    rank = polyspace.trace_dimension(space, pts)
+    inputs["set"] = model.describe()
+    body.update(trace_dimension=rank, determining=rank == space.dim)
+    return _report(args, inputs, body, ["space-dim", "trace-dim"], int(pts.shape[0]))
 
 
 def _cmd_bounds(args) -> dict:
@@ -174,7 +160,7 @@ def _cmd_bounds(args) -> dict:
         s, k, chat = _parse_schedule(args.schedule)
         values += bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
         inputs.update({"s": s, "k": k, "c_hat": chat})
-    return _values_report(args, inputs, values)
+    return _report(args, inputs, {"values": values}, (row[2] for row in values))
 
 
 def _cmd_mesh(args) -> dict:
@@ -184,61 +170,41 @@ def _cmd_mesh(args) -> dict:
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
     node_set = meshgen.select_nodes(space, sets.grid(model, space.dim))
-    return {
-        "command": "mesh",
-        "inputs": {
-            "n": args.n, "d": args.d, "set": model.describe(),
-            "resolution": model.resolution, "seed": args.seed,
-        },
-        "node_set": node_set.to_json_dict(),
-        "grid_constant": node_set.grid_constant,
-        "meta": _meta(args, ["norming-nodes"], grid_size=node_set.grid_size),
-    }
+    inputs = {"n": args.n, "d": args.d, "set": model.describe(),
+              "resolution": model.resolution, "seed": args.seed}
+    body = {"node_set": node_set.to_json_dict(), "grid_constant": node_set.grid_constant}
+    return _report(args, inputs, body, ["norming-nodes"], node_set.grid_size)
 
 
-def _build_certificate(args) -> landau.EmbeddingCertificate:
+def _cmd_certificate(args) -> dict:
+    """``embed``, and ``distort``, which adds the exact distortion."""
     from . import landau, polyspace
 
+    distort = args.command == "distort"
+    if distort:
+        # --trials changes no result; it stays so that existing command lines
+        # run, and is checked before node selection at degree d*p
+        check_int(args.trials, "trials")
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
-    if args.schedule is not None:
+    if args.schedule is None:
+        cert = landau.embed(space, model, args.p)
+    else:
         s, k, chat = _parse_schedule(args.schedule)
         p, c = landau.power_schedule(args.d, k, chat, s)
-        return landau.embed(space, model, p, schedule_c=c)
-    return landau.embed(space, model, args.p)
-
-
-def _certificate_report(args, cert: landau.EmbeddingCertificate,
-                        anchors: tuple[str, ...] = (), **inputs) -> dict:
-    """The report of ``embed`` and ``distort``: ``anchors`` and ``inputs``
-    are the command's own, after those the two share."""
-    anchors = ["power-embedding", *anchors] + (
-        [] if args.schedule is None else ["power-schedule"])
-    return {
-        "command": args.command,
-        "inputs": {
-            "n": args.n, "d": args.d, "p": cert.p, "set": cert.set_model.describe(),
-            "resolution": cert.set_model.resolution, "seed": args.seed, **inputs,
-        },
-        "certificate": {**cert.to_json_dict(), "seed": args.seed,
-                        "grid_size": cert.grid_size},
-        "meta": _meta(args, anchors, grid_size=cert.grid_size),
-    }
-
-
-def _cmd_embed(args) -> dict:
-    return _certificate_report(args, _build_certificate(args))
-
-
-def _cmd_distort(args) -> dict:
-    from . import landau
-
-    # --trials changes no result; it stays so that existing command lines
-    # run, and is checked before node selection at degree d*p
-    check_int(args.trials, "trials")
-    cert = _build_certificate(args)
-    landau.estimate_distortion(cert)
-    return _certificate_report(args, cert, ("distortion-probe",), trials=args.trials)
+        cert = landau.embed(space, model, p, schedule_c=c)
+    inputs = {"n": args.n, "d": args.d, "p": cert.p, "set": model.describe(),
+              "resolution": model.resolution, "seed": args.seed}
+    certificate = cert.to_json_dict()
+    anchors = ["power-embedding"]
+    if distort:
+        certificate["empirical_distortion"] = landau.estimate_distortion(cert)
+        inputs["trials"] = args.trials
+        anchors.append("distortion-probe")
+    if args.schedule is not None:
+        anchors.append("power-schedule")
+    certificate.update(seed=args.seed, grid_size=cert.grid_size)
+    return _report(args, inputs, {"certificate": certificate}, anchors, cert.grid_size)
 
 
 def _cmd_entropy(args) -> dict:
@@ -257,15 +223,17 @@ def _cmd_entropy(args) -> dict:
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
     report = bounds.entropy_chain(args.d, k, chat, nbar, args.eps)
-    return _values_report(args, dict(report.inputs), report.to_json_values())
+    values = report.to_json_values()
+    return _report(args, dict(report.inputs), {"values": values},
+                   (row[2] for row in values))
 
 
 _COMMANDS = {
     "dims": _cmd_dims,
     "bounds": _cmd_bounds,
     "mesh": _cmd_mesh,
-    "embed": _cmd_embed,
-    "distort": _cmd_distort,
+    "embed": _cmd_certificate,
+    "distort": _cmd_certificate,
     "entropy": _cmd_entropy,
 }
 

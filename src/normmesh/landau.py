@@ -72,21 +72,16 @@ class EmbeddingCertificate:
     """A concrete embedding of a polynomial space into l_inf(nodes).
 
     ``certified_bound``, L^(1/p) with L the grid norming constant,
-    dominates max_G |f| / max_nodes |f| for every member f;
-    ``empirical_distortion`` is the largest such ratio on the grid,
-    exhibited by a polynomial, once ``estimate_distortion`` has run (1.0
-    until then).  The grid, L, the grid size and the basis of the
-    distortion's programs are read from ``node_set``.
+    dominates max_G |f| / max_nodes |f| for every member f.  The grid, L,
+    the grid size and the basis of the distortion's programs are read
+    from ``node_set``.
     """
 
-    def __init__(self, space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
-                 node_set: meshgen.NodeSet, empirical_distortion: float,
+    def __init__(self, space: polyspace.PolySpace, p: int, node_set: meshgen.NodeSet,
                  schedule_c: float | None = None):
         self.space = space
-        self.set_model = set_model
         self.p = p
         self.node_set = node_set
-        self.empirical_distortion = empirical_distortion
         self.schedule_c = schedule_c
 
     @property
@@ -113,7 +108,6 @@ class EmbeddingCertificate:
             "nodes": [[float(x) for x in row] for row in self.node_set.nodes],
             "certified_bound": float(self.certified_bound),
             "grid_constant": float(self.grid_constant),
-            "empirical_distortion": float(self.empirical_distortion),
         })
         return out
 
@@ -130,14 +124,7 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     p = check_int(p, "power")
     big = polyspace.poly_space(space.n, space.d * p)
     node_set = meshgen.select_nodes(big, sets.grid(set_model, big.dim))
-    return EmbeddingCertificate(
-        space=space,
-        set_model=set_model,
-        p=p,
-        node_set=node_set,
-        empirical_distortion=1.0,
-        schedule_c=schedule_c,
-    )
+    return EmbeddingCertificate(space, p, node_set, schedule_c)
 
 
 def _optimal_basis(restriction: np.ndarray, target: np.ndarray, basis: np.ndarray,
@@ -207,8 +194,8 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     A point closes when its program is solved, or when its bound is at
     most the best ratio times 1 + 1e-12, which also ends its program
     early; rounds stop when no point is open.  The result is the ratio
-    of an exhibited polynomial, draws no random numbers, and updates
-    ``cert.empirical_distortion``.  It can never legitimately exceed
+    of an exhibited polynomial, draws no random numbers, and leaves
+    ``cert`` as it was.  It can never legitimately exceed
     ``cert.certified_bound``; if it does, a certified inequality has been
     violated and an error is raised.
     """
@@ -246,5 +233,4 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
         raise InvariantViolation(
             f"observed distortion {observed!r} exceeds the certified bound "
             f"{cert.certified_bound!r}")
-    cert.empirical_distortion = observed
     return observed

@@ -118,6 +118,8 @@ def _as_points(points, n: int) -> np.ndarray:
             f"points must be an array of shape (num_points, {n}), got {pts.shape}")
     if pts.shape[0] < 1:
         raise ValidationError("need at least one evaluation point")
+    if not np.isfinite(pts).all():
+        raise ValidationError("point coordinates must be finite")
     return pts
 
 
@@ -171,7 +173,12 @@ def _graded_basis(space: PolySpace, pts: np.ndarray, box) -> tuple[np.ndarray, i
     does not, residuals being the square roots of the Gram eigenvalues
     below; the largest dropped one is measured as a norm.  Besides q the
     construction holds the coordinates, N x (n + 1), and temporaries of
-    one grid column (``_update_rows``).
+    one grid column (``_update_rows``).  The first deficient degree also
+    forms its dropped residuals, N x dropped, and it and every later
+    degree the rotated block, N x kept; a degree whose candidates
+    outnumber q's free columns, as only degrees after a deficient one
+    can, writes them into an N x count array of their own (the
+    "candidate block" of ``check_dense``).
 
     Column 0 is the constant 1/sqrt(N).  The degree-q candidates are
     written into q's free columns: y_i times the column of alpha - e_i for

@@ -300,11 +300,27 @@ class TestEmbed:
         payload = run_json(
             argv + ["--n", "1", "--d", "1", "--seed", "4", "--no-timestamp"], capsys)
         cert = payload["certificate"]
+        # only distort measures the distortion; embed's certificate carries
+        # no placeholder for it
         assert list(cert) == ["n", "d", "p"] + (["schedule_c"] if schedule_c else []) + [
-            "nodes", "certified_bound", "grid_constant", "empirical_distortion",
-            "seed", "grid_size"]
+            "nodes", "certified_bound", "grid_constant"] + (
+            ["empirical_distortion"] if argv[0] == "distort" else []) + ["seed", "grid_size"]
         assert cert["seed"] == 4
         assert cert["grid_size"] == 101
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "1", "--d", "3", "--p", "2", "--resolution", "201", "--seed", "5"],
+        ["--n", "1", "--d", "2", "--schedule", "3,1,7.389"],
+        ["--n", "2", "--d", "2", "--p", "2", "--set", "ball", "--resolution", "21"],
+    ], ids=["interval-p", "interval-schedule", "disk-p"])
+    def test_embed_is_distort_without_the_distortion(self, capsys, args):
+        embedded = run_json(["embed", *args, "--no-timestamp"], capsys)
+        distorted = run_json(["distort", *args, "--no-timestamp"], capsys)
+        cert = distorted["certificate"]
+        assert cert.pop("empirical_distortion") >= 1.0
+        assert list(embedded["certificate"].items()) == list(cert.items())
+        assert distorted["inputs"].pop("trials") == 32
+        assert list(embedded["inputs"].items()) == list(distorted["inputs"].items())
 
 
 class TestDistort:
@@ -813,6 +829,9 @@ class TestSubprocess:
              "--params expects comma-separated reals: could not convert string to float: 'x'"),
             (",", "box", "--params received no values"),
             ("", "box", "--params received no values"),
+            # an empty field is refused, not dropped: 0,,5 would read as [0, 5]
+            ("0,,5,1", "box", "--params has an empty field: '0,,5,1'"),
+            ("0,0,1,", "ball", "--params has an empty field: '0,0,1,'"),
         ]:
             rc, out, err = run_main(
                 ["mesh", "--set", kind, "--n", "2", "--d", "1", "--params", params,

@@ -52,6 +52,24 @@ def reference_distortion(cert):
                for vertex in vertices)
 
 
+def certificate_state(cert):
+    """Copies of the certificate's attributes and of its node set's."""
+    return (dict(vars(cert)),
+            {name: np.copy(value) if isinstance(value, np.ndarray) else value
+             for name, value in vars(cert.node_set).items()})
+
+
+def assert_same_state(after, before):
+    assert after[0] == before[0]
+    assert list(after[1]) == list(before[1])
+    for name, value in before[1].items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == after[1][name].tobytes(), name
+            assert value.flags.f_contiguous == after[1][name].flags.f_contiguous, name
+        else:
+            assert after[1][name] == value, name
+
+
 def whole_grid_distortion(cert):
     """The largest optimum of every grid point's program, none skipped.
 
@@ -203,7 +221,7 @@ class TestEmbed:
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
         payload = cert.to_json_dict()
         assert list(payload) == ["n", "d", "p", "nodes", "certified_bound",
-                                 "grid_constant", "empirical_distortion"]
+                                 "grid_constant"]
         assert cert.grid_size == 101
 
         p, c = power_schedule(2, 1, math.e ** 2, s=3)
@@ -218,9 +236,7 @@ class TestDistortionProbe:
     def test_affine_space_has_no_distortion(self):
         # degree-one members attain their sup at the endpoint nodes
         cert = embed(poly_space(1, 1), sets.box([(-1.0, 1.0)], 101), 1)
-        observed = estimate_distortion(cert)
-        assert observed == 1.0
-        assert cert.empirical_distortion == 1.0
+        assert estimate_distortion(cert) == 1.0
 
     def test_constant_space_has_no_distortion(self):
         cert = embed(poly_space(1, 0), sets.box([(-1.0, 1.0)], 101), 1)
@@ -260,8 +276,35 @@ class TestDistortionProbe:
     def test_falsified_certificate_detected(self):
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 1)
         cert.node_set.grid_constant = 0.5  # p = 1, so the bound is 0.5
+        before = certificate_state(cert)
         with pytest.raises(InvariantViolation):
             estimate_distortion(cert)
+        assert_same_state(certificate_state(cert), before)
+
+    @pytest.mark.parametrize("n, d, p, model, expected", [
+        (1, 4, 2, INTERVAL, 1.198339849847387),
+        (1, 8, 2, INTERVAL, 1.2598891482687058),
+        (2, 2, 2, sets.box([(-1.0, 1.0)] * 2, 101), 1.4205195333013165),
+        (1, 2, None, INTERVAL, 1.0122155688622752),
+        (2, 2, 2, sets.ball([0.0, 0.0], 1.0, 21), 1.471202003338898),
+    ], ids=["interval-d4-p2", "interval-d8-p2", "square-d2-p2", "interval-d2-scheduled",
+            "disk-d2-p2"])
+    def test_returns_the_distortion_and_leaves_the_certificate(self, n, d, p, model,
+                                                               expected):
+        # expected: the value the certificate stored before it stopped
+        # carrying one, printed with repr; equal up to the BLAS's rounding
+        schedule_c = None
+        if p is None:
+            p, schedule_c = power_schedule(d, 1, 7.389, s=3)
+        cert = embed(poly_space(n, d), model, p, schedule_c=schedule_c)
+        before = certificate_state(cert)
+        assert estimate_distortion(cert) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert_same_state(certificate_state(cert), before)
+
+    def test_certificate_holds_no_distortion_or_set(self):
+        cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
+        estimate_distortion(cert)
+        assert sorted(vars(cert)) == ["node_set", "p", "schedule_c", "space"]
 
     @pytest.mark.parametrize("points, d", [
         ([[0.5]], 0), ([[0.5], [-0.25]], 0), ([[0.5], [-0.25]], 1)],
@@ -315,9 +358,10 @@ class TestExactDistortion:
         # silently reported value
         monkeypatch.setattr(landau, "_PIVOTS_PER_ROW", 0)
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
+        before = certificate_state(cert)
         with pytest.raises(InvariantViolation, match="no optimal basis"):
             estimate_distortion(cert)
-        assert cert.empirical_distortion == 1.0
+        assert_same_state(certificate_state(cert), before)
 
     @pytest.mark.parametrize("n, d, res", [
         (1, 2, 2001), (1, 5, 2001), (1, 8, 301), (2, 3, 41), (2, 4, 31)])
@@ -334,5 +378,6 @@ class TestExactDistortion:
         # values of the same programs solved one by one by an independent
         # LP solver, to the digits given
         cert = embed(poly_space(1, d), INTERVAL, p, schedule_c=schedule_c)
-        assert estimate_distortion(cert) == pytest.approx(expected, abs=5e-7)
-        assert cert.empirical_distortion <= cert.certified_bound
+        observed = estimate_distortion(cert)
+        assert observed == pytest.approx(expected, abs=5e-7)
+        assert observed <= cert.certified_bound

@@ -126,6 +126,18 @@ class TestEvaluation:
         assert np.abs(vandermonde(space, pts, grid_box(pts)) @ coeffs).max() == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    trace_dimension, polyspace.orthonormal_basis, meshgen.select_nodes,
+    lambda space, pts: meshgen.make_node_set(space, pts, [0, 2]),
+], ids=["trace_dimension", "orthonormal_basis", "select_nodes", "make_node_set"])
+def test_non_finite_points_refused(call, bad):
+    # one non-finite coordinate would turn every mapped coordinate into nan:
+    # a rank of 1, or a "non-determining" grid, instead of the real cause
+    with pytest.raises(ValidationError, match="point coordinates must be finite"):
+        call(poly_space(1, 1), [[0.0], [bad], [1.0]])
+
+
 class TestTraceDimension:
     def test_full_rank_on_fine_interval_grid(self):
         space = poly_space(1, 6)
