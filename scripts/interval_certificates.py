@@ -38,12 +38,12 @@ def main() -> int:
             cert = landau.embed(space, model, p)
             observed = landau.estimate_distortion(cert)
             print(f"{d:>3} {p:>3} {cert.node_set.nodes.shape[0]:>6} "
-                  f"{cert.grid_constant:>10.6f} {cert.certified_bound:>10.6f} "
+                  f"{cert.node_set.grid_constant:>10.6f} {cert.certified_bound:>10.6f} "
                   f"{observed:>10.6f} {cert.node_set.sweeps:>6}")
             rows.append({
                 "d": d, "p": p,
                 "num_nodes": int(cert.node_set.nodes.shape[0]),
-                "grid_constant": cert.grid_constant,
+                "grid_constant": cert.node_set.grid_constant,
                 "certified_bound": cert.certified_bound,
                 "observed": observed,
             })

@@ -117,7 +117,7 @@ def format_real(x, digits: int) -> str:
 
 
 class BoundReport:
-    """Named evaluated formulas with the inputs that produced them.
+    """Named evaluated formulas.
 
     ``values`` is an ordered list of (name, value, anchor) triples; values
     are exact ints or ``decimal.Decimal`` reals that carry guard digits
@@ -128,17 +128,16 @@ class BoundReport:
     ~7 ms of every closed-form process.
     """
 
-    def __init__(self, inputs: dict, values: list[tuple[str, object, str]]):
-        self.inputs = inputs
+    def __init__(self, values: list[tuple[str, object, str]]):
         self.values = values
 
     def __repr__(self) -> str:
-        return f"BoundReport(inputs={self.inputs!r}, values={self.values!r})"
+        return f"BoundReport(values={self.values!r})"
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.inputs, self.values) == (other.inputs, other.values)
+        return self.values == other.values
 
     def value(self, name: str):
         for key, val, _ in self.values:
@@ -510,7 +509,6 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         final = nbar * growth * (_log_growth(chat, d, k) + 1) ** k * log_scale * s_bound ** k
 
     return BoundReport(
-        {"d": d, "k": k, "c_hat": float(c_hat), "nbar": nbar, "eps": eps},
         [("s_eps", s_eps, "phi-inverse"),
          ("s_eps_bound_3_7", s_bound, "phi-majorant"),
          ("R_eps", r_eps, "net-radius"),
@@ -525,7 +523,6 @@ def poly_bound_report(n: int, d: int) -> BoundReport:
     size = poly_embedding_size(n, d)
     dist = poly_distortion_bound(n)
     return BoundReport(
-        {"n": n, "d": d},
         [("N_dn", size, "poly-size"),
          ("dist_bound_A", dist, "poly-distortion"),
          ("N_tilde_dn", math.comb(n + d, n), "space-dim")])
@@ -536,6 +533,5 @@ def schedule_bound_report(d: int, k: int, c_hat, s: int) -> BoundReport:
     size = scheduled_embedding_size(d, k, c_hat, s)
     dist = schedule_distortion_bound(s, k)
     return BoundReport(
-        {"d": d, "k": k, "c_hat": float(c_hat), "s": s},
         [("N_ds_cor1", size, "scheduled-size"),
          ("dist_bound_cor1", dist, "scheduled-distortion")])

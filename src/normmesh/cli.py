@@ -17,7 +17,8 @@ does.  Each handler imports the modules it uses: ``bounds``, ``entropy``
 and ``dims`` without ``--set`` run without loading numpy, and the closed
 forms, like a ``--schedule``, compute in the standard library's
 ``decimal``.  Every report is {command, inputs, <body>, meta}, built by
-``_report``.
+``_report``, each handler laying out its inputs and body from the flags
+and the library's measured values.
 """
 
 from __future__ import annotations
@@ -153,13 +154,12 @@ def _cmd_dims(args) -> dict:
 def _cmd_bounds(args) -> dict:
     from . import bounds
 
-    report = bounds.poly_bound_report(args.n, args.d)
-    values = report.to_json_values()
-    inputs = dict(report.inputs)
+    values = bounds.poly_bound_report(args.n, args.d).to_json_values()
+    inputs = {"n": args.n, "d": args.d}
     if args.schedule is not None:
         s, k, chat = _parse_schedule(args.schedule)
         values += bounds.schedule_bound_report(args.d, k, chat, s).to_json_values()
-        inputs.update({"s": s, "k": k, "c_hat": chat})
+        inputs.update(s=s, k=k, c_hat=chat)
     return _report(args, inputs, {"values": values}, (row[2] for row in values))
 
 
@@ -172,7 +172,12 @@ def _cmd_mesh(args) -> dict:
     node_set = meshgen.select_nodes(space, sets.grid(model, space.dim))
     inputs = {"n": args.n, "d": args.d, "set": model.describe(),
               "resolution": model.resolution, "seed": args.seed}
-    body = {"node_set": node_set.to_json_dict(), "grid_constant": node_set.grid_constant}
+    body = {"node_set": {"degree": args.d, "ambient_dim": args.n,
+                         "points": node_set.nodes.tolist(),
+                         "log_abs_det": node_set.log_abs_det,
+                         "swap_optimal": node_set.swap_optimal,
+                         "lagrange_sup": node_set.lagrange_sup, "sweeps": node_set.sweeps},
+            "grid_constant": node_set.grid_constant}
     return _report(args, inputs, body, ["norming-nodes"], node_set.grid_size)
 
 
@@ -188,32 +193,44 @@ def _cmd_certificate(args) -> dict:
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
     if args.schedule is None:
-        cert = landau.embed(space, model, args.p)
+        p, schedule = args.p, {}
     else:
         s, k, chat = _parse_schedule(args.schedule)
         p, c = landau.power_schedule(args.d, k, chat, s)
-        cert = landau.embed(space, model, p, schedule_c=c)
+        schedule = {"schedule_c": c}
+    cert = landau.embed(space, model, p)
+    node_set = cert.node_set
     inputs = {"n": args.n, "d": args.d, "p": cert.p, "set": model.describe(),
-              "resolution": model.resolution, "seed": args.seed}
-    certificate = cert.to_json_dict()
+              "resolution": model.resolution, "seed": args.seed,
+              **({"trials": args.trials} if distort else {})}
+    certificate = {
+        "n": args.n, "d": args.d, "p": cert.p, **schedule,
+        "nodes": node_set.nodes.tolist(), "certified_bound": cert.certified_bound,
+        "grid_constant": node_set.grid_constant,
+        **({"empirical_distortion": landau.estimate_distortion(cert)} if distort else {}),
+        "seed": args.seed, "grid_size": node_set.grid_size}
     anchors = ["power-embedding"]
     if distort:
-        certificate["empirical_distortion"] = landau.estimate_distortion(cert)
-        inputs["trials"] = args.trials
         anchors.append("distortion-probe")
-    if args.schedule is not None:
+    if schedule:
         anchors.append("power-schedule")
-    certificate.update(seed=args.seed, grid_size=cert.grid_size)
-    return _report(args, inputs, {"certificate": certificate}, anchors, cert.grid_size)
+    return _report(args, inputs, {"certificate": certificate}, anchors, node_set.grid_size)
 
 
 def _cmd_entropy(args) -> dict:
     from . import bounds
 
+    if args.n is not None:
+        check_int(args.n, "number of variables")
     if args.schedule is not None:
         _, k, chat = _parse_schedule(args.schedule)
     elif args.n is not None:
-        k, chat = args.n, math.exp(2 * args.n)
+        try:
+            k, chat = args.n, math.exp(2 * args.n)
+        except OverflowError:
+            raise ValidationError(
+                f"--n {args.n} puts the default growth constant exp(2n) above the "
+                f"floating-point range; give --schedule s,k,chat instead") from None
     else:
         raise ValidationError("entropy needs --schedule s,k,chat or --n for defaults")
     if args.nbar is not None:
@@ -222,10 +239,9 @@ def _cmd_entropy(args) -> dict:
         nbar = _space_dim(args.n, args.d)
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
-    report = bounds.entropy_chain(args.d, k, chat, nbar, args.eps)
-    values = report.to_json_values()
-    return _report(args, dict(report.inputs), {"values": values},
-                   (row[2] for row in values))
+    values = bounds.entropy_chain(args.d, k, chat, nbar, args.eps).to_json_values()
+    inputs = {"d": args.d, "k": k, "c_hat": chat, "nbar": nbar, "eps": args.eps}
+    return _report(args, inputs, {"values": values}, (row[2] for row in values))
 
 
 _COMMANDS = {
@@ -254,16 +270,23 @@ def _flatten(value, prefix: str, rows: list[tuple[str, object]]) -> None:
 
 
 def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+    """The report as JSON or key,value CSV; every number outside the node
+    lists is a CSV row, so an integer too long to print is refused by key."""
     rows: list[tuple[str, object]] = []
     _flatten(report, "", rows)
     lines = ["key,value"]
     for key, value in rows:
-        text = "" if value is None else str(value)
+        try:
+            text = "" if value is None else str(value)
+        except ValueError:
+            raise ValidationError(
+                f"{key} has more than {sys.get_int_max_str_digits()} digits, "
+                f"above Python's limit for printing an integer") from None
         if "," in text or '"' in text:
             text = '"' + text.replace('"', '""') + '"'
         lines.append(f"{key},{text}")
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
     return "\n".join(lines) + "\n"
 
 

@@ -77,43 +77,18 @@ class EmbeddingCertificate:
     from ``node_set``.
     """
 
-    def __init__(self, space: polyspace.PolySpace, p: int, node_set: meshgen.NodeSet,
-                 schedule_c: float | None = None):
+    def __init__(self, space: polyspace.PolySpace, p: int, node_set: meshgen.NodeSet):
         self.space = space
         self.p = p
         self.node_set = node_set
-        self.schedule_c = schedule_c
 
     @property
     def certified_bound(self) -> float:
         return self.node_set.grid_constant ** (1.0 / self.p)
 
-    @property
-    def grid_constant(self) -> float:
-        return self.node_set.grid_constant
 
-    @property
-    def grid_size(self) -> int:
-        return self.node_set.grid_size
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.space.n,
-            "d": self.space.d,
-            "p": self.p,
-        }
-        if self.schedule_c is not None:
-            out["schedule_c"] = float(self.schedule_c)
-        out.update({
-            "nodes": [[float(x) for x in row] for row in self.node_set.nodes],
-            "certified_bound": float(self.certified_bound),
-            "grid_constant": float(self.grid_constant),
-        })
-        return out
-
-
-def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
-          schedule_c: float | None = None) -> EmbeddingCertificate:
+def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel,
+          p: int) -> EmbeddingCertificate:
     """Select nodes at degree d*p and certify the degree-d restriction.
 
     The node count equals the dimension at degree d*p, and the certified
@@ -124,7 +99,7 @@ def embed(space: polyspace.PolySpace, set_model: sets.CompactSetModel, p: int,
     p = check_int(p, "power")
     big = polyspace.poly_space(space.n, space.d * p)
     node_set = meshgen.select_nodes(big, sets.grid(set_model, big.dim))
-    return EmbeddingCertificate(space, p, node_set, schedule_c)
+    return EmbeddingCertificate(space, p, node_set)
 
 
 def _optimal_basis(restriction: np.ndarray, target: np.ndarray, basis: np.ndarray,

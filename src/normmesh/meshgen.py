@@ -113,17 +113,6 @@ class NodeSet:
     def grid_size(self) -> int:
         return int(self.grid_points.shape[0])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.space.d,
-            "ambient_dim": self.space.n,
-            "points": [[float(x) for x in row] for row in self.nodes],
-            "log_abs_det": float(self.log_abs_det),
-            "swap_optimal": bool(self.swap_optimal),
-            "lagrange_sup": float(self.lagrange_sup),
-            "sweeps": self.sweeps,
-        }
-
 
 def _cardinal_values(q: np.ndarray, indices: Sequence[int],
                      out: np.ndarray | None = None) -> np.ndarray:

@@ -141,10 +141,12 @@ def vandermonde(space: PolySpace, points, box) -> np.ndarray:
     pts = _as_points(points, space.n)
     npts = pts.shape[0]
     check_dense(npts, space.dim, "evaluation matrix")
-    lower, upper = (np.asarray(edge, dtype=float)[:, None] for edge in box)
-    half = (upper - lower) / 2.0
-    # a flat axis maps to 0
-    y = np.clip((pts.T - (lower + upper) / 2.0) / np.where(half > 0.0, half, 1.0), -1.0, 1.0)
+    # the edges are halved first, exactly, so a box wider than the double
+    # range maps without overflow; a flat axis maps to 0
+    half_lower, half_upper = (np.asarray(edge, dtype=float)[:, None] / 2.0 for edge in box)
+    half = half_upper - half_lower
+    y = np.clip((pts.T - (half_lower + half_upper)) / np.where(half > 0.0, half, 1.0),
+                -1.0, 1.0)
     # cheb[axis, k] is T_k of that coordinate at every point
     cheb = np.empty((space.n, space.d + 1, npts))
     cheb[:, 0] = 1.0

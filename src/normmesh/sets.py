@@ -83,6 +83,8 @@ def box(bounds: Sequence[Sequence[float]], resolution: int) -> CompactSetModel:
             raise ValidationError(f"box bounds must be finite (axis {axis})")
         if lo > hi:
             raise ValidationError(f"box lower bound exceeds upper bound on axis {axis}: {lo} > {hi}")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"box width {hi} - {lo} overflows on axis {axis}")
     return CompactSetModel(
         ambient_dim=len(pairs),
         kind="box",
@@ -104,6 +106,16 @@ def _round_set(kind: str, center: Sequence[float], radius: float,
     r = float(radius)
     if not np.isfinite(r) or r <= 0.0:
         raise ValidationError(f"{kind} radius must be positive and finite, got {radius!r}")
+    # the grid's extreme coordinates, and a ball's largest sum of squared
+    # offsets, rounded as _ball_grid rounds them
+    squares = 0.0
+    for axis, x in enumerate(c.tolist()):
+        if not (math.isfinite(x - r) and math.isfinite(x + r)):
+            raise ValidationError(f"{kind} center -/+ radius overflows on axis {axis}")
+        reach = max(x - (x - r), (x + r) - x)
+        squares += reach * reach  # inf where it overflows; ** would raise
+    if kind == "ball" and not math.isfinite(squares):
+        raise ValidationError(f"ball radius {r!r} overflows the squared distances of its grid")
     return CompactSetModel(ambient_dim=c.size, kind=kind, params={"center": c, "radius": r},
                            resolution=_check_resolution(resolution))
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -85,6 +86,21 @@ class TestDims:
         assert out == ""
         assert err == ("ERROR[2]: grid has 10000 points but the space needs at least 20301 "
                        "to determine a node set\n")
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("ball", "0,0,1e200", "ball radius 1e+200 overflows the squared distances of its grid"),
+        ("box", "-1e308,1e308,0,1", "box width 1e+308 - -1e+308 overflows on axis 0"),
+        ("sphere", "0,1e308,1e308", "sphere center -/+ radius overflows on axis 1"),
+    ])
+    def test_overflowing_set_refused(self, capsys, kind, params, message):
+        # the ball once kept its center alone and reported "determining":
+        # false; the box and sphere printed RuntimeWarnings, then blamed
+        # the point coordinates
+        rc, out, err = run_main(["dims", "--set", kind, "--n", "2", "--d", "1",
+                                 f"--params={params}", "--resolution", "5",
+                                 "--no-timestamp"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"ERROR[2]: {message}\n"
 
     def test_missing_degree(self, capsys):
         rc, _, err = run_main(["dims", "--n", "2", "--no-timestamp"], capsys)
@@ -180,6 +196,21 @@ class TestMesh:
              "--no-timestamp"], capsys)
         assert sorted(x for [x] in payload["node_set"]["points"]) == [2.0, 4.0, 6.0]
         assert payload["grid_constant"] == pytest.approx(1.25, abs=1e-12)
+
+    def test_node_set_json_shape(self, capsys):
+        payload = run_json(["mesh", "--n", "1", "--d", "2", "--resolution", "21",
+                            "--no-timestamp"], capsys)
+        node_set = payload["node_set"]
+        assert list(node_set) == ["degree", "ambient_dim", "points", "log_abs_det",
+                                  "swap_optimal", "lagrange_sup", "sweeps"]
+        assert node_set["degree"] == 2
+        assert node_set["ambient_dim"] == 1
+        assert node_set["swap_optimal"] is True
+        assert len(node_set["points"]) == 3
+        space = polyspace.poly_space(1, 2)
+        selected = meshgen.select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21)))
+        assert node_set["sweeps"] == selected.sweeps >= 1
+        assert list(payload)[-2:] == ["grid_constant", "meta"]
 
     def test_cloud_set(self, capsys, tmp_path):
         path = tmp_path / "cloud.txt"
@@ -307,6 +338,19 @@ class TestEmbed:
             ["empirical_distortion"] if argv[0] == "distort" else []) + ["seed", "grid_size"]
         assert cert["seed"] == 4
         assert cert["grid_size"] == 101
+
+    def test_json_shape_with_and_without_schedule(self, capsys):
+        common = ["--n", "1", "--d", "2", "--resolution", "101", "--no-timestamp"]
+        cert = run_json(["embed", "--p", "2", *common], capsys)["certificate"]
+        assert list(cert) == ["n", "d", "p", "nodes", "certified_bound", "grid_constant",
+                              "seed", "grid_size"]
+        assert cert["grid_size"] == 101
+        # the constant is power_schedule's own, read from the same call
+        chat = math.e ** 2
+        cert = run_json(["embed", "--schedule", f"3,1,{chat!r}", *common],
+                        capsys)["certificate"]
+        assert list(cert)[:4] == ["n", "d", "p", "schedule_c"]
+        assert (cert["p"], cert["schedule_c"]) == landau.power_schedule(2, 1, chat, s=3)
 
     @pytest.mark.parametrize("args", [
         ["--n", "1", "--d", "3", "--p", "2", "--resolution", "201", "--seed", "5"],
@@ -463,6 +507,66 @@ class TestEntropy:
             capsys)
         assert rc == 2
 
+    def test_n_whose_default_growth_overflows(self, capsys):
+        # once an OverflowError traceback from exp(2n), exit 1
+        rc, out, err = run_main(
+            ["entropy", "--n", "355", "--d", "1", "--eps", "0.1", "--no-timestamp"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("ERROR[2]: --n 355 puts the default growth constant exp(2n) above "
+                       "the floating-point range; give --schedule s,k,chat instead\n")
+        # the largest n whose default fits still runs
+        payload = run_json(["entropy", "--n", "354", "--d", "1", "--eps", "0.1", "--nbar",
+                            "1", "--no-timestamp"], capsys)
+        assert payload["inputs"]["c_hat"] == math.exp(708)
+
+    @pytest.mark.parametrize("extra", [
+        ["--nbar", "1"], ["--schedule", "3,1,2", "--nbar", "1"], []],
+        ids=["nbar", "schedule-nbar", "defaults"])
+    def test_bad_n_named_whenever_given(self, capsys, extra):
+        # once "growth order must be a positive integer" with --nbar, and
+        # ignored, exit 0, with --schedule
+        rc, out, err = run_main(["entropy", "--n", "-5", "--d", "1", "--eps", "0.1", *extra,
+                                 "--no-timestamp"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "ERROR[2]: number of variables must be a positive integer, got -5\n"
+
+
+class TestInputs:
+    """Each report echoes the inputs it read, in a fixed order."""
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["bounds", "--n", "2", "--d", "5"], {"n": 2, "d": 5}),
+        (["bounds", "--n", "1", "--d", "2", "--schedule", "3,1,7.389"],
+         {"n": 1, "d": 2, "s": 3, "k": 1, "c_hat": 7.389}),
+        (["entropy", "--n", "1", "--d", "2", "--eps", "0.1"],
+         {"d": 2, "k": 1, "c_hat": math.exp(2), "nbar": 3, "eps": 0.1}),
+        (["entropy", "--schedule", "3,2,20", "--nbar", "2", "--d", "3", "--eps", "0.05"],
+         {"d": 3, "k": 2, "c_hat": 20.0, "nbar": 2, "eps": 0.05}),
+        (["entropy", "--n", "2", "--d", "3", "--eps", "0.1", "--nbar", "4"],
+         {"d": 3, "k": 2, "c_hat": math.exp(4), "nbar": 4, "eps": 0.1}),
+        (["dims", "--n", "2", "--d", "3"], {"n": 2, "d": 3}),
+        (["dims", "--set", "ball", "--n", "2", "--d", "2", "--resolution", "9"],
+         {"n": 2, "d": 2, "set": "ball(n=2, resolution=9)"}),
+        (["mesh", "--n", "1", "--d", "2", "--resolution", "21", "--seed", "3"],
+         {"n": 1, "d": 2, "set": "box(n=1, resolution=21)", "resolution": 21, "seed": 3}),
+        (["embed", "--n", "1", "--d", "2", "--p", "2", "--resolution", "51"],
+         {"n": 1, "d": 2, "p": 2, "set": "box(n=1, resolution=51)", "resolution": 51,
+          "seed": 0}),
+        (["embed", "--n", "1", "--d", "1", "--schedule", "3,1,7.389", "--resolution", "101"],
+         {"n": 1, "d": 1, "p": 6, "set": "box(n=1, resolution=101)", "resolution": 101,
+          "seed": 0}),
+        (["distort", "--n", "1", "--d", "1", "--p", "2", "--resolution", "51", "--trials",
+          "5", "--seed", "2"],
+         {"n": 1, "d": 1, "p": 2, "set": "box(n=1, resolution=51)", "resolution": 51,
+          "seed": 2, "trials": 5}),
+    ], ids=["bounds", "bounds-schedule", "entropy-n", "entropy-schedule-nbar",
+            "entropy-n-nbar", "dims", "dims-set", "mesh", "embed-p", "embed-schedule",
+            "distort"])
+    def test_key_order_and_values(self, capsys, argv, inputs):
+        payload = run_json(argv + ["--no-timestamp"], capsys)
+        assert list(payload["inputs"].items()) == list(inputs.items())
+        assert list(payload)[:2] == ["command", "inputs"]
+
 
 class TestOutputModes:
     def test_csv_flattening(self, capsys):
@@ -533,6 +637,22 @@ class TestOutputModes:
         assert err.startswith("ERROR[2]: [Errno ") and f"] {message}: {str(target)!r}\n" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
         assert (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, key", [
+        (["bounds", "--n", "1400", "--d", "2"], "values.N_dn"),
+        (["dims", "--n", "10000", "--d", "10000"], "dim_full"),
+    ], ids=["bounds", "dims"])
+    def test_integer_too_long_to_print(self, capsys, tmp_path, argv, key, fmt):
+        # once a ValueError traceback from Python's int-to-text digit limit
+        target = tmp_path / "report.txt"
+        for out_flags in ([], ["--out", str(target)]):
+            rc, out, err = run_main(argv + ["--format", fmt, "--no-timestamp", *out_flags],
+                                    capsys)
+            assert (rc, out) == (2, "")
+            assert err == (f"ERROR[2]: {key} has more than {sys.get_int_max_str_digits()} "
+                           f"digits, above Python's limit for printing an integer\n")
+        assert not target.exists()
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["distort", "--n", "1", "--d", "2", "--p", "2", "--trials", "4",

@@ -172,9 +172,9 @@ class TestEmbed:
     def test_grid_constant_consistency(self):
         cert = embed(poly_space(1, 2), INTERVAL, 3)
         coarse = (dim_full(1, 6) * (1.0 + 1e-10)) ** (1.0 / 3.0)
-        sharp = cert.grid_constant ** (1.0 / 3.0)
+        sharp = cert.node_set.grid_constant ** (1.0 / 3.0)
         assert cert.certified_bound == pytest.approx(min(coarse, sharp), rel=1e-15)
-        assert cert.certified_bound == cert.grid_constant ** (1.0 / 3.0)
+        assert cert.certified_bound == cert.node_set.grid_constant ** (1.0 / 3.0)
 
     def test_plane_embedding(self):
         space = poly_space(2, 2)
@@ -217,20 +217,6 @@ class TestEmbed:
         with pytest.raises(ValidationError):
             embed(poly_space(1, 2), INTERVAL, True)
 
-    def test_json_shape_with_and_without_schedule(self):
-        cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
-        payload = cert.to_json_dict()
-        assert list(payload) == ["n", "d", "p", "nodes", "certified_bound",
-                                 "grid_constant"]
-        assert cert.grid_size == 101
-
-        p, c = power_schedule(2, 1, math.e ** 2, s=3)
-        scheduled = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), p,
-                          schedule_c=c)
-        payload = scheduled.to_json_dict()
-        assert list(payload)[:4] == ["n", "d", "p", "schedule_c"]
-        assert payload["schedule_c"] == pytest.approx(c)
-
 
 class TestDistortionProbe:
     def test_affine_space_has_no_distortion(self):
@@ -246,7 +232,7 @@ class TestDistortionProbe:
         # at p = 1 the true distortion equals the norming constant 5/4,
         # attained by the signed sum of the cardinal functions
         cert = embed(poly_space(1, 2), INTERVAL, 1)
-        assert cert.grid_constant == pytest.approx(1.25, abs=1e-12)
+        assert cert.node_set.grid_constant == pytest.approx(1.25, abs=1e-12)
         observed = estimate_distortion(cert)
         assert observed <= cert.certified_bound * (1.0 + 1e-9)
         assert observed == pytest.approx(1.25, rel=1e-12)
@@ -293,10 +279,9 @@ class TestDistortionProbe:
                                                                expected):
         # expected: the value the certificate stored before it stopped
         # carrying one, printed with repr; equal up to the BLAS's rounding
-        schedule_c = None
         if p is None:
-            p, schedule_c = power_schedule(d, 1, 7.389, s=3)
-        cert = embed(poly_space(n, d), model, p, schedule_c=schedule_c)
+            p, _ = power_schedule(d, 1, 7.389, s=3)
+        cert = embed(poly_space(n, d), model, p)
         before = certificate_state(cert)
         assert estimate_distortion(cert) == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert_same_state(certificate_state(cert), before)
@@ -304,7 +289,7 @@ class TestDistortionProbe:
     def test_certificate_holds_no_distortion_or_set(self):
         cert = embed(poly_space(1, 2), sets.box([(-1.0, 1.0)], 101), 2)
         estimate_distortion(cert)
-        assert sorted(vars(cert)) == ["node_set", "p", "schedule_c", "space"]
+        assert sorted(vars(cert)) == ["node_set", "p", "space"]
 
     @pytest.mark.parametrize("points, d", [
         ([[0.5]], 0), ([[0.5], [-0.25]], 0), ([[0.5], [-0.25]], 1)],
@@ -322,11 +307,9 @@ class TestScreenedClimb:
 
     @pytest.mark.parametrize("n, d, p, res", WHOLE_GRID_CASES)
     def test_matches_whole_grid_reference(self, n, d, p, res):
-        schedule_c = None
         if p is None:
-            p, schedule_c = power_schedule(d, 1, 7.389, s=3)
-        cert = embed(poly_space(n, d), sets.box([(-1.0, 1.0)] * n, res), p,
-                     schedule_c=schedule_c)
+            p, _ = power_schedule(d, 1, 7.389, s=3)
+        cert = embed(poly_space(n, d), sets.box([(-1.0, 1.0)] * n, res), p)
         assert estimate_distortion(cert) == pytest.approx(
             whole_grid_distortion(cert), rel=1e-12)
 
@@ -369,15 +352,18 @@ class TestExactDistortion:
         # with as many nodes as dimensions the distortion is the norming
         # constant: the grid maximum of the nodes' Lebesgue function
         cert = embed(poly_space(n, d), sets.box([(-1.0, 1.0)] * n, res), 1)
-        assert estimate_distortion(cert) == pytest.approx(cert.grid_constant, rel=1e-12)
+        assert estimate_distortion(cert) == pytest.approx(cert.node_set.grid_constant,
+                                                          rel=1e-12)
 
-    @pytest.mark.parametrize("d, p, schedule_c, expected", [
-        (4, 2, None, 1.198340), (8, 2, None, 1.259889), (2, 9, 0.6995, 1.0122156)],
+    @pytest.mark.parametrize("d, p, expected", [
+        (4, 2, 1.198340), (8, 2, 1.259889), (2, 9, 1.0122156)],
         ids=["d4-p2", "d8-p2", "d2-scheduled"])
-    def test_interval_values(self, d, p, schedule_c, expected):
+    def test_interval_values(self, d, p, expected):
         # values of the same programs solved one by one by an independent
-        # LP solver, to the digits given
-        cert = embed(poly_space(1, d), INTERVAL, p, schedule_c=schedule_c)
+        # LP solver, to the digits given; p = 9 is the schedule 3,1,7.389
+        # at d = 2
+        assert power_schedule(2, 1, 7.389, s=3)[0] == 9
+        cert = embed(poly_space(1, d), INTERVAL, p)
         observed = estimate_distortion(cert)
         assert observed == pytest.approx(expected, abs=5e-7)
         assert observed <= cert.certified_bound

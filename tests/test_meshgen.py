@@ -687,15 +687,3 @@ class TestDeterminism:
         ns = select_nodes(space, sets.grid(model, space.dim))
         grid_points = sets.grid(model)
         np.testing.assert_array_equal(grid_points[list(ns.node_indices)], ns.nodes)
-
-    def test_json_dict_shape(self):
-        space = poly_space(1, 2)
-        ns = select_nodes(space, sets.grid(sets.box([(-1.0, 1.0)], 21), space.dim))
-        payload = ns.to_json_dict()
-        assert set(payload) == {"degree", "ambient_dim", "points",
-                                "log_abs_det", "swap_optimal", "lagrange_sup", "sweeps"}
-        assert payload["degree"] == 2
-        assert payload["ambient_dim"] == 1
-        assert payload["swap_optimal"] is True
-        assert len(payload["points"]) == 3
-        assert payload["sweeps"] == ns.sweeps >= 1

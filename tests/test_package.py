@@ -180,12 +180,14 @@ def test_import_loads_no_mpmath_until_a_closed_form_is_read():
     # nor after: the closed forms compute in the standard library's decimal
     code = ("import sys, normmesh\n"
             "assert 'mpmath' not in sys.modules and 'numpy' not in sys.modules\n"
-            "print(normmesh.bounds.poly_bound_report(1, 2).inputs)\n"
+            "print(normmesh.bounds.poly_bound_report(1, 2).to_json_values())\n"
             "assert 'mpmath' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "{'n': 1, 'd': 2}\n"
+    assert proc.stdout == ("[['N_dn', 399, 'poly-size'], ['dist_bound_A', "
+                           "'2.90299082867181223798029760091', 'poly-distortion'], "
+                           "['N_tilde_dn', 3, 'space-dim']]\n")
 
 
 @pytest.mark.parametrize("case", [

@@ -108,6 +108,17 @@ class TestVandermonde:
         v = vandermonde(space, pts, grid_box(pts))
         np.testing.assert_array_equal(v, [[1.0], [1.0]])
 
+    def test_box_wider_than_the_double_range(self):
+        # the half-width (upper - lower) / 2 once overflowed: every point
+        # mapped to 0, the rank read 1 and degree 1 was refused as
+        # non-determining
+        pts = [[-1e308], [0.0], [1e308]]
+        v = vandermonde(poly_space(1, 2), pts, grid_box(np.array(pts)))
+        np.testing.assert_array_equal(v, [[1.0, -1.0, 1.0], [1.0, 0.0, -1.0],
+                                          [1.0, 1.0, 1.0]])
+        assert trace_dimension(poly_space(1, 2), pts) == 3
+        assert meshgen.select_nodes(poly_space(1, 1), pts).node_indices == (0, 2)
+
 
 class TestEvaluation:
     def test_affine_polynomial(self):

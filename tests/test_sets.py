@@ -127,6 +127,14 @@ class TestBox:
         with pytest.raises(ValidationError):
             sets.box([(-1.0, 1.0)], 1)
 
+    def test_width_overflow_refused(self):
+        # once RuntimeWarnings from linspace, then "point coordinates must be finite"
+        with pytest.raises(ValidationError, match=r"box width .* overflows on axis 1"):
+            sets.box([(-1.0, 1.0), (-1e308, 1e308)], 5)
+        g = sets.grid(sets.box([(-1e308, 0.0), (0.0, 1e308)], 3))
+        assert np.isfinite(g).all()
+        assert g.shape == (9, 2)
+
 
 class TestBall:
     def test_plane_resolution_three(self):
@@ -172,6 +180,25 @@ class TestBall:
             with pytest.raises(ValidationError, match="center coordinates must be finite"):
                 sets.ball([0.0, bad], 1.0, 5)
 
+    def test_squared_offsets_that_overflow_refused(self):
+        # radius 1e200 once kept the center alone, as its squared offsets overflowed
+        for center, radius in (([0.0, 0.0], 1e200), ([0.0, 0.0], 2.0 ** 512),
+                               ([0.0] * 4, 2.0 ** 511)):
+            with pytest.raises(ValidationError, match="overflows the squared distances"):
+                sets.ball(center, radius, 5)
+        with pytest.raises(ValidationError, match=r"center -/\+ radius overflows on axis 0"):
+            sets.ball([1e308, 0.0], 1e308, 5)
+
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0], 2.0 ** 511), ([0.0, 0.0, 0.0], 2.0 ** 511), ([0.0], 2.0 ** 511)])
+    def test_largest_balls_that_fit_keep_their_bits(self, center, radius):
+        # a radius of 2^k scales every coordinate and squared offset exactly,
+        # and the 1e-13 slack decides no point, so the unit grid scales to
+        # it; the corner's squared offsets, 3 * 2^1022 at most, stay finite
+        got = sets.grid(sets.ball(center, radius, 7))
+        unit = sets.grid(sets.ball(center, 1.0, 7))
+        assert got.tobytes() == (unit * radius).tobytes()
+
 
 class TestSphere:
     def test_circle_equispaced_angles(self):
@@ -197,6 +224,16 @@ class TestSphere:
     def test_unsupported_dimension(self):
         with pytest.raises(ValidationError):
             sets.sphere([0.0, 0.0, 0.0, 0.0], 1.0, 5)
+
+    def test_center_plus_radius_overflow_refused(self):
+        # once RuntimeWarnings, then "point coordinates must be finite"
+        for center, axis in (([1e308, 0.0], 0), ([0.0, 0.0, -1e308], 2)):
+            with pytest.raises(ValidationError,
+                               match=rf"center -/\+ radius overflows on axis {axis}"):
+                sets.sphere(center, 1e308, 5)
+        # a sphere forms no squares, so its radius may pass where a ball's may not
+        g = sets.grid(sets.sphere([0.0, 0.0], 1e300, 8))
+        assert np.isfinite(g).all()
 
     @pytest.mark.parametrize("res", [2, 3, 4, 5, 17, 40, 64, 80, 101, 256, 333])
     @pytest.mark.parametrize("center, radius", [
