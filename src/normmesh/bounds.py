@@ -164,7 +164,7 @@ def _audited_floor(make_value: Callable[[], Decimal], context: str) -> int:
     magnitude = probe.adjusted() if probe else 0
     dps = max(_BASE_DPS, magnitude + 20)
     with _digits(dps):
-        first = math.floor(make_value())
+        first = math.floor(probe if dps == _BASE_DPS else make_value())
     with _digits(2 * dps):
         second = math.floor(make_value())
     if first != second:
@@ -227,10 +227,10 @@ def poly_embedding_size(n: int, d: int) -> int:
     return _audited_floor(lambda: _e() ** (2 * n) * count, "poly_embedding_size")
 
 
-def poly_distortion_bound(n: int, dps: int = _BASE_DPS) -> Decimal:
-    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2)), correct to dps
+def poly_distortion_bound(n: int) -> Decimal:
+    """Degree-free distortion constant (e (n+2)^2)^(1/(n+2)), correct to 30
     digits: the scheduled constant (e s^k)^(1/s) at s = n + 2, k = 2."""
-    return schedule_distortion_bound(check_int(n, "number of variables") + 2, 2, dps)
+    return schedule_distortion_bound(check_int(n, "number of variables") + 2, 2)
 
 
 def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
@@ -247,11 +247,11 @@ def _scheduled_size(c: Decimal, d: int, k: int, s: int) -> int:
     return _audited_floor(lambda: c * count, "scheduled_embedding_size")
 
 
-def schedule_distortion_bound(s: int, k: int, dps: int = _BASE_DPS) -> Decimal:
-    """Distortion constant (e s^k)^(1/s) for the scheduled embedding, correct to dps digits."""
+def schedule_distortion_bound(s: int, k: int) -> Decimal:
+    """Distortion constant (e s^k)^(1/s) for the scheduled embedding, correct to 30 digits."""
     s = check_int(s, "schedule parameter s", minimum=3)
     k = check_int(k, "growth order")
-    with _digits(dps + _GUARD):
+    with _digits(_BASE_DPS + _GUARD):
         return (_e() * s ** k) ** (1 / Decimal(s))
 
 

@@ -193,14 +193,14 @@ def _cmd_certificate(args) -> dict:
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
     if args.schedule is None:
-        p, schedule = args.p, {}
+        p, given, schedule = args.p, {}, {}
     else:
         s, k, chat = _parse_schedule(args.schedule)
         p, c = landau.power_schedule(args.d, k, chat, s)
-        schedule = {"schedule_c": c}
+        given, schedule = {"s": s, "k": k, "c_hat": chat}, {"schedule_c": c}
     cert = landau.embed(space, model, p)
     node_set = cert.node_set
-    inputs = {"n": args.n, "d": args.d, "p": cert.p, "set": model.describe(),
+    inputs = {"n": args.n, "d": args.d, "p": cert.p, **given, "set": model.describe(),
               "resolution": model.resolution, "seed": args.seed,
               **({"trials": args.trials} if distort else {})}
     certificate = {

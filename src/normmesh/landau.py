@@ -162,10 +162,10 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     ``_optimal_basis``.  Any basis B of k node rows bounds every such
     program at once: g(z) <= sum_i |l_i(z)| with l_i the cardinal
     functions of B, the row sums of |G R_B^{-1}|.
-    Starting from the greedy basis of the node rows, each round takes the
-    open grid point of largest bound, solves its program warm-started
-    from the basis that gave that bound, keeps the ratio of the final
-    vertex polynomial and lowers every open bound to the final basis's.
+    Starting from the greedy basis of the node rows and the constant's
+    ratio 1, each round takes the open grid point of largest bound, solves
+    its program warm-started from the basis that gave it, keeps the final
+    vertex's ratio and lowers every open bound to the final basis's.
     A point closes when its program is solved, or when its bound is at
     most the best ratio times 1 + 1e-12, which also ends its program
     early; rounds stop when no point is open.  The result is the ratio
@@ -184,7 +184,7 @@ def estimate_distortion(cert: EmbeddingCertificate) -> float:
     points = np.arange(grid_values.shape[0])
     owner = np.zeros(points.size, dtype=int)
     bound = np.abs(grid_values @ np.linalg.inv(restriction[basis])).sum(axis=1)
-    observed = 0.0
+    observed = 1.0  # the constant's ratio, which no member's falls below
     while True:
         enough = observed * (1.0 + _GAP_RTOL)
         still = bound > enough

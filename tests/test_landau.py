@@ -346,6 +346,18 @@ class TestExactDistortion:
             estimate_distortion(cert)
         assert_same_state(certificate_state(cert), before)
 
+    @pytest.mark.parametrize("res, p", [
+        # schedule 3,2,4 (p = 12, 703 nodes) on the smallest full-rank grid:
+        # the first program, started below the constant's ratio 1, cycled
+        (37, 12),
+        pytest.param(31, 9, marks=pytest.mark.xfail(
+            strict=True, raises=InvariantViolation,
+            reason="no anti-cycling rule: a degenerate program cycles"))],
+        ids=["scheduled-r37", "p9-r31"])
+    def test_square_cubic_programs_reach_their_optimum(self, res, p):
+        cert = embed(poly_space(2, 3), sets.box([(-1.0, 1.0)] * 2, res), p)
+        assert 1.0 <= estimate_distortion(cert) <= cert.certified_bound
+
     @pytest.mark.parametrize("n, d, res", [
         (1, 2, 2001), (1, 5, 2001), (1, 8, 301), (2, 3, 41), (2, 4, 31)])
     def test_power_one_is_grid_constant(self, n, d, res):

@@ -41,9 +41,9 @@ def reference_exchange(space, model, max_sweeps=meshgen.MAX_SWEEPS,
                        tol_swap=meshgen.TOL_SWAP, q=None):
     """The exchange with a full O(m^2 N) re-solve after every accepted swap.
 
-    Node k moves to the grid point of largest |f_k| when that exceeds
-    1 + tol_swap.  It runs on the orthonormal basis ``q`` of the grid
-    Vandermonde, by default the blocked one that node selection uses.
+    When the largest |f_k| exceeds 1 + tol_swap, node k moves to the lowest
+    index within a relative _TIE_RTOL of it and above 1 + tol_swap.  It runs
+    on the orthonormal basis ``q``, by default the blocked one of selection.
     """
     if q is None:
         q = polyspace.orthonormal_basis(space, sets.grid(model))
@@ -54,9 +54,10 @@ def reference_exchange(space, model, max_sweeps=meshgen.MAX_SWEEPS,
         sweeps += 1
         improved = False
         for k in range(space.dim):
-            z = int(np.argmax(np.abs(cardinals[:, k])))
-            if abs(cardinals[z, k]) > 1.0 + tol_swap:
-                chosen[k] = z
+            column = np.abs(cardinals[:, k])
+            if column.max() > 1.0 + tol_swap:
+                near = column >= (1.0 - meshgen._TIE_RTOL) * column.max()
+                chosen[k] = int(np.argmax(near & (column > 1.0 + tol_swap)))
                 cardinals = meshgen._cardinal_values(q, chosen)
                 improved = True
         if not improved:
@@ -141,6 +142,12 @@ class TestGreedySeed:
         interval = polyspace.orthonormal_basis(
             poly_space(1, 3), sets.grid(sets.box([(-1.0, 1.0)], 2001)))
         assert meshgen._greedy_rows(interval)[:2] == [0, 2000]
+        # the pick of the seed and the exchange: ties within 1e-9, and in
+        # the exchange never a value at 1 + TOL_SWAP, tie or not
+        assert meshgen._pick(np.array([4.0 - 8e-9, 4.0 - 2e-9, 4.0, 4.0]), 4.0) == 1
+        near = np.array([1.0 + meshgen.TOL_SWAP, 1.0 + 5e-10])
+        assert meshgen._pick(near, near[1]) == 0
+        assert meshgen._pick(near, near[1], above=1.0 + meshgen.TOL_SWAP) == 1
 
 
 def swap_first_rows(grid_points):

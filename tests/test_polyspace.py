@@ -493,32 +493,6 @@ def extended_qr_basis(space, pts):
     return q
 
 
-def exchange_meets_a_tie(q, rtol=1e-12):
-    """Whether the exchange on ``q``, replayed with fresh cardinals after
-    every swap, meets a choice that rounding decides: a largest |f_k| at
-    the swap threshold, or one that two grid points share, to within
-    ``rtol``.  Choices with a wider margin are the same on any basis that
-    agrees with ``q`` to rounding, so are those of ``select_nodes``."""
-    chosen = meshgen._greedy_rows(q)
-    cardinals = np.abs(meshgen._cardinal_values(q, chosen))
-    for _ in range(meshgen.MAX_SWEEPS):
-        improved = False
-        for k in range(q.shape[1]):
-            column = cardinals[:, k]
-            z = int(column.argmax())
-            if abs(column[z] - 1.0 - meshgen.TOL_SWAP) <= rtol:
-                return True
-            if column[z] > 1.0 + meshgen.TOL_SWAP:
-                if np.count_nonzero(column >= column[z] * (1.0 - rtol)) > 1:
-                    return True
-                chosen[k] = z
-                cardinals = np.abs(meshgen._cardinal_values(q, chosen))
-                improved = True
-        if not improved:
-            break
-    return False
-
-
 def span_residual(a, b):
     """The largest distance of a unit column of ``a`` from the span of
     ``b``'s columns, or of ``b``'s from ``a``'s, each span taken from
@@ -578,14 +552,11 @@ class TestBoxRoute:
         exact = extended_qr_basis(space, pts)
         assert np.abs(polyspace.orthonormal_basis(space, pts) - exact).max() <= 1e-13
 
-    @pytest.mark.xfail(strict=True, reason="the exchange's largest |f_k| is an exact tie "
-                       "between mirror grid points, which rounding decides")
     def test_both_routes_select_the_same_nodes_at_an_exchange_tie(self):
-        # the two bases agree within 1.4e-16, yet the runs end in different
-        # swap-optimal sets, grid constants 4.66 and 5.23
+        # the two bases agree within 1.4e-16, and the exchange meets exact
+        # ties between mirror grid points, which the tie rule decides
         space = poly_space(2, 4)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, 6))
-        assert exchange_meets_a_tie(polyspace.orthonormal_basis(space, pts))
         box = meshgen.select_nodes(space, pts)
         with unittest.mock.patch.object(polyspace, "_box_axes", return_value=None):
             general = meshgen.select_nodes(space, pts)
@@ -602,10 +573,9 @@ def test_box_route_equals_the_general_route(data, seed, n, lows, widths):
     # 6 (n = 3) and a degree up to two past it.  The rank is exact in box
     # order and off it; with every axis of full rank the box route's Q is
     # the general construction's and node selection makes the same choices
-    # on both, but for choices that rounding decides (the strict xfail
-    # above).  From resolution 20 at d = M - 1 the general construction
-    # itself drifts from the exact QR by 3e-13 and more, which the
-    # extended-precision test above checks the box route against instead.
+    # on both, ties included.  From resolution 20 at d = M - 1 the general
+    # construction itself drifts from the exact QR by 3e-13 and more, which
+    # the extended-precision test above checks the box route against instead.
     resolution = data.draw(st.integers(2, 12 if n == 2 else 6), label="resolution")
     d = data.draw(st.integers(0, resolution + 2), label="d")
     space = poly_space(n, d)
@@ -626,5 +596,4 @@ def test_box_route_equals_the_general_route(data, seed, n, lows, widths):
     box = meshgen.select_nodes(space, pts)
     with unittest.mock.patch.object(polyspace, "_box_axes", return_value=None):
         general = meshgen.select_nodes(space, pts)
-    if not exchange_meets_a_tie(q):
-        assert (box.node_indices, box.sweeps) == (general.node_indices, general.sweeps)
+    assert (box.node_indices, box.sweeps) == (general.node_indices, general.sweeps)
