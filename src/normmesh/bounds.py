@@ -131,14 +131,6 @@ class BoundReport:
     def __init__(self, values: list[tuple[str, object, str]]):
         self.values = values
 
-    def __repr__(self) -> str:
-        return f"BoundReport(values={self.values!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
     def value(self, name: str):
         for key, val, _ in self.values:
             if key == name:

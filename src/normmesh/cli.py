@@ -3,9 +3,10 @@
 Subcommands: dims, bounds, mesh, embed, distort, entropy.  Reports are
 JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments, byte for
-byte; ``--seed`` must be non-negative, is echoed and changes no result.
-Each subcommand accepts only the flags it reads, spelled out in full, and
-each ``--set`` only the set flags it reads.
+byte.  Each subcommand accepts only the flags it reads, spelled out in
+full, and each ``--set`` only the set flags it reads; ``--seed`` and
+``distort --trials`` are checked and ignored, as no command draws a random
+number.
 Exit codes: 0 success, 2 validation, input or argument error, 3 violated
 certificate or precision audit.  ``main`` returns the code; ``run``, the
 process entry point, exits with it without interpreter teardown
@@ -17,8 +18,8 @@ does.  Each handler imports the modules it uses: ``bounds``, ``entropy``
 and ``dims`` without ``--set`` run without loading numpy, and the closed
 forms, like a ``--schedule``, compute in the standard library's
 ``decimal``.  Every report is {command, inputs, <body>, meta}, built by
-``_report``, each handler laying out its inputs and body from the flags
-and the library's measured values.
+``_report``, each handler laying out its inputs (every flag that shapes
+the result) and body from the flags and the library's measured values.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ def _report(args, inputs: dict, body: dict, anchors, grid_size: int | None = Non
     meta = {
         "tool": "normmesh",
         "version": __version__,
-        "seed": getattr(args, "seed", None),
         "grid_size": grid_size,
         "paper_anchor": list(dict.fromkeys(anchors)),
     }
@@ -171,7 +171,7 @@ def _cmd_mesh(args) -> dict:
     model = _set_from_args(args)
     node_set = meshgen.select_nodes(space, sets.grid(model, space.dim))
     inputs = {"n": args.n, "d": args.d, "set": model.describe(),
-              "resolution": model.resolution, "seed": args.seed}
+              "resolution": model.resolution}
     body = {"node_set": {"degree": args.d, "ambient_dim": args.n,
                          "points": node_set.nodes.tolist(),
                          "log_abs_det": node_set.log_abs_det,
@@ -187,8 +187,8 @@ def _cmd_certificate(args) -> dict:
 
     distort = args.command == "distort"
     if distort:
-        # --trials changes no result; it stays so that existing command lines
-        # run, and is checked before node selection at degree d*p
+        # --trials is ignored; it stays so that existing command lines run,
+        # and is checked before node selection at degree d*p
         check_int(args.trials, "trials")
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
@@ -201,14 +201,13 @@ def _cmd_certificate(args) -> dict:
     cert = landau.embed(space, model, p)
     node_set = cert.node_set
     inputs = {"n": args.n, "d": args.d, "p": cert.p, **given, "set": model.describe(),
-              "resolution": model.resolution, "seed": args.seed,
-              **({"trials": args.trials} if distort else {})}
+              "resolution": model.resolution}
     certificate = {
         "n": args.n, "d": args.d, "p": cert.p, **schedule,
         "nodes": node_set.nodes.tolist(), "certified_bound": cert.certified_bound,
         "grid_constant": node_set.grid_constant,
         **({"empirical_distortion": landau.estimate_distortion(cert)} if distort else {}),
-        "seed": args.seed, "grid_size": node_set.grid_size}
+        "grid_size": node_set.grid_size}
     anchors = ["power-embedding"]
     if distort:
         anchors.append("distortion-probe")
@@ -342,14 +341,14 @@ def _build_parser(command: str | None = None) -> _Parser:
         cmd.add_argument("--resolution", type=int)
     for cmd in having("mesh", "embed", "distort"):
         cmd.add_argument("--seed", type=int, default=0,
-                         help="echoed in the report; changes no result")
+                         help="checked and ignored: no command draws a random number")
     for cmd in having("embed", "distort"):
         power = cmd.add_mutually_exclusive_group(required=True)
         power.add_argument("--p", type=int)
         power.add_argument("--schedule", help="s,k,chat")
     for cmd in having("distort"):
         cmd.add_argument("--trials", type=int, default=32,
-                         help="checked and echoed; changes no result")
+                         help="checked and ignored: the distortion is exact")
     for cmd in having("bounds"):
         cmd.add_argument("--schedule", help="s,k,chat")
     for cmd in having("entropy"):
@@ -370,7 +369,7 @@ def _run_command(argv) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.out is not None:
         check_out_path(args.out)
-    if "seed" in args:  # mesh, embed and distort echo it; it changes no result
+    if "seed" in args:  # mesh, embed and distort accept it and ignore it
         check_int(args.seed, "seed", minimum=0)
     _emit(_COMMANDS[args.command](args), args)
     return 0

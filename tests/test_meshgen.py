@@ -379,6 +379,28 @@ class TestRankOneExchange:
         assert ns.lagrange_sup == fresh.lagrange_sup
         assert ns.grid_constant == fresh.grid_constant
 
+    def test_fresh_product_overrules_a_clean_sweep(self, monkeypatch):
+        # each update is clipped to [-1, 1], so every sweep after a swap
+        # looks clean; only the fresh product can send sweeping on, and the
+        # run must still end where the unclipped one does
+        space = poly_space(1, 8)
+        pts = sets.grid(sets.box([(-1.0, 1.0)], 2001), space.dim)
+        expected = select_nodes(space, pts)
+        swap = meshgen._swap_cardinals
+        products = unittest.mock.Mock(wraps=meshgen._cardinal_values)
+
+        def clipped_swap(cardinals, k, z):
+            swap(cardinals, k, z)
+            np.clip(cardinals, -1.0, 1.0, out=cardinals)
+
+        monkeypatch.setattr(meshgen, "_swap_cardinals", clipped_swap)
+        monkeypatch.setattr(meshgen, "_cardinal_values", products)
+        ns = select_nodes(space, pts)
+        assert products.call_count > 2
+        assert ns.swap_optimal
+        assert ns.node_indices == expected.node_indices
+        assert ns.grid_constant == expected.grid_constant
+
     def test_update_tracks_fresh_solve(self):
         space = poly_space(2, 4)
         q = polyspace.orthonormal_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))

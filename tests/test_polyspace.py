@@ -101,6 +101,8 @@ class TestVandermonde:
         space = poly_space(2, 2)
         with pytest.raises(ValidationError):
             vandermonde(space, [[1.0, 2.0, 3.0]], ([0.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(ValidationError, match="need at least one evaluation point"):
+            vandermonde(space, np.empty((0, 2)), ([0.0, 0.0], [1.0, 1.0]))
 
     def test_degree_zero_column_of_ones(self):
         space = poly_space(3, 0)
