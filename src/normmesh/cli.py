@@ -5,12 +5,13 @@ JSON (default) or flattened CSV, written to stdout or --out.  With
 --no-timestamp the output is a pure function of the arguments, byte for
 byte.  Each subcommand accepts only the flags it reads, spelled out in
 full, and each ``--set`` only the set flags it reads; ``--seed`` and
-``distort --trials`` are checked and ignored, as no command draws a random
-number.
+``distort --trials`` are checked, by ``_run_command`` alone, and ignored,
+as no command draws a random number.
 Exit codes: 0 success, 2 validation, input or argument error, 3 violated
 certificate or precision audit.  ``main`` returns the code; ``run``, the
 process entry point, exits with it without interpreter teardown
-(``errors.exit_process``).  An ``--out`` that is empty, a directory or an
+(``errors.exit_process``), unless a flush fails: the interpreter then
+reports it and exits 120.  An ``--out`` that is empty, a directory or an
 unwritable file, or whose directory is missing or not writable, is
 refused before any computation; an empty ``--params``, ``--schedule`` or
 ``--cloud``, or an empty ``--params`` field, exits 2 as a malformed one
@@ -186,10 +187,6 @@ def _cmd_certificate(args) -> dict:
     from . import landau, polyspace
 
     distort = args.command == "distort"
-    if distort:
-        # --trials is ignored; it stays so that existing command lines run,
-        # and is checked before node selection at degree d*p
-        check_int(args.trials, "trials")
     space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
     if args.schedule is None:
@@ -243,13 +240,15 @@ def _cmd_entropy(args) -> dict:
     return _report(args, inputs, {"values": values}, (row[2] for row in values))
 
 
+# each subcommand's handler and help text
 _COMMANDS = {
-    "dims": _cmd_dims,
-    "bounds": _cmd_bounds,
-    "mesh": _cmd_mesh,
-    "embed": _cmd_certificate,
-    "distort": _cmd_certificate,
-    "entropy": _cmd_entropy,
+    "dims": (_cmd_dims, "space dimension and grid trace rank"),
+    "bounds": (_cmd_bounds, "closed-form mesh sizes and distortion constants"),
+    "mesh": (_cmd_mesh, "select and certify a norming node set"),
+    "embed": (_cmd_certificate, "build a sup-norm embedding certificate"),
+    "distort": (_cmd_certificate, "embed plus the exact grid distortion: the largest "
+                                  "grid-to-node sup ratio of any member"),
+    "entropy": (_cmd_entropy, "metric entropy budget for an embedded family"),
 }
 
 
@@ -301,17 +300,6 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(payload)
 
 
-_HELP = {
-    "dims": "space dimension and grid trace rank",
-    "bounds": "closed-form mesh sizes and distortion constants",
-    "mesh": "select and certify a norming node set",
-    "embed": "build a sup-norm embedding certificate",
-    "distort": "embed plus the exact grid distortion: the largest "
-               "grid-to-node sup ratio of any member",
-    "entropy": "metric entropy budget for an embedded family",
-}
-
-
 def _build_parser(command: str | None = None) -> _Parser:
     """One subparser per command, holding only the flags that command reads.
 
@@ -323,9 +311,9 @@ def _build_parser(command: str | None = None) -> _Parser:
                      description="Certified norming meshes and embedding bounds "
                                  "for polynomial spaces on compact sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-    cmds = {name: sub.add_parser(name, help=_HELP[name], description=_HELP[name],
-                                 allow_abbrev=False)
-            for name in ([command] if command in _HELP else _HELP)}
+    cmds = {name: sub.add_parser(name, help=_COMMANDS[name][1],
+                                 description=_COMMANDS[name][1], allow_abbrev=False)
+            for name in ([command] if command in _COMMANDS else _COMMANDS)}
 
     def having(*names):
         return [cmds[name] for name in names if name in cmds]
@@ -369,9 +357,12 @@ def _run_command(argv) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     if args.out is not None:
         check_out_path(args.out)
-    if "seed" in args:  # mesh, embed and distort accept it and ignore it
+    # accepted and ignored: --seed by mesh, embed and distort, --trials by distort
+    if "seed" in args:
         check_int(args.seed, "seed", minimum=0)
-    _emit(_COMMANDS[args.command](args), args)
+    if "trials" in args:
+        check_int(args.trials, "trials")
+    _emit(_COMMANDS[args.command][0](args), args)
     return 0
 
 

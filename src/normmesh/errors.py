@@ -9,7 +9,8 @@ inequalities or precision audits exit with code 3.  The latter indicate a
 bug rather than a user error and should never occur in normal operation.
 ``check_out_path`` lets them refuse an unwritable output file up front.
 ``exit_process`` ends those processes once their output is flushed,
-without interpreter teardown.
+without interpreter teardown unless a flush fails, which it leaves to the
+interpreter to report.
 """
 
 import errno
@@ -123,20 +124,15 @@ def exit_process(code: int) -> NoReturn:
     ``os._exit`` skips interpreter teardown (module clean-up and ``atexit``
     handlers), which costs tens of milliseconds after the output is
     complete; the package registers no ``atexit`` handler and closes every
-    file it writes.  As at a normal exit, a stream that is None or closed
-    is skipped, and a flush that fails is reported on stderr in CPython's
-    own words and makes the status 120.
+    file it writes.  A stream that is None or closed is skipped.  A flush
+    that fails hands the exit to the interpreter (``sys.exit``), whose
+    teardown flushes again, reports the failure and makes the status 120.
     """
     for stream in (sys.stdout, sys.stderr):
         if stream is None or stream.closed:
             continue
         try:
             stream.flush()
-        except (OSError, ValueError) as exc:
-            code = 120
-            try:
-                sys.stderr.write(f"Exception ignored in: {stream!r}\n"
-                                 f"{type(exc).__name__}: {exc}\n")
-            except (AttributeError, OSError, ValueError):
-                pass
+        except (OSError, ValueError):
+            sys.exit(code)
     os._exit(code)

@@ -51,7 +51,7 @@ _ZERO_RTOL = 1e-12
 _PIVOT_RTOL = 1e-9
 _PIVOTS_PER_ROW = 50
 
-def power_schedule(d: int, k: int, c_hat, s: int = 3) -> tuple[int, float]:
+def power_schedule(d: int, k: int, c_hat, s: int) -> tuple[int, float]:
     """Exponent p = s * (floor(ln(c_hat d^k)) + 1) and its constant c.
 
     Returns (p, c) with c = 1/s + k ln(s) / s, so that whenever the space
@@ -130,10 +130,9 @@ def _optimal_basis(restriction: np.ndarray, target: np.ndarray, basis: np.ndarra
         at_nodes = restriction @ (inverse @ signs)
         excess = np.abs(at_nodes) - 1.0
         excess[basis] = 0.0
-        violated = np.flatnonzero(excess > _FEASIBLE_ATOL)
-        if violated.size == 0 or np.abs(duals).sum() <= enough:
+        enter = int(np.argmax(excess))
+        if excess[enter] <= _FEASIBLE_ATOL or np.abs(duals).sum() <= enough:
             return inverse
-        enter = violated[np.argmax(excess[violated])]
         side = 1.0 if at_nodes[enter] > 0.0 else -1.0
         # d|mu_i| / dt as the entering row's |mu| grows by t; they sum to
         # |R_enter a| > 1, so the largest is positive

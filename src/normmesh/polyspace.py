@@ -73,21 +73,10 @@ def _degree_block(n: int, total: int) -> Iterator[tuple[int, ...]]:
 
 
 class PolySpace:
-    """Polynomials of total degree at most d in n variables, compared by (n, d)."""
+    """Polynomials of total degree at most d in n variables."""
 
     def __init__(self, n: int, d: int):
         self.n, self.d = n, d
-
-    def __repr__(self) -> str:
-        return f"PolySpace(n={self.n!r}, d={self.d!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.d) == (other.n, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.d))
 
     @property
     def dim(self) -> int:

@@ -58,8 +58,7 @@ class CompactSetModel:
     validate parameters.
     """
 
-    def __init__(self, ambient_dim: int, kind: str, params: dict[str, Any],
-                 resolution: int = 0):
+    def __init__(self, ambient_dim: int, kind: str, params: dict[str, Any], resolution: int):
         self.ambient_dim = ambient_dim
         self.kind = kind
         self.params = params

@@ -61,6 +61,24 @@ def test_large_report_arrives_whole():
     assert all(len(line.split()) == 8 for line in lines)
 
 
+def test_failed_flush_exits_120():
+    # stdout on a pipe whose read end is closed: the flush before the fast
+    # exit fails, and the interpreter reports it as at its own exit
+    read, write = os.pipe()
+    os.close(read)
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "entropy_sweep.py"),
+                               "--orders", "1", "--eps", "0.1"], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert proc.stderr == ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                           "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
 def test_sweep_labels_small_accuracies_apart():
     # eps to 6 significant digits, in the second of 8 columns
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "entropy_sweep.py"),
