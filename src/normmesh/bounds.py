@@ -16,27 +16,29 @@ used elsewhere in the package:
 All real arithmetic runs in the standard library's ``decimal`` with guard
 digits beyond the 30 significant digits reported; float inputs convert
 exactly.  Reported reals are ``decimal.Decimal`` values, rounded once,
-when ``format_real`` renders them.  Every floor is audited: the expression
-is evaluated again at twice the working precision, with the working
-precision itself scaled to the magnitude of the value, and the two floors
-must agree.  Integer results are exact Python integers.
+when ``format_real`` renders them.  Every floor is audited by one routine
+(``_audited``): the expression is evaluated at 40 digits, or at 20 more
+than its magnitude if that is more, and again at twice that precision,
+and the two floors must agree.  Integer results are exact Python
+integers.
 
 Values that depend only on the inputs are evaluated once per process and
-kept in bounded caches: the audited floor(ln(c_hat d^k)) of ``log_floor``
-(and of ``poly_embedding_size``, at c_hat = 1 and k = n), ln(c_hat d^k)
-at the entropy chain's working precision, e^((k-1)/k) and the 40-digit
-branch edge e^(-(k-1)/k) per k, and the upper end of phi's Newton
-bracket, keyed by the 30-digit 3k/y it is computed from, so that the
-chain's solve for s_eps and the solve of its floor audit share one
-logarithm.  The chain's terms that depend only on the accuracy are cached
-too, so that growth orders share them: ln(1+eps) at each precision the
-chain and its floor audit solve at, and R_eps - 1, 1/xi, ln(1 + 2/xi) and
-ln(21 nbar/eps) per (eps, nbar).  The arguments are checked before every
-lookup; a miss runs both precisions of a floor audit, and only a floor
-that passed is kept; no exception is cached.  The floor(s_eps), 1/xi and
-majorant checks run on every chain.  No audit is skipped or weakened.
+kept in four bounded caches: the audited floor(ln(c_hat d^k)) of
+``log_floor`` (and of ``poly_embedding_size``, at c_hat = 1 and k = n)
+with the 40-digit ln(c_hat d^k) it was read from, which the entropy
+chain's final bound reuses; e^((k-1)/k) and the 40-digit branch edge
+e^(-(k-1)/k) per k; and the chain's terms that depend only on the
+accuracy, so that growth orders share them: ln(1+eps) at each precision
+the chain and its floor audit solve at, and R_eps - 1, 1/xi, ln(1 + 2/xi)
+and ln(21 nbar/eps) per (eps, nbar).  The arguments are checked before
+every lookup; a miss runs both precisions of a floor audit, and only a
+floor that passed is kept; no exception is cached.  The floor(s_eps),
+1/xi and majorant checks run on every chain.  No audit is skipped or
+weakened.
 
-Each Decimal Newton solve for s_eps takes one full-precision logarithm,
+The chain evaluates its majorant s_bound = (12k/ln(1+eps)) ln(12k/ln(1+eps))
+first and passes it to every solve for s_eps as the upper end of Newton's
+bracket.  Each Decimal Newton solve takes one full-precision logarithm,
 at its first residual; each later residual continues it by a series in
 the step (``_continued_log``).  The floor audit's solve takes its own.
 """
@@ -56,9 +58,9 @@ _BASE_DPS = 30
 # precision of the entropy chain.
 _GUARD = 10
 _CHAIN_DPS = 40
-# Entries per cache of input-only values: one per (c_hat, d, k), per
-# accuracy and precision, or per chain for the bracket; the 120 chains of
-# a benchmark sweep fill at most 120 of any one.
+# Entries per cache of input-only values: one per (c_hat, d, k), per k, or
+# per accuracy and precision; the 120 chains of a benchmark sweep fill at
+# most 120 of any one.
 _CACHE_ENTRIES = 256
 
 def _digits(prec: int):
@@ -143,26 +145,28 @@ class BoundReport:
                 for name, val, anchor in self.values]
 
 
-def _audited_floor(make_value: Callable[[], Decimal], context: str) -> int:
-    """Floor with a dual-precision agreement audit.
+def _audited(make_value: Callable[[], Decimal], context: str) -> tuple[int, Decimal]:
+    """floor(value) with a dual-precision agreement audit, and the value.
 
-    The expression is evaluated at a precision scaled to its magnitude and
-    once more at double that precision; the floors must match.
+    ``make_value`` runs in a context of ``_CHAIN_DPS`` digits, or of 20
+    more than the value's magnitude if that is more, and once more at
+    twice that precision; the two floors must match.  The value returned
+    is the one of the first precision.
     """
-    with _digits(_BASE_DPS):
-        probe = make_value()
-    if not probe.is_finite():
+    with _digits(_CHAIN_DPS):
+        value = make_value()
+    if not value.is_finite():
         raise ValidationError(f"{context}: expression is not finite")
-    magnitude = probe.adjusted() if probe else 0
-    dps = max(_BASE_DPS, magnitude + 20)
-    with _digits(dps):
-        first = math.floor(probe if dps == _BASE_DPS else make_value())
+    dps = max(_CHAIN_DPS, (value.adjusted() if value else 0) + 20)
+    if dps > _CHAIN_DPS:
+        with _digits(dps):
+            value = make_value()
+    floor = math.floor(value)
     with _digits(2 * dps):
-        second = math.floor(make_value())
-    if first != second:
-        raise InvariantViolation(
-            f"{context}: floor audit disagrees between {dps} and {2 * dps} digits")
-    return first
+        if math.floor(make_value()) != floor:
+            raise InvariantViolation(
+                f"{context}: floor audit disagrees between {dps} and {2 * dps} digits")
+    return floor, value
 
 
 def _check_chat(c_hat) -> Decimal:
@@ -182,7 +186,7 @@ def log_floor(c_hat, d: int, k: int) -> int:
     """Audited floor(ln(c_hat * d^k)); requires c_hat * d^k >= 1."""
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
-    return _log_floor(_schedule_growth(c_hat, d, k), d, k)
+    return _log_floor(_schedule_growth(c_hat, d, k), d, k)[0]
 
 
 def _schedule_growth(c_hat, d: int, k: int) -> Decimal:
@@ -196,16 +200,10 @@ def _schedule_growth(c_hat, d: int, k: int) -> Decimal:
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
-def _log_floor(c: Decimal, d: int, k: int) -> int:
-    """``log_floor`` of checked arguments, audited once per process."""
-    return _audited_floor(lambda: _ln(c * d ** k), "log_floor")
-
-
-@lru_cache(maxsize=_CACHE_ENTRIES)
-def _log_growth(c: Decimal, d: int, k: int) -> Decimal:
-    """ln(c d^k) at the entropy chain's working precision, once per process."""
-    with _digits(_CHAIN_DPS):
-        return _ln(c * d ** k)
+def _log_floor(c: Decimal, d: int, k: int) -> tuple[int, Decimal]:
+    """``log_floor`` of checked arguments, audited once per process, and
+    ln(c d^k) at the entropy chain's working precision."""
+    return _audited(lambda: _ln(c * d ** k), "log_floor")
 
 
 def poly_embedding_size(n: int, d: int) -> int:
@@ -213,10 +211,10 @@ def poly_embedding_size(n: int, d: int) -> int:
     n = check_int(n, "number of variables")
     d = check_int(d, "degree")
     # floor(n ln d) is the schedule's floor(ln(c_hat d^k)) at c_hat = 1, k = n
-    factor = 2 * n + 1 + _log_floor(Decimal(1), d, n)
+    factor = 2 * n + 1 + _log_floor(Decimal(1), d, n)[0]
     # the exact integer part of e^(2n) (n+2)^(2n) d^n factor^n
     count = (n + 2) ** (2 * n) * d ** n * factor ** n
-    return _audited_floor(lambda: _e() ** (2 * n) * count, "poly_embedding_size")
+    return _audited(lambda: _e() ** (2 * n) * count, "poly_embedding_size")[0]
 
 
 def poly_distortion_bound(n: int) -> Decimal:
@@ -235,8 +233,8 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
 
 def _scheduled_size(c: Decimal, d: int, k: int, s: int) -> int:
     """``scheduled_embedding_size`` of checked arguments with c d^k >= 1."""
-    count = d ** k * s ** k * (_log_floor(c, d, k) + 1) ** k
-    return _audited_floor(lambda: c * count, "scheduled_embedding_size")
+    count = d ** k * s ** k * (_log_floor(c, d, k)[0] + 1) ** k
+    return _audited(lambda: c * count, "scheduled_embedding_size")[0]
 
 
 def schedule_distortion_bound(s: int, k: int) -> Decimal:
@@ -309,19 +307,6 @@ def _branch(k: int) -> tuple[Decimal, Decimal]:
         return start, (-Decimal(k - 1) / k).exp()
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
-def _bracket_upper(top: Decimal) -> Decimal:
-    """top ln(top) to 30 digits, for a 30-digit top = 3k/y.
-
-    The entropy chain solves for s_eps at 40 digits and again, from a y
-    with more digits, for its floor audit; both give the same 30-digit top
-    unless 3k/y lies within a rounding of a tie, so the second solve reads
-    the logarithm the first one took.
-    """
-    with _digits(_BASE_DPS):
-        return top * _ln(top)
-
-
 # The largest step, relative to the iterate, that ``_continued_log``
 # continues by its series; a bisection step near the branch edge is larger.
 _SERIES_STEP = Decimal("0.01")
@@ -364,19 +349,19 @@ def _continued_log() -> Callable[[Decimal], Decimal]:
     return log
 
 
-def _phi_inverse(y: Decimal, k: int, seed=None) -> Decimal:
+def _phi_inverse(y: Decimal, k: int, upper: Decimal, seed=None) -> Decimal:
     """Inverse of phi on its decreasing branch, to the context's precision.
 
-    Safeguarded Newton (``_phi_root``) in the bracket
-    [e^((k-1)/k), (3k/y) ln(3k/y)], from ``seed`` when it lies inside,
-    else from the double-precision root, else from the bracket's upper end.
-    The bracket only guards the steps, so its ends take 30 digits.  The
-    residuals' logarithms come from one ``_continued_log``.
+    Safeguarded Newton (``_phi_root``) in the bracket [e^((k-1)/k), upper],
+    for an ``upper`` at or above the root, such as the entropy chain's
+    40-digit majorant (3k/y) ln(3k/y): from ``seed`` when it lies inside,
+    else from the double-precision root, else from ``upper``, which raises
+    if phi(upper) is still above y.  The bracket only guards the steps, so
+    its ends need not carry the context's digits.  The residuals'
+    logarithms come from one ``_continued_log``.
     """
     prec = getcontext().prec
     lower = _branch(k)[0]
-    with _digits(_BASE_DPS):
-        upper = _bracket_upper(3 * k / y)
     if seed is None:
         seed = _float_root(y, k)
     x = Decimal(seed) if seed is not None and lower < seed < upper else upper
@@ -423,12 +408,6 @@ def _mesh_terms(eps: Decimal, nbar: int) -> tuple[Decimal, Decimal, Decimal, Dec
         return radius_gap, inv_xi, _ln(1 + 2 * inv_xi), _ln(21 * nbar / eps)
 
 
-def _scale_root(eps: Decimal, k: int, dps: int, seed: Decimal) -> Decimal:
-    """s_eps, the root of phi(s) = ln(1+eps)/4, at dps digits."""
-    with _digits(dps):
-        return _phi_inverse(_log1p_at(eps, dps) / 4, k, seed)
-
-
 def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
     """Metric entropy budget for a scheduled embedding at accuracy eps.
 
@@ -467,17 +446,20 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
             raise InvariantViolation(
                 f"ln(1+eps)/4 = {format_real(y, 12)} is not below the decreasing-branch "
                 f"edge e^(-(k-1)/k) = {format_real(branch_edge, 12)}")
-        s_eps = _phi_inverse(y, k)
-    # floor(s_eps) needs as many digits as s_eps has before the point
-    dps = max(_CHAIN_DPS, s_eps.adjusted() + 20)
-    if dps > _CHAIN_DPS:
-        s_eps = _scale_root(e, k, dps, s_eps)
-    if math.floor(s_eps) != math.floor(_scale_root(e, k, 2 * dps, s_eps)):
-        raise InvariantViolation("floor(s_eps) audit disagrees between precisions")
-
-    with _digits(_CHAIN_DPS):
         majorant_arg = 12 * k / log1p
         s_bound = majorant_arg * _ln(majorant_arg)
+    seed = None
+
+    def solve() -> Decimal:
+        # each precision's solve starts from the root of the one before
+        nonlocal seed
+        seed = _phi_inverse(_log1p_at(e, getcontext().prec) / 4, k, s_bound, seed)
+        return seed
+
+    # floor(s_eps) needs as many digits as s_eps has before the point
+    s_int, s_eps = _audited(solve, "floor(s_eps)")
+
+    with _digits(_CHAIN_DPS):
         if s_eps > s_bound * (1 + Decimal("1e-20")):
             raise InvariantViolation(
                 f"s_eps = {format_real(s_eps, 12)} exceeds its majorant "
@@ -490,7 +472,6 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         if abs(inv_xi - inv_xi_expanded) > abs(inv_xi) * Decimal("1e-20"):
             raise InvariantViolation("the two closed forms of 1/xi disagree")
 
-        s_int = math.floor(s_eps)
         if s_int < 3:
             raise InvariantViolation(f"schedule scale floor(s_eps) = {s_int} fell below 3")
         # 1 <= nbar <= c_hat d^k: the schedule's condition holds
@@ -498,7 +479,7 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
 
         log_card = num_nodes * nbar * log_net
 
-        final = nbar * growth * (_log_growth(chat, d, k) + 1) ** k * log_scale * s_bound ** k
+        final = nbar * growth * (_log_floor(chat, d, k)[1] + 1) ** k * log_scale * s_bound ** k
 
     return BoundReport(
         [("s_eps", s_eps, "phi-inverse"),

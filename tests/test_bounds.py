@@ -51,6 +51,13 @@ def reference_phi_inverse(y, k):
     return (lo + hi) / 2
 
 
+def bracket(y, k):
+    """(3k/y) ln(3k/y) at the context's precision: the upper end of phi's
+    Newton bracket that the entropy chain passes, its majorant of s_eps."""
+    top = 3 * k / y
+    return top * top.ln()
+
+
 def reference_chain(d, k, c_hat, nbar, eps):
     """The entropy chain's rendered reals and node budget, straight from
     the formulas at the ambient mpmath precision."""
@@ -319,8 +326,16 @@ class TestRendering:
 class TestLogDistortion:
     def test_inverse_frozen_value(self):
         with bounds._digits(bounds._CHAIN_DPS):
-            got = float(bounds._phi_inverse(Decimal(0.101366), 1))
+            y = Decimal(0.101366)
+            got = float(bounds._phi_inverse(y, 1, bracket(y, 1)))
         assert got == pytest.approx(48.069933740119022281, rel=1e-13)
+
+    def test_upper_end_below_the_root_raises(self):
+        # the root is 48.07: a solve that starts at an upper end of 40 finds
+        # phi still above y there
+        with bounds._digits(bounds._CHAIN_DPS):
+            with pytest.raises(InvariantViolation, match="bracketing bound .* fails"):
+                bounds._phi_inverse(Decimal(0.101366), 1, Decimal(40))
 
 
 class TestEntropyChain:
@@ -387,6 +402,20 @@ class TestEntropyChain:
         with pytest.raises(ValidationError):
             entropy_chain(1, 1, 1.0, 100, 0.5)
 
+    def test_floor_of_s_eps_audit_raises_on_a_miss(self, monkeypatch):
+        # a solve that moves the root by 1 above 40 digits: the audit's second
+        # solve, at 80 digits, lands on the next integer
+        solve = bounds._phi_inverse
+
+        def shifted(*args):
+            root = solve(*args)
+            return root + 1 if getcontext().prec > bounds._CHAIN_DPS else root
+
+        monkeypatch.setattr(bounds, "_phi_inverse", shifted)
+        with pytest.raises(InvariantViolation,
+                           match=r"floor\(s_eps\): floor audit disagrees between 40 and 80"):
+            entropy_chain(1, 1, math.e ** 2, 1, 0.5)
+
     def test_scale_stays_on_schedule_branch(self):
         # the loosest admissible accuracy still leaves the exponent scale
         # far above the s >= 3 requirement of the schedule
@@ -406,7 +435,8 @@ class TestPhiInverse:
                 y = edge * mp.mpf(10) ** (-mp.mpf(i) / 4)
                 with localcontext() as ctx:
                     ctx.prec = dps
-                    x = to_mpf(bounds._phi_inverse(Decimal(mp.nstr(y, dps + 20)), k))
+                    y_dec = Decimal(mp.nstr(y, dps + 20))
+                    x = to_mpf(bounds._phi_inverse(y_dec, k, bracket(y_dec, k)))
                 ref = reference_phi_inverse(y, k)
                 if k == 1 and i == 0:
                     # phi(1) = 1 is phi's maximum: phi - y vanishes to second
@@ -420,7 +450,7 @@ class TestPhiInverse:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_entropy_chain_unchanged_from_bisection(self, seed, monkeypatch):
-        def bisection(y, k, seed=None):
+        def bisection(y, k, upper, seed=None):
             # the same root by mpmath bisection at the caller's precision
             prec = getcontext().prec
             with mp.workdps(prec):
@@ -451,9 +481,10 @@ class TestPhiInverse:
                 for k in (1, 2, 3):
                     for eps in accuracies:
                         y = bounds._log1p(Decimal(eps)) / 4
+                        upper = bracket(y, k)
                         for start, most in ((None, 5), (0, 24)):
                             calls.clear()
-                            bounds._phi_inverse(y, k, start)
+                            bounds._phi_inverse(y, k, upper, start)
                             assert len(calls) <= most, (dps, k, eps, start, len(calls))
 
 
@@ -485,11 +516,11 @@ class TestContinuedLog:
             for k in (1, 2, 3):
                 for eps in sweep_eps(1)[:10] + [0.5, 1e-20]:
                     y = bounds._log1p(Decimal(eps)) / 4
+                    upper = bracket(y, k)
                     for start in (None, 0):
-                        bounds._phi_inverse(y, k, start)  # the bracket's end, cached
                         seen.clear()
                         full.clear()
-                        bounds._phi_inverse(y, k, start)
+                        bounds._phi_inverse(y, k, upper, start)
                         assert len(full) < len(seen), (k, eps, start)
                         if start is None:
                             assert full == [seen[0][0]], (k, eps)
@@ -500,8 +531,7 @@ class TestContinuedLog:
 
 
 # The per-process caches of input-only values in ``bounds``.
-CACHES = ("_log_floor", "_log_growth", "_branch", "_bracket_upper", "_log1p_at",
-          "_mesh_terms")
+CACHES = ("_log_floor", "_branch", "_log1p_at", "_mesh_terms")
 
 
 @pytest.fixture
@@ -550,19 +580,25 @@ class TestCaches:
                 log_floor(c, 1, 1)
         assert bounds._log_floor.cache_info().currsize == 0
 
+    def test_every_cache_is_listed(self):
+        cached = {name for name, value in vars(bounds).items() if hasattr(value, "cache_clear")}
+        assert cached == set(CACHES)
+
     def test_evaluation_ceiling(self, monkeypatch):
-        # 120 chains of the benchmark's sweep: one floor for each node
-        # budget, and one audited log floor per growth order, not per chain;
-        # the Newton residuals are as many as without the caches.  Full
-        # logarithms: one per Newton solve, the majorant's and the bracket's
-        # per chain, and the accuracy's four shared by the growth orders
-        # (1328 with a full logarithm per residual and no accuracy caches)
+        # 120 chains of the benchmark's sweep: one audited floor for each
+        # node budget and each floor(s_eps), and one audited log floor per
+        # growth order, not per chain; the Newton residuals are as many as
+        # without the caches.  Full logarithms: one per Newton solve, the
+        # majorant's per chain, which is also the solves' bracket, two per
+        # audited log floor, and the accuracy's four shared by the growth
+        # orders (1328 with a full logarithm per residual and no accuracy
+        # caches)
         floors, residuals, logs = [], [], []
-        audited_floor, gap, ln = bounds._audited_floor, bounds._phi_gap, bounds._ln
+        audited, gap, ln = bounds._audited, bounds._phi_gap, bounds._ln
 
         def counted_floor(*args):
             floors.append(1)
-            return audited_floor(*args)
+            return audited(*args)
 
         def counted_gap(x, *args):
             if isinstance(x, Decimal):
@@ -573,16 +609,13 @@ class TestCaches:
             logs.append(1)
             return ln(x)
 
-        monkeypatch.setattr(bounds, "_audited_floor", counted_floor)
+        monkeypatch.setattr(bounds, "_audited", counted_floor)
         monkeypatch.setattr(bounds, "_phi_gap", counted_gap)
         monkeypatch.setattr(bounds, "_ln", counted_ln)
         for k in (1, 2, 3):
             for eps in sweep_eps(1):
                 entropy_chain(1, k, math.e ** 2, 1, eps)
-        assert len(floors) <= 123
+        assert len(floors) <= 243
         assert len(residuals) <= 596
-        assert len(logs) <= 652
+        assert len(logs) <= 526
         assert bounds._log_floor.cache_info().misses == 3
-        assert bounds._log_growth.cache_info().misses == 3
-        # one 30-digit bracket per chain, shared by its two solves
-        assert bounds._bracket_upper.cache_info().misses <= 120
