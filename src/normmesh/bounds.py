@@ -3,15 +3,21 @@
 Everything here is closed-form arithmetic on the certified inequalities
 used elsewhere in the package:
 
-* ``poly_embedding_size(n, d)``: the explicit node-count budget
-  floor(e^(2n) * (n+2)^(2n) * d^n * (2n + 1 + floor(n ln d))^n) that pairs
-  with the degree-free distortion constant (e (n+2)^2)^(1/(n+2)).
-* ``scheduled_embedding_size(d, k, c_hat, s)``: the budget
-  floor(c_hat d^k s^k (floor(ln(c_hat d^k)) + 1)^k) for dimension growth
-  bounded by c_hat * degree^k, with distortion (e s^k)^(1/s).
+* ``power_schedule(d, k, c_hat, s)``: Corollary 1's exponent
+  p = s * (floor(ln(c_hat d^k)) + 1), s >= 3, for dimension growth bounded
+  by c_hat * degree^k, and ``scheduled_embedding_size(d, k, c_hat, s)``,
+  its node budget floor(c_hat (d p)^k), with distortion (e s^k)^(1/s).
+* ``poly_embedding_size(n, d)``: Theorem A's budget, Corollary 1's at
+  s = (n+2)^2, k = n and c_hat = e^(2n), that pairs with the degree-free
+  distortion constant (e (n+2)^2)^(1/(n+2)).
 * covering-net cardinalities for balls of symmetric convex bodies and the
   resulting metric entropy chain, including the decreasing function
   phi(x) = (1 + k ln x) / x whose inverse sets the exponent schedule.
+
+When the dimension at degree q grows no faster than c_hat * q^k, the
+scheduled p makes ln(m_{d*p}) / p, m_{d*p} the dimension at degree d*p, at
+most c = 1/s + k ln(s)/s; so e^c = (e s^k)^(1/s) bounds the distortion of
+``landau.embed`` at that power whatever the degree.
 
 All real arithmetic runs in the standard library's ``decimal`` with guard
 digits beyond the 30 significant digits reported; float inputs convert
@@ -38,9 +44,10 @@ weakened.
 
 The chain evaluates its majorant s_bound = (12k/ln(1+eps)) ln(12k/ln(1+eps))
 first and passes it to every solve for s_eps as the upper end of Newton's
-bracket.  Each Decimal Newton solve takes one full-precision logarithm,
-at its first residual; each later residual continues it by a series in
-the step (``_continued_log``).  The floor audit's solve takes its own.
+bracket, and each solve checks that s_eps lies below it.  Each Decimal
+Newton solve takes one full-precision logarithm, at its first residual;
+each later residual continues it by a series in the step
+(``_continued_log``).  The floor audit's solve takes its own.
 """
 
 from __future__ import annotations
@@ -207,13 +214,14 @@ def _log_floor(c: Decimal, d: int, k: int) -> tuple[int, Decimal]:
 
 
 def poly_embedding_size(n: int, d: int) -> int:
-    """Node-count budget for degree-d polynomials in n variables."""
+    """Node-count budget for degree-d polynomials in n variables: Corollary
+    1's, ``scheduled_embedding_size(d, n, e^(2n), (n+2)^2)``, for d >= 2 (at
+    d = 1, ln(c_hat) is the integer 2n, and c_hat's rounding decides it)."""
     n = check_int(n, "number of variables")
     d = check_int(d, "degree")
-    # floor(n ln d) is the schedule's floor(ln(c_hat d^k)) at c_hat = 1, k = n
-    factor = 2 * n + 1 + _log_floor(Decimal(1), d, n)[0]
-    # the exact integer part of e^(2n) (n+2)^(2n) d^n factor^n
-    count = (n + 2) ** (2 * n) * d ** n * factor ** n
+    # floor(ln(e^(2n) d^n)) = 2n + floor(n ln d), the 2n added exactly
+    p = (n + 2) ** 2 * (2 * n + 1 + _log_floor(Decimal(1), d, n)[0])
+    count = (d * p) ** n
     return _audited(lambda: _e() ** (2 * n) * count, "poly_embedding_size")[0]
 
 
@@ -223,8 +231,25 @@ def poly_distortion_bound(n: int) -> Decimal:
     return schedule_distortion_bound(check_int(n, "number of variables") + 2, 2)
 
 
+def power_schedule(d: int, k: int, c_hat, s: int) -> tuple[int, float]:
+    """Corollary 1's exponent p and its constant c = 1/s + k ln(s) / s: when
+    the dimension at degree q is at most c_hat * q^k, the embedding at degree
+    d*p has distortion at most e^c = (e s^k)^(1/s).  Requires c_hat * d^k >= 1
+    and s >= 3."""
+    s = check_int(s, "schedule parameter s", minimum=3)
+    d = check_int(d, "degree")
+    k = check_int(k, "growth order")
+    p = _power(_schedule_growth(c_hat, d, k), d, k, s)
+    return p, 1.0 / s + k * math.log(s) / s
+
+
+def _power(c: Decimal, d: int, k: int, s: int) -> int:
+    """p = s * (floor(ln(c d^k)) + 1) of checked arguments with c d^k >= 1."""
+    return s * (_log_floor(c, d, k)[0] + 1)
+
+
 def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
-    """Node-count budget under dimension growth c_hat * degree^k."""
+    """Node-count budget floor(c_hat (d p)^k), p the scheduled exponent."""
     d = check_int(d, "degree")
     k = check_int(k, "growth order")
     s = check_int(s, "schedule parameter s", minimum=3)
@@ -233,7 +258,7 @@ def scheduled_embedding_size(d: int, k: int, c_hat, s: int) -> int:
 
 def _scheduled_size(c: Decimal, d: int, k: int, s: int) -> int:
     """``scheduled_embedding_size`` of checked arguments with c d^k >= 1."""
-    count = d ** k * s ** k * (_log_floor(c, d, k)[0] + 1) ** k
+    count = (d * _power(c, d, k, s)) ** k
     return _audited(lambda: c * count, "scheduled_embedding_size")[0]
 
 
@@ -258,13 +283,11 @@ def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
     Each residual's sign shrinks the bracket, and a Newton step that would
     leave it is replaced by a bisection step; this covers the branch edge
     e^((k-1)/k), where phi' = 0.  Stops once a step is at most ``stop``
-    relative to x, or after ``steps`` steps.
+    relative to x, or after ``steps`` steps.  Ending within ``stop`` of ``hi``
+    with phi above y, from any start, raises: the root lies above ``hi``.
     """
+    upper = hi
     gap, slope = _phi_gap(x, y, k, log)
-    if x == hi and gap > 0:
-        raise InvariantViolation(
-            f"bracketing bound (3k/y) ln(3k/y) fails at y={format_real(y, 12)}, k={k}; "
-            f"the inverse is not bracketed")
     for _ in range(steps):
         if gap >= 0:
             lo = x
@@ -279,6 +302,10 @@ def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
         if abs(step) <= x * stop:
             break
         gap, slope = _phi_gap(x, y, k, log)
+    if gap > 0 and upper - x <= x * stop:
+        raise InvariantViolation(
+            f"bracketing bound (3k/y) ln(3k/y) fails at y={format_real(y, 12)}, k={k}; "
+            f"the inverse is not bracketed")
     return x
 
 
@@ -355,9 +382,9 @@ def _phi_inverse(y: Decimal, k: int, upper: Decimal, seed=None) -> Decimal:
     Safeguarded Newton (``_phi_root``) in the bracket [e^((k-1)/k), upper],
     for an ``upper`` at or above the root, such as the entropy chain's
     40-digit majorant (3k/y) ln(3k/y): from ``seed`` when it lies inside,
-    else from the double-precision root, else from ``upper``, which raises
-    if phi(upper) is still above y.  The bracket only guards the steps, so
-    its ends need not carry the context's digits.  The residuals'
+    else from the double-precision root, else from ``upper``; from every
+    start it raises if the root lies above ``upper``.  The bracket only
+    guards the steps, so its ends need not carry the context's digits.  The residuals'
     logarithms come from one ``_continued_log``.
     """
     prec = getcontext().prec
@@ -456,15 +483,10 @@ def entropy_chain(d: int, k: int, c_hat, nbar: int, eps: float) -> BoundReport:
         seed = _phi_inverse(_log1p_at(e, getcontext().prec) / 4, k, s_bound, seed)
         return seed
 
-    # floor(s_eps) needs as many digits as s_eps has before the point
+    # floor(s_eps) needs all of s_eps's integer digits; each solve checks s_eps < s_bound
     s_int, s_eps = _audited(solve, "floor(s_eps)")
 
     with _digits(_CHAIN_DPS):
-        if s_eps > s_bound * (1 + Decimal("1e-20")):
-            raise InvariantViolation(
-                f"s_eps = {format_real(s_eps, 12)} exceeds its majorant "
-                f"{format_real(s_bound, 12)}")
-
         radius_gap, inv_xi, log_net, log_scale = _mesh_terms(e, nbar)
         r_eps = 1 + radius_gap
         sqrt_1p = (1 + e).sqrt()

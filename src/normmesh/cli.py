@@ -192,8 +192,9 @@ def _cmd_certificate(args) -> dict:
     if args.schedule is None:
         p, given, schedule = args.p, {}, {}
     else:
+        from . import bounds  # decimal arithmetic, loaded only for a schedule
         s, k, chat = _parse_schedule(args.schedule)
-        p, c = landau.power_schedule(args.d, k, chat, s)
+        p, c = bounds.power_schedule(args.d, k, chat, s)
         given, schedule = {"s": s, "k": k, "c_hat": chat}, {"schedule_c": c}
     cert = landau.embed(space, model, p)
     node_set = cert.node_set

@@ -11,14 +11,8 @@ so restricting the degree-d space to A embeds it into l_inf(A) with
 distortion at most L^(1/p), the certified constant.  It is small because
 L <= m * (1 + TOL_SWAP) on a swap-optimal set, with m the dimension at
 degree d*p and TOL_SWAP the swap tolerance of ``meshgen``: the p-th root
-of the dimension, up to that slack.
-
-When the dimension at degree q grows no faster than c_hat * q^k, choosing
-
-    p = s * (floor(ln(c_hat * d^k)) + 1),      s >= 3,
-
-makes ln(m_{d*p}) / p at most c = 1/s + k ln(s)/s, a constant independent
-of the degree; e^c = (e s^k)^(1/s) is then a degree-free distortion bound.
+of the dimension, up to that slack.  ``bounds.power_schedule`` chooses a p
+for which that root is bounded independently of the degree.
 
 ``estimate_distortion`` computes the distortion the certificate bounds,
 max over the grid of |g| / max over the nodes of |g| for g of degree at
@@ -31,8 +25,6 @@ the certificate.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -50,22 +42,6 @@ _FEASIBLE_ATOL = 1e-12
 _ZERO_RTOL = 1e-12
 _PIVOT_RTOL = 1e-9
 _PIVOTS_PER_ROW = 50
-
-def power_schedule(d: int, k: int, c_hat, s: int) -> tuple[int, float]:
-    """Exponent p = s * (floor(ln(c_hat d^k)) + 1) and its constant c.
-
-    Returns (p, c) with c = 1/s + k ln(s) / s, so that whenever the space
-    dimension at degree q is at most c_hat * q^k, the scheduled embedding
-    at degree d*p is certified with distortion at most e^c = (e s^k)^(1/s).
-    Requires c_hat * d^k >= 1 and s >= 3.
-    """
-    from . import bounds  # decimal arithmetic, loaded only for a schedule
-
-    s = check_int(s, "schedule parameter s", minimum=3)
-    level = bounds.log_floor(c_hat, d, k)
-    p = s * (level + 1)
-    c = 1.0 / s + k * math.log(s) / s
-    return p, c
 
 
 class EmbeddingCertificate:

@@ -145,7 +145,7 @@ def test_criterion_7_schedule_soundness():
             c_hat, k = math.exp(2 * n), n
             for d in range(1, 11):
                 for s in (3, 9):
-                    p, c = landau.power_schedule(d, k, c_hat, s)
+                    p, c = bounds.power_schedule(d, k, c_hat, s)
                     dim = polyspace.dim_full(n, d * p)
                     assert math.log(dim) / p <= c + 1e-12, \
                         f"n={n} d={d} s={s}: log-dim per power exceeds c"

@@ -15,7 +15,7 @@ import pytest
 
 from normmesh import bounds
 from normmesh.bounds import (entropy_chain, format_real, log_floor, poly_bound_report,
-                             poly_distortion_bound, poly_embedding_size,
+                             poly_distortion_bound, poly_embedding_size, power_schedule,
                              schedule_bound_report, schedule_distortion_bound,
                              scheduled_embedding_size)
 from normmesh.errors import InvariantViolation, ValidationError
@@ -132,6 +132,17 @@ class TestEmbeddingSizes:
                 ctx.prec = prec
                 assert bounds._e() == Decimal(1).exp(), prec
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 20, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_theorem_a_budget_is_corollary_1s(self, n, d):
+        # s = (n+2)^2, k = n, c_hat = e^(2n); d = 1 is left out, where
+        # ln(c_hat) sits on the integer 2n and c_hat's rounding decides the floor
+        with localcontext() as ctx:
+            ctx.prec = 80
+            c_hat = Decimal(2 * n).exp()
+        assert poly_embedding_size(n, d) == scheduled_embedding_size(d, n, c_hat,
+                                                                     (n + 2) ** 2)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             poly_embedding_size(0, 3)
@@ -200,6 +211,52 @@ class TestScheduledSizes:
             monkeypatch.setattr(bounds, name, counting(name))
         assert scheduled_embedding_size(2, 1, 1.0, 3) == 6
         assert calls == ["check_int"] * 3 + ["_check_chat"]
+
+
+class TestPowerSchedule:
+    def test_simple_example(self):
+        # c_hat = 8, d = 1, k = 1: floor(ln 8) = 2, so p = 3 * 3
+        p, c = power_schedule(1, 1, 8.0, s=3)
+        assert p == 9
+        assert c == pytest.approx(1.0 / 3.0 + math.log(3.0) / 3.0, rel=1e-15)
+
+    def test_float_boundary_is_deterministic(self):
+        # the two doubles closest to the exact square of e straddle it, and
+        # their logs floor to different integers; either way floor + 1 is
+        # at least the exact log, so the scheduled exponent stays sound
+        below, above = math.e ** 2, math.exp(2)
+        assert below < above
+        assert power_schedule(1, 1, below, s=3)[0] == 6
+        assert power_schedule(1, 1, above, s=3)[0] == 9
+
+    def test_constant_value_frozen(self):
+        _, c = power_schedule(1, 1, 1.0, s=3)
+        # 1/3 + ln(3)/3, computed independently at high precision
+        assert c == pytest.approx(0.6995374295560365638, rel=1e-15)
+
+    def test_constant_matches_distortion_bound(self):
+        # e^c must equal the closed-form constant (e s^k)^(1/s)
+        for k in (1, 2, 3):
+            for s in (3, 4, 9):
+                _, c = power_schedule(5, k, 2.5, s=s)
+                closed = float(bounds.schedule_distortion_bound(s, k))
+                assert math.exp(c) == pytest.approx(closed, rel=1e-12)
+
+    def test_exponent_grows_with_degree(self):
+        ps = [power_schedule(d, 1, math.e ** 2, s=3)[0] for d in (1, 5, 25, 125)]
+        assert ps == sorted(ps)
+        assert len(set(ps)) > 1
+
+    def test_exponent_is_multiple_of_s(self):
+        for s in (3, 5, 9):
+            p, _ = power_schedule(7, 2, 4.0, s=s)
+            assert p % s == 0
+
+    def test_scale_validation(self):
+        with pytest.raises(ValidationError):
+            power_schedule(1, 1, 1.0, s=2)
+        with pytest.raises(ValidationError):
+            power_schedule(1, 1, 0.5, s=3)
 
 
 class TestDistortionConstants:
@@ -330,12 +387,19 @@ class TestLogDistortion:
             got = float(bounds._phi_inverse(y, 1, bracket(y, 1)))
         assert got == pytest.approx(48.069933740119022281, rel=1e-13)
 
-    def test_upper_end_below_the_root_raises(self):
-        # the root is 48.07: a solve that starts at an upper end of 40 finds
-        # phi still above y there
+    @pytest.mark.parametrize("seed", [None, 30, 39.9])
+    def test_upper_end_below_the_root_raises(self, seed):
+        # the root is 48.07: a solve in a bracket that ends at 40 finds phi
+        # still above y there, whether it starts at that end (no seed: the
+        # double-precision root lies outside) or climbs to it from inside
         with bounds._digits(bounds._CHAIN_DPS):
             with pytest.raises(InvariantViolation, match="bracketing bound .* fails"):
-                bounds._phi_inverse(Decimal(0.101366), 1, Decimal(40))
+                bounds._phi_inverse(Decimal(0.101366), 1, Decimal(40), seed)
+
+    def test_upper_end_just_above_the_root_brackets_it(self):
+        with bounds._digits(bounds._CHAIN_DPS):
+            root = bounds._phi_inverse(Decimal(0.101366), 1, Decimal("48.07"), 30)
+        assert float(root) == pytest.approx(48.069933740119022281, rel=1e-13)
 
 
 class TestEntropyChain:

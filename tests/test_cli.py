@@ -349,7 +349,7 @@ class TestEmbed:
         cert = run_json(["embed", "--schedule", f"3,1,{chat!r}", *common],
                         capsys)["certificate"]
         assert list(cert)[:4] == ["n", "d", "p", "schedule_c"]
-        assert (cert["p"], cert["schedule_c"]) == landau.power_schedule(2, 1, chat, s=3)
+        assert (cert["p"], cert["schedule_c"]) == bounds.power_schedule(2, 1, chat, s=3)
 
     @pytest.mark.parametrize("args", [
         ["--n", "1", "--d", "3", "--p", "2", "--resolution", "201", "--seed", "5"],

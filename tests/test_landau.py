@@ -1,4 +1,4 @@
-"""Power-trick embeddings: schedules, certificates, distortion probes."""
+"""Power-trick embeddings: certificates and distortion probes."""
 
 import itertools
 import math
@@ -7,10 +7,10 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from normmesh import bounds, landau, meshgen, polyspace, sets
+from normmesh import landau, meshgen, polyspace, sets
+from normmesh.bounds import power_schedule
 from normmesh.errors import InvariantViolation, ValidationError
-from normmesh.landau import (EmbeddingCertificate, embed, estimate_distortion,
-                             power_schedule)
+from normmesh.landau import EmbeddingCertificate, embed, estimate_distortion
 from normmesh.polyspace import dim_full, grid_box, poly_space, vandermonde
 
 
@@ -91,52 +91,6 @@ def whole_grid_distortion(cert):
 WHOLE_GRID_CASES = (
     [(1, d, p, res) for res in (301, 2001) for d in range(2, 9) for p in (1, 2)]
     + [(2, 2, 2, 41), (2, 2, 2, 101), (1, 2, None, 2001), (1, 3, 1, 41)])
-
-
-class TestPowerSchedule:
-    def test_simple_example(self):
-        # c_hat = 8, d = 1, k = 1: floor(ln 8) = 2, so p = 3 * 3
-        p, c = power_schedule(1, 1, 8.0, s=3)
-        assert p == 9
-        assert c == pytest.approx(1.0 / 3.0 + math.log(3.0) / 3.0, rel=1e-15)
-
-    def test_float_boundary_is_deterministic(self):
-        # the two doubles closest to the exact square of e straddle it, and
-        # their logs floor to different integers; either way floor + 1 is
-        # at least the exact log, so the scheduled exponent stays sound
-        below, above = math.e ** 2, math.exp(2)
-        assert below < above
-        assert power_schedule(1, 1, below, s=3)[0] == 6
-        assert power_schedule(1, 1, above, s=3)[0] == 9
-
-    def test_constant_value_frozen(self):
-        _, c = power_schedule(1, 1, 1.0, s=3)
-        # 1/3 + ln(3)/3, computed independently at high precision
-        assert c == pytest.approx(0.6995374295560365638, rel=1e-15)
-
-    def test_constant_matches_distortion_bound(self):
-        # e^c must equal the closed-form constant (e s^k)^(1/s)
-        for k in (1, 2, 3):
-            for s in (3, 4, 9):
-                _, c = power_schedule(5, k, 2.5, s=s)
-                closed = float(bounds.schedule_distortion_bound(s, k))
-                assert math.exp(c) == pytest.approx(closed, rel=1e-12)
-
-    def test_exponent_grows_with_degree(self):
-        ps = [power_schedule(d, 1, math.e ** 2, s=3)[0] for d in (1, 5, 25, 125)]
-        assert ps == sorted(ps)
-        assert len(set(ps)) > 1
-
-    def test_exponent_is_multiple_of_s(self):
-        for s in (3, 5, 9):
-            p, _ = power_schedule(7, 2, 4.0, s=s)
-            assert p % s == 0
-
-    def test_scale_validation(self):
-        with pytest.raises(ValidationError):
-            power_schedule(1, 1, 1.0, s=2)
-        with pytest.raises(ValidationError):
-            power_schedule(1, 1, 0.5, s=3)
 
 
 class TestEmbed:

@@ -88,6 +88,7 @@ if case[0] == "script":
 import normmesh
 assert set(normmesh.__all__) <= set(dir(normmesh))
 print(normmesh.bounds.entropy_chain(2, 2, 7.389, 3, 0.1).to_json_values())
+print(normmesh.bounds.power_schedule(6, 1, 7.389, 3))
 """
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -133,6 +134,20 @@ def test_dims_without_a_set_loads_no_numpy():
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim_full"] == 10
+
+
+def test_a_given_power_loads_no_closed_forms():
+    # only --schedule loads bounds, and with it decimal
+    code = ("import sys\n"
+            "from normmesh import cli\n"
+            "assert cli.main(['distort', '--n', '1', '--d', '2', '--p', '2', "
+            "'--resolution', '201', '--no-timestamp']) == 0\n"
+            "assert 'decimal' not in sys.modules, 'decimal'\n"
+            "assert 'normmesh.bounds' not in sys.modules, 'normmesh.bounds'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["p"] == 2
 
 
 @pytest.mark.parametrize("case", [
