@@ -30,10 +30,10 @@ integers.
 
 Values that depend only on the inputs are evaluated once per process and
 kept in four bounded caches: the audited floor(ln(c_hat d^k)) of
-``log_floor`` (and of ``poly_embedding_size``, at c_hat = 1 and k = n)
-with the 40-digit ln(c_hat d^k) it was read from, which the entropy
-chain's final bound reuses; e^((k-1)/k) and the 40-digit branch edge
-e^(-(k-1)/k) per k; and the chain's terms that depend only on the
+Corollary 1's exponent (and of ``poly_embedding_size``, at c_hat = 1 and
+k = n) with the 40-digit ln(c_hat d^k) it was read from, which the
+entropy chain's final bound reuses; e^((k-1)/k) and the 40-digit branch
+edge e^(-(k-1)/k) per k; and the chain's terms that depend only on the
 accuracy, so that growth orders share them: ln(1+eps) at each precision
 the chain and its floor audit solve at, and R_eps - 1, 1/xi, ln(1 + 2/xi)
 and ln(21 nbar/eps) per (eps, nbar).  The arguments are checked before
@@ -44,10 +44,11 @@ weakened.
 
 The chain evaluates its majorant s_bound = (12k/ln(1+eps)) ln(12k/ln(1+eps))
 first and passes it to every solve for s_eps as the upper end of Newton's
-bracket, and each solve checks that s_eps lies below it.  Each Decimal
-Newton solve takes one full-precision logarithm, at its first residual;
-each later residual continues it by a series in the step
-(``_continued_log``).  The floor audit's solve takes its own.
+bracket, in doubles for the seed and in Decimals after it, and each solve
+checks that s_eps lies below it.  Each Decimal Newton solve takes one
+full-precision logarithm, at its first residual; each later residual
+continues it by a series in the step (``_continued_log``).  The floor
+audit's solve takes its own.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal, getcon
 from functools import lru_cache
 from typing import Callable
 
-from .errors import InvariantViolation, ValidationError, check_int
+from .errors import InvariantViolation, ValidationError, check_int, dim_full
 
 _BASE_DPS = 30
-# Digits carried beyond those a real is correct to, and the working
-# precision of the entropy chain.
-_GUARD = 10
+# The working precision of the reals: 10 guard digits beyond the 30 that
+# a real is correct to.
 _CHAIN_DPS = 40
 # Entries per cache of input-only values: one per (c_hat, d, k), per k, or
 # per accuracy and precision; the 120 chains of a benchmark sweep fill at
@@ -189,13 +189,6 @@ def _check_chat(c_hat) -> Decimal:
     return c
 
 
-def log_floor(c_hat, d: int, k: int) -> int:
-    """Audited floor(ln(c_hat * d^k)); requires c_hat * d^k >= 1."""
-    d = check_int(d, "degree")
-    k = check_int(k, "growth order")
-    return _log_floor(_schedule_growth(c_hat, d, k), d, k)[0]
-
-
 def _schedule_growth(c_hat, d: int, k: int) -> Decimal:
     """The checked c_hat, for checked d and k with c_hat * d^k >= 1."""
     c = _check_chat(c_hat)
@@ -208,8 +201,8 @@ def _schedule_growth(c_hat, d: int, k: int) -> Decimal:
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _log_floor(c: Decimal, d: int, k: int) -> tuple[int, Decimal]:
-    """``log_floor`` of checked arguments, audited once per process, and
-    ln(c d^k) at the entropy chain's working precision."""
+    """Audited floor(ln(c d^k)) of checked arguments with c d^k >= 1, once
+    per process, and ln(c d^k) at the entropy chain's working precision."""
     return _audited(lambda: _ln(c * d ** k), "log_floor")
 
 
@@ -266,7 +259,7 @@ def schedule_distortion_bound(s: int, k: int) -> Decimal:
     """Distortion constant (e s^k)^(1/s) for the scheduled embedding, correct to 30 digits."""
     s = check_int(s, "schedule parameter s", minimum=3)
     k = check_int(k, "growth order")
-    with _digits(_BASE_DPS + _GUARD):
+    with _digits(_CHAIN_DPS):
         return (_e() * s ** k) ** (1 / Decimal(s))
 
 
@@ -309,19 +302,17 @@ def _phi_root(y, k: int, lo, hi, x, log, stop, steps: int):
     return x
 
 
-def _float_root(y: Decimal, k: int) -> float | None:
-    """phi's inverse at y in double precision, the seed of the decimal Newton.
+def _float_root(y: Decimal, k: int, upper: Decimal) -> float | None:
+    """phi's inverse at y in double precision, in the bracket
+    [e^((k-1)/k), upper]: the seed of the decimal Newton.
 
-    None when y or the bracket's upper end (3k/y) ln(3k/y) leaves the
-    double range, or when the double residual there is too close to zero
-    to show that it brackets the root.
+    None when ``upper`` leaves the double range, or when the double
+    residual there is too close to zero to show that it brackets the root.
     """
-    yf = float(y)
-    top = 3 * k / yf if yf > 0 else math.inf
-    upper = top * math.log(top)
-    if not math.isfinite(upper) or (1 + k * math.log(upper)) / upper >= yf * (1 - 1e-9):
+    yf, top = float(y), float(upper)
+    if not math.isfinite(top) or (1 + k * math.log(top)) / top >= yf * (1 - 1e-9):
         return None
-    return _phi_root(yf, k, math.exp((k - 1) / k), upper, upper, math.log, 1e-11, 2000)
+    return _phi_root(yf, k, math.exp((k - 1) / k), top, top, math.log, 1e-11, 2000)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -382,15 +373,16 @@ def _phi_inverse(y: Decimal, k: int, upper: Decimal, seed=None) -> Decimal:
     Safeguarded Newton (``_phi_root``) in the bracket [e^((k-1)/k), upper],
     for an ``upper`` at or above the root, such as the entropy chain's
     40-digit majorant (3k/y) ln(3k/y): from ``seed`` when it lies inside,
-    else from the double-precision root, else from ``upper``; from every
-    start it raises if the root lies above ``upper``.  The bracket only
-    guards the steps, so its ends need not carry the context's digits.  The residuals'
-    logarithms come from one ``_continued_log``.
+    else from the double-precision root in the same bracket, else from
+    ``upper``; from every start it raises if the root lies above
+    ``upper``.  The bracket only guards the steps, so its ends need not
+    carry the context's digits.  The residuals' logarithms come from one
+    ``_continued_log``.
     """
     prec = getcontext().prec
     lower = _branch(k)[0]
     if seed is None:
-        seed = _float_root(y, k)
+        seed = _float_root(y, k, upper)
     x = Decimal(seed) if seed is not None and lower < seed < upper else upper
     return _phi_root(y, k, lower, upper, x, _continued_log(), Decimal(1).scaleb(5 - prec),
                      4 * (prec + max(upper.adjusted(), 0)) + 40)
@@ -406,21 +398,11 @@ def _near_one(f: Callable[[Decimal], Decimal], x: Decimal) -> Decimal:
     return +value
 
 
-def _log1p(x: Decimal) -> Decimal:
-    """ln(1 + x) for x > 0 to the context's precision."""
-    return _near_one(lambda t: _ln(1 + t), x)
-
-
-def _expm1(x: Decimal) -> Decimal:
-    """e^x - 1 for x > 0 to the context's precision."""
-    return _near_one(lambda t: t.exp() - 1, x)
-
-
 @lru_cache(maxsize=_CACHE_ENTRIES)
 def _log1p_at(eps: Decimal, dps: int) -> Decimal:
     """ln(1+eps) at dps digits, once per process."""
     with _digits(dps):
-        return _log1p(eps)
+        return _near_one(lambda t: _ln(1 + t), eps)
 
 
 @lru_cache(maxsize=_CACHE_ENTRIES)
@@ -430,7 +412,7 @@ def _mesh_terms(eps: Decimal, nbar: int) -> tuple[Decimal, Decimal, Decimal, Dec
     with _digits(_CHAIN_DPS):
         # R_eps - 1 = e^(ln(1+eps)/4) - 1; the chain checks 1/xi against an
         # expanded form from square roots
-        radius_gap = _expm1(_log1p_at(eps, _CHAIN_DPS) / 4)
+        radius_gap = _near_one(lambda t: t.exp() - 1, _log1p_at(eps, _CHAIN_DPS) / 4)
         inv_xi = nbar * (2 + radius_gap) / radius_gap
         return radius_gap, inv_xi, _ln(1 + 2 * inv_xi), _ln(21 * nbar / eps)
 
@@ -520,7 +502,7 @@ def poly_bound_report(n: int, d: int) -> BoundReport:
     return BoundReport(
         [("N_dn", size, "poly-size"),
          ("dist_bound_A", dist, "poly-distortion"),
-         ("N_tilde_dn", math.comb(n + d, n), "space-dim")])
+         ("N_tilde_dn", dim_full(n, d), "space-dim")])
 
 
 def schedule_bound_report(d: int, k: int, c_hat, s: int) -> BoundReport:

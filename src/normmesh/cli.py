@@ -16,11 +16,13 @@ unwritable file, or whose directory is missing or not writable, is
 refused before any computation; an empty ``--params``, ``--schedule`` or
 ``--cloud``, or an empty ``--params`` field, exits 2 as a malformed one
 does.  Each handler imports the modules it uses: ``bounds``, ``entropy``
-and ``dims`` without ``--set`` run without loading numpy, and the closed
-forms, like a ``--schedule``, compute in the standard library's
-``decimal``.  Every report is {command, inputs, <body>, meta}, built by
-``_report``, each handler laying out its inputs (every flag that shapes
-the result) and body from the flags and the library's measured values.
+and ``dims`` without ``--set`` run without loading numpy (``dims`` and
+``entropy``'s default block dimension read the space dimension from
+``errors.dim_full``), and the closed forms, like a ``--schedule``,
+compute in the standard library's ``decimal``.  Every report is
+{command, inputs, <body>, meta}, built by ``_report``, each handler
+laying out its inputs (every flag that shapes the result) and body from
+the flags and the library's measured values.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .errors import ValidationError, check_int, check_out_path, exit_code_of, exit_process
+from .errors import ValidationError, check_int, check_out_path, dim_full, exit_code_of, exit_process
 
 if TYPE_CHECKING:
     from . import sets
@@ -66,14 +68,6 @@ def _parse_schedule(text: str) -> tuple[int, int, float]:
     except ValueError as exc:
         raise ValidationError(f"--schedule expects s,k,chat as int,int,real: {exc}") from exc
     return s, k, chat
-
-
-def _space_dim(n, d) -> int:
-    """``polyspace.dim_full`` without importing numpy: C(d + n, n), with
-    its checks of n and d."""
-    n = check_int(n, "number of variables")
-    d = check_int(d, "degree", minimum=0)
-    return math.comb(d + n, n)
 
 
 def _refuse_unread_set_flags(args) -> None:
@@ -137,7 +131,7 @@ def _report(args, inputs: dict, body: dict, anchors, grid_size: int | None = Non
 
 def _cmd_dims(args) -> dict:
     inputs = {"n": args.n, "d": args.d}
-    body = {"dim_full": _space_dim(args.n, args.d)}
+    body = {"dim_full": dim_full(args.n, args.d)}
     if args.set is None:
         _refuse_unread_set_flags(args)
         return _report(args, inputs, body, ["space-dim"])
@@ -233,7 +227,7 @@ def _cmd_entropy(args) -> dict:
     if args.nbar is not None:
         nbar = args.nbar
     elif args.n is not None:
-        nbar = _space_dim(args.n, args.d)
+        nbar = dim_full(args.n, args.d)
     else:
         raise ValidationError("entropy needs --nbar or --n to size the blocks")
     values = bounds.entropy_chain(args.d, k, chat, nbar, args.eps).to_json_values()

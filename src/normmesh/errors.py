@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its integer check, and its
-dense-array byte budget.
+"""Exception types shared across the package, its integer check, the
+dimension of the polynomial space, and its dense-array byte budget.
 
 ``exit_code_of`` maps these and ``OSError`` onto exit codes for the
 command line and the scripts: validation problems (bad parameters,
@@ -14,6 +14,7 @@ interpreter to report.
 """
 
 import errno
+import math
 import numbers
 import os
 import sys
@@ -73,6 +74,14 @@ def check_int(value, what: str, minimum: int = 1) -> int:
             wanted = f"an integer >= {minimum}"
         raise ValidationError(f"{what} must be {wanted}, got {value!r}")
     return int(value)
+
+
+def dim_full(n, d) -> int:
+    """Dimension C(d + n, n) of the degree-<=d polynomials in n variables,
+    for an integer n >= 1 and d >= 0; exact at any size."""
+    n = check_int(n, "number of variables")
+    d = check_int(d, "degree", minimum=0)
+    return math.comb(d + n, n)
 
 
 def check_dense(rows: int, cols: int, what: str) -> None:

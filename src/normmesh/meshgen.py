@@ -30,10 +30,9 @@ fresh evaluation.  When node k moves to grid point z, the new cardinals are
 a rank-1 (maxvol) step costing O(N m) for N grid points and m nodes,
 where a fresh product C = Q inv(Q_nodes) from the orthonormal basis Q
 costs O(m^2 N).  Fresh products happen only for the greedy seed, to
-confirm a sweep that came back clean on the updated matrix, and once at
-the end of a run that exhausted its sweeps, so every reported
-certificate is read from a fresh product; each refills the one N x m
-cardinal buffer.
+confirm every sweep that came back clean, and once at the end of a run
+whose last allowed sweep swapped, so every reported certificate is read
+from a fresh product; each refills the one N x m cardinal buffer.
 
 The orthonormal basis Q is ``polyspace.orthonormal_basis``, built in
 place degree by degree (Vandermonde with Arnoldi), which also refuses a
@@ -197,13 +196,13 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
     Each swap updates the cardinal matrix by the rank-1 Cramer step of
     the module docstring, O(N m) for N grid points and m nodes.  The
     matrix is computed afresh from the orthonormal basis, O(m^2 N), after
-    the greedy seed; when a sweep comes back clean on an updated matrix,
-    where the fresh matrix must confirm it or sweeping goes on; and once
-    at the end of a run that exhausted ``MAX_SWEEPS``.
-    A fresh product never reads the updated matrix; it overwrites it in
-    place.  ``lagrange_sup``, ``grid_constant`` and ``swap_optimal`` are
-    therefore read from a fresh product (``_node_set``), so a run whose
-    last sweep made the last needed swap is swap-optimal too.
+    the greedy seed; after every clean sweep, where the fresh matrix must
+    confirm it or sweeping goes on; and once more when ``MAX_SWEEPS``
+    runs out on a sweep that swapped.  A fresh product never reads the
+    updated matrix; it overwrites it in place.  ``lagrange_sup``,
+    ``grid_constant`` and ``swap_optimal`` are therefore read from a fresh
+    product (``_node_set``), so a run whose last sweep made the last
+    needed swap is swap-optimal too.
 
     The run is deterministic given (space, points); the exchange draws
     no random numbers.  Rows should be distinct, as for
@@ -215,7 +214,6 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
 
     m = space.dim
     cardinals = _cardinal_values(q, chosen)
-    updated = False  # cardinals carry rank-1 updates since the last fresh product
     for sweeps in range(1, MAX_SWEEPS + 1):
         improved = False
         for k in range(m):
@@ -224,17 +222,14 @@ def select_nodes(space: polyspace.PolySpace, points) -> NodeSet:
             if top > 1.0 + TOL_SWAP:
                 chosen[k] = z = _pick(magnitudes, top, above=1.0 + TOL_SWAP)
                 _swap_cardinals(cardinals, k, z)
-                improved = updated = True
+                improved = True
         if not improved:
-            # A clean sweep over rank-1 updates may rest on rounding drift
+            # A clean sweep may rest on the rank-1 updates' rounding drift
             # near the threshold; only a fresh matrix certifies it.
-            if updated:
-                _cardinal_values(q, chosen, out=cardinals)
-                updated = False
-                if max(cardinals.max(), -cardinals.min()) > 1.0 + TOL_SWAP:
-                    continue
-            break
-    if updated:
+            _cardinal_values(q, chosen, out=cardinals)
+            if max(cardinals.max(), -cardinals.min()) <= 1.0 + TOL_SWAP:
+                break
+    if improved:
         _cardinal_values(q, chosen, out=cardinals)
     return _node_set(space, grid_points, q, chosen, cardinals, sweeps)
 

@@ -1,11 +1,12 @@
 """Multivariate polynomial spaces in a graded Chebyshev basis.
 
 The space of real polynomials of total degree at most d in n variables is
-identified by (n, d); its dimension is the binomial count, and its ordered
-basis is enumerated only when first evaluated, so size checks run before
-any exponent tuple exists.  Exponent tuples are listed degree block by
-degree block, starting with the zero tuple, and inside each block
-lexicographically with the first variable dominant:
+identified by (n, d); its dimension is the binomial count
+``errors.dim_full``, and its ordered basis is enumerated only when first
+evaluated, so size checks run before any exponent tuple exists.
+Exponent tuples are listed degree block by degree block, starting with
+the zero tuple, and inside each block lexicographically with the first
+variable dominant:
 
     n = 2, d = 2:  (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
 
@@ -50,16 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NonDeterminingError, ValidationError, check_dense, check_int
-
-def dim_full(n: int, d: int) -> int:
-    """Dimension binomial(d + n, n) of degree-<=d polynomials in n variables.
-
-    Exact integer arithmetic at any size; Python integers do not overflow.
-    """
-    n = check_int(n, "number of variables")
-    d = check_int(d, "degree", minimum=0)
-    return math.comb(d + n, n)
+from .errors import NonDeterminingError, ValidationError, check_dense, dim_full
 
 
 def _degree_block(n: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -80,7 +72,7 @@ class PolySpace:
 
     @property
     def dim(self) -> int:
-        return math.comb(self.d + self.n, self.n)
+        return dim_full(self.n, self.d)
 
     @functools.cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:

@@ -14,7 +14,7 @@ import time
 import mpmath as mp
 import numpy as np
 
-from normmesh import bounds, landau, meshgen, polyspace, sets
+from normmesh import bounds, errors, landau, meshgen, polyspace, sets
 
 
 def _report(index: int, description: str, check) -> None:
@@ -146,7 +146,7 @@ def test_criterion_7_schedule_soundness():
             for d in range(1, 11):
                 for s in (3, 9):
                     p, c = bounds.power_schedule(d, k, c_hat, s)
-                    dim = polyspace.dim_full(n, d * p)
+                    dim = errors.dim_full(n, d * p)
                     assert math.log(dim) / p <= c + 1e-12, \
                         f"n={n} d={d} s={s}: log-dim per power exceeds c"
                     closed = float(bounds.schedule_distortion_bound(s, k))

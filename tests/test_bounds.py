@@ -14,12 +14,11 @@ import mpmath as mp
 import pytest
 
 from normmesh import bounds
-from normmesh.bounds import (entropy_chain, format_real, log_floor, poly_bound_report,
+from normmesh.bounds import (entropy_chain, format_real, poly_bound_report,
                              poly_distortion_bound, poly_embedding_size, power_schedule,
                              schedule_bound_report, schedule_distortion_bound,
                              scheduled_embedding_size)
-from normmesh.errors import InvariantViolation, ValidationError
-from normmesh.polyspace import dim_full
+from normmesh.errors import InvariantViolation, ValidationError, dim_full
 
 
 def to_mpf(value):
@@ -167,24 +166,27 @@ class TestScheduledSizes:
             assert scheduled_embedding_size(d, k, c_hat, s) == oracle
 
     def test_log_floor_values(self):
-        assert log_floor(1.0, 3, 2) == 2   # ln 9 = 2.197
-        assert log_floor(1.0, 2, 1) == 0   # ln 2 = 0.693
-        # the doubles straddling the exact square of e land on either side
-        # of the integer boundary; both are audited as stable
-        assert log_floor(math.e ** 2, 1, 1) == 1
-        assert log_floor(math.exp(2), 1, 1) == 2
+        # floor(ln(c_hat d^k)), read directly and from p = s (floor + 1) at s = 3
+        for c_hat, d, k, floor in ((1.0, 3, 2, 2),  # ln 9 = 2.197
+                                   (1.0, 2, 1, 0),  # ln 2 = 0.693
+                                   # the doubles straddling the exact square of e land on
+                                   # either side of the integer boundary; both are
+                                   # audited as stable
+                                   (math.e ** 2, 1, 1, 1), (math.exp(2), 1, 1, 2)):
+            assert bounds._log_floor(Decimal(c_hat), d, k)[0] == floor
+            assert power_schedule(d, k, c_hat, 3)[0] == 3 * (floor + 1)
 
     def test_log_floor_needs_argument_at_least_one(self):
-        with pytest.raises(ValidationError):
-            log_floor(0.5, 1, 1)
+        with pytest.raises(ValidationError, match="need c_hat"):
+            power_schedule(1, 1, 0.5, 3)
 
     def test_growth_constant_refuses_bool(self):
         # Decimal(True) is 1: the floor read 1 and the chain N_ds_cor1 96
         with pytest.raises(ValidationError, match="growth constant .* got True"):
-            log_floor(True, 3, 1)
+            power_schedule(3, 1, True, 3)
         with pytest.raises(ValidationError, match="growth constant .* got True"):
             entropy_chain(2, 1, True, 1, 0.5)
-        assert log_floor(1, 3, 1) == 1
+        assert power_schedule(3, 1, 1, 3)[0] == 3 * (1 + 1)
 
     def test_schedule_scale_validation(self, monkeypatch):
         with pytest.raises(ValidationError):
@@ -544,7 +546,7 @@ class TestPhiInverse:
                 ctx.prec = dps
                 for k in (1, 2, 3):
                     for eps in accuracies:
-                        y = bounds._log1p(Decimal(eps)) / 4
+                        y = bounds._log1p_at(Decimal(eps), dps) / 4
                         upper = bracket(y, k)
                         for start, most in ((None, 5), (0, 24)):
                             calls.clear()
@@ -579,7 +581,7 @@ class TestContinuedLog:
             ctx.prec = dps
             for k in (1, 2, 3):
                 for eps in sweep_eps(1)[:10] + [0.5, 1e-20]:
-                    y = bounds._log1p(Decimal(eps)) / 4
+                    y = bounds._log1p_at(Decimal(eps), dps) / 4
                     upper = bracket(y, k)
                     for start in (None, 0):
                         seen.clear()
@@ -608,15 +610,15 @@ def cold_caches():
 class TestCaches:
     def test_argument_checks_run_after_cached_calls(self):
         c = math.e ** 2
-        assert log_floor(c, 1, 1) == 1
+        assert power_schedule(1, 1, c, 3)[0] == 3 * (1 + 1)
         assert bounds._log_floor.cache_info().currsize == 1
         with pytest.raises(ValidationError):
-            log_floor(c, True, 1)
+            power_schedule(True, 1, c, 3)
         with pytest.raises(ValidationError):
-            log_floor(c, 1, True)
-        assert log_floor(0.5, 4, 1) == 0
+            power_schedule(1, True, c, 3)
+        assert power_schedule(4, 1, 0.5, 3)[0] == 3 * (0 + 1)
         with pytest.raises(ValidationError):
-            log_floor(0.5, 1, 1)
+            power_schedule(1, 1, 0.5, 3)
         entropy_chain(1, 1, c, 1, 0.5)
         with pytest.raises(ValidationError):
             entropy_chain(True, 1, c, 1, 0.5)
@@ -641,7 +643,7 @@ class TestCaches:
         c = Decimal("7.389056098930650227230427460575007813180315570551")
         for _ in range(2):
             with pytest.raises(InvariantViolation, match="log_floor: floor audit disagrees"):
-                log_floor(c, 1, 1)
+                power_schedule(1, 1, c, 3)
         assert bounds._log_floor.cache_info().currsize == 0
 
     def test_every_cache_is_listed(self):

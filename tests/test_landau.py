@@ -9,9 +9,9 @@ import pytest
 
 from normmesh import landau, meshgen, polyspace, sets
 from normmesh.bounds import power_schedule
-from normmesh.errors import InvariantViolation, ValidationError
+from normmesh.errors import InvariantViolation, ValidationError, dim_full
 from normmesh.landau import EmbeddingCertificate, embed, estimate_distortion
-from normmesh.polyspace import dim_full, grid_box, poly_space, vandermonde
+from normmesh.polyspace import grid_box, poly_space, vandermonde
 
 
 INTERVAL = sets.box([(-1.0, 1.0)], 2001)

@@ -401,6 +401,22 @@ class TestRankOneExchange:
         assert ns.node_indices == expected.node_indices
         assert ns.grid_constant == expected.grid_constant
 
+    def test_swap_optimal_seed_is_confirmed_by_a_fresh_product(self, monkeypatch):
+        # at degree 1 the greedy seed of [-1,1]^2 @11 is already swap-optimal:
+        # the first sweep comes back clean and a second fresh product confirms
+        # it; the certificates are those of the same nodes given explicitly
+        space = poly_space(2, 1)
+        pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, 11), space.dim)
+        products = unittest.mock.Mock(wraps=meshgen._cardinal_values)
+        monkeypatch.setattr(meshgen, "_cardinal_values", products)
+        ns = select_nodes(space, pts)
+        assert ns.sweeps == 1
+        assert products.call_count == 2
+        fresh = make_node_set(space, pts, ns.node_indices)
+        assert ns.lagrange_sup == fresh.lagrange_sup
+        assert ns.grid_constant == fresh.grid_constant
+        assert ns.log_abs_det == fresh.log_abs_det
+
     def test_update_tracks_fresh_solve(self):
         space = poly_space(2, 4)
         q = polyspace.orthonormal_basis(space, sets.grid(sets.box([(-1.0, 1.0)] * 2, 31)))
@@ -583,6 +599,14 @@ class TestExplicitNodes:
         with pytest.raises(ValidationError, match=r"grid of box\(n=1"):
             make_node_set(poly_space(1, 2), sets.grid(sets.box([(-1.0, 1.0)], 10 ** 10), 3),
                           [0, 10, 20])
+
+    def test_collinear_nodes_are_refused(self):
+        # the first three points of [-1,1]^2 @11 lie on the edge x = -1, where
+        # no affine function takes the values 1, 0, 0
+        space = poly_space(2, 1)
+        pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, 11), space.dim)
+        with pytest.raises(ValidationError, match="node matrix is singular to working precision: "):
+            make_node_set(space, pts, [0, 1, 2])
 
     def test_index_validation(self):
         space = poly_space(1, 2)

@@ -13,7 +13,7 @@ import pytest
 
 import normmesh
 from normmesh import bounds, cli, meshgen, polyspace, sets
-from normmesh.errors import ValidationError, check_int
+from normmesh.errors import ValidationError, check_int, dim_full
 
 
 def test_every_exported_name_resolves():
@@ -33,9 +33,9 @@ def _load_interval_cloud(n):
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda: polyspace.dim_full(True, 2), None),
-    (lambda: polyspace.dim_full(2, 2.0), None),
-    (lambda: polyspace.dim_full(np.int64(2), np.int32(2)), 6),
+    (lambda: dim_full(True, 2), None),
+    (lambda: dim_full(2, 2.0), None),
+    (lambda: dim_full(np.int64(2), np.int32(2)), 6),
     (lambda: bounds.poly_embedding_size(np.int64(2), 3),
      bounds.poly_embedding_size(2, 3)),
     (lambda: bounds.poly_embedding_size(2, True), None),

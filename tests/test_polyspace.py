@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 from normmesh import meshgen, polyspace, sets
-from normmesh.errors import ValidationError
-from normmesh.polyspace import dim_full, grid_box, poly_space, trace_dimension, vandermonde
+from normmesh.errors import ValidationError, dim_full
+from normmesh.polyspace import grid_box, poly_space, trace_dimension, vandermonde
 
 
 class TestDimension:
