@@ -76,7 +76,7 @@ def check_int(value, what: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def dim_full(n, d) -> int:
+def dim_full(n: int, d: int) -> int:
     """Dimension C(d + n, n) of the degree-<=d polynomials in n variables,
     for an integer n >= 1 and d >= 0; exact at any size."""
     n = check_int(n, "number of variables")
