@@ -15,11 +15,14 @@ reports it and exits 120.  An ``--out`` that is empty, a directory or an
 unwritable file, or whose directory is missing or not writable, is
 refused before any computation; an empty ``--params``, ``--schedule`` or
 ``--cloud``, or an empty ``--params`` field, exits 2 as a malformed one
-does.  Each handler imports the modules it uses: ``bounds``, ``entropy``
-and ``dims`` without ``--set`` run without loading numpy (``dims`` and
+does.  Each handler imports the modules it uses: ``bounds``, ``entropy``,
+``dims`` without ``--set`` and ``dims --set box`` on a box whose samples
+are provably distinct run without loading numpy (``dims`` and
 ``entropy``'s default block dimension read the space dimension from
-``errors.dim_full``), and the closed forms, like a ``--schedule``,
-compute in the standard library's ``decimal``.  Every report is
+``errors.dim_full``; such a box's trace dimension is the exact count
+``errors.dim_tensor`` of ``sets.axis_counts``, and no grid is built), and
+the closed forms, like a ``--schedule``, compute in the standard
+library's ``decimal``.  Every report is
 {command, inputs, <body>, meta}, built by ``_report``, each handler
 laying out its inputs (every flag that shapes the result) and body from
 the flags and the library's measured values.
@@ -35,7 +38,8 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
-from .errors import ValidationError, check_int, check_out_path, dim_full, exit_code_of, exit_process
+from .errors import (ValidationError, check_dense, check_int, check_out_path, dim_full,
+                     dim_tensor, exit_code_of, exit_process)
 
 if TYPE_CHECKING:
     from . import sets
@@ -131,19 +135,31 @@ def _report(args, inputs: dict, body: dict, anchors, grid_size: int | None = Non
 
 def _cmd_dims(args) -> dict:
     inputs = {"n": args.n, "d": args.d}
-    body = {"dim_full": dim_full(args.n, args.d)}
+    m = dim_full(args.n, args.d)
+    body = {"dim_full": m}
     if args.set is None:
         _refuse_unread_set_flags(args)
         return _report(args, inputs, body, ["space-dim"])
-    from . import polyspace, sets
+    from . import sets
 
-    space = polyspace.poly_space(args.n, args.d)
     model = _set_from_args(args)
-    pts = sets.grid(model, space.dim)
-    rank = polyspace.trace_dimension(space, pts)
+    counts = sets.axis_counts(model)
+    if counts is None:
+        from . import polyspace
+
+        pts = sets.grid(model, m)
+        size = int(pts.shape[0])
+        rank = polyspace.trace_dimension(polyspace.poly_space(args.n, args.d), pts)
+    else:
+        # a box whose samples are provably distinct: the exact count, with
+        # no grid built, after the grid's refusals and the matrix refusal
+        # that trace_dimension would make
+        size = sets.check_grid(model, m)
+        check_dense(size, m, "evaluation matrix")
+        rank = dim_tensor(args.d, counts)
     inputs["set"] = model.describe()
-    body.update(trace_dimension=rank, determining=rank == space.dim)
-    return _report(args, inputs, body, ["space-dim", "trace-dim"], int(pts.shape[0]))
+    body.update(trace_dimension=rank, determining=rank == m)
+    return _report(args, inputs, body, ["space-dim", "trace-dim"], size)
 
 
 def _cmd_bounds(args) -> dict:

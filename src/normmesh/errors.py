@@ -1,5 +1,6 @@
 """Exception types shared across the package, its integer check, the
-dimension of the polynomial space, and its dense-array byte budget.
+dimension of the polynomial space and of its traces on a tensor grid, and
+its dense-array byte budget.
 
 ``exit_code_of`` maps these and ``OSError`` onto exit codes for the
 command line and the scripts: validation problems (bad parameters,
@@ -14,11 +15,12 @@ interpreter to report.
 """
 
 import errno
+import itertools
 import math
 import numbers
 import os
 import sys
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, Sequence
 
 
 # Largest dense float64 array the package allocates: a sampled grid, or an
@@ -82,6 +84,29 @@ def dim_full(n: int, d: int) -> int:
     n = check_int(n, "number of variables")
     d = check_int(d, "degree", minimum=0)
     return math.comb(d + n, n)
+
+
+def dim_tensor(d: int, counts: Sequence[int]) -> int:
+    """Dimension of the degree-<=d polynomials' traces on a tensor grid of
+    ``counts[i]`` distinct values on axis i: the number of exponents alpha
+    with |alpha| <= d and every alpha_i < counts[i], since an axis's values
+    determine exactly its polynomials of degree below their count.  It is
+    ``dim_full(len(counts), d)`` when every count exceeds d.  d must be an
+    integer >= 0 and each count one >= 1.
+
+    Counted exactly by totals, one axis at a time, up to min(d, the
+    largest total sum(counts) - n), so the work is O(n) integers per
+    total whatever d is.
+    """
+    d = check_int(d, "degree", minimum=0)
+    counts = [check_int(count, "axis count") for count in counts]
+    top = min(d, sum(counts) - len(counts))
+    # ways[t]: the exponents of the axes so far with total t
+    ways = [1] + [0] * top
+    for count in counts:
+        below = [0, *itertools.accumulate(ways)]
+        ways = [below[t + 1] - below[max(t + 1 - count, 0)] for t in range(top + 1)]
+    return sum(ways)
 
 
 def check_dense(rows: int, cols: int, what: str) -> None:

@@ -30,15 +30,20 @@ tie.
 
 Grid construction is a pure function of the model: identical parameters
 and resolution yield a bit-identical point list, ordering included.
+
+Only the functions that build or read arrays load numpy, when they run:
+``box`` validates with ``math``, and ``check_grid`` and ``axis_counts``
+read the model alone.  So a box's trace dimension is known without a
+grid: ``axis_counts`` proves how many distinct values each axis's samples
+take, and ``errors.dim_tensor`` counts the traces, which is how the
+command line's ``dims`` answers for a box, building no grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InputError, ValidationError, check_dense, check_int
 
@@ -48,6 +53,9 @@ _MEMBERSHIP_SLACK = 1e-13
 # A point cloud is read this many lines at a time, so a line the C parser
 # refuses sends only its own block through the per-line parser.
 _CLOUD_BLOCK_LINES = 4096
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CompactSetModel:
@@ -78,7 +86,7 @@ def box(bounds: Sequence[Sequence[float]], resolution: int) -> CompactSetModel:
     if not pairs:
         raise ValidationError("box needs at least one (lo, hi) pair")
     for axis, (lo, hi) in enumerate(pairs):
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError(f"box bounds must be finite (axis {axis})")
         if lo > hi:
             raise ValidationError(f"box lower bound exceeds upper bound on axis {axis}: {lo} > {hi}")
@@ -95,6 +103,8 @@ def box(bounds: Sequence[Sequence[float]], resolution: int) -> CompactSetModel:
 def _round_set(kind: str, center: Sequence[float], radius: float,
                resolution: int) -> CompactSetModel:
     """A ball or sphere model, its center, radius and resolution checked."""
+    import numpy as np
+
     c = np.asarray(center, dtype=float)
     if c.ndim != 1 or c.size < 1:
         raise ValidationError("center must be a non-empty 1-d coordinate sequence")
@@ -135,6 +145,8 @@ def from_points(points: Sequence[Sequence[float]]) -> CompactSetModel:
     Duplicate rows are dropped, first occurrence kept, so the model is a
     set in the mathematical sense.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -165,6 +177,8 @@ def load_point_cloud(path: str, n: int) -> CompactSetModel:
     file order, so a malformed line is reported ahead of a byte that does
     not decode in a later block.
     """
+    import numpy as np
+
     n = check_int(n, "ambient dimension")
     blocks = []
     try:
@@ -198,6 +212,8 @@ def _parse_block(lines: list[str], offset: int, path: str, n: int) -> np.ndarray
     columns, ``_parse_lines`` reads the block again.  Earlier blocks all
     passed, so the first bad line of this block is the file's first.
     """
+    import numpy as np
+
     try:
         pts = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
     except ValueError:
@@ -215,6 +231,8 @@ def _parse_lines(lines: list[str], offset: int, path: str, n: int) -> np.ndarray
     accepts the numerals that ``float`` takes and the C parser does not
     (``1_0``, non-ASCII digits).
     """
+    import numpy as np
+
     rows: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=offset + 1):
         tokens = raw.split()
@@ -240,6 +258,8 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     sort of that column's bit patterns finds no tie, the rows are copied
     as they are; only a tie sends the whole rows through the byte-key sort.
     """
+    import numpy as np
+
     firsts = np.sort(pts[:, 0].view(np.uint64))
     if not np.any(firsts[1:] == firsts[:-1]):
         return np.array(pts, order="C")
@@ -257,6 +277,8 @@ def _box_grid(model: CompactSetModel) -> np.ndarray:
     Each axis is written straight into the one (res^n, n) result; the one
     axis of an interval is the result.
     """
+    import numpy as np
+
     res = model.resolution
     n = model.ambient_dim
     if n == 1:
@@ -279,6 +301,8 @@ def _ball_grid(model: CompactSetModel) -> np.ndarray:
     in place, and an interval's points are gathered from its axis before
     the axis is dropped, so neither holds a second copy of a 1-D grid.
     """
+    import numpy as np
+
     center = model.params["center"]
     radius = model.params["radius"]
     res = model.resolution
@@ -308,6 +332,8 @@ def _ball_grid(model: CompactSetModel) -> np.ndarray:
 
 
 def _sphere_grid(model: CompactSetModel) -> np.ndarray:
+    import numpy as np
+
     center = model.params["center"]
     radius = model.params["radius"]
     res = model.resolution
@@ -358,7 +384,21 @@ def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
     grid is cut from its cube, whose count would refuse balls that fit, so
     its matrix is checked once the grid is built.  So is the matrix of a
     grid with fewer points than columns, which node selection refuses
-    first as too small for the space.
+    first as too small for the space.  These refusals are ``check_grid``'s.
+    """
+    check_grid(model, columns)
+    pts = _GRID_BUILDERS[model.kind](model)
+    if pts.shape[0] < 1:
+        raise ValidationError(f"grid for {model.describe()} came out empty")
+    return pts
+
+
+def check_grid(model: CompactSetModel, columns: int | None = None) -> int:
+    """The point count that ``grid`` samples, after the refusals it makes
+    before building anything: a sampled grid above the dense-array byte
+    budget, and for a box, sphere or cloud with at least ``columns``
+    points, its evaluation matrix.  The count is the grid's size, except
+    for a ball: that of the cube its grid is cut from.
     """
     if model.kind == "point_cloud":
         count = model.params["points"].shape[0]
@@ -373,7 +413,32 @@ def grid(model: CompactSetModel, columns: int | None = None) -> np.ndarray:
         check_dense(count, model.ambient_dim, f"grid of {model.describe()}")
     if columns is not None and model.kind != "ball" and count >= columns:
         check_dense(count, columns, "evaluation matrix")
-    pts = _GRID_BUILDERS[model.kind](model)
-    if pts.shape[0] < 1:
-        raise ValidationError(f"grid for {model.describe()} came out empty")
-    return pts
+    return count
+
+
+def axis_counts(model: CompactSetModel) -> list[int] | None:
+    """The number of distinct values on each axis of a box's grid, or None
+    when rounding could merge two samples of an axis, or for any other set.
+
+    A flat axis (lo == hi) has one value.  Otherwise the axis's samples
+    are numpy's fl(fl(k s) + lo) for k < resolution - 1, s the rounded
+    spacing (hi - lo) / (resolution - 1), and then hi.  They are distinct
+    when s exceeds 2 ulp(max(|lo|, |hi|, hi - lo)), as each of a sample's
+    two roundings moves it by at most half that ulp, and the sample before
+    hi, computed as numpy computes it, lies below hi: a subnormal s, whose
+    rounding is large against itself, can carry that sample up to hi.
+    """
+    if model.kind != "box":
+        return None
+    res = model.resolution
+    counts = []
+    for lo, hi in model.params["bounds"]:
+        step = (hi - lo) / (res - 1)
+        if lo == hi:
+            counts.append(1)
+        elif step > 2.0 * math.ulp(max(abs(lo), abs(hi), hi - lo)) \
+                and (res - 2) * step + lo < hi:
+            counts.append(res)
+        else:
+            return None
+    return counts

@@ -12,7 +12,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DIMS = ["dims", "--set", "box", "--n", "3", "--d", "6", "--resolution", "31",
+# a ball: a box's dims is a count, with no grid and no trace rank computed
+DIMS = ["dims", "--set", "ball", "--n", "3", "--d", "6", "--resolution", "25",
         "--no-timestamp"]
 
 
@@ -39,7 +40,7 @@ def _traced(tmp_path, job, argv):
 
 
 def test_traced_dims_records_one_trace_rank(tmp_path):
-    report, spans = _traced(tmp_path, "dims-box", DIMS)
+    report, spans = _traced(tmp_path, "dims-ball", DIMS)
     assert report["trace_dimension"] == 84
 
     parents = {span["id"]: span["parent"] for span in spans}

@@ -68,7 +68,11 @@ class TestDims:
          "a 3375000 x 5456 evaluation matrix needs 147312000000 bytes"),
         (["mesh", "--n", "3", "--d", "30", "--resolution", "150"],
          "a 3375000 x 5456 evaluation matrix needs 147312000000 bytes"),
-    ], ids=["dims", "mesh", "dims-matrix", "mesh-matrix"])
+        # fewer points than columns: the matrix is still refused, as the
+        # trace rank refuses it
+        (["dims", "--set", "box", "--n", "1", "--d", "200000000", "--resolution", "5"],
+         "a 5 x 200000001 evaluation matrix needs 8000000040 bytes"),
+    ], ids=["dims", "mesh", "dims-matrix", "mesh-matrix", "dims-matrix-few-points"])
     def test_oversized_grid_refused(self, capsys, monkeypatch, argv, message):
         # refused before the grid is built: the grid or its matrix would not fit
         monkeypatch.setattr(np, "linspace", Mock(side_effect=AssertionError("grid built")))
@@ -101,6 +105,22 @@ class TestDims:
                                  "--no-timestamp"], capsys)
         assert (rc, out) == (2, "")
         assert err == f"ERROR[2]: {message}\n"
+
+    def test_narrow_box_takes_the_grid(self, capsys, monkeypatch):
+        # 5 samples of [1, 1 + 2 ulp] round to 3 distinct values, which the
+        # spacing rule cannot count: the grid is built and its rank measured
+        grid = Mock(wraps=sets.grid)
+        monkeypatch.setattr(sets, "grid", grid)
+        payload = run_json(["dims", "--set", "box", "--n", "1", "--d", "4",
+                            "--params=1,1.0000000000000004", "--resolution", "5",
+                            "--no-timestamp"], capsys)
+        assert grid.call_count == 1
+        assert payload == {
+            "command": "dims",
+            "inputs": {"n": 1, "d": 4, "set": "box(n=1, resolution=5)"},
+            "dim_full": 5, "trace_dimension": 3, "determining": False,
+            "meta": {"tool": "normmesh", "version": "0.1.0", "grid_size": 5,
+                     "paper_anchor": ["space-dim", "trace-dim"]}}
 
     def test_missing_degree(self, capsys):
         rc, _, err = run_main(["dims", "--n", "2", "--no-timestamp"], capsys)

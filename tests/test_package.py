@@ -13,7 +13,7 @@ import pytest
 
 import normmesh
 from normmesh import bounds, cli, meshgen, polyspace, sets
-from normmesh.errors import ValidationError, check_int, dim_full
+from normmesh.errors import ValidationError, check_int, dim_full, dim_tensor
 
 
 def test_every_exported_name_resolves():
@@ -36,6 +36,8 @@ def _load_interval_cloud(n):
     (lambda: dim_full(True, 2), None),
     (lambda: dim_full(2, 2.0), None),
     (lambda: dim_full(np.int64(2), np.int32(2)), 6),
+    (lambda: dim_tensor(np.int64(2), [np.int32(3), 3]), 6),
+    (lambda: dim_tensor(2, [True]), None),
     (lambda: bounds.poly_embedding_size(np.int64(2), 3),
      bounds.poly_embedding_size(2, 3)),
     (lambda: bounds.poly_embedding_size(2, True), None),
@@ -48,6 +50,7 @@ def _load_interval_cloud(n):
     (lambda: _load_interval_cloud(True), None),
     (lambda: sets.grid(_load_interval_cloud(np.int64(1))).shape, (3, 1)),
 ], ids=["dim_full-bool", "dim_full-float", "dim_full-np-int",
+        "dim_tensor-np-int", "dim_tensor-bool",
         "embedding_size-np-int", "embedding_size-bool",
         "resolution-np-int", "resolution-bool", "node_index-float", "node_index-np-int",
         "cloud_dimension-bool", "cloud_dimension-np-int"])
@@ -119,8 +122,14 @@ def _assert_same_without(module, case):
     ["script", os.path.join(_ROOT, "scripts", "entropy_sweep.py"),
      "--orders", "1", "3", "--eps", "0.1", "0.001"],
     ["library"],
+    ["cli", "dims", "--set", "box", "--n", "3", "--d", "6", "--resolution", "51",
+     "--no-timestamp"],
+    ["cli", "dims", "--set", "box", "--n", "2", "--d", "12", "--resolution", "11",
+     "--no-timestamp"],
+    ["cli", "dims", "--set", "box", "--n", "2", "--d", "3", "--params=0,0,-1,1",
+     "--no-timestamp"],
 ], ids=["bounds", "bounds-schedule", "entropy-n", "entropy-schedule-nbar",
-        "entropy-sweep", "library"])
+        "entropy-sweep", "library", "dims-box", "dims-box-short", "dims-box-flat"])
 def test_closed_forms_run_without_numpy(case):
     _assert_same_without("numpy", case)
 
@@ -134,6 +143,29 @@ def test_dims_without_a_set_loads_no_numpy():
                           env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim_full"] == 10
+
+
+@pytest.mark.parametrize("argv, rank", [
+    (["--n", "3", "--d", "6", "--resolution", "51"], 84),
+    # 11 values per axis reach degree 10 only: 85 of the 91 exponents
+    (["--n", "2", "--d", "12", "--resolution", "11"], 85),
+    # a flat first axis: the exponents (0, j), j <= 3
+    (["--n", "2", "--d", "3", "--params=0,0,-1,1"], 4),
+], ids=["full", "short", "flat"])
+def test_box_dims_is_counted_without_numpy(argv, rank):
+    # a box whose samples are provably distinct: errors.dim_tensor counts
+    # the traces, and neither sets nor the count loads numpy, so no grid
+    # is built
+    code = ("import sys\n"
+            "from normmesh import cli\n"
+            f"assert cli.main({['dims', '--set', 'box', *argv, '--no-timestamp']!r}) == 0\n"
+            "assert 'normmesh.sets' in sys.modules\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["trace_dimension"], report["determining"]) == (rank, rank == report["dim_full"])
 
 
 def test_a_given_power_loads_no_closed_forms():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
-from normmesh import meshgen, polyspace, sets
+from normmesh import errors, meshgen, polyspace, sets
 from normmesh.errors import ValidationError, dim_full
 from normmesh.polyspace import grid_box, poly_space, trace_dimension, vandermonde
 
@@ -227,6 +227,31 @@ def exact_box_rank(n, d, resolution):
     counts = [resolution] * n if isinstance(resolution, int) else resolution
     return sum(1 for alpha in poly_space(n, d).basis
                if all(a < count for a, count in zip(alpha, counts)))
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["full", "flat"])
+@pytest.mark.parametrize("n, resolution", [
+    *((n, resolution) for n in (1, 2) for resolution in range(2, 22)),
+    *((3, resolution) for resolution in range(2, 10)),
+])
+def test_box_count_equals_the_grid_trace_rank(n, resolution, flat):
+    # The command line's count for a box (errors.dim_tensor on the
+    # sets.axis_counts of the model) is the trace rank of the grid it does
+    # not build, at every degree up to twice the resolution, with the first
+    # axis flat or not.  A 3-D box stops at resolution 9: at 11 the general
+    # construction takes seconds per box, at 21 a 1 GB basis.
+    rng = np.random.default_rng(100 * n + resolution)
+    lows = rng.uniform(-5.0, 5.0, size=n)
+    highs = lows + rng.uniform(0.1, 10.0, size=n)
+    if flat:
+        highs[0] = lows[0]
+    model = sets.box(list(zip(lows, highs)), resolution)
+    pts = sets.grid(model)
+    counts = sets.axis_counts(model)
+    assert counts == [np.unique(axis).size for axis in pts.T]
+    for d in range(2 * resolution + 1):
+        count = errors.dim_tensor(d, counts)
+        assert count == exact_box_rank(n, d, counts) == trace_dimension(poly_space(n, d), pts), d
 
 
 def swap_first_rows(pts):

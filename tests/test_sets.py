@@ -135,6 +135,44 @@ class TestBox:
         assert np.isfinite(g).all()
         assert g.shape == (9, 2)
 
+    def test_axis_counts_admit_only_distinct_samples(self):
+        # Boxes of every magnitude, subnormal included, whose spacing lies
+        # within a few ulps of the rule's 2 ulp edge or far above it: an axis
+        # the rule counts as `resolution` values has that many distinct
+        # samples in the grid.
+        rng = np.random.default_rng(11)
+        admitted = refused = 0
+        for _ in range(20000):
+            res = int(rng.integers(2, 41))
+            lo = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0)
+                       * 2.0 ** int(rng.integers(-1074, 1020)))
+            if rng.random() < 0.7:
+                width = math.ulp(lo) * float(rng.uniform(0.0, 6.0 * (res - 1)))
+            else:
+                width = 2.0 ** int(rng.integers(-1074, 1020))
+            if not math.isfinite(lo + width):
+                continue
+            model = sets.box([(lo, lo + width)], res)
+            distinct = np.unique(sets.grid(model)).size
+            counts = sets.axis_counts(model)
+            if counts is None:
+                refused += 1
+            else:
+                admitted += 1
+                assert counts == [distinct], (lo, lo + width, res)
+        assert admitted > 10000 and refused > 2000
+
+    def test_axis_counts_of_flat_narrow_and_round_sets(self):
+        assert sets.axis_counts(sets.box([(-1.0, 1.0), (2.0, 2.0)], 7)) == [7, 1]
+        assert sets.axis_counts(sets.box([(-0.0, 0.0)], 7)) == [1]
+        # 3 distinct values among 5 samples: the rule cannot count them
+        narrow = sets.box([(1.0, 1.0000000000000004)], 5)
+        assert np.unique(sets.grid(narrow)).size == 3
+        assert sets.axis_counts(narrow) is None
+        assert sets.axis_counts(sets.box([(-1.0, 1.0), (1.0, 1.0000000000000004)], 5)) is None
+        assert sets.axis_counts(sets.ball([0.0, 0.0], 1.0, 5)) is None
+        assert sets.axis_counts(sets.from_points([[0.0], [1.0]])) is None
+
 
 class TestBall:
     def test_plane_resolution_three(self):
