@@ -154,7 +154,7 @@ def _cmd_dims(args) -> dict:
         # a box whose samples are provably distinct: the exact count, with
         # no grid built, after the grid's refusals and the matrix refusal
         # that trace_dimension would make
-        size = sets.check_grid(model, m)
+        size = sets.check_grid(model)
         check_dense(size, m, "evaluation matrix")
         rank = dim_tensor(args.d, counts)
     inputs["set"] = model.describe()

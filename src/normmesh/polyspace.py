@@ -33,14 +33,15 @@ On a box grid, the tensor product of M samples per axis with the last
 axis varying fastest (``sets``' box order), the grid sum factorises
 axis by axis, so the products q_alpha1(x1) ... q_alphan(xn) of each
 axis's one-variable orthonormal basis are orthonormal on the grid
-(``_box_axes``, ``_product_basis``).  Each product is the member alpha
-plus members componentwise below alpha, which come earlier in graded
-order, so they form the same Q as the general construction, at O(N m)
-instead of O(N m^2) and with nothing built on the whole grid but Q.
-The route is chosen from the points alone: n >= 2, the rows are that
-tensor product bit for bit, and every axis has full one-variable rank
-d + 1.  Every other input, row-permuted boxes and boxes with an axis
-short of rank included, takes the general construction.
+(``_product_basis``).  Each product is the member alpha plus members
+componentwise below alpha, which come earlier in graded order, so they
+form the same Q as the general construction, at O(N m) instead of
+O(N m^2) and with nothing built on the whole grid but Q.  Only
+``orthonormal_basis`` takes this route, chosen from the points alone:
+n >= 2, the rows are that tensor product bit for bit, and every axis
+has full one-variable rank d + 1.  Every other input, row-permuted
+boxes and boxes with an axis short of rank included, takes the general
+construction, as does every trace rank.
 """
 
 from __future__ import annotations
@@ -269,8 +270,9 @@ def _update_rows(block: np.ndarray, left: np.ndarray, right: np.ndarray) -> None
             block[part] -= left[part] @ right
 
 
-def _box_axes(space: PolySpace, pts: np.ndarray) -> list[np.ndarray] | None:
-    """Per-axis orthonormal bases of a box grid, or None off the box route.
+def _product_basis(space: PolySpace, pts: np.ndarray) -> np.ndarray | None:
+    """The basis of a box grid as products of per-axis bases, or None off
+    the box route.
 
     The route needs n >= 2 and N = M^n rows that are, bit for bit, the
     tensor product of one M-point sample per axis, the last axis varying
@@ -279,6 +281,12 @@ def _box_axes(space: PolySpace, pts: np.ndarray) -> list[np.ndarray] | None:
     route also needs each to have full rank d + 1, which a flat axis or
     M <= d denies.  Every axis is checked before any basis is built, and
     each check holds one byte per grid row.
+
+    On the route, column alpha of the N x m Fortran-order result is the
+    outer product of the per-axis columns alpha_1, ..., alpha_n, last axis
+    fastest, written in place through a (N / M, M) view of itself as the
+    rank-1 product of the leading axes' outer product, which for n >= 3
+    is kept in a buffer of N / M floats, and the last axis's column.
     """
     npts, n = pts.shape
     side = round(npts ** (1.0 / n))
@@ -297,19 +305,7 @@ def _box_axes(space: PolySpace, pts: np.ndarray) -> list[np.ndarray] | None:
         if rank <= space.d:
             return None
         bases.append(q)
-    return bases
-
-
-def _product_basis(space: PolySpace, bases: list[np.ndarray]) -> np.ndarray:
-    """The N x m Fortran-order basis whose column alpha is the outer product
-    of the per-axis columns alpha_1, ..., alpha_n, last axis fastest.
-
-    Each column is written in place through a (N / M, M) view of itself,
-    as the rank-1 product of the leading axes' outer product, which for
-    n >= 3 is kept in a buffer of N / M floats, and the last axis's column.
-    """
-    side, n = bases[0].shape[0], space.n
-    q = np.empty((side ** n, space.dim), order="F")
+    q = np.empty((npts, space.dim), order="F")
     leading = [np.empty(side ** (axis + 1)) for axis in range(1, n - 1)]
     for j, alpha in enumerate(space.basis):
         lead = bases[0][:, alpha[0]]
@@ -327,14 +323,13 @@ def trace_dimension(space: PolySpace, points) -> int:
 
     The column count of ``_graded_basis``, the basis node selection works
     in; a set is determining for the space exactly when this equals
-    ``space.dim`` on its grid.  On the box route (``_box_axes``) it is m,
-    every exponent being below each axis's full one-variable rank.
-    Otherwise the construction runs first on at most 4m sample rows,
-    those at the golden-ratio indices floor(N frac(k phi)) for k < 4m,
-    which spread over a grid without aliasing with its stride.  Deleting
-    rows never raises the rank, so a sample of rank m proves rank m;
-    otherwise the construction runs on the whole grid.  A matrix above the
-    dense-array byte budget is refused before anything is evaluated.
+    ``space.dim`` on its grid.  The construction runs first on at most 4m
+    sample rows, those at the golden-ratio indices floor(N frac(k phi))
+    for k < 4m, which spread over a grid without aliasing with its stride.
+    Deleting rows never raises the rank, so a sample of rank m proves
+    rank m; otherwise the construction runs on the whole grid.  A matrix
+    above the dense-array byte budget is refused before anything is
+    evaluated.
 
     Rows should be distinct: repeated rows can add a spurious direction
     at degrees near the number of distinct points.  ``sets.from_points``
@@ -343,8 +338,6 @@ def trace_dimension(space: PolySpace, points) -> int:
     pts = _as_points(points, space.n)
     npts, m = pts.shape[0], space.dim
     check_dense(npts, m, "evaluation matrix")
-    if _box_axes(space, pts) is not None:
-        return m
     box = grid_box(pts)
     if npts > 4 * m:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -358,8 +351,8 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
     """Orthonormal basis of the Vandermonde columns of ``points``, N x m.
 
     The basis of ``_graded_basis``, the Q of the Chebyshev Vandermonde's
-    QR up to its rounding drift; on the box route (``_box_axes``) the same
-    Q as products of per-axis bases (``_product_basis``).  Its first
+    QR up to its rounding drift; on the box route the same Q as products
+    of per-axis bases (``_product_basis``).  Its first
     dim(P_d) columns span the degree-<=d traces.  A grid of fewer than m
     points raises ``ValidationError``, and a grid whose trace rank falls
     short of m raises ``NonDeterminingError`` with that rank, naming the
@@ -373,9 +366,9 @@ def orthonormal_basis(space: PolySpace, points) -> np.ndarray:
             f"grid has {npts} points but the space needs at least {m} to determine "
             "a node set")
     check_dense(npts, m, "evaluation matrix")
-    bases = _box_axes(space, pts)
-    if bases is not None:
-        return _product_basis(space, bases)
+    q = _product_basis(space, pts)
+    if q is not None:
+        return q
     q, rank, deficiency = _graded_basis(space, pts, grid_box(pts))
     if rank < m:
         degree, kept, dropped, cut = deficiency

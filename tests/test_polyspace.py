@@ -229,26 +229,35 @@ def exact_box_rank(n, d, resolution):
                if all(a < count for a, count in zip(alpha, counts)))
 
 
-@pytest.mark.parametrize("flat", [False, True], ids=["full", "flat"])
-@pytest.mark.parametrize("n, resolution", [
-    *((n, resolution) for n in (1, 2) for resolution in range(2, 22)),
-    *((3, resolution) for resolution in range(2, 10)),
+@pytest.mark.parametrize("n, resolution, first", [
+    *((n, resolution, first) for first in ("full", "flat")
+      for n, top in ((1, 22), (2, 22), (3, 10)) for resolution in range(2, top)),
+    *((n, resolution, "merged") for n in (2, 3) for resolution in (5, 7, 9)),
 ])
-def test_box_count_equals_the_grid_trace_rank(n, resolution, flat):
+def test_box_count_equals_the_grid_trace_rank(n, resolution, first):
     # The command line's count for a box (errors.dim_tensor on the
     # sets.axis_counts of the model) is the trace rank of the grid it does
     # not build, at every degree up to twice the resolution, with the first
-    # axis flat or not.  A 3-D box stops at resolution 9: at 11 the general
-    # construction takes seconds per box, at 21 a 1 GB basis.
+    # axis flat or not.  A first axis of [1, 1 + 2 ulp] merges its samples
+    # onto 3 values, so axis_counts cannot prove the box and the command
+    # line builds the grid, whose rows repeat; the count of its distinct
+    # values per axis is still its trace rank.  A 3-D box stops at
+    # resolution 9: at 11 the general construction takes seconds per box,
+    # at 21 a 1 GB basis.
     rng = np.random.default_rng(100 * n + resolution)
     lows = rng.uniform(-5.0, 5.0, size=n)
     highs = lows + rng.uniform(0.1, 10.0, size=n)
-    if flat:
+    if first == "flat":
         highs[0] = lows[0]
+    elif first == "merged":
+        lows[0], highs[0] = 1.0, 1.0000000000000004
     model = sets.box(list(zip(lows, highs)), resolution)
     pts = sets.grid(model)
-    counts = sets.axis_counts(model)
-    assert counts == [np.unique(axis).size for axis in pts.T]
+    counts = [np.unique(axis).size for axis in pts.T]
+    if first == "merged":
+        assert sets.axis_counts(model) is None and counts[0] == 3
+    else:
+        assert sets.axis_counts(model) == counts
     for d in range(2 * resolution + 1):
         count = errors.dim_tensor(d, counts)
         assert count == exact_box_rank(n, d, counts) == trace_dimension(poly_space(n, d), pts), d
@@ -256,8 +265,8 @@ def test_box_count_equals_the_grid_trace_rank(n, resolution, flat):
 
 def swap_first_rows(pts):
     """A copy of a box grid with its first two rows swapped: out of box
-    order, so it takes the general route, and every other row stays where
-    the trace rank's sample reads it."""
+    order, and every other row stays where the trace rank's sample reads
+    it."""
     return pts[np.r_[1, 0, 2:pts.shape[0]]]
 
 
@@ -365,35 +374,32 @@ class TestStreamedTraceRank:
         assert calls["qr"] == calls["svd"] == []
 
     def test_screen_evaluates_at_most_four_rows_per_member(self, calls):
-        # 29,791 points at m = 84: off box order the one Vandermonde has at
-        # most 4m = 336 rows, and in box order only each axis's 31 samples
-        # are evaluated
+        # 29,791 points at m = 84: in box order and off it the one
+        # Vandermonde has at most 4m = 336 rows
         space = poly_space(3, 6)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 3, 31))
-        assert trace_dimension(space, swap_first_rows(pts)) == space.dim
-        assert len(calls["vandermonde"]) == 1
-        assert calls["vandermonde"][0][0] <= 336
-        calls["vandermonde"].clear()
-        assert trace_dimension(space, pts) == space.dim
-        assert calls["vandermonde"] == [(31, 1)] * 3
+        for grid in (swap_first_rows(pts), pts):
+            calls["vandermonde"].clear()
+            assert trace_dimension(space, grid) == space.dim
+            assert len(calls["vandermonde"]) == 1
+            assert calls["vandermonde"][0][0] <= 336
 
     @pytest.mark.parametrize("resolution, d, strided", [
         (40, 3, 4), (84, 5, 6), (61, 10, 58), (101, 16, 132)])
     def test_tensor_grids_certify_from_one_sample(self, calls, resolution, d, strided):
         # every ceil(N / 4m)-th point of these [-1,1]^2 grids lies on few grid
-        # lines, where the sample's exact rank is ``strided``; off box order
-        # the golden-ratio sample has full rank, so one build certifies, and
-        # in box order only each axis's samples are evaluated
+        # lines, where the sample's exact rank is ``strided``; in box order and
+        # off it the golden-ratio sample has full rank, so one build of at
+        # most 4m rows certifies
         space = poly_space(2, d)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, resolution))
         stride_sample = pts[::-(-pts.shape[0] // (4 * space.dim))]
         assert trace_dimension(space, stride_sample) == strided < space.dim
-        calls["vandermonde"].clear()
-        assert trace_dimension(space, swap_first_rows(pts)) == space.dim
-        assert len(calls["vandermonde"]) == 1
-        calls["vandermonde"].clear()
-        assert trace_dimension(space, pts) == space.dim
-        assert calls["vandermonde"] == [(resolution, 1)] * 2
+        for grid in (swap_first_rows(pts), pts):
+            calls["vandermonde"].clear()
+            assert trace_dimension(space, grid) == space.dim
+            assert len(calls["vandermonde"]) == 1
+            assert calls["vandermonde"][0][0] <= 4 * space.dim
 
 
 class TestRankScreen:
@@ -543,7 +549,7 @@ def test_graded_prefix_spans_the_lower_degree_vandermonde(model, big, degrees, p
     # the first dim(P_d) columns of the degree-D basis span the degree-d
     # traces, on the product route and on the general one
     pts = sets.grid(model)
-    assert (polyspace._box_axes(big, pts) is not None) == product
+    assert (polyspace._product_basis(big, pts) is not None) == product
     q = polyspace.orthonormal_basis(big, pts)
     for d in degrees:
         space = poly_space(big.n, d)
@@ -575,7 +581,7 @@ class TestBoxRoute:
         # [-1,1]^2 @20 at degree 19, where each axis's basis is square
         space = poly_space(2, 19)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, 20))
-        assert polyspace._box_axes(space, pts) is not None
+        assert polyspace._product_basis(space, pts) is not None
         exact = extended_qr_basis(space, pts)
         assert np.abs(polyspace.orthonormal_basis(space, pts) - exact).max() <= 1e-13
 
@@ -585,7 +591,7 @@ class TestBoxRoute:
         space = poly_space(2, 4)
         pts = sets.grid(sets.box([(-1.0, 1.0)] * 2, 6))
         box = meshgen.select_nodes(space, pts)
-        with unittest.mock.patch.object(polyspace, "_box_axes", return_value=None):
+        with unittest.mock.patch.object(polyspace, "_product_basis", return_value=None):
             general = meshgen.select_nodes(space, pts)
         assert (box.node_indices, box.sweeps) == (general.node_indices, general.sweeps)
 
@@ -613,7 +619,7 @@ def test_box_route_equals_the_general_route(data, seed, n, lows, widths):
     permuted = pts[np.random.default_rng(seed).permutation(pts.shape[0])]
     assert trace_dimension(space, pts) == trace_dimension(space, permuted) == rank
     full = min(counts) > d
-    assert (polyspace._box_axes(space, pts) is not None) == full
+    assert (polyspace._product_basis(space, pts) is not None) == full
     if not full:
         return
     q = polyspace.orthonormal_basis(space, pts)
@@ -621,6 +627,6 @@ def test_box_route_equals_the_general_route(data, seed, n, lows, widths):
     assert np.abs(q - general_q).max() <= 1e-13
     assert meshgen._greedy_rows(q) == meshgen._greedy_rows(general_q)
     box = meshgen.select_nodes(space, pts)
-    with unittest.mock.patch.object(polyspace, "_box_axes", return_value=None):
+    with unittest.mock.patch.object(polyspace, "_product_basis", return_value=None):
         general = meshgen.select_nodes(space, pts)
     assert (box.node_indices, box.sweeps) == (general.node_indices, general.sweeps)
